@@ -6,6 +6,11 @@ Built-in charts (sphere, cylinder, torus, plane) carry hand-written analytic
 derivatives; user maps without derivatives get a central-difference adaptor
 with one Richardson extrapolation level.
 
+Point-axis convention: (q1, q2) may be arrays.  They broadcast to a point
+shape S, which goes last: the position has shape (3,) + S, the tangents
+(2, 3) + S and the second partials (2, 2, 3) + S.  Scalar points give the
+plain (3,), (2, 3) and (2, 2, 3) arrays.
+
 Orientation convention: the unit normal is (d1 r x d2 r)/|d1 r x d2 r| and
 the built-in closed surfaces order their parameters so the normal points
 outward.  This is the deterministic rule all curvature signs hang off.
@@ -52,12 +57,17 @@ class ParametricChart:
         return np.asarray(self._d2(q1, q2), dtype=float)
 
     def contains(self, q1, q2, margin=0.0):
+        """Whether (q1, q2) lies inside the domain on the non-periodic axes.
+
+        Broadcasts over array points (a bool array then); NaN is never
+        inside a bounded axis.  Periodic axes accept every value.
+        """
+        inside = np.ones(np.broadcast(np.asarray(q1), np.asarray(q2)).shape, dtype=bool)
         for q, (lo, hi), per in zip((q1, q2), self.domain, self.periodic):
-            if per:
-                continue
-            if not (lo + margin <= q <= hi - margin):
-                return False
-        return True
+            if not per:
+                q = np.asarray(q, dtype=float)
+                inside &= (lo + margin <= q) & (q <= hi - margin)
+        return bool(inside) if inside.ndim == 0 else inside
 
 
 def from_map(map_fn, domain, periodic=(False, False), name="custom", params=None):
@@ -72,6 +82,9 @@ def from_map(map_fn, domain, periodic=(False, False), name="custom", params=None
     eps = np.finfo(float).eps
     first_h = float(np.cbrt(eps))
     second_h = float(eps**0.25)
+
+    def m(q1, q2):
+        return np.asarray(map_fn(q1, q2), dtype=float)
 
     def d1(q1, q2):
         q = np.array([q1, q2], dtype=float)
@@ -96,10 +109,29 @@ def from_map(map_fn, domain, periodic=(False, False), name="custom", params=None
         params=dict(params or {}),
         domain=tuple(tuple(map(float, ax)) for ax in domain),
         periodic=tuple(bool(p) for p in periodic),
-        _map=lambda a, b: np.asarray(map_fn(a, b), dtype=float),
-        _d1=d1,
-        _d2=d2,
+        _map=_pointwise(m, (3,)),
+        _d1=_pointwise(d1, (2, 3)),
+        _d2=_pointwise(d2, (2, 2, 3)),
     )
+
+
+def _pointwise(jet, jet_shape):
+    """Broadcast a jet that only takes scalar points.
+
+    User maps are not assumed to broadcast, so array points are evaluated
+    one at a time and stacked with the point axes last.
+    """
+
+    def batched(q1, q2):
+        a, b = np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
+        if a.ndim == 0:
+            return jet(q1, q2)
+        out = np.empty(jet_shape + (a.size,))
+        for k, (x, y) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
+            out[..., k] = jet(x, y)
+        return out.reshape(jet_shape + a.shape)
+
+    return batched
 
 
 def _shift(q, mu, h):
@@ -150,7 +182,16 @@ def _richardson_mixed(f, q, h):
 # ---------------------------------------------------------------------------
 # Built-in charts.  Parameter order is chosen so d1 x d2 points outward on
 # the closed surfaces (sphere, cylinder, torus); the plane normal is +z.
+# Every jet broadcasts its two parameters first, so constant entries can be
+# written as zeros/ones of the point shape.
 # ---------------------------------------------------------------------------
+
+
+def _points(q1, q2):
+    """The two parameters with one common shape, so jets can stack entries."""
+    if np.shape(q1) == np.shape(q2):
+        return q1, q2
+    return np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
 
 
 def sphere(radius=1.0):
@@ -160,25 +201,29 @@ def sphere(radius=1.0):
         raise ValueError("radius must be positive")
 
     def m(th, ph):
+        th, ph = _points(th, ph)
         st, ct = np.sin(th), np.cos(th)
         return np.array([R * st * np.cos(ph), R * st * np.sin(ph), R * ct])
 
     def d1(th, ph):
+        th, ph = _points(th, ph)
         st, ct = np.sin(th), np.cos(th)
         sp, cp = np.sin(ph), np.cos(ph)
         return np.array(
             [
                 [R * ct * cp, R * ct * sp, -R * st],
-                [-R * st * sp, R * st * cp, 0.0],
+                [-R * st * sp, R * st * cp, np.zeros_like(th)],
             ]
         )
 
     def d2(th, ph):
+        th, ph = _points(th, ph)
         st, ct = np.sin(th), np.cos(th)
         sp, cp = np.sin(ph), np.cos(ph)
+        zero = np.zeros_like(th)
         dtt = np.array([-R * st * cp, -R * st * sp, -R * ct])
-        dtp = np.array([-R * ct * sp, R * ct * cp, 0.0])
-        dpp = np.array([-R * st * cp, -R * st * sp, 0.0])
+        dtp = np.array([-R * ct * sp, R * ct * cp, zero])
+        dpp = np.array([-R * st * cp, -R * st * sp, zero])
         return np.array([[dtt, dtp], [dtp, dpp]])
 
     def curv_grad(th, ph):
@@ -204,19 +249,24 @@ def cylinder(radius=1.0, half_height=1.0):
         raise ValueError("radius and half_height must be positive")
 
     def m(ph, v):
+        ph, v = _points(ph, v)
         return np.array([R * np.cos(ph), R * np.sin(ph), v])
 
     def d1(ph, v):
+        ph, v = _points(ph, v)
+        zero, one = np.zeros_like(ph), np.ones_like(ph)
         return np.array(
             [
-                [-R * np.sin(ph), R * np.cos(ph), 0.0],
-                [0.0, 0.0, 1.0],
+                [-R * np.sin(ph), R * np.cos(ph), zero],
+                [zero, zero, one],
             ]
         )
 
     def d2(ph, v):
-        dpp = np.array([-R * np.cos(ph), -R * np.sin(ph), 0.0])
-        z = np.zeros(3)
+        ph, v = _points(ph, v)
+        zero = np.zeros_like(ph)
+        dpp = np.array([-R * np.cos(ph), -R * np.sin(ph), zero])
+        z = np.array([zero, zero, zero])
         return np.array([[dpp, z], [z, z]])
 
     def curv_grad(ph, v):
@@ -242,26 +292,30 @@ def torus(major_radius=2.0, minor_radius=0.5):
         raise ValueError("need major_radius > minor_radius > 0")
 
     def m(u, v):
+        u, v = _points(u, v)
         w = a + b * np.cos(v)
         return np.array([w * np.cos(u), w * np.sin(u), b * np.sin(v)])
 
     def d1(u, v):
+        u, v = _points(u, v)
         w = a + b * np.cos(v)
         su, cu = np.sin(u), np.cos(u)
         sv, cv = np.sin(v), np.cos(v)
         return np.array(
             [
-                [-w * su, w * cu, 0.0],
+                [-w * su, w * cu, np.zeros_like(u)],
                 [-b * sv * cu, -b * sv * su, b * cv],
             ]
         )
 
     def d2(u, v):
+        u, v = _points(u, v)
         w = a + b * np.cos(v)
         su, cu = np.sin(u), np.cos(u)
         sv, cv = np.sin(v), np.cos(v)
-        duu = np.array([-w * cu, -w * su, 0.0])
-        duv = np.array([b * sv * su, -b * sv * cu, 0.0])
+        zero = np.zeros_like(u)
+        duu = np.array([-w * cu, -w * su, zero])
+        duv = np.array([b * sv * su, -b * sv * cu, zero])
         dvv = np.array([-b * cv * cu, -b * cv * su, -b * sv])
         return np.array([[duu, duv], [duv, dvv]])
 
@@ -290,13 +344,16 @@ def plane(extent=1.0):
         raise ValueError("extent must be positive")
 
     def m(u, v):
-        return np.array([u, v, 0.0])
+        u, v = _points(u, v)
+        return np.array([u, v, np.zeros_like(u)])
 
     def d1(u, v):
-        return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        u, v = _points(u, v)
+        zero, one = np.zeros_like(u), np.ones_like(u)
+        return np.array([[one, zero, zero], [zero, one, zero]])
 
     def d2(u, v):
-        return np.zeros((2, 2, 3))
+        return np.zeros((2, 2, 3) + np.broadcast(np.asarray(u), np.asarray(v)).shape)
 
     def curv_grad(u, v):
         return np.zeros(2), np.zeros(2)
@@ -334,13 +391,34 @@ def make_chart(name, **params):
         raise ValueError(f"surface {name!r} does not take parameters {sorted(params)}")
 
 
+def _norm(v):
+    """Euclidean norm over the leading (component) axis."""
+    return np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+
+
+def _cross(a, b):
+    """Cross product over the leading (component) axis."""
+    return np.array(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    )
+
+
 def check_regular(chart, q1, q2):
-    """Raise ChartSingularityError if the tangents degenerate at the point."""
+    """Return (tangents, d1 r x d2 r); raise where the tangents degenerate.
+
+    Broadcasts over array points.  The test is written so that NaN fails
+    it, and the error names the first failing point in input (C) order.
+    """
     t = chart.tangents(q1, q2)
-    cross = np.cross(t[0], t[1])
-    scale = np.linalg.norm(t[0]) * np.linalg.norm(t[1])
-    if np.linalg.norm(cross) < SINGULARITY_RTOL * max(scale, 1e-300):
-        raise ChartSingularityError(chart.name, (q1, q2))
+    cross = _cross(t[0], t[1])
+    scale = _norm(t[0]) * _norm(t[1])
+    regular = _norm(cross) >= SINGULARITY_RTOL * np.maximum(scale, 1e-300)
+    if not regular.all():
+        q1b, q2b = np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
+        k = int(np.argmin(regular.ravel()))
+        point = (q1b.ravel()[k], q2b.ravel()[k])
+        detail = "tangent degeneracy" if np.all(np.isfinite(point)) else "non-finite point"
+        raise ChartSingularityError(chart.name, point, detail)
     return t, cross
 
 

@@ -40,6 +40,10 @@ from .geometry import evaluate_frame, geometric_potential, shell_frame
 
 GAUSSIAN_REFERENCE_LABEL = "sho_density"
 
+# `confine` evaluates here without --point; other charts use their domain
+# centre, which lies inside the domain whatever the surface parameters.
+CONFINE_DEFAULT_POINTS = {"sphere": (1.0, 0.5), "torus": (0.8, 2.0)}
+
 
 def _fmt(x):
     return repr(float(x) + 0.0)  # +0.0 folds -0.0 into 0.0
@@ -109,31 +113,56 @@ def _geom_points(args, chart):
     return points
 
 
+def _require_inside(chart, q1, q2):
+    """Reject the first point off the domain of a non-periodic axis (NaN too)."""
+    inside = np.atleast_1d(chart.contains(q1, q2))
+    if not inside.all():
+        k = int(np.argmin(inside))
+        a, b = np.atleast_1d(q1)[k], np.atleast_1d(q2)[k]
+        raise ValueError(f"point ({a}, {b}) is outside the {chart.name} chart domain {chart.domain}")
+
+
+def _geom_columns(chart, q1, q2, q3_values, hbar, mu):
+    """Report columns for the points (q1, q2), evaluated in one batch."""
+    _require_inside(chart, q1, q2)
+    # Points on the first axis, shell offsets on a second one, so a fold is
+    # reported for the first point (then offset) in input order.
+    frame = evaluate_frame(chart, q1[:, None], q2[:, None])
+    columns = {
+        "q1": q1,
+        "q2": q2,
+        "M": frame.mean_curvature,
+        "K": frame.gaussian_curvature,
+        "V_gp": geometric_potential(frame, hbar, mu),
+        "n_x": frame.normal[0],
+        "n_y": frame.normal[1],
+        "n_z": frame.normal[2],
+        "sqrt_g": frame.sqrt_g,
+    }
+    if q3_values:
+        dets = shell_frame(frame, np.array(q3_values)).det
+        for j, q3 in enumerate(q3_values):
+            columns[f"shell_det_q3_{q3:g}"] = dets[:, j]
+    return {key: np.ravel(col).tolist() for key, col in columns.items()}
+
+
 def cmd_geom(args):
     chart = _make_surface(args)
     points = _geom_points(args, chart)
     q3_values = _parse_float_list(args.q3) if args.q3 else []
     header = ["q1", "q2", "M", "K", "V_gp", "n_x", "n_y", "n_z", "sqrt_g"]
     header += [f"shell_det_q3_{q3:g}" for q3 in q3_values]
-    rows = []
-    dicts = []
-    for q1, q2 in points:
-        frame = evaluate_frame(chart, q1, q2)
-        record = {
-            "q1": q1,
-            "q2": q2,
-            "M": frame.mean_curvature,
-            "K": frame.gaussian_curvature,
-            "V_gp": geometric_potential(frame, args.hbar, args.mu),
-            "n_x": frame.normal[0],
-            "n_y": frame.normal[1],
-            "n_z": frame.normal[2],
-            "sqrt_g": frame.sqrt_g,
-        }
-        for q3 in q3_values:
-            record[f"shell_det_q3_{q3:g}"] = shell_frame(frame, q3).det
-        dicts.append(record)
-        rows.append([_fmt(record[k]) for k in header])
+    q1, q2 = (np.array(axis) for axis in zip(*points))
+    try:
+        columns = _geom_columns(chart, q1, q2, q3_values, args.hbar, args.mu)
+    except (ChartSingularityError, ShellFoldError, ValueError):
+        # Name the first failing point in input order, as a row-by-row
+        # evaluation would, whatever kind of error the batch hit first.
+        for k in range(len(points)):
+            _geom_columns(chart, q1[k : k + 1], q2[k : k + 1], q3_values, args.hbar, args.mu)
+        raise
+    dicts = [dict(zip(header, values)) for values in zip(*(columns[k] for k in header))]
+    rows = [[_fmt(record[k]) for k in header] for record in dicts]
     if args.format == "csv":
         _write_text(args.out, _csv(rows, header))
     else:
@@ -220,8 +249,11 @@ def cmd_confine(args):
     )
     if args.point:
         q1, q2 = _parse_point(args.point)
+    elif chart.name in CONFINE_DEFAULT_POINTS:
+        q1, q2 = CONFINE_DEFAULT_POINTS[chart.name]
     else:
-        q1, q2 = (1.0, 0.5) if chart.name == "sphere" else (0.8, 2.0)
+        q1, q2 = (0.5 * (lo + hi) for lo, hi in chart.domain)
+    _require_inside(chart, q1, q2)
     if args.q3:
         q3_values = _parse_float_list(args.q3)
     else:
@@ -328,7 +360,11 @@ def build_parser():
     )
     p_conf.add_argument("--profile", choices=("gaussian", "flat"), default="gaussian")
     p_conf.add_argument("--width", type=float, default=1.0)
-    p_conf.add_argument("--point", help="evaluation point 'q1,q2'")
+    p_conf.add_argument(
+        "--point",
+        help="evaluation point 'q1,q2' (default: 1,0.5 on the sphere, 0.8,2 on "
+        "the torus, the domain centre otherwise)",
+    )
     p_conf.add_argument("--q3", help="comma list of shell offsets")
     p_conf.set_defaults(func=cmd_confine)
 

@@ -6,8 +6,11 @@ parameters, and composite fields (products with coordinate functions,
 rotated pullbacks) derive their partials exactly via the chain/product
 rule.  Base fields are built symbolically and lambdified once.
 
-All callables broadcast over numpy arrays, which the quadrature-based
-operations rely on.
+Point-axis convention: all callables broadcast over array points, and the
+point axes go last.  Over a point shape S the value has shape S, the
+gradient (2,) + S and the Hessian (2, 2) + S (derivative axes first), the
+same layout the charts and geometry frames use.  A scalar point gives a
+Python complex value and (2,) / (2, 2) arrays.
 """
 
 from dataclasses import dataclass
@@ -157,7 +160,8 @@ def coordinate_field(chart, axis):
         raise ValueError("axis must be 0, 1 or 2")
 
     def value(q1, q2):
-        return complex(chart.position(q1, q2)[axis])
+        x = chart.position(q1, q2)[axis]
+        return complex(x) if x.ndim == 0 else x.astype(complex)
 
     def grad(q1, q2):
         return chart.tangents(q1, q2)[:, axis].astype(complex)
@@ -190,7 +194,16 @@ def harmonic_library(lmax=3):
 
 
 def trig_library(count=3, seed=20240501):
-    """Deterministic random trigonometric polynomials in (q1, q2)."""
+    """Deterministic random trigonometric polynomials in (q1, q2).
+
+    Built once per (count, seed); each call returns a fresh list of the
+    cached fields.
+    """
+    return list(_trig_fields(int(count), int(seed)))
+
+
+@lru_cache(maxsize=None)
+def _trig_fields(count, seed):
     rng = np.random.default_rng(seed)
     basis = [
         sp.Integer(1),
@@ -205,7 +218,7 @@ def trig_library(count=3, seed=20240501):
         coeffs = rng.uniform(-1.0, 1.0, size=len(basis))
         expr = sum(sp.Float(c) * b for c, b in zip(coeffs, basis))
         out.append(from_expr(expr, (THETA, PHI), label=f"trig{k}"))
-    return out
+    return tuple(out)
 
 
 def field_library(lmax=3, trig_count=3):
@@ -227,10 +240,18 @@ def sphere_point(theta, phi):
 
 
 def _sphere_angles(p):
-    z = min(1.0, max(-1.0, float(p[2])))
-    theta = np.arccos(z)
+    """(theta, phi) of unit vectors p of shape (3,) + S."""
+    theta = np.arccos(np.clip(p[2], -1.0, 1.0))
     phi = np.arctan2(p[1], p[0])
     return theta, phi
+
+
+def _check_pole(theta):
+    """Raise PoleProximityError for the first theta within POLE_MARGIN of a pole."""
+    t = np.ravel(theta)
+    near = np.minimum(t, np.pi - t) < POLE_MARGIN
+    if near.any():
+        raise PoleProximityError(t[np.argmax(near)], POLE_MARGIN)
 
 
 def pullback_field(f, matrix, label=None):
@@ -246,10 +267,9 @@ def pullback_field(f, matrix, label=None):
         label = f"pullback({f.label})"
 
     def mapped(theta, phi):
-        p = A @ sphere_point(theta, phi)
+        p = np.tensordot(A, sphere_point(theta, phi), axes=1)
         tp, pp = _sphere_angles(p)
-        if min(tp, np.pi - tp) < POLE_MARGIN:
-            raise PoleProximityError(tp, POLE_MARGIN)
+        _check_pole(tp)
         return p, tp, pp
 
     def value(theta, phi):
@@ -260,16 +280,19 @@ def pullback_field(f, matrix, label=None):
         p, tp, pp = mapped(theta, phi)
         st, ct = np.sin(theta), np.cos(theta)
         sphi, cphi = np.sin(phi), np.cos(phi)
-        dp_dtheta = A @ np.array([ct * cphi, ct * sphi, -st])
-        dp_dphi = A @ np.array([-st * sphi, st * cphi, 0.0])
+        dp_dtheta = np.tensordot(A, np.array([ct * cphi, ct * sphi, -st]), axes=1)
+        dp_dphi = np.tensordot(A, np.array([-st * sphi, st * cphi, np.zeros_like(st)]), axes=1)
         stp = np.sin(tp)
         rho2 = p[0] * p[0] + p[1] * p[1]
-        jac = np.empty((2, 2))
-        jac[0, 0] = -dp_dtheta[2] / stp
-        jac[1, 0] = -dp_dphi[2] / stp
-        jac[0, 1] = (p[0] * dp_dtheta[1] - p[1] * dp_dtheta[0]) / rho2
-        jac[1, 1] = (p[0] * dp_dphi[1] - p[1] * dp_dphi[0]) / rho2
-        return jac @ f.grad(tp, pp)
+        # jac[mu, nu] = d(theta', phi')_nu / d(theta, phi)_mu
+        jac = np.array(
+            [
+                [-dp_dtheta[2] / stp, (p[0] * dp_dtheta[1] - p[1] * dp_dtheta[0]) / rho2],
+                [-dp_dphi[2] / stp, (p[0] * dp_dphi[1] - p[1] * dp_dphi[0]) / rho2],
+            ]
+        )
+        g = f.grad(tp, pp)
+        return jac[:, 0] * g[0] + jac[:, 1] * g[1]
 
     return ScalarField(label=label, _value=value, _grad=grad, _hess=None)
 

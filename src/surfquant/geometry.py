@@ -1,6 +1,6 @@
 """Pointwise differential geometry of a parametric surface and its shell.
 
-Everything here is a pure function of a chart and a parameter point.  The
+Everything here is a pure function of a chart and its parameter points.  The
 central object is the GeometryFrame: tangents, metric, normal, second
 fundamental form, Weingarten map and the curvature invariants.
 
@@ -15,48 +15,76 @@ Sign conventions (fixed once, relied on by every operator downstream):
 Under these choices the unit sphere with outward normal has M = -1, K = 1,
 and the Laplace-Beltrami image of the coordinate functions satisfies the
 identity lap(r) = 2 M n, which the tests use as the curvature oracle.
+
+Point-axis convention: (q1, q2) may be arrays that broadcast to a point
+shape S.  Point axes go last in every frame entry (tangents (2, 3) + S,
+metric (2, 2) + S, normal (3,) + S, curvatures S), so one call evaluates a
+whole set of points.  A scalar point gives the plain per-point arrays and
+Python floats.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import check_regular
+from .charts import _norm, check_regular
 from .errors import ShellFoldError
+
+
+def _scalar(x):
+    """A Python float for a single point, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _matmul(a, b):
+    """Matrix product over the two leading axes, point axes last.
+
+    np.matmul rather than einsum, so a single point's result is bit for bit
+    the plain `a @ b` of its matrices.
+    """
+    if a.ndim == b.ndim == 2:
+        return a @ b
+    lead = ((0, 1), (-2, -1))
+    out = np.matmul(np.moveaxis(a, *lead), np.moveaxis(b, *lead))
+    return np.moveaxis(out, (-2, -1), (0, 1))
 
 
 @dataclass(frozen=True)
 class GeometryFrame:
-    """Per-point bundle of first- and second-order surface data."""
+    """First- and second-order surface data over a point shape S (last axes)."""
 
     chart_name: str
-    point: tuple  # (q1, q2)
-    position: np.ndarray  # (3,)
-    tangents: np.ndarray  # (2, 3) rows d_mu r
-    raised: np.ndarray  # (2, 3) rows r^mu = g^{mu nu} r_nu
-    metric: np.ndarray  # (2, 2)
-    metric_inv: np.ndarray  # (2, 2)
-    sqrt_g: float
-    normal: np.ndarray  # (3,) unit
-    second_form: np.ndarray  # (2, 2), n . d_mu d_nu r
-    weingarten: np.ndarray  # (2, 2), alpha = -g^{-1} h
-    mean_curvature: float
-    gaussian_curvature: float
+    point: tuple  # (q1, q2), floats or arrays of shape S
+    position: np.ndarray  # (3,) + S
+    tangents: np.ndarray  # (2, 3) + S, rows d_mu r
+    raised: np.ndarray  # (2, 3) + S, rows r^mu = g^{mu nu} r_nu
+    metric: np.ndarray  # (2, 2) + S
+    metric_inv: np.ndarray  # (2, 2) + S
+    sqrt_g: object  # float or S
+    normal: np.ndarray  # (3,) + S, unit
+    second_form: np.ndarray  # (2, 2) + S, n . d_mu d_nu r
+    weingarten: np.ndarray  # (2, 2) + S, alpha = -g^{-1} h
+    mean_curvature: object  # float or S
+    gaussian_curvature: object  # float or S
+    second_partials: np.ndarray  # (2, 2, 3) + S, d_mu d_nu r
+    dginv: np.ndarray  # (2, 2, 2) + S, dginv[mu] = d_mu g^{alpha beta}
+    dsqrt: np.ndarray  # (2,) + S, d_mu sqrt(g)
 
     def completeness_residual(self):
-        """Entrywise residual of sum_mu r^mu (x) r_mu + n (x) n - I."""
-        proj = self.raised.T @ self.tangents + np.outer(self.normal, self.normal)
-        return proj - np.eye(3)
+        """Entrywise residual of sum_mu r^mu (x) r_mu + n (x) n - I, (3, 3) + S."""
+        proj = np.einsum("mi...,mj...->ij...", self.raised, self.tangents)
+        proj = proj + self.normal[:, None] * self.normal[None, :]
+        return proj - np.eye(3).reshape((3, 3) + (1,) * (proj.ndim - 2))
 
 
 @dataclass(frozen=True)
 class ShellFrame:
-    """Shell metric at normal offset q3 above a surface point."""
+    """Shell metric at normal offset q3 above surface points."""
 
     base: GeometryFrame
-    q3: float
-    metric3: np.ndarray  # (3, 3)
-    det: float  # direct determinant of metric3
+    q3: object  # float, or an array broadcasting with the point shape
+    metric3: np.ndarray  # (3, 3) + shape
+    det: object  # determinant of metric3 from its entries
 
     @property
     def fold_factor(self):
@@ -66,37 +94,52 @@ class ShellFrame:
 
 
 def evaluate_frame(chart, q1, q2):
-    """Evaluate the full geometric frame of `chart` at (q1, q2).
+    """Evaluate the full geometric frame of `chart` at the points (q1, q2).
 
     Raises ChartSingularityError where the tangents degenerate (for example
-    the poles of the sphere chart).
+    the poles of the sphere chart), naming the first such point.
     """
     tangents, cross = check_regular(chart, q1, q2)
     position = chart.position(q1, q2)
-    metric = tangents @ tangents.T
-    sqrt_g = float(np.linalg.norm(cross))
-    metric_inv = np.linalg.inv(metric)
-    raised = metric_inv @ tangents
-    normal = cross / sqrt_g
     d2 = chart.second_partials(q1, q2)
-    second_form = d2 @ normal
-    weingarten = -metric_inv @ second_form
-    mean_curvature = -0.5 * float(np.trace(weingarten))
-    gaussian_curvature = float(np.linalg.det(weingarten))
+    g = np.einsum("ai...,bi...->ab...", tangents, tangents)
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    metric_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
+    sqrt_g = _norm(cross)
+    raised = _matmul(metric_inv, tangents)
+    normal = cross / sqrt_g
+    second_form = np.einsum("abi...,i...->ab...", d2, normal)
+    weingarten = -np.einsum("ab...,bc...->ac...", metric_inv, second_form)
+    w = weingarten
+    mean_curvature = -0.5 * (w[0, 0] + w[1, 1])
+    gaussian_curvature = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
+    # d_mu g = d2[mu] t^T + t d2[mu]^T, then d_mu g^-1 = -g^-1 (d_mu g) g^-1
+    # and d_mu sqrt(g) = sqrt(g) tr(g^-1 d_mu g) / 2.
+    half = np.einsum("mai...,bi...->mab...", d2, tangents)
+    dg = half + half.swapaxes(1, 2)
+    dginv = -np.einsum("ab...,mbc...,cd...->mad...", metric_inv, dg, metric_inv)
+    dsqrt = 0.5 * sqrt_g * np.einsum("ab...,mba...->m...", metric_inv, dg)
+    if np.ndim(sqrt_g) == 0:
+        point = (float(q1), float(q2))
+    else:
+        point = tuple(np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)))
     return GeometryFrame(
         chart_name=chart.name,
-        point=(float(q1), float(q2)),
+        point=point,
         position=position,
         tangents=tangents,
         raised=raised,
-        metric=metric,
+        metric=g,
         metric_inv=metric_inv,
-        sqrt_g=sqrt_g,
+        sqrt_g=_scalar(sqrt_g),
         normal=normal,
         second_form=second_form,
         weingarten=weingarten,
-        mean_curvature=mean_curvature,
-        gaussian_curvature=gaussian_curvature,
+        mean_curvature=_scalar(mean_curvature),
+        gaussian_curvature=_scalar(gaussian_curvature),
+        second_partials=d2,
+        dginv=dginv,
+        dsqrt=dsqrt,
     )
 
 
@@ -110,67 +153,66 @@ def geometric_potential(frame, hbar=1.0, mu=1.0):
 
 
 def shell_frame(frame, q3):
-    """Metric of the shell point r + q3 n built on a surface frame.
+    """Metric of the shell points r + q3 n built on a surface frame.
 
     The surface block is (I + q3 alpha) g (I + q3 alpha)^T, the normal
     row/column vanish and G_33 = 1.  Degenerates (folds) where
-    1 - 2 M q3 + K q3^2 <= 0, i.e. past the focal distance.
+    1 - 2 M q3 + K q3^2 <= 0, i.e. past the focal distance.  q3 may be an
+    array that broadcasts with the frame's point shape; a fold is reported
+    for the first folding entry in C order.
     """
-    q3 = float(q3)
+    q3 = _scalar(np.asarray(q3, dtype=float))
     M = frame.mean_curvature
     K = frame.gaussian_curvature
     factor = 1.0 - 2.0 * M * q3 + K * q3 * q3
-    if factor <= 0.0:
-        raise ShellFoldError(q3, factor)
-    B = np.eye(2) + q3 * frame.weingarten
-    surface_block = B @ frame.metric @ B.T
-    metric3 = np.zeros((3, 3))
-    metric3[:2, :2] = surface_block
+    folded = np.ravel(factor <= 0.0)
+    if folded.any():
+        k = int(np.argmax(folded))
+        raise ShellFoldError(np.broadcast_to(q3, np.shape(factor)).ravel()[k], np.ravel(factor)[k])
+    shape = np.shape(factor)
+    B = np.eye(2).reshape((2, 2) + (1,) * len(shape)) + q3 * frame.weingarten
+    block = np.einsum("ma...,ab...,nb...->mn...", B, frame.metric, B)
+    metric3 = np.zeros((3, 3) + shape)
+    metric3[:2, :2] = block
     metric3[2, 2] = 1.0
-    det = float(np.linalg.det(metric3))
-    return ShellFrame(base=frame, q3=q3, metric3=metric3, det=det)
+    det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
+    return ShellFrame(base=frame, q3=q3, metric3=metric3, det=_scalar(det))
 
 
-def metric_derivatives(chart, q1, q2):
-    """First derivatives of the metric, inverse metric and sqrt(g).
+def laplace_beltrami_jets(frame, grad, hess):
+    """Intrinsic Laplacian from a field's first and second partials.
 
-    Returns (dg, dginv, dsqrt) with dg[mu] = d_mu g_{alpha beta} (2x2),
-    assembled from the chart's exact first/second partials.
+    grad has shape (2,) + E + S and hess (2, 2) + E + S, where S is the
+    frame's point shape and E any extra leading axes (for example the three
+    coordinate products of one field); the result has shape E + S.
     """
-    t = chart.tangents(q1, q2)
-    d2 = chart.second_partials(q1, q2)
-    g = t @ t.T
-    ginv = np.linalg.inv(g)
-    sqrt_g = float(np.sqrt(np.linalg.det(g)))
-    dg = np.empty((2, 2, 2))
+    ginv = frame.metric_inv
+    div_part = 0.0 + 0.0j
     for mu in range(2):
-        dg[mu] = d2[mu] @ t.T + t @ d2[mu].T
-    dginv = np.array([-ginv @ dg[mu] @ ginv for mu in range(2)])
-    dsqrt = np.array(
-        [0.5 * sqrt_g * np.trace(ginv @ dg[mu]) for mu in range(2)]
+        for nu in range(2):
+            coeff = frame.dginv[mu, mu, nu] + ginv[mu, nu] * frame.dsqrt[mu] / frame.sqrt_g
+            div_part = div_part + coeff * grad[nu]
+    trace = (
+        ginv[0, 0] * hess[0, 0]
+        + ginv[0, 1] * hess[0, 1]
+        + ginv[1, 0] * hess[1, 0]
+        + ginv[1, 1] * hess[1, 1]
     )
-    return dg, dginv, dsqrt
+    return div_part + trace
 
 
 def laplace_beltrami(chart, field, q1, q2):
     """Intrinsic Laplacian (1/sqrt g) d_mu (g^{mu nu} sqrt g  d_nu f).
 
-    The field must supply exact partials to second order at the point;
+    The field must supply exact partials to second order at the points;
     metric derivatives come from the chart's second partials, so for
     analytic charts and fields the result is accurate to machine precision.
+    Returns a complex for a single point, an array of the point shape
+    otherwise.
     """
     frame = evaluate_frame(chart, q1, q2)
-    _, dginv, dsqrt = metric_derivatives(chart, q1, q2)
-    ginv = frame.metric_inv
-    sqrt_g = frame.sqrt_g
-    grad = field.grad(q1, q2)
-    hess = field.hess(q1, q2)
-    div_part = 0.0 + 0.0j
-    for mu in range(2):
-        for nu in range(2):
-            coeff = dginv[mu][mu, nu] + ginv[mu, nu] * dsqrt[mu] / sqrt_g
-            div_part = div_part + coeff * grad[nu]
-    return complex(div_part + np.einsum("mn,mn->", ginv, hess))
+    out = laplace_beltrami_jets(frame, field.grad(q1, q2), field.hess(q1, q2))
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def curvature_gradients(chart, q1, q2):

@@ -16,6 +16,14 @@ pointwise, realizes the thin-shell gradient decomposition whose d -> 0
 limit produces the operator, and measures hermiticity defects by sphere
 quadrature.  Composed operators are evaluated through derived exact
 partials (product/chain rule), never through nested finite differences.
+
+Point-axis convention: the operators and residuals take scalar or array
+points (q1, q2) and put the point axes last, as charts, frames and fields
+do.  Over a point shape S the geometric momentum has shape (3,) + S, the
+[x_i, p_j] and [L_i, p_j] residual tensors (3, 3) + S (indices i, j first)
+and the [r, T] residual (3,) + S.  Each residual evaluates its frame and
+field jets once for all points and all index pairs.  A scalar point gives
+the per-point results (Python complex and float for scalar quantities).
 """
 
 from dataclasses import dataclass
@@ -23,15 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields as flib
-from .errors import PoleProximityError, ShellFoldError
-from .fields import ScalarField, coordinate_field, product, pullback_field, rotation_matrix
-from .geometry import curvature_gradients, evaluate_frame, laplace_beltrami
+from .errors import ShellFoldError
+from .fields import POLE_MARGIN, ScalarField, _check_pole, pullback_field, rotation_matrix
+from .geometry import (
+    curvature_gradients,
+    evaluate_frame,
+    laplace_beltrami,
+    laplace_beltrami_jets,
+)
 from .quadrature import sphere_grid
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
-
-# The unit-sphere closed-form operators blow up at the chart poles.
-POLE_MARGIN = 1e-8
 
 
 def _axis(i):
@@ -53,13 +63,50 @@ class OperatorResult:
             raise ValueError(f"non-finite operator value at {self.point}")
 
 
-def apply_geometric_momentum(chart, field, q1, q2, hbar=1.0):
-    """-i hbar (r^mu d_mu f + M n f) as a complex 3-vector."""
-    frame = evaluate_frame(chart, q1, q2)
-    grad = field.grad(q1, q2)
-    tangential = frame.raised[0] * grad[0] + frame.raised[1] * grad[1]
-    normal = frame.mean_curvature * frame.normal * field.value(q1, q2)
+def _complex(x):
+    """A Python complex for a single point, the array otherwise."""
+    return complex(x) if np.ndim(x) == 0 else x
+
+
+def _float(x):
+    """A Python float for a single point, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _momentum(frame, value, grad, hbar):
+    """-i hbar (r^mu d_mu f + M n f) from a field's jets on a frame.
+
+    value has shape E + S and grad (2,) + E + S, with S the frame's point
+    shape and E extra axes; the result is (3,) + E + S.
+    """
+    pad = (slice(None),) + (None,) * (np.ndim(value) - np.ndim(frame.mean_curvature))
+    raised, n = frame.raised[(slice(None),) + pad], frame.normal[pad]
+    tangential = raised[0] * grad[0] + raised[1] * grad[1]
+    normal = frame.mean_curvature * n * value
     return -1j * hbar * (tangential + normal)
+
+
+def _coordinate_products(frame, value, grad, hess=None):
+    """Jets of the three products x_i f, built from the frame's jets of r.
+
+    Product-rule partials with the product index i as an extra axis after
+    the derivative axes: value (3,) + S, grad (2, 3) + S, hess (2, 2, 3) + S
+    (None when the field carries no Hessian).
+    """
+    x, t = frame.position, frame.tangents
+    xf = x * value
+    xf_grad = t * value + x * grad[:, None]
+    if hess is None:
+        return xf, xf_grad, None
+    cross = t[:, None] * grad[None, :, None]  # cross[m, n, i] = d_m x_i d_n f
+    xf_hess = frame.second_partials * value + cross + cross.swapaxes(0, 1) + x * hess[:, :, None]
+    return xf, xf_grad, xf_hess
+
+
+def apply_geometric_momentum(chart, field, q1, q2, hbar=1.0):
+    """-i hbar (r^mu d_mu f + M n f), complex of shape (3,) + point shape."""
+    frame = evaluate_frame(chart, q1, q2)
+    return _momentum(frame, field.value(q1, q2), field.grad(q1, q2), hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +128,35 @@ class FirstOrderOperator:
         self.c_phi = c_phi
         self.c_scalar = c_scalar
 
-    def value(self, field, theta, phi, hbar=1.0):
-        g = field.grad(theta, phi)
-        f = field.value(theta, phi)
-        out = (
-            self.c_theta[0](theta, phi) * g[0]
-            + self.c_phi[0](theta, phi) * g[1]
-            + self.c_scalar[0](theta, phi) * f
-        )
+    def _coefficients(self, theta, phi, derivatives=True):
+        """c[k][d] for coefficient k (theta, phi, scalar) and d = value,
+        d_theta, d_phi (the value alone without derivatives)."""
+        n = 3 if derivatives else 1
+        return [
+            [fn(theta, phi) for fn in entry[:n]]
+            for entry in (self.c_theta, self.c_phi, self.c_scalar)
+        ]
+
+    def _value(self, c, f, g, hbar):
+        out = c[0][0] * g[0] + c[1][0] * g[1] + c[2][0] * f
         return self.prefactor * hbar * out
+
+    def _grad(self, c, f, g, h, hbar):
+        out = np.empty(np.shape(g), dtype=complex)
+        for mu in range(2):
+            out[mu] = (
+                c[0][1 + mu] * g[0]
+                + c[0][0] * h[mu, 0]
+                + c[1][1 + mu] * g[1]
+                + c[1][0] * h[mu, 1]
+                + c[2][1 + mu] * f
+                + c[2][0] * g[mu]
+            )
+        return self.prefactor * hbar * out
+
+    def value(self, field, theta, phi, hbar=1.0):
+        c = self._coefficients(theta, phi, derivatives=False)
+        return self._value(c, field.value(theta, phi), field.grad(theta, phi), hbar)
 
     def apply(self, field, hbar=1.0):
         """Operator image as a field with exact first partials."""
@@ -98,20 +165,9 @@ class FirstOrderOperator:
             return self.value(field, theta, phi, hbar)
 
         def grad(theta, phi):
-            g = field.grad(theta, phi)
-            h = field.hess(theta, phi)
-            f = field.value(theta, phi)
-            out = np.empty(np.shape(g), dtype=complex)
-            for mu in range(2):
-                out[mu] = (
-                    self.c_theta[1 + mu](theta, phi) * g[0]
-                    + self.c_theta[0](theta, phi) * h[mu, 0]
-                    + self.c_phi[1 + mu](theta, phi) * g[1]
-                    + self.c_phi[0](theta, phi) * h[mu, 1]
-                    + self.c_scalar[1 + mu](theta, phi) * f
-                    + self.c_scalar[0](theta, phi) * g[mu]
-                )
-            return self.prefactor * hbar * out
+            c = self._coefficients(theta, phi)
+            f, g, h = field.value(theta, phi), field.grad(theta, phi), field.hess(theta, phi)
+            return self._grad(c, f, g, h, hbar)
 
         return ScalarField(
             label=f"{self.name}({field.label})", _value=value, _grad=grad, _hess=None
@@ -211,120 +267,110 @@ SPHERE_ANGULAR = {
 _AXES = ("x", "y", "z")
 
 
-def _check_pole(theta):
-    t = float(theta)
-    if min(t, np.pi - t) < POLE_MARGIN:
-        raise PoleProximityError(t, POLE_MARGIN)
-
-
-def sphere_momentum_component(axis, field, theta, phi, hbar=1.0):
-    """Closed-form momentum component on the unit sphere."""
-    _check_pole(theta)
-    op = SPHERE_MOMENTUM[_AXES[_axis(axis)]]
-    return complex(op.value(field, theta, phi, hbar))
-
-
-def commutator_position_momentum(chart, i, j, field, q1, q2, hbar=1.0):
-    """Residual of [x_i, p_j] f - i hbar (delta_ij - n_i n_j) f at a point."""
-    i = _axis(i)
-    j = _axis(j)
-    frame = evaluate_frame(chart, q1, q2)
-    f_val = field.value(q1, q2)
-    x_i = frame.position[i]
-    p_f = apply_geometric_momentum(chart, field, q1, q2, hbar)[j]
-    xi_field = product(coordinate_field(chart, i), field)
-    p_xif = apply_geometric_momentum(chart, xi_field, q1, q2, hbar)[j]
-    commutator = x_i * p_f - p_xif
-    expected = 1j * hbar * ((1.0 if i == j else 0.0) - frame.normal[i] * frame.normal[j]) * f_val
-    return commutator - expected
-
-
-def position_momentum_residual_max(chart, field, q1, q2, hbar=1.0):
-    """Max residual of [x_i, p_j] - i hbar (delta - n n) over all 9 pairs.
-
-    Shares the frame, the momentum image of the field and the three
-    coordinate products across the pairs (same values as the per-pair
-    function, reduced call count for the big test matrices).
-    """
-    frame = evaluate_frame(chart, q1, q2)
-    f_val = field.value(q1, q2)
-    p_f = apply_geometric_momentum(chart, field, q1, q2, hbar)
-    worst = 0.0
-    for i in range(3):
-        xi_field = product(coordinate_field(chart, i), field)
-        p_xif = apply_geometric_momentum(chart, xi_field, q1, q2, hbar)
-        for j in range(3):
-            expected = (
-                1j
-                * hbar
-                * ((1.0 if i == j else 0.0) - frame.normal[i] * frame.normal[j])
-                * f_val
-            )
-            residual = frame.position[i] * p_f[j] - p_xif[j] - expected
-            worst = max(worst, abs(residual))
-    return worst
-
-
-def angular_momentum_residual_max(field, theta, phi, hbar=1.0):
-    """Max residual of [L_i, p_j] - i hbar eps_ijk p_k over all 9 pairs."""
-    _check_pole(theta)
-    p_vals = np.array(
-        [SPHERE_MOMENTUM[a].value(field, theta, phi, hbar) for a in _AXES]
-    )
-    p_images = [SPHERE_MOMENTUM[a].apply(field, hbar) for a in _AXES]
-    l_images = [SPHERE_ANGULAR[a].apply(field, hbar) for a in _AXES]
-    worst = 0.0
-    for i, ax_i in enumerate(_AXES):
-        for j, ax_j in enumerate(_AXES):
-            lhs = SPHERE_ANGULAR[ax_i].value(
-                p_images[j], theta, phi, hbar
-            ) - SPHERE_MOMENTUM[ax_j].value(l_images[i], theta, phi, hbar)
-            rhs = np.dot(_EPSILON[i, j], p_vals)
-            worst = max(worst, abs(complex(lhs - 1j * hbar * rhs)))
-    return worst
-
-
-def kinetic_energy(chart, field, q1, q2, hbar=1.0, mass=1.0):
-    """T f = -(hbar^2 / 2 mass) Lap_LB f at a point."""
-    return -(hbar * hbar) / (2.0 * mass) * laplace_beltrami(chart, field, q1, q2)
-
-
-def commutator_position_kinetic(chart, field, q1, q2, hbar=1.0, mass=1.0):
-    """Componentwise residual of [r, T] f - (i hbar / mass) p f."""
-    frame = evaluate_frame(chart, q1, q2)
-    t_f = kinetic_energy(chart, field, q1, q2, hbar, mass)
-    p_f = apply_geometric_momentum(chart, field, q1, q2, hbar)
-    residual = np.empty(3, dtype=complex)
-    for i in range(3):
-        xi_field = product(coordinate_field(chart, i), field)
-        t_xif = kinetic_energy(chart, xi_field, q1, q2, hbar, mass)
-        commutator = frame.position[i] * t_f - t_xif
-        residual[i] = commutator - 1j * hbar / mass * p_f[i]
-    return residual
-
-
 _EPSILON = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPSILON[_i, _j, _k] = 1.0
     _EPSILON[_i, _k, _j] = -1.0
 
 
-def commutator_angular_momentum(i, j, field, theta, phi, hbar=1.0):
-    """Residual of [L_i, p_j] f - i hbar eps_ijk p_k f on the unit sphere."""
+def _identity(point_ndim):
+    return np.eye(3).reshape((3, 3) + (1,) * point_ndim)
+
+
+def sphere_momentum_component(axis, field, theta, phi, hbar=1.0):
+    """Closed-form momentum component on the unit sphere."""
     _check_pole(theta)
+    op = SPHERE_MOMENTUM[_AXES[_axis(axis)]]
+    return _complex(op.value(field, theta, phi, hbar))
+
+
+def position_momentum_residuals(chart, field, q1, q2, hbar=1.0):
+    """[x_i, p_j] f - i hbar (delta_ij - n_i n_j) f for all nine pairs.
+
+    Complex of shape (3, 3) + point shape, indexed [i, j].  One frame, one
+    set of field jets and the frame's own jets of x_i serve every pair.
+    """
+    frame = evaluate_frame(chart, q1, q2)
+    f_val, f_grad = field.value(q1, q2), field.grad(q1, q2)
+    p_f = _momentum(frame, f_val, f_grad, hbar)  # [j]
+    xf_val, xf_grad, _ = _coordinate_products(frame, f_val, f_grad)
+    p_xf = _momentum(frame, xf_val, xf_grad, hbar).swapaxes(0, 1)  # [i, j]
+    n = frame.normal
+    projector = _identity(np.ndim(f_val)) - n[:, None] * n[None, :]
+    commutator = frame.position[:, None] * p_f[None, :] - p_xf
+    return commutator - 1j * hbar * projector * f_val
+
+
+def commutator_position_momentum(chart, i, j, field, q1, q2, hbar=1.0):
+    """Residual of [x_i, p_j] f - i hbar (delta_ij - n_i n_j) f at the points."""
     i = _axis(i)
     j = _axis(j)
-    L = SPHERE_ANGULAR[_AXES[i]]
-    P = SPHERE_MOMENTUM[_AXES[j]]
-    lhs = L.value(P.apply(field, hbar), theta, phi, hbar) - P.value(
-        L.apply(field, hbar), theta, phi, hbar
-    )
-    rhs = 0.0 + 0.0j
-    for k in range(3):
-        eps = _EPSILON[i, j, k]
-        if eps:
-            rhs += eps * SPHERE_MOMENTUM[_AXES[k]].value(field, theta, phi, hbar)
-    return complex(lhs - 1j * hbar * rhs)
+    return _complex(position_momentum_residuals(chart, field, q1, q2, hbar)[i, j])
+
+
+def position_momentum_residual_max(chart, field, q1, q2, hbar=1.0):
+    """Max residual of [x_i, p_j] - i hbar (delta - n n) over all 9 pairs."""
+    residuals = position_momentum_residuals(chart, field, q1, q2, hbar)
+    return _float(np.abs(residuals).max(axis=(0, 1)))
+
+
+def angular_momentum_residuals(field, theta, phi, hbar=1.0):
+    """[L_i, p_j] f - i hbar eps_ijk p_k f on the unit sphere, all nine pairs.
+
+    Complex of shape (3, 3) + point shape, indexed [i, j].  The field's jets
+    and each operator's coefficients are evaluated once for all pairs.
+    """
+    _check_pole(theta)
+    f, g, h = field.value(theta, phi), field.grad(theta, phi), field.hess(theta, phi)
+    P = [SPHERE_MOMENTUM[a] for a in _AXES]
+    L = [SPHERE_ANGULAR[a] for a in _AXES]
+    cP = [op._coefficients(theta, phi) for op in P]
+    cL = [op._coefficients(theta, phi) for op in L]
+    p_vals = [op._value(c, f, g, hbar) for op, c in zip(P, cP)]
+    p_images = [(p_vals[j], P[j]._grad(cP[j], f, g, h, hbar)) for j in range(3)]
+    l_images = [
+        (L[i]._value(cL[i], f, g, hbar), L[i]._grad(cL[i], f, g, h, hbar)) for i in range(3)
+    ]
+    out = np.empty((3, 3) + np.shape(f), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            lhs = L[i]._value(cL[i], *p_images[j], hbar) - P[j]._value(
+                cP[j], *l_images[i], hbar
+            )
+            rhs = sum(_EPSILON[i, j, k] * p_vals[k] for k in range(3))
+            out[i, j] = lhs - 1j * hbar * rhs
+    return out
+
+
+def angular_momentum_residual_max(field, theta, phi, hbar=1.0):
+    """Max residual of [L_i, p_j] - i hbar eps_ijk p_k over all 9 pairs."""
+    residuals = angular_momentum_residuals(field, theta, phi, hbar)
+    return _float(np.abs(residuals).max(axis=(0, 1)))
+
+
+def commutator_angular_momentum(i, j, field, theta, phi, hbar=1.0):
+    """Residual of [L_i, p_j] f - i hbar eps_ijk p_k f on the unit sphere."""
+    i = _axis(i)
+    j = _axis(j)
+    return _complex(angular_momentum_residuals(field, theta, phi, hbar)[i, j])
+
+
+def kinetic_energy(chart, field, q1, q2, hbar=1.0, mass=1.0):
+    """T f = -(hbar^2 / 2 mass) Lap_LB f at the points."""
+    return -(hbar * hbar) / (2.0 * mass) * laplace_beltrami(chart, field, q1, q2)
+
+
+def commutator_position_kinetic(chart, field, q1, q2, hbar=1.0, mass=1.0):
+    """Componentwise residual of [r, T] f - (i hbar / mass) p f, (3,) + point shape."""
+    frame = evaluate_frame(chart, q1, q2)
+    f_val, f_grad, f_hess = field.value(q1, q2), field.grad(q1, q2), field.hess(q1, q2)
+    scale = -(hbar * hbar) / (2.0 * mass)
+    t_f = scale * laplace_beltrami_jets(frame, f_grad, f_hess)
+    p_f = _momentum(frame, f_val, f_grad, hbar)
+    _, xf_grad, xf_hess = _coordinate_products(frame, f_val, f_grad, f_hess)
+    t_xf = scale * laplace_beltrami_jets(frame, xf_grad, xf_hess)
+    commutator = frame.position * t_f - t_xf
+    return commutator - 1j * hbar / mass * p_f
 
 
 def rotation_sample_grid(n_theta=20, n_phi=40, band=1e-3):
@@ -367,22 +413,23 @@ def rotation_relation_check(field, sample_points=None, hbar=1.0):
     """
     if sample_points is None:
         sample_points = rotation_sample_grid()
+    points = np.asarray(sample_points, dtype=float).reshape(-1, 2)
+    if len(points) == 0:
+        raise ValueError("rotation relation needs at least one sample point")
+    theta, phi = points[:, 0], points[:, 1]
     p_z = SPHERE_MOMENTUM["z"]
     constructions = [
         ("x", rotation_matrix("y", np.pi / 2.0)),
         ("y", rotation_matrix("x", -np.pi / 2.0)),
     ]
-    worst = 0.0
+    worst = []
     for axis, rot in constructions:
-        rot_inv = rot.T
         pulled = pullback_field(field, rot)
-        direct_op = SPHERE_MOMENTUM[axis]
-        for theta, phi in sample_points:
-            lhs = direct_op.value(field, theta, phi, hbar)
-            inner_point = flib._sphere_angles(rot_inv @ flib.sphere_point(theta, phi))
-            rhs = p_z.value(pulled, inner_point[0], inner_point[1], hbar)
-            worst = max(worst, abs(complex(lhs - rhs)))
-    return worst
+        lhs = SPHERE_MOMENTUM[axis].value(field, theta, phi, hbar)
+        inner = np.tensordot(rot.T, flib.sphere_point(theta, phi), axes=1)
+        rhs = p_z.value(pulled, *flib._sphere_angles(inner), hbar)
+        worst.append(np.abs(lhs - rhs).max())
+    return float(np.max(worst))
 
 
 # ---------------------------------------------------------------------------

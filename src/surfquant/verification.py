@@ -7,7 +7,9 @@ the pass flag.  The CLI `verify` command serializes the entries as JSON;
 the acceptance tests run the same suites at the tolerances fixed here.
 
 Aggregation is deterministic: matrices are walked in a fixed order and
-reduced with max, so reports are byte-stable across runs.
+reduced with max, so reports are byte-stable across runs.  Each (chart,
+field) pair is evaluated in one call over all its points (point axis last,
+as in the rest of the package) and reduced with a first-occurrence argmax.
 """
 
 import json
@@ -117,13 +119,17 @@ def _builtin_charts():
     return [chlib.sphere(), chlib.cylinder(), chlib.torus(), chlib.plane()]
 
 
-def _worst(pairs):
-    """Max-reduce (residual, point) pairs deterministically."""
-    best_r, best_p = -1.0, None
-    for r, p in pairs:
-        if r > best_r:
-            best_r, best_p = r, p
-    return best_r, best_p
+def _worst(residuals, points):
+    """Largest residual over the points, with its point.
+
+    Ties go to the first point in order; a NaN residual wins, so it fails
+    its check.  An empty point set raises instead of passing vacuously.
+    """
+    residuals = np.ravel(residuals)
+    if residuals.size == 0:
+        raise ValueError("no evaluation points: an empty check cannot pass")
+    k = int(np.argmax(residuals))
+    return float(residuals[k]), tuple(points[k])
 
 
 def geometry_suite(options):
@@ -138,45 +144,33 @@ def geometry_suite(options):
     out = []
     for chart in _builtin_charts():
         pts = chlib.interior_points(chart, options.points_per_chart)
+        q1, q2 = pts[:, 0], pts[:, 1]
+        frame = evaluate_frame(chart, q1, q2)
         if options.wants("frame_completeness"):
-            r, p = _worst(
-                (
-                    float(np.abs(evaluate_frame(chart, *pt).completeness_residual()).max()),
-                    pt,
-                )
-                for pt in pts
-            )
+            res = np.abs(frame.completeness_residual()).max(axis=(0, 1))
+            r, p = _worst(res, pts)
             out.append(_result(options, "frame_completeness", chart.name, None, p, r))
         if options.wants("laplace_beltrami_coordinates"):
-            def lb_res(pt):
-                frame = evaluate_frame(chart, *pt)
-                lap = np.array(
-                    [
-                        laplace_beltrami(chart, flib.coordinate_field(chart, i), *pt)
-                        for i in range(3)
-                    ]
-                )
-                return float(
-                    np.abs(lap - 2.0 * frame.mean_curvature * frame.normal).max()
-                )
-
-            r, p = _worst((lb_res(pt), pt) for pt in pts)
+            lap = np.array(
+                [
+                    laplace_beltrami(chart, flib.coordinate_field(chart, i), q1, q2)
+                    for i in range(3)
+                ]
+            )
+            res = np.abs(lap - 2.0 * frame.mean_curvature * frame.normal).max(axis=0)
+            r, p = _worst(res, pts)
             out.append(
                 _result(
                     options, "laplace_beltrami_coordinates", chart.name, "coordinates", p, r
                 )
             )
         if options.wants("shell_determinant"):
-            def det_res(pt):
-                frame = evaluate_frame(chart, *pt)
-                worst = 0.0
-                for q3 in (-0.2, -0.05, 0.1, 0.2):
-                    sf = shell_frame(frame, q3)
-                    closed = frame.sqrt_g**2 * sf.fold_factor**2
-                    worst = max(worst, abs(sf.det - closed))
-                return worst
-
-            r, p = _worst((det_res(pt), pt) for pt in pts)
+            res = np.zeros(len(pts))
+            for q3 in (-0.2, -0.05, 0.1, 0.2):
+                sf = shell_frame(frame, q3)
+                closed = frame.sqrt_g**2 * sf.fold_factor**2
+                res = np.maximum(res, np.abs(sf.det - closed))
+            r, p = _worst(res, pts)
             out.append(_result(options, "shell_determinant", chart.name, None, p, r))
     if options.wants("geometric_potential"):
         sph = chlib.sphere()
@@ -220,47 +214,34 @@ def commutator_suite(options):
     axes = ("x", "y", "z")
     for chart in _builtin_charts():
         pts = chlib.interior_points(chart, options.points_per_chart)
+        q1, q2 = pts[:, 0], pts[:, 1]
         for fld in library:
             if options.wants("position_momentum"):
-                r, p = _worst(
-                    (oplib.position_momentum_residual_max(chart, fld, *pt), pt)
-                    for pt in pts
-                )
+                res = oplib.position_momentum_residual_max(chart, fld, q1, q2)
+                r, p = _worst(res, pts)
                 out.append(
                     _result(options, "position_momentum", chart.name, fld.label, p, r)
                 )
             if options.wants("position_kinetic"):
-                r, p = _worst(
-                    (
-                        float(
-                            np.abs(
-                                oplib.commutator_position_kinetic(chart, fld, *pt)
-                            ).max()
-                        ),
-                        pt,
-                    )
-                    for pt in pts
-                )
+                res = np.abs(oplib.commutator_position_kinetic(chart, fld, q1, q2)).max(axis=0)
+                r, p = _worst(res, pts)
                 out.append(
                     _result(options, "position_kinetic", chart.name, fld.label, p, r)
                 )
     sphere = chlib.sphere()
     pts = chlib.interior_points(sphere, options.points_per_chart)
+    theta, phi = pts[:, 0], pts[:, 1]
     for fld in library:
         if options.wants("angular_momentum"):
-            r, p = _worst(
-                (oplib.angular_momentum_residual_max(fld, *pt), pt) for pt in pts
-            )
+            res = oplib.angular_momentum_residual_max(fld, theta, phi)
+            r, p = _worst(res, pts)
             out.append(_result(options, "angular_momentum", "sphere", fld.label, p, r))
         if options.wants("sphere_component_match"):
-            def comp_res(pt):
-                general = oplib.apply_geometric_momentum(sphere, fld, *pt)
-                return max(
-                    abs(oplib.sphere_momentum_component(ax, fld, *pt) - general[k])
-                    for k, ax in enumerate(axes)
-                )
-
-            r, p = _worst((comp_res(pt), pt) for pt in pts)
+            general = oplib.apply_geometric_momentum(sphere, fld, theta, phi)
+            closed = np.array(
+                [oplib.sphere_momentum_component(ax, fld, theta, phi) for ax in axes]
+            )
+            r, p = _worst(np.abs(closed - general).max(axis=0), pts)
             out.append(
                 _result(options, "sphere_component_match", "sphere", fld.label, p, r)
             )
@@ -511,6 +492,10 @@ class VerificationReport:
 def run_verification(options=None):
     """Run every requested identity suite; returns a VerificationReport."""
     options = options or VerifyOptions()
+    if options.points_per_chart < 1:
+        raise ValueError(
+            f"points per chart must be at least 1 (got {options.points_per_chart})"
+        )
     if options.only:
         unknown = set(options.only) - set(IDENTITY_NAMES)
         if unknown:
