@@ -36,6 +36,24 @@ def _scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _contract(x, axis):
+    """Sum over a short axis as a chain of elementwise adds.
+
+    Unlike einsum or a ufunc reduction, the rounding of each point then does
+    not depend on the size or layout of the batch it is evaluated in.
+    """
+    head = (slice(None),) * axis
+    total = x[head + (0,)]
+    for k in range(1, x.shape[axis]):
+        total = total + x[head + (k,)]
+    return total
+
+
+def _mm(a, b):
+    """Matrix product over the two leading axes, point axes last."""
+    return _contract(a[:, :, None] * b[None], 1)
+
+
 def _matmul(a, b):
     """Matrix product over the two leading axes, point axes last.
 
@@ -72,8 +90,8 @@ class GeometryFrame:
 
     def completeness_residual(self):
         """Entrywise residual of sum_mu r^mu (x) r_mu + n (x) n - I, (3, 3) + S."""
-        proj = np.einsum("mi...,mj...->ij...", self.raised, self.tangents)
-        proj = proj + self.normal[:, None] * self.normal[None, :]
+        r, t, n = self.raised, self.tangents, self.normal
+        proj = _contract(r[:, :, None] * t[:, None], 0) + n[:, None] * n[None]
         return proj - np.eye(3).reshape((3, 3) + (1,) * (proj.ndim - 2))
 
 
@@ -102,23 +120,25 @@ def evaluate_frame(chart, q1, q2):
     tangents, cross = check_regular(chart, q1, q2)
     position = chart.position(q1, q2)
     d2 = chart.second_partials(q1, q2)
-    g = np.einsum("ai...,bi...->ab...", tangents, tangents)
+    t = tangents
+    g = _contract(t[:, None] * t[None], 2)
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     metric_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
     sqrt_g = _norm(cross)
     raised = _matmul(metric_inv, tangents)
     normal = cross / sqrt_g
-    second_form = np.einsum("abi...,i...->ab...", d2, normal)
-    weingarten = -np.einsum("ab...,bc...->ac...", metric_inv, second_form)
+    second_form = _contract(d2 * normal, 2)
+    weingarten = -_mm(metric_inv, second_form)
     w = weingarten
     mean_curvature = -0.5 * (w[0, 0] + w[1, 1])
     gaussian_curvature = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
     # d_mu g = d2[mu] t^T + t d2[mu]^T, then d_mu g^-1 = -g^-1 (d_mu g) g^-1
     # and d_mu sqrt(g) = sqrt(g) tr(g^-1 d_mu g) / 2.
-    half = np.einsum("mai...,bi...->mab...", d2, tangents)
+    half = _contract(d2[:, :, None] * t[None, None], 3)
     dg = half + half.swapaxes(1, 2)
-    dginv = -np.einsum("ab...,mbc...,cd...->mad...", metric_inv, dg, metric_inv)
-    dsqrt = 0.5 * sqrt_g * np.einsum("ab...,mba...->m...", metric_inv, dg)
+    ginv_dg = [_mm(metric_inv, dg[m]) for m in range(2)]
+    dginv = -np.array([_mm(p, metric_inv) for p in ginv_dg])
+    dsqrt = 0.5 * sqrt_g * np.array([p[0, 0] + p[1, 1] for p in ginv_dg])
     if np.ndim(sqrt_g) == 0:
         point = (float(q1), float(q2))
     else:
@@ -171,7 +191,7 @@ def shell_frame(frame, q3):
         raise ShellFoldError(np.broadcast_to(q3, np.shape(factor)).ravel()[k], np.ravel(factor)[k])
     shape = np.shape(factor)
     B = np.eye(2).reshape((2, 2) + (1,) * len(shape)) + q3 * frame.weingarten
-    block = np.einsum("ma...,ab...,nb...->mn...", B, frame.metric, B)
+    block = _mm(_mm(B, frame.metric), B.swapaxes(0, 1))
     metric3 = np.zeros((3, 3) + shape)
     metric3[:2, :2] = block
     metric3[2, 2] = 1.0
