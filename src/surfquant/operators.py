@@ -34,6 +34,7 @@ from . import fields as flib
 from .errors import ShellFoldError
 from .fields import POLE_MARGIN, ScalarField, _check_pole, pullback_field, rotation_matrix
 from .geometry import (
+    _scalar,
     curvature_gradients,
     evaluate_frame,
     laplace_beltrami,
@@ -66,11 +67,6 @@ class OperatorResult:
 def _complex(x):
     """A Python complex for a single point, the array otherwise."""
     return complex(x) if np.ndim(x) == 0 else x
-
-
-def _float(x):
-    """A Python float for a single point, the array otherwise."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def _momentum(frame, value, grad, hbar):
@@ -273,10 +269,6 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPSILON[_i, _k, _j] = -1.0
 
 
-def _identity(point_ndim):
-    return np.eye(3).reshape((3, 3) + (1,) * point_ndim)
-
-
 def sphere_momentum_component(axis, field, theta, phi, hbar=1.0):
     """Closed-form momentum component on the unit sphere."""
     _check_pole(theta)
@@ -296,7 +288,8 @@ def position_momentum_residuals(chart, field, q1, q2, hbar=1.0):
     xf_val, xf_grad, _ = _coordinate_products(frame, f_val, f_grad)
     p_xf = _momentum(frame, xf_val, xf_grad, hbar).swapaxes(0, 1)  # [i, j]
     n = frame.normal
-    projector = _identity(np.ndim(f_val)) - n[:, None] * n[None, :]
+    delta = np.eye(3).reshape((3, 3) + (1,) * np.ndim(f_val))
+    projector = delta - n[:, None] * n[None, :]
     commutator = frame.position[:, None] * p_f[None, :] - p_xf
     return commutator - 1j * hbar * projector * f_val
 
@@ -311,7 +304,7 @@ def commutator_position_momentum(chart, i, j, field, q1, q2, hbar=1.0):
 def position_momentum_residual_max(chart, field, q1, q2, hbar=1.0):
     """Max residual of [x_i, p_j] - i hbar (delta - n n) over all 9 pairs."""
     residuals = position_momentum_residuals(chart, field, q1, q2, hbar)
-    return _float(np.abs(residuals).max(axis=(0, 1)))
+    return _scalar(np.abs(residuals).max(axis=(0, 1)))
 
 
 def angular_momentum_residuals(field, theta, phi, hbar=1.0):
@@ -345,7 +338,7 @@ def angular_momentum_residuals(field, theta, phi, hbar=1.0):
 def angular_momentum_residual_max(field, theta, phi, hbar=1.0):
     """Max residual of [L_i, p_j] - i hbar eps_ijk p_k over all 9 pairs."""
     residuals = angular_momentum_residuals(field, theta, phi, hbar)
-    return _float(np.abs(residuals).max(axis=(0, 1)))
+    return _scalar(np.abs(residuals).max(axis=(0, 1)))
 
 
 def commutator_angular_momentum(i, j, field, theta, phi, hbar=1.0):
