@@ -55,10 +55,11 @@ def _mm(a, b):
 
 
 def _matmul(a, b):
-    """Matrix product over the two leading axes, point axes last.
+    """Matrix product over the two leading axes through np.matmul.
 
-    np.matmul rather than einsum, so a single point's result is bit for bit
-    the plain `a @ b` of its matrices.
+    Used for the raised tangents, so a single point's value is bit for bit
+    its plain `metric_inv @ tangents`; np.matmul rounds differently from
+    the elementwise _mm.
     """
     if a.ndim == b.ndim == 2:
         return a @ b
