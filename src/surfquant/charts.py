@@ -123,7 +123,7 @@ def _pointwise(jet, jet_shape):
     """
 
     def batched(q1, q2):
-        a, b = np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
+        a, b = np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float))
         if a.ndim == 0:
             return jet(q1, q2)
         out = np.empty(jet_shape + (a.size,))
@@ -414,10 +414,11 @@ def check_regular(chart, q1, q2):
     scale = _norm(t[0]) * _norm(t[1])
     regular = _norm(cross) >= SINGULARITY_RTOL * np.maximum(scale, 1e-300)
     if not regular.all():
-        q1b, q2b = np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
+        q1b, q2b = np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float))
         k = int(np.argmin(regular.ravel()))
         point = (q1b.ravel()[k], q2b.ravel()[k])
-        detail = "tangent degeneracy" if np.all(np.isfinite(point)) else "non-finite point"
+        finite = np.all(np.isfinite(point))
+        detail = "tangent degeneracy" if finite else "non-finite point"
         raise ChartSingularityError(chart.name, point, detail)
     return t, cross
 

@@ -119,7 +119,9 @@ def _require_inside(chart, q1, q2):
     if not inside.all():
         k = int(np.argmin(inside))
         a, b = np.atleast_1d(q1)[k], np.atleast_1d(q2)[k]
-        raise ValueError(f"point ({a}, {b}) is outside the {chart.name} chart domain {chart.domain}")
+        raise ValueError(
+            f"point ({a}, {b}) is outside the {chart.name} chart domain {chart.domain}"
+        )
 
 
 def _geom_columns(chart, q1, q2, q3_values, hbar, mu):
@@ -159,7 +161,8 @@ def cmd_geom(args):
         # Name the first failing point in input order, as a row-by-row
         # evaluation would, whatever kind of error the batch hit first.
         for k in range(len(points)):
-            _geom_columns(chart, q1[k : k + 1], q2[k : k + 1], q3_values, args.hbar, args.mu)
+            one = slice(k, k + 1)
+            _geom_columns(chart, q1[one], q2[one], q3_values, args.hbar, args.mu)
         raise
     dicts = [dict(zip(header, values)) for values in zip(*(columns[k] for k in header))]
     rows = [[_fmt(record[k]) for k in header] for record in dicts]

@@ -280,8 +280,9 @@ def pullback_field(f, matrix, label=None):
         p, tp, pp = mapped(theta, phi)
         st, ct = np.sin(theta), np.cos(theta)
         sphi, cphi = np.sin(phi), np.cos(phi)
+        zero = np.zeros_like(st)
         dp_dtheta = np.tensordot(A, np.array([ct * cphi, ct * sphi, -st]), axes=1)
-        dp_dphi = np.tensordot(A, np.array([-st * sphi, st * cphi, np.zeros_like(st)]), axes=1)
+        dp_dphi = np.tensordot(A, np.array([-st * sphi, st * cphi, zero]), axes=1)
         stp = np.sin(tp)
         rho2 = p[0] * p[0] + p[1] * p[1]
         # jac[mu, nu] = d(theta', phi')_nu / d(theta, phi)_mu

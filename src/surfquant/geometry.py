@@ -143,7 +143,7 @@ def evaluate_frame(chart, q1, q2):
     if np.ndim(sqrt_g) == 0:
         point = (float(q1), float(q2))
     else:
-        point = tuple(np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)))
+        point = tuple(np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float)))
     return GeometryFrame(
         chart_name=chart.name,
         point=point,
@@ -189,7 +189,8 @@ def shell_frame(frame, q3):
     folded = np.ravel(factor <= 0.0)
     if folded.any():
         k = int(np.argmax(folded))
-        raise ShellFoldError(np.broadcast_to(q3, np.shape(factor)).ravel()[k], np.ravel(factor)[k])
+        q3_k = np.broadcast_to(q3, np.shape(factor)).ravel()[k]
+        raise ShellFoldError(q3_k, np.ravel(factor)[k])
     shape = np.shape(factor)
     B = np.eye(2).reshape((2, 2) + (1,) * len(shape)) + q3 * frame.weingarten
     block = _mm(_mm(B, frame.metric), B.swapaxes(0, 1))
@@ -211,7 +212,8 @@ def laplace_beltrami_jets(frame, grad, hess):
     div_part = 0.0 + 0.0j
     for mu in range(2):
         for nu in range(2):
-            coeff = frame.dginv[mu, mu, nu] + ginv[mu, nu] * frame.dsqrt[mu] / frame.sqrt_g
+            drift = ginv[mu, nu] * frame.dsqrt[mu] / frame.sqrt_g
+            coeff = frame.dginv[mu, mu, nu] + drift
             div_part = div_part + coeff * grad[nu]
     trace = (
         ginv[0, 0] * hess[0, 0]

@@ -32,7 +32,13 @@ import numpy as np
 
 from . import fields as flib
 from .errors import ShellFoldError
-from .fields import POLE_MARGIN, ScalarField, _check_pole, pullback_field, rotation_matrix
+from .fields import (
+    POLE_MARGIN,
+    ScalarField,
+    _check_pole,
+    pullback_field,
+    rotation_matrix,
+)
 from .geometry import (
     _scalar,
     curvature_gradients,
@@ -95,7 +101,9 @@ def _coordinate_products(frame, value, grad, hess=None):
     if hess is None:
         return xf, xf_grad, None
     cross = t[:, None] * grad[None, :, None]  # cross[m, n, i] = d_m x_i d_n f
-    xf_hess = frame.second_partials * value + cross + cross.swapaxes(0, 1) + x * hess[:, :, None]
+    xf_hess = (
+        frame.second_partials * value + cross + cross.swapaxes(0, 1) + x * hess[:, :, None]
+    )
     return xf, xf_grad, xf_hess
 
 
@@ -162,8 +170,8 @@ class FirstOrderOperator:
 
         def grad(theta, phi):
             c = self._coefficients(theta, phi)
-            f, g, h = field.value(theta, phi), field.grad(theta, phi), field.hess(theta, phi)
-            return self._grad(c, f, g, h, hbar)
+            f, g = field.value(theta, phi), field.grad(theta, phi)
+            return self._grad(c, f, g, field.hess(theta, phi), hbar)
 
         return ScalarField(
             label=f"{self.name}({field.label})", _value=value, _grad=grad, _hess=None
@@ -322,7 +330,8 @@ def angular_momentum_residuals(field, theta, phi, hbar=1.0):
     p_vals = [op._value(c, f, g, hbar) for op, c in zip(P, cP)]
     p_images = [(p_vals[j], P[j]._grad(cP[j], f, g, h, hbar)) for j in range(3)]
     l_images = [
-        (L[i]._value(cL[i], f, g, hbar), L[i]._grad(cL[i], f, g, h, hbar)) for i in range(3)
+        (L[i]._value(cL[i], f, g, hbar), L[i]._grad(cL[i], f, g, h, hbar))
+        for i in range(3)
     ]
     out = np.empty((3, 3) + np.shape(f), dtype=complex)
     for i in range(3):

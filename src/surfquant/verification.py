@@ -223,7 +223,8 @@ def commutator_suite(options):
                     _result(options, "position_momentum", chart.name, fld.label, p, r)
                 )
             if options.wants("position_kinetic"):
-                res = np.abs(oplib.commutator_position_kinetic(chart, fld, q1, q2)).max(axis=0)
+                res = oplib.commutator_position_kinetic(chart, fld, q1, q2)
+                res = np.abs(res).max(axis=0)
                 r, p = _worst(res, pts)
                 out.append(
                     _result(options, "position_kinetic", chart.name, fld.label, p, r)

@@ -91,7 +91,8 @@ def test_residual_max_and_pairs_share_the_tensor(builtin_charts):
     assert tensor.shape == (3, 3)
     for i, ax_i in enumerate("xyz"):
         for j, ax_j in enumerate("xyz"):
-            assert oplib.commutator_position_momentum(torus, ax_i, ax_j, fld, q1, q2) == tensor[i, j]
+            pair = oplib.commutator_position_momentum(torus, ax_i, ax_j, fld, q1, q2)
+            assert pair == tensor[i, j]
     assert oplib.position_momentum_residual_max(torus, fld, q1, q2) == np.abs(tensor).max()
     ang = oplib.angular_momentum_residuals(fld, 1.1, 0.4)
     assert oplib.commutator_angular_momentum("y", "z", fld, 1.1, 0.4) == ang[1, 2]
@@ -229,7 +230,8 @@ def test_worst_reduction():
         (["--surface", "sphere", "--point", "5,0.5"], "config", "(5.0, 0.5)"),
         (["--surface", "sphere", "--point", "nan,0.5"], "config", "(nan, 0.5)"),
         (["--surface", "sphere", "--point", "0,0"], "chart-singularity", "(0.0, 0.0)"),
-        (["--surface", "plane", "--point", "0.5,0.5", "--point", "2,0"], "config", "(2.0, 0.0)"),
+        (["--surface", "plane", "--point", "0.5,0.5", "--point", "2,0"],
+         "config", "(2.0, 0.0)"),
         # the first failing point in input order decides the error
         (["--surface", "sphere", "--point", "1,0.5", "--point", "0,0", "--point", "5,0.5"],
          "chart-singularity", "(0.0, 0.0)"),
@@ -262,7 +264,7 @@ def test_batched_errors_name_the_first_failing_point():
         evaluate_frame(sphere, np.array([1.0, 0.0, np.pi, 2.0]), np.array([0.5, 0.2, 0.3, 0.1]))
     assert err.value.point == (0.0, 0.2)
     with pytest.raises(ChartSingularityError) as err:
-        evaluate_frame(chlib.torus(), np.array([1.0, 2.0, np.nan]), np.array([0.5, np.nan, 0.1]))
+        evaluate_frame(chlib.torus(), np.array([1.0, 2.0, np.nan]), [0.5, np.nan, 0.1])
     assert err.value.point[0] == 2.0 and np.isnan(err.value.point[1])
     one = flib.constant(1.0)
     with pytest.raises(PoleProximityError) as err:
@@ -271,6 +273,7 @@ def test_batched_errors_name_the_first_failing_point():
     with pytest.raises(PoleProximityError) as err:
         oplib.angular_momentum_residuals(one, np.array([1.0, np.pi - 3e-9]), 0.0)
     assert err.value.theta == np.pi - 3e-9
-    pulled = flib.pullback_field(flib.spherical_harmonic(1, 1), flib.rotation_matrix("y", np.pi / 2.0))
+    rot = flib.rotation_matrix("y", np.pi / 2.0)
+    pulled = flib.pullback_field(flib.spherical_harmonic(1, 1), rot)
     with pytest.raises(PoleProximityError):
         pulled.value(np.array([1.0, np.pi / 2.0]), np.array([0.3, np.pi]))
