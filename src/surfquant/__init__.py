@@ -56,6 +56,7 @@ from .spectra import (
     amplitude_closed,
     amplitude_quadrature,
     amplitude_surface_overlap,
+    distribution_amplitudes,
     distribution_table,
     eigenfunction_field,
     legendre_p,

@@ -72,7 +72,10 @@ def _parse_point(text):
 
 
 def _parse_float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"values must be finite (got {text!r})")
+    return values
 
 
 def _parse_grid(text):
@@ -174,10 +177,15 @@ def cmd_geom(args):
     return 0
 
 
+def _fmt_column(values):
+    """_fmt over an array."""
+    return [repr(x) for x in (values + 0.0).tolist()]
+
+
 def cmd_distribution(args):
     if args.l < 0:
         raise ValueError("l must be nonnegative")
-    table = splib.distribution_table(
+    grid, amps = splib.distribution_amplitudes(
         args.l,
         p_max=args.pmax,
         dp=args.dp,
@@ -186,45 +194,35 @@ def cmd_distribution(args):
         nodes=args.nodes,
         tolerance=args.tolerance,
     )
-    header = ["p", "re_amp", "im_amp", "density", "method"]
     extra_closed = bool(args.compare_closed)
     if extra_closed and args.l > 2:
         raise ValueError("--compare-closed requires l <= 2")
+    density = np.abs(amps) ** 2
+    columns = {
+        "p": grid,
+        "re_amp": amps.real,
+        "im_amp": amps.imag,
+        "density": density,
+        "method": [args.method] * grid.size,
+    }
     if extra_closed:
-        header += ["re_closed", "im_closed", "density_closed"]
+        closed = splib.amplitude_closed(args.l, grid)
+        columns["re_closed"] = closed.real
+        columns["im_closed"] = closed.imag
+        columns["density_closed"] = np.abs(closed) ** 2
+        max_density_dev = float(np.max(np.abs(density - columns["density_closed"])))
     if args.sho_overlay:
-        header += [GAUSSIAN_REFERENCE_LABEL]
-    rows = []
-    dicts = []
-    max_density_dev = 0.0
-    for s in table.samples:
-        record = {
-            "p": s.p,
-            "re_amp": s.amplitude.real,
-            "im_amp": s.amplitude.imag,
-            "density": s.density,
-            "method": s.method,
-        }
-        if extra_closed:
-            closed = splib.amplitude_closed(args.l, s.p)
-            record["re_closed"] = closed.real
-            record["im_closed"] = closed.imag
-            record["density_closed"] = abs(closed) ** 2
-            max_density_dev = max(
-                max_density_dev, abs(s.density - record["density_closed"])
-            )
-        if args.sho_overlay:
-            record[GAUSSIAN_REFERENCE_LABEL] = float(
-                np.exp(-s.p * s.p) / np.sqrt(np.pi)
-            )
-        dicts.append(record)
-        rows.append(
-            [_fmt(record[k]) if k != "method" else record[k] for k in header]
-        )
+        columns[GAUSSIAN_REFERENCE_LABEL] = np.exp(-grid * grid) / np.sqrt(np.pi)
+    header = list(columns)
     if args.format == "csv":
-        _write_text(args.out, _csv(rows, header))
+        cells = [col if isinstance(col, list) else _fmt_column(col)
+                 for col in columns.values()]
+        _write_text(args.out, _csv(zip(*cells), header))
     else:
-        payload = {"l": args.l, "samples": dicts}
+        values = [col if isinstance(col, list) else col.tolist()
+                  for col in columns.values()]
+        samples = [dict(zip(header, row)) for row in zip(*values)]
+        payload = {"l": args.l, "samples": samples}
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     if extra_closed:
         print(f"max_density_deviation={_fmt(max_density_dev)}")

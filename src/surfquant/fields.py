@@ -246,12 +246,12 @@ def _sphere_angles(p):
     return theta, phi
 
 
-def _check_pole(theta):
-    """Raise PoleProximityError for the first theta within POLE_MARGIN of a pole."""
+def _check_pole(theta, margin=POLE_MARGIN):
+    """Raise PoleProximityError for the first theta within `margin` of a pole."""
     t = np.ravel(theta)
-    near = np.minimum(t, np.pi - t) < POLE_MARGIN
+    near = np.minimum(t, np.pi - t) < margin
     if near.any():
-        raise PoleProximityError(t[np.argmax(near)], POLE_MARGIN)
+        raise PoleProximityError(t[np.argmax(near)], margin)
 
 
 def pullback_field(f, matrix, label=None):

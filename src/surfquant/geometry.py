@@ -178,15 +178,16 @@ def shell_frame(frame, q3):
 
     The surface block is (I + q3 alpha) g (I + q3 alpha)^T, the normal
     row/column vanish and G_33 = 1.  Degenerates (folds) where
-    1 - 2 M q3 + K q3^2 <= 0, i.e. past the focal distance.  q3 may be an
-    array that broadcasts with the frame's point shape; a fold is reported
-    for the first folding entry in C order.
+    1 - 2 M q3 + K q3^2 <= 0, i.e. past the focal distance, and a NaN
+    factor counts as a fold.  q3 may be an array that broadcasts with the
+    frame's point shape; a fold is reported for the first folding entry in
+    C order.
     """
     q3 = _scalar(np.asarray(q3, dtype=float))
     M = frame.mean_curvature
     K = frame.gaussian_curvature
     factor = 1.0 - 2.0 * M * q3 + K * q3 * q3
-    folded = np.ravel(factor <= 0.0)
+    folded = np.ravel(np.logical_not(factor > 0.0))  # NaN folds too
     if folded.any():
         k = int(np.argmax(folded))
         q3_k = np.broadcast_to(q3, np.shape(factor)).ravel()[k]

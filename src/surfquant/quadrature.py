@@ -5,8 +5,10 @@ Two schemes cover every integral in the library:
 * composite Gauss-Legendre panels on an interval, used for the stretched
   coordinate q = ln tan(theta/2) and for momentum-space integrals.  The
   default is 32-point panels of width 2, which is exact to machine
-  precision for the smooth, mildly oscillatory integrands that appear here
-  (oscillation stays below ~10 radians per panel for |p| <= 10).
+  precision for the smooth integrands that appear here.  The momentum
+  amplitudes oscillate by 2|p| radians per panel, so their rule takes
+  max(requested, ceil(max |p|) + 2) nodes per panel (spectra._q_rule); at
+  the default 32 that is the default rule for |p| <= 30.
 * a product rule on the unit sphere: Gauss-Legendre in x = cos(theta)
   crossed with a uniform (trapezoid) rule in phi.  For trigonometric
   polynomials on the sphere the rule is exact once the orders suffice.

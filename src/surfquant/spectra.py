@@ -17,6 +17,13 @@ in q, with a direct surface-overlap cross-check path), the first three
 closed forms, Parseval sums, momentum moments, uncertainty products, and
 the harmonic-oscillator comparison table.
 
+The quadrature uses the parity (-1)^l of P_l(tanh q) sech(q): it sums a
+real cos (even l) or sin (odd l) over the right half of the mirror-symmetric
+q-rule, once per distinct |p|, in chunks of p, so its working memory stays
+a few MB however many p are asked for.  The rule's nodes per panel grow
+with max |p| (ceil(|p|) + 2 on width-2 panels), which keeps the amplitudes
+at machine precision out to |p| = MAX_ABS_P.
+
 Phase convention: the quadrature amplitude is the overlap integral of Y_l0
 against psi_p^*.  The closed-form table `amplitude_closed` keeps the
 commonly quoted prefactors verbatim; relative to the overlap integral
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fields as flib
-from .errors import PoleProximityError, QuadratureTruncationError
+from .errors import QuadratureTruncationError
 from .quadrature import graded_panel_rule, panel_rule, sphere_grid
 
 # Evaluating psi closer to a pole than this raises; the eigenfunction is a
@@ -42,6 +49,14 @@ LEGENDRE_MAX_ORDER = 64
 
 DEFAULT_Q = 40.0
 DEFAULT_NODES = 1280  # total nodes across the width-2 panels for Q = 40
+
+# amplitude_quadrature works through p in chunks of this many phase entries:
+# 1024 rows of the default folded rule, 5 MB of float64.
+_CHUNK_ELEMENTS = 1024 * (DEFAULT_NODES // 2)
+
+# The q-rule takes ceil(|p|) + 2 nodes per panel; past this |p| building it
+# costs seconds, and every amplitude there is below 1e-300.
+MAX_ABS_P = 1000.0
 
 # Sign s_l such that amplitude_quadrature == s_l * amplitude_closed.  The
 # odd-l sign follows from the orientation of the q-substitution; the l = 2
@@ -58,15 +73,16 @@ def psi(p, theta, phi=0.0):
     """Eigenfunction of p_z on the unit sphere at eigenvalue p.
 
     psi_p(theta) = (1 / (2 pi sin theta)) exp(-i p ln tan(theta/2)).
-    Independent of phi; |psi_p| = 1 / (2 pi sin theta) for every p.
+    Independent of phi; |psi_p| = 1 / (2 pi sin theta) for every p.  theta
+    may be an array (a complex array comes back); a scalar theta gives a
+    complex.  Raises PoleProximityError for the first theta within
+    PSI_POLE_MARGIN of a pole.
     """
-    theta = float(theta)
-    if min(theta, np.pi - theta) < PSI_POLE_MARGIN:
-        raise PoleProximityError(theta, PSI_POLE_MARGIN)
+    theta = np.asarray(theta, dtype=float)
+    flib._check_pole(theta, PSI_POLE_MARGIN)
     stretched = np.log(np.tan(0.5 * theta))
-    return complex(
-        np.exp(-1j * float(p) * stretched) / (2.0 * np.pi * np.sin(theta))
-    )
+    out = np.exp(-1j * float(p) * stretched) / (2.0 * np.pi * np.sin(theta))
+    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -175,10 +191,29 @@ def _check_truncation(Q, tolerance):
         raise QuadratureTruncationError(bound, tolerance)
 
 
-def _q_rule(Q, nodes):
-    n_panels = max(1, int(np.ceil(Q)))  # width-2 panels over [-Q, Q]
-    per_panel = max(4, int(np.ceil(nodes / n_panels)))
+def _q_rule(Q, nodes, p_max):
+    # Width-2 panels over [-Q, Q]; a panel turns the phase by 2|p| radians,
+    # which ceil(|p|) + 2 Gauss-Legendre nodes resolve to machine precision.
+    n_panels = max(1, int(np.ceil(Q)))
+    requested = max(4, int(np.ceil(nodes / n_panels)))
+    per_panel = max(requested, int(np.ceil(p_max)) + 2)
     return panel_rule(-Q, Q, panel_width=2.0, nodes=per_panel)
+
+
+def _folded_q_rule(Q, nodes, p_max):
+    """Right half of the q-rule, weights doubled, for integrands of fixed parity.
+
+    The rule is mirror-symmetric (to rounding when Q is not an integer), so
+    node k from the right pairs with node k from the left.  An odd node
+    count has a centre node at q = 0, which is its own mirror and keeps its
+    single weight; it leads the returned arrays.
+    """
+    q, w = _q_rule(Q, nodes, p_max)
+    centre = q.size // 2
+    q_half, w_half = q[centre:], 2.0 * w[centre:]
+    if q.size % 2:
+        w_half[0] = w[centre]
+    return q_half, w_half
 
 
 def amplitude_quadrature(l, p, Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8):
@@ -189,19 +224,39 @@ def amplitude_quadrature(l, p, Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8)
     overlap of Y_l0 with psi_p^* (see amplitude_surface_overlap).  Raises
     QuadratureTruncationError when the tail bound 2 e^{-Q} exceeds the
     tolerance.  Accepts scalar or array p.
+
+    The kernel P_l(tanh q) sech(q) has parity (-1)^l, so the integral is
+    2 Int_0^Q kernel cos(p q) dq for even l and -2i Int_0^Q kernel sin(p q)
+    dq for odd l: real work on half the rule.  Each distinct |p| is
+    evaluated once, in chunks of p, and mirrored (cos even, sin odd), so
+    |phi_l(-p)| == |phi_l(p)| exactly.  The nodes per panel grow with
+    max |p| (see _q_rule); |p| above MAX_ABS_P is refused.
     """
     l = int(l)
     if l < 0:
         raise ValueError("l must be a nonnegative integer")
     _check_truncation(Q, tolerance)
-    q, w = _q_rule(Q, nodes)
+    p_arr = np.asarray(p, dtype=float)
+    magnitude = np.abs(p_arr).ravel()
+    if not np.all(magnitude <= MAX_ABS_P):
+        raise ValueError(f"need finite |p| <= {MAX_ABS_P:g} for the quadrature")
+    q, w = _folded_q_rule(Q, nodes, magnitude.max(initial=0.0))
     kernel = w * legendre_p(l, np.tanh(q)) / np.cosh(q)
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    phases = np.exp(-1j * p_arr[:, None] * q[None, :])
-    out = np.sqrt((2 * l + 1) / (4.0 * np.pi)) * (phases @ kernel)
-    if np.isscalar(p) or np.asarray(p).ndim == 0:
+    wave = np.sin if l % 2 else np.cos
+    distinct, index = np.unique(magnitude, return_inverse=True)
+    folded = np.empty(distinct.size)
+    rows = max(1, _CHUNK_ELEMENTS // q.size)
+    for k in range(0, distinct.size, rows):
+        folded[k:k + rows] = wave(np.multiply.outer(distinct[k:k + rows], q)) @ kernel
+    values = np.sqrt((2 * l + 1) / (4.0 * np.pi)) * folded[index]
+    out = np.zeros(magnitude.shape, dtype=complex)
+    if l % 2:
+        out.imag = np.where(p_arr.ravel() < 0.0, values, -values) + 0.0  # no -0.0
+    else:
+        out.real = values
+    if p_arr.ndim == 0:
         return complex(out[0])
-    return out
+    return out.reshape(p_arr.shape)
 
 
 def amplitude_surface_overlap(l, p, Q=20.0, nodes=32):
@@ -217,7 +272,7 @@ def amplitude_surface_overlap(l, p, Q=20.0, nodes=32):
     theta_edges = 2.0 * np.arctan(np.exp(q_edges))
     theta_nodes, w = graded_panel_rule(theta_edges, nodes=nodes)
     y_l0 = np.sqrt((2 * l + 1) / (4.0 * np.pi)) * legendre_p(l, np.cos(theta_nodes))
-    psi_conj = np.array([np.conj(psi(p, t)) for t in theta_nodes])
+    psi_conj = np.conj(psi(p, theta_nodes))
     return complex(2.0 * np.pi * np.sum(w * y_l0 * psi_conj * np.sin(theta_nodes)))
 
 
@@ -311,13 +366,19 @@ def symmetric_grid(p_max, dp):
 
     Built as dp * k for integer k so that grid[-(i+1)] == -grid[i] exactly;
     the density-parity check |phi_l(-p)|^2 == |phi_l(p)|^2 relies on it.
+    Needs a finite p_max >= 0 and a finite dp > 0.
     """
+    if not 0.0 < dp < np.inf:
+        raise ValueError(f"need a finite dp > 0 (got {dp})")
+    if not 0.0 <= p_max < np.inf:
+        raise ValueError(f"need a finite p_max >= 0 (got {p_max})")
     n = int(round(p_max / dp))
     return float(dp) * np.arange(-n, n + 1)
 
 
-def distribution_table(l, p_max=6.0, dp=0.05, method="quadrature",
-                       Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8):
+def distribution_amplitudes(l, p_max=6.0, dp=0.05, method="quadrature",
+                            Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8):
+    """(grid, amplitudes) of phi_l on symmetric_grid(p_max, dp) by `method`."""
     grid = symmetric_grid(p_max, dp)
     if method == "quadrature":
         amps = amplitude_quadrature(l, grid, Q=Q, nodes=nodes, tolerance=tolerance)
@@ -325,6 +386,12 @@ def distribution_table(l, p_max=6.0, dp=0.05, method="quadrature",
         amps = amplitude_closed(l, grid)
     else:
         raise ValueError("method must be 'quadrature' or 'closed_form'")
+    return grid, amps
+
+
+def distribution_table(l, p_max=6.0, dp=0.05, method="quadrature",
+                       Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8):
+    grid, amps = distribution_amplitudes(l, p_max, dp, method, Q, nodes, tolerance)
     samples = tuple(
         DistributionSample(
             p=float(p), amplitude=complex(a), density=float(abs(a) ** 2), method=method

@@ -54,6 +54,14 @@ TOLERANCES = {
 
 IDENTITY_NAMES = tuple(TOLERANCES)
 
+# The identities checked once per field of the field library.
+LIBRARY_IDENTITIES = (
+    "position_momentum",
+    "position_kinetic",
+    "angular_momentum",
+    "sphere_component_match",
+)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -201,13 +209,7 @@ def geometry_suite(options):
 
 
 def commutator_suite(options):
-    wanted = (
-        "position_momentum",
-        "position_kinetic",
-        "angular_momentum",
-        "sphere_component_match",
-    )
-    if not any(options.wants(name) for name in wanted):
+    if not any(options.wants(name) for name in LIBRARY_IDENTITIES):
         return []
     out = []
     library = flib.field_library(options.lmax, options.trig_count)
@@ -504,6 +506,12 @@ def run_verification(options=None):
                 f"unknown identities: {sorted(unknown)}; "
                 f"known: {list(IDENTITY_NAMES)}"
             )
+    if options.lmax < 0 and options.trig_count < 1 and any(
+        options.wants(name) for name in LIBRARY_IDENTITIES
+    ):
+        raise ValueError(
+            "empty field library: need lmax >= 0 or at least one trig field"
+        )
     results = []
     results.extend(geometry_suite(options))
     results.extend(commutator_suite(options))

@@ -1,8 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
-from surfquant.cli import main
+from surfquant import charts as chlib
+from surfquant.cli import _fmt, _fmt_column, main
+from surfquant.errors import ShellFoldError
+from surfquant.geometry import evaluate_frame, shell_frame
 
 
 def run(args):
@@ -269,3 +273,88 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     _, rows2 = read_csv(out2)
     center2 = [r for r in rows2 if float(r["p"]) == 0.0][0]
     assert abs(float(center2["density"]) - np.pi / 4.0) < 1e-8  # flag overrode l
+
+
+DISTRIBUTION_HEADER = ["p", "re_amp", "im_amp", "density", "method",
+                       "re_closed", "im_closed", "density_closed", "sho_density"]
+
+
+def test_distribution_csv_and_json_layout(tmp_path, capsys):
+    args = ["distribution", "--l", "1", "--pmax", "2", "--dp", "0.25",
+            "--compare-closed", "--sho-overlay"]
+    csv_path, json_path = tmp_path / "d.csv", tmp_path / "d.json"
+    assert run(args + ["--out", str(csv_path)]) == 0
+    assert run(args + ["--format", "json", "--out", str(json_path)]) == 0
+    deviations = capsys.readouterr().out.splitlines()
+    assert len(deviations) == 2 and deviations[0] == deviations[1]
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == ",".join(DISTRIBUTION_HEADER)
+    assert len(lines) == 1 + 17
+    payload = json.loads(json_path.read_text())
+    assert list(payload) == ["l", "samples"] and payload["l"] == 1
+    assert len(payload["samples"]) == 17
+    for line, sample in zip(lines[1:], payload["samples"]):
+        assert list(sample) == DISTRIBUTION_HEADER
+        assert sample["method"] == "quadrature"
+        # the CSV prints each JSON value in shortest form, -0.0 folded
+        cells = [sample[k] if k == "method" else repr(sample[k] + 0.0)
+                 for k in DISTRIBUTION_HEADER]
+        assert line == ",".join(cells)
+
+
+def test_column_formatter_matches_fmt():
+    column = np.array([-0.0, 0.0, -1e-300, 0.1, -2.5, 1e22, np.inf, np.nan])
+    assert _fmt_column(column) == [_fmt(x) for x in column]
+    assert _fmt_column(column)[0] == "0.0"
+
+
+@pytest.mark.parametrize("args", [
+    ["--dp", "0"], ["--dp", "-0.05"], ["--dp", "nan"], ["--dp", "inf"],
+    ["--pmax", "nan"], ["--pmax", "inf"], ["--pmax", "-1"],
+    ["--pmax", "1001", "--dp", "1"],
+])
+def test_distribution_rejects_bad_grids(args, capsys):
+    code = run(["distribution"] + args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: config:")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_distribution_resolves_large_p(capsys):
+    # the true density at p = 60 is about 4e-82; a fixed 32-node rule gave 1.8e-3
+    assert run(["distribution", "--pmax", "60", "--dp", "5"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 25
+    assert all(float(row.split(",")[3]) < 1e-28 for row in rows if "60.0," in row)
+
+
+def test_verify_rejects_an_empty_field_library(capsys):
+    code = run(["verify", "--lmax", "-1", "--trig", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: config: empty field library")
+    # suites that use no field library still run
+    assert run(["verify", "--lmax", "-1", "--trig", "0",
+                "--only", "dirichlet_kernel"]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["geom", "--surface", "torus", "--point", "1,1", "--q3", "nan"],
+    ["geom", "--surface", "torus", "--point", "1,1", "--q3", "0.1,inf"],
+    ["confine", "--q3", "0.01,nan"],
+])
+def test_non_finite_shell_offsets_are_rejected(command, capsys):
+    code = run(command)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: config: values must be finite")
+
+
+def test_shell_frame_treats_nan_as_a_fold():
+    frame = evaluate_frame(chlib.torus(), 1.0, 1.0)
+    with pytest.raises(ShellFoldError):
+        shell_frame(frame, np.nan)
+    with pytest.raises(ShellFoldError):
+        shell_frame(frame, np.array([0.1, np.nan]))

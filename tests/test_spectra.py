@@ -53,6 +53,23 @@ def test_psi_pole_error():
         splib.psi(1.0, 1e-13)
 
 
+def test_psi_takes_array_theta():
+    theta = np.linspace(0.05, np.pi - 0.05, 41)
+    values = splib.psi(2.3, theta)
+    assert values.shape == theta.shape
+    assert np.array_equal(values, [splib.psi(2.3, t) for t in theta])
+    assert type(splib.psi(2.3, theta[0])) is complex
+    grid = theta.reshape(1, -1)
+    assert np.array_equal(splib.psi(2.3, grid), values.reshape(1, -1))
+
+
+def test_psi_names_the_first_pole_theta():
+    theta = np.array([1.0, np.pi - 1e-13, 2.0, 1e-14])
+    with pytest.raises(PoleProximityError) as info:
+        splib.psi(1.0, theta)
+    assert info.value.theta == theta[1]
+
+
 def test_eigenvalue_relation_random_samples():
     rng = np.random.default_rng(77)
     worst = 0.0
@@ -205,6 +222,100 @@ def test_amplitude_truncation_flag():
     # explicit looser tolerance allows a short window
     value = splib.amplitude_quadrature(0, 0.0, Q=12.0, tolerance=1e-4)
     assert abs(value - np.sqrt(np.pi) / 2.0) < 1e-4
+
+
+def unfolded_amplitude(l, p, Q, nodes):
+    """Reference: the complex exponential over the whole q-rule, as
+    amplitude_quadrature computed it before the parity fold."""
+    p = np.asarray(p, dtype=float)
+    q, w = splib._q_rule(Q, nodes, np.max(np.abs(p)))
+    kernel = w * splib.legendre_p(l, np.tanh(q)) / np.cosh(q)
+    phases = np.exp(-1j * p[:, None] * q[None, :])
+    return np.sqrt((2 * l + 1) / (4.0 * np.pi)) * (phases @ kernel)
+
+
+@pytest.mark.parametrize("nodes", [1280, 165, 100])
+@pytest.mark.parametrize("Q", [40.0, 12.0, 7.3, 33.3, 5.0])
+def test_folded_amplitude_matches_unfolded_formula(Q, nodes):
+    # Q = 7.3 and 33.3 give rules symmetric only to rounding; Q = 5 with 165
+    # nodes has a centre node at q = 0.
+    p = np.concatenate([splib.symmetric_grid(8.0, 0.25), [-0.0, 0.1, 29.7, -13.3]])
+    for l in range(9):
+        folded = splib.amplitude_quadrature(l, p, Q=Q, nodes=nodes, tolerance=1.0)
+        assert np.max(np.abs(folded - unfolded_amplitude(l, p, Q, nodes))) <= 1e-14, l
+
+
+def test_folded_rule_keeps_a_centre_node_once():
+    q, w = splib._q_rule(5.0, 165, 0.0)
+    assert q.size % 2 == 1 and q[q.size // 2] == 0.0
+    q_half, w_half = splib._folded_q_rule(5.0, 165, 0.0)
+    assert q_half[0] == 0.0 and w_half[0] == w[q.size // 2]
+    assert abs(np.sum(w_half) - 10.0) < 1e-13  # integrates 1 over [-5, 5]
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1, "3C+7"])
+def test_amplitude_chunk_boundaries(offset):
+    chunk = splib._CHUNK_ELEMENTS // (splib.DEFAULT_NODES // 2)  # rows per chunk
+    distinct = {None: 1, -1: chunk - 1, 0: chunk, 1: chunk + 1, "3C+7": 3 * chunk + 7}
+    magnitudes = np.linspace(0.0, 6.0, distinct[offset])
+    # duplicates, both signs, -0.0 and +0.0, in no particular order
+    p = np.concatenate([magnitudes, -magnitudes[::2], magnitudes[:3], [-0.0]])
+    p = np.random.default_rng(5).permutation(p)
+    for l in (0, 1, 2):
+        amps = splib.amplitude_quadrature(l, p)
+        assert amps.shape == p.shape
+        assert np.max(np.abs(amps - unfolded_amplitude(l, p, 40.0, 1280))) <= 1e-14
+        if l % 2:
+            assert np.all(amps[p == 0.0] == 0.0)
+
+
+def test_amplitude_keeps_the_shape_of_p():
+    p = np.linspace(-2.0, 2.0, 6).reshape(2, 3)
+    amps = splib.amplitude_quadrature(1, p)
+    assert amps.shape == (2, 3)
+    assert np.array_equal(amps.ravel(), splib.amplitude_quadrature(1, p.ravel()))
+    assert splib.amplitude_quadrature(0, np.array([])).shape == (0,)
+    assert type(splib.amplitude_quadrature(2, 0.5)) is complex
+
+
+@pytest.mark.parametrize("l", [1, 3, 5, 7])
+def test_odd_amplitude_is_exactly_zero_at_zero(l):
+    for p in (0.0, -0.0, np.array([0.0, -0.0])):
+        amps = np.atleast_1d(splib.amplitude_quadrature(l, p))
+        assert np.all(amps == 0.0)
+        assert not np.any(np.signbit(amps.imag))  # no -0.0 either
+
+
+def test_even_amplitude_is_real_and_odd_is_imaginary():
+    p = splib.symmetric_grid(3.0, 0.1)
+    for l in range(6):
+        amps = splib.amplitude_quadrature(l, p)
+        part = amps.real if l % 2 else amps.imag
+        assert np.all(part == 0.0)
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_quadrature_resolution_follows_p(l):
+    # ceil(|p|) + 2 nodes per panel: the 32-node rule was off by up to 0.1 here
+    p = np.array([-100.0, -60.0, 40.0, 60.0, 100.0])
+    sign = splib.CLOSED_FORM_COMPARISON_SIGN[l]
+    quad = splib.amplitude_quadrature(l, p)
+    assert np.max(np.abs(quad - sign * splib.amplitude_closed(l, p))) < 1e-14
+
+
+def test_amplitude_rejects_unresolvable_p():
+    for p in (np.nan, np.inf, -np.inf, 1.5 * splib.MAX_ABS_P, [0.0, np.nan]):
+        with pytest.raises(ValueError):
+            splib.amplitude_quadrature(0, p)
+    assert abs(splib.amplitude_quadrature(0, splib.MAX_ABS_P)) < 1e-14
+
+
+def test_symmetric_grid_rejects_bad_spacing():
+    for p_max, dp in ((6.0, 0.0), (6.0, -0.05), (6.0, np.nan), (6.0, np.inf),
+                      (np.nan, 0.05), (np.inf, 0.05), (-1.0, 0.05)):
+        with pytest.raises(ValueError):
+            splib.symmetric_grid(p_max, dp)
+    assert splib.symmetric_grid(0.0, 0.05).tolist() == [0.0]
 
 
 def test_density_parity_exact():
