@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ChartSingularityError
 
@@ -423,14 +422,32 @@ def check_regular(chart, q1, q2):
     return t, cross
 
 
+def _radical_inverse(index, base):
+    """Van der Corput radical inverse of integer indices (Halton 1960).
+
+    Sums digit * base^-(k+1) from the least significant digit up, with the
+    place value divided down by `base` each step, the order scipy's
+    unscrambled `qmc.Halton` uses, so the points agree bit for bit.
+    """
+    quotient = np.array(index, dtype=np.int64)
+    out = np.zeros(quotient.shape)
+    place = 1.0 / base
+    while quotient.any():
+        quotient, digit = np.divmod(quotient, base)
+        out += digit * place
+        place /= base
+    return out
+
+
 def interior_points(chart, n, margin_fraction=0.05):
     """Deterministic quasi-random interior points (Halton sequence).
 
     Non-periodic axes are inset by margin_fraction of their span (never less
     than the pole band on the sphere); periodic axes use the full range.
     """
-    sampler = qmc.Halton(d=2, scramble=False)
-    u = sampler.random(int(n) + 1)[1:]  # drop the degenerate first point (0, 0)
+    # Skip index 0, the degenerate first point (0, 0).
+    index = np.arange(1, int(n) + 1)
+    u = np.stack([_radical_inverse(index, 2), _radical_inverse(index, 3)], axis=-1)
     pts = np.empty_like(u)
     for axis in range(2):
         lo, hi = chart.domain[axis]

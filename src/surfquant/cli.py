@@ -230,14 +230,25 @@ def cmd_distribution(args):
 
 
 def _confine_field(selector):
+    """The field named by --chi: 'l,m' (0 <= |m| <= l), trigN (N >= 0) or const."""
     text = selector.strip().lower()
-    if text.startswith("trig"):
-        index = int(text[4:] or 0)
-        return flib.trig_library(index + 1)[index]
     if text in ("const", "1"):
         return flib.constant(1.0)
-    l, m = (int(tok) for tok in text.split(","))
-    return flib.spherical_harmonic(l, m)
+    try:
+        if text.startswith("trig"):
+            index = int(text[4:] or 0)
+            if index >= 0:
+                return flib.trig_library(index + 1)[index]
+        else:
+            l, m = (int(tok) for tok in text.split(","))
+            if abs(m) <= l:
+                return flib.spherical_harmonic(l, m)
+    except ValueError:
+        pass
+    raise ValueError(
+        f"--chi must be 'l,m' with |m| <= l, trigN with N >= 0, or const "
+        f"(got {selector!r})"
+    )
 
 
 def cmd_confine(args):

@@ -4,7 +4,10 @@ Operators in this package never use nested finite differences: every field
 carries callables for its value, gradient and Hessian in the chart
 parameters, and composite fields (products with coordinate functions,
 rotated pullbacks) derive their partials exactly via the chain/product
-rule.  Base fields are built symbolically and lambdified once.
+rule.  The base fields (Y_lm, the trig library, plane waves) are closed
+forms with hand-written partials, so the package needs only numpy at run
+time; `from_expr` builds a field from any sympy expression and imports
+sympy on first use (the symbols THETA and PHI likewise).
 
 Point-axis convention: all callables broadcast over array points, and the
 point axes go last.  Over a point shape S the value has shape S, the
@@ -13,16 +16,15 @@ same layout the charts and geometry frames use.  A scalar point gives a
 Python complex value and (2,) / (2, 2) arrays.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-import sympy as sp
+from numpy.polynomial import legendre
 
 from .errors import PoleProximityError
-
-THETA, PHI = sp.symbols("theta phi", real=True)
 
 # Evaluation closer to a sphere-chart pole than this raises.
 POLE_MARGIN = 1e-8
@@ -78,8 +80,21 @@ def _stack(parts, q1, q2):
     return np.array(vals, dtype=complex)
 
 
+def __getattr__(name):
+    """THETA and PHI, the real sympy symbols for from_expr, made on first use."""
+    if name in ("THETA", "PHI"):
+        import sympy as sp
+
+        theta, phi = sp.symbols("theta phi", real=True)
+        globals().update(THETA=theta, PHI=phi)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def from_expr(expr, syms, label):
     """Build a ScalarField from a sympy expression in two symbols."""
+    import sympy as sp
+
     s1, s2 = syms
     expr = sp.sympify(expr)
     value = sp.lambdify((s1, s2), expr, modules="numpy")
@@ -174,15 +189,98 @@ def coordinate_field(chart, axis):
     )
 
 
+def _closed_form(label, partials):
+    """ScalarField from `partials(q1, q2, order)`, which returns the partials
+    of one order as a list: [f], [f_1, f_2] or [f_11, f_12, f_22].  Each
+    entry need only broadcast to the point shape (0.0 for a zero partial).
+    """
+
+    def value(q1, q2):
+        shape = np.broadcast(q1, q2).shape
+        (v,) = partials(q1, q2, 0)
+        if shape == ():
+            return complex(v)
+        out = np.empty(shape, dtype=complex)
+        out[...] = v
+        return out
+
+    def grad(q1, q2):
+        out = np.empty((2,) + np.broadcast(q1, q2).shape, dtype=complex)
+        out[0], out[1] = partials(q1, q2, 1)
+        return out
+
+    def hess(q1, q2):
+        out = np.empty((2, 2) + np.broadcast(q1, q2).shape, dtype=complex)
+        out[0, 0], out[0, 1], out[1, 1] = partials(q1, q2, 2)
+        out[1, 0] = out[0, 1]
+        return out
+
+    return ScalarField(label=label, _value=value, _grad=grad, _hess=hess)
+
+
+def _parity_polyval(coef, x, x2):
+    """Power-basis polynomial of definite parity at x, given x2 = x * x."""
+    out = coef[-1]
+    for c in coef[-3::-2]:
+        out = out * x2 + c
+    return out * x if len(coef) % 2 == 0 else out
+
+
 @lru_cache(maxsize=None)
 def spherical_harmonic(l, m):
-    """Orthonormal Y_lm(theta, phi) with the Condon-Shortley phase."""
+    """Orthonormal Y_lm(theta, phi) with the Condon-Shortley phase.
+
+    Y_lm = c_lm sin^|m|(theta) Q(cos theta) e^{i m phi} with
+    Q = d^|m| P_l / dx^|m|; the theta partials follow from the product rule
+    with Q' and Q'' (polynomials of definite parity, all built once here).
+    """
     l = int(l)
     m = int(m)
     if abs(m) > l:
         raise ValueError("need |m| <= l")
-    expr = sp.Ynm(l, m, THETA, PHI).expand(func=True)
-    return from_expr(expr, (THETA, PHI), label=f"Y{l}{m:+d}")
+    a = abs(m)
+    norm = math.sqrt(
+        (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - a) / math.factorial(l + a)
+    )
+    if m > 0 and m % 2:
+        norm = -norm
+    # norm * Q, Q' and Q'' in the power basis
+    q = norm * legendre.leg2poly(legendre.legder([0] * l + [1], a))
+    dq = [np.polynomial.polynomial.polyder(q, k) for k in range(3)]
+
+    def sin_pow(s, k):
+        # 0 for k < 0, where the term's coefficient vanishes too
+        return s ** k if k > 0 else float(k == 0)
+
+    def profile(theta, order):
+        """[g, g', g''][:order + 1] for g = norm sin^a(theta) Q(cos theta)."""
+        s, c = np.sin(theta), np.cos(theta)
+        c2 = c * c
+        Q = [_parity_polyval(d, c, c2) for d in dq[:order + 1]]
+        out = [sin_pow(s, a) * Q[0]]
+        if order >= 1:
+            out.append(a * c * sin_pow(s, a - 1) * Q[0] - sin_pow(s, a + 1) * Q[1])
+        if order >= 2:
+            out.append(
+                a * (a - 1) * c2 * sin_pow(s, a - 2) * Q[0]
+                - sin_pow(s, a) * (a * Q[0] + (2 * a + 1) * c * Q[1])
+                + sin_pow(s, a + 2) * Q[2]
+            )
+        return out
+
+    def partials(theta, phi, order):
+        g = profile(theta, order)
+        if m == 0:  # no phi dependence
+            return [g[order]] + [0.0] * order
+        wave = np.exp(1j * m * np.asarray(phi, dtype=float))
+        im = 1j * m
+        if order == 0:
+            return [g[0] * wave]
+        if order == 1:
+            return [g[1] * wave, im * g[0] * wave]
+        return [g[2] * wave, im * g[1] * wave, -(m * m) * g[0] * wave]
+
+    return _closed_form(f"Y{l}{m:+d}", partials)
 
 
 def harmonic_library(lmax=3):
@@ -196,29 +294,44 @@ def harmonic_library(lmax=3):
 def trig_library(count=3, seed=20240501):
     """Deterministic random trigonometric polynomials in (q1, q2).
 
-    Built once per (count, seed); each call returns a fresh list of the
-    cached fields.
+    Each field is a seeded combination of the basis 1, cos q1,
+    sin q1 cos q2, sin 2q1 sin q2, cos q1 cos 2q2, sin q1 sin 2q2.  Built
+    once per (count, seed); each call returns a fresh list of the cached
+    fields.
     """
     return list(_trig_fields(int(count), int(seed)))
+
+
+def _trig_field(coeffs, label):
+    c0, c1, c2, c3, c4, c5 = (float(c) for c in coeffs)
+
+    def partials(q1, q2, order):
+        ct, st, c2t, s2t = np.cos(q1), np.sin(q1), np.cos(2 * q1), np.sin(2 * q1)
+        cp, sp, c2p, s2p = np.cos(q2), np.sin(q2), np.cos(2 * q2), np.sin(2 * q2)
+        if order == 0:
+            return [c0 + c1 * ct + c2 * st * cp + c3 * s2t * sp
+                    + c4 * ct * c2p + c5 * st * s2p]
+        if order == 1:
+            return [
+                -c1 * st + c2 * ct * cp + 2 * c3 * c2t * sp
+                - c4 * st * c2p + c5 * ct * s2p,
+                -c2 * st * sp + c3 * s2t * cp - 2 * c4 * ct * s2p + 2 * c5 * st * c2p,
+            ]
+        return [
+            -c1 * ct - c2 * st * cp - 4 * c3 * s2t * sp - c4 * ct * c2p - c5 * st * s2p,
+            -c2 * ct * sp + 2 * c3 * c2t * cp + 2 * c4 * st * s2p + 2 * c5 * ct * c2p,
+            -c2 * st * cp - c3 * s2t * sp - 4 * c4 * ct * c2p - 4 * c5 * st * s2p,
+        ]
+
+    return _closed_form(label, partials)
 
 
 @lru_cache(maxsize=None)
 def _trig_fields(count, seed):
     rng = np.random.default_rng(seed)
-    basis = [
-        sp.Integer(1),
-        sp.cos(THETA),
-        sp.sin(THETA) * sp.cos(PHI),
-        sp.sin(2 * THETA) * sp.sin(PHI),
-        sp.cos(THETA) * sp.cos(2 * PHI),
-        sp.sin(THETA) * sp.sin(2 * PHI),
-    ]
-    out = []
-    for k in range(count):
-        coeffs = rng.uniform(-1.0, 1.0, size=len(basis))
-        expr = sum(sp.Float(c) * b for c, b in zip(coeffs, basis))
-        out.append(from_expr(expr, (THETA, PHI), label=f"trig{k}"))
-    return tuple(out)
+    return tuple(
+        _trig_field(rng.uniform(-1.0, 1.0, size=6), f"trig{k}") for k in range(count)
+    )
 
 
 def field_library(lmax=3, trig_count=3):
@@ -228,10 +341,16 @@ def field_library(lmax=3, trig_count=3):
 
 def plane_wave(k, axis=0):
     """exp(i k q_axis), the flat-chart momentum eigenfunction."""
-    sym = (THETA, PHI)[axis]
-    return from_expr(
-        sp.exp(sp.I * sp.Float(k) * sym), (THETA, PHI), label=f"exp(i{k:g}q{axis + 1})"
-    )
+    k = float(k)
+    axis = int(axis)
+
+    def partials(q1, q2, order):
+        wave = np.exp(1j * k * np.asarray((q1, q2)[axis], dtype=float))
+        out = [0.0] * (order + 1)
+        out[axis * order] = (1.0, 1j * k, -k * k)[order] * wave
+        return out
+
+    return _closed_form(f"exp(i{k:g}q{axis + 1})", partials)
 
 
 def sphere_point(theta, phi):

@@ -59,6 +59,12 @@ _CHUNK_ELEMENTS = 1024 * (DEFAULT_NODES // 2)
 # every amplitude out here is below 1e-300.
 MAX_ABS_P = 1000.0
 
+# Caps on the q-rule, which has one width-2 panel per unit of Q: the nodes
+# per panel cover the ceil(MAX_ABS_P) + 2 that |p| can ask for, and the
+# panel count keeps cosh(q) finite and the rule below 2^19 nodes.
+MAX_PANEL_NODES = 1024
+MAX_PANELS = 512
+
 # Sign s_l such that amplitude_quadrature == s_l * amplitude_closed.  The
 # odd-l sign follows from the orientation of the q-substitution; the l = 2
 # sign is recorded from the overlap integral (phi_2(0) = +sqrt(5 pi)/8).
@@ -195,7 +201,15 @@ def _check_truncation(Q, tolerance):
 def _q_rule(Q, nodes, p_max):
     # Width-2 panels over [-Q, Q]; a panel turns the phase by 2|p| radians,
     # which ceil(|p|) + 2 Gauss-Legendre nodes resolve to machine precision.
+    Q = float(Q)
+    if not 0.0 < Q <= MAX_PANELS:  # NaN fails too
+        raise ValueError(f"need a finite Q in (0, {MAX_PANELS}] (got {Q})")
     n_panels = max(1, int(np.ceil(Q)))
+    if not 1 <= nodes <= n_panels * MAX_PANEL_NODES:
+        raise ValueError(
+            f"need 1 <= nodes <= {n_panels * MAX_PANEL_NODES} at Q = {Q:g} "
+            f"(at most {MAX_PANEL_NODES} per panel; got {nodes})"
+        )
     requested = max(4, int(np.ceil(nodes / n_panels)))
     per_panel = max(requested, int(np.ceil(p_max)) + 2)
     return panel_rule(-Q, Q, panel_width=2.0, nodes=per_panel)
@@ -231,17 +245,19 @@ def amplitude_quadrature(l, p, Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8)
     dq for odd l: real work on half the rule.  Each distinct |p| is
     evaluated once, in chunks of p, and mirrored (cos even, sin odd), so
     |phi_l(-p)| == |phi_l(p)| exactly.  The nodes per panel grow with
-    max |p| (see _q_rule); |p| above MAX_ABS_P is refused.
+    max |p| (see _q_rule); |p| above MAX_ABS_P, a Q outside
+    (0, MAX_PANELS] and more than MAX_PANEL_NODES nodes per panel are
+    refused.
     """
     l = int(l)
     if l < 0:
         raise ValueError("l must be a nonnegative integer")
-    _check_truncation(Q, tolerance)
     p_arr = np.asarray(p, dtype=float)
     magnitude = np.abs(p_arr).ravel()
     if not np.all(magnitude <= MAX_ABS_P):
         raise ValueError(f"need finite |p| <= {MAX_ABS_P:g} for the quadrature")
     q, w = _folded_q_rule(Q, nodes, magnitude.max(initial=0.0))
+    _check_truncation(Q, tolerance)
     kernel = w * legendre_p(l, np.tanh(q)) / np.cosh(q)
     wave = np.sin if l % 2 else np.cos
     distinct, index = np.unique(magnitude, return_inverse=True)

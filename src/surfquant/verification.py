@@ -499,6 +499,10 @@ def run_verification(options=None):
         raise ValueError(
             f"points per chart must be at least 1 (got {options.points_per_chart})"
         )
+    if options.parseval_lmax < 0:
+        raise ValueError(
+            f"parseval lmax must be at least 0 (got {options.parseval_lmax})"
+        )
     if options.only:
         unknown = set(options.only) - set(IDENTITY_NAMES)
         if unknown:
