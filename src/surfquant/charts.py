@@ -429,7 +429,7 @@ def _radical_inverse(index, base):
     place value divided down by `base` each step, the order scipy's
     unscrambled `qmc.Halton` uses, so the points agree bit for bit.
     """
-    quotient = np.array(index, dtype=np.int64)
+    quotient = np.asarray(index, dtype=np.int64)
     out = np.zeros(quotient.shape)
     place = 1.0 / base
     while quotient.any():

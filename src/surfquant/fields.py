@@ -303,6 +303,7 @@ def trig_library(count=3, seed=20240501):
 
 
 def _trig_field(coeffs, label):
+    """sum_k coeffs[k] * basis_k for the trig_library basis, partials by hand."""
     c0, c1, c2, c3, c4, c5 = (float(c) for c in coeffs)
 
     def partials(q1, q2, order):
