@@ -50,14 +50,11 @@ from .operators import (
     surface_limit_gradient,
 )
 from .spectra import (
-    DistributionTable,
-    MomentumEigenfunction,
     UncertaintyReport,
     amplitude_closed,
     amplitude_quadrature,
     amplitude_surface_overlap,
     distribution_amplitudes,
-    distribution_table,
     eigenfunction_field,
     legendre_p,
     moments,

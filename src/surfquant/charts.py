@@ -55,7 +55,7 @@ class ParametricChart:
         """Second partials d_mu d_nu r, shape (2, 2, 3), symmetric in mu, nu."""
         return np.asarray(self._d2(q1, q2), dtype=float)
 
-    def contains(self, q1, q2, margin=0.0):
+    def contains(self, q1, q2):
         """Whether (q1, q2) lies inside the domain on the non-periodic axes.
 
         Broadcasts over array points (a bool array then); NaN is never
@@ -65,7 +65,7 @@ class ParametricChart:
         for q, (lo, hi), per in zip((q1, q2), self.domain, self.periodic):
             if not per:
                 q = np.asarray(q, dtype=float)
-                inside &= (lo + margin <= q) & (q <= hi - margin)
+                inside &= (lo <= q) & (q <= hi)
         return bool(inside) if inside.ndim == 0 else inside
 
 

@@ -16,7 +16,8 @@ errors, 3 quadrature truncation, 4 shell fold, 1 failed verification).
 
 An optional `--config FILE` supplies `key = value` defaults (same names as
 the long flags, hyphens and underscores interchangeable); explicit flags
-override the file.
+override the file.  A key the command does not take, and a config or
+`--out` path that cannot be opened, are config errors.
 """
 
 import argparse
@@ -49,11 +50,19 @@ def _fmt(x):
     return repr(float(x) + 0.0)  # +0.0 folds -0.0 into 0.0
 
 
+def _open(path, mode="r"):
+    """open(path), with a path that cannot be opened as a config error."""
+    try:
+        return open(path, mode, newline="" if mode == "w" else None)
+    except OSError as err:
+        raise ValueError(f"cannot open {path!r}: {err.strerror}") from None
+
+
 def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", newline="") as fh:
+        with _open(path, "w") as fh:
             fh.write(text)
 
 
@@ -230,7 +239,8 @@ def cmd_distribution(args):
 
 
 def _confine_field(selector):
-    """The field named by --chi: 'l,m' (0 <= |m| <= l), trigN (N >= 0) or const."""
+    """The field named by --chi: 'l,m' (|m| <= l <= MAX_HARMONIC_L), trigN
+    (0 <= N < MAX_TRIG_FIELDS) or const."""
     text = selector.strip().lower()
     if text in ("const", "1"):
         return flib.constant(1.0)
@@ -246,8 +256,8 @@ def _confine_field(selector):
     except ValueError:
         pass
     raise ValueError(
-        f"--chi must be 'l,m' with |m| <= l, trigN with N >= 0, or const "
-        f"(got {selector!r})"
+        f"--chi must be 'l,m' with |m| <= l <= {flib.MAX_HARMONIC_L}, trigN with "
+        f"0 <= N < {flib.MAX_TRIG_FIELDS}, or const (got {selector!r})"
     )
 
 
@@ -397,7 +407,10 @@ def build_parser():
         help=f"restrict to named identities ({', '.join(ver.IDENTITY_NAMES)})",
     )
     p_ver.set_defaults(func=cmd_verify)
-    return parser
+    commands = {
+        "geom": p_geom, "distribution": p_dist, "confine": p_conf, "verify": p_ver
+    }
+    return parser, commands
 
 
 def _coerce(text):
@@ -414,7 +427,7 @@ def _coerce(text):
 
 def _load_config(path):
     values = {}
-    with open(path) as fh:
+    with _open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -426,18 +439,24 @@ def _load_config(path):
     return values
 
 
-def _apply_config(parser, argv):
-    """Install config-file values as parser defaults (flags still win)."""
-    if "--config" not in argv:
-        return
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    ns, _ = probe.parse_known_args(argv)
-    if ns.config:
-        values = _load_config(ns.config)
-        for action in parser._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in action._actions}
-            action.set_defaults(**{k: v for k, v in values.items() if k in known})
+def _parse_args(parser, commands, argv):
+    """Parse argv; a --config file's values become the command's defaults.
+
+    Without --config argv is parsed once.  With it, every key must be an
+    option of the invoked command, and argv is parsed again over the new
+    defaults, so explicit flags still win.
+    """
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    values = _load_config(args.config)
+    unknown = sorted(set(values) - (set(vars(args)) - {"func", "command", "config"}))
+    if unknown:
+        raise ValueError(
+            f"{args.config}: {args.command} takes no option {', '.join(unknown)}"
+        )
+    commands[args.command].set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 _ERROR_TAGS = (
@@ -451,10 +470,9 @@ _ERROR_TAGS = (
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, commands, argv)
         if getattr(args, "tolerance", None) is not None and args.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         return args.func(args)

@@ -29,6 +29,14 @@ from .errors import PoleProximityError
 # Evaluation closer to a sphere-chart pole than this raises.
 POLE_MARGIN = 1e-8
 
+# The power-basis Y_lm stays within 1e-13 of scipy's sph_harm_y up to this l
+# (5e-14 at l = 10) and loses digits fast beyond it (2e-13 at l = 11, 3e-8
+# at l = 24); a stable associated-Legendre recurrence would lift the bound.
+MAX_HARMONIC_L = 10
+
+# Each trig field costs about 1.6 kB, and trig_library(n) builds all n.
+MAX_TRIG_FIELDS = 1024
+
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -233,11 +241,14 @@ def spherical_harmonic(l, m):
     Y_lm = c_lm sin^|m|(theta) Q(cos theta) e^{i m phi} with
     Q = d^|m| P_l / dx^|m|; the theta partials follow from the product rule
     with Q' and Q'' (polynomials of definite parity, all built once here).
+    Defined for l <= MAX_HARMONIC_L.
     """
     l = int(l)
     m = int(m)
     if abs(m) > l:
         raise ValueError("need |m| <= l")
+    if l > MAX_HARMONIC_L:
+        raise ValueError(f"Y_lm is limited to l <= {MAX_HARMONIC_L} (got l = {l})")
     a = abs(m)
     norm = math.sqrt(
         (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - a) / math.factorial(l + a)
@@ -296,10 +307,13 @@ def trig_library(count=3, seed=20240501):
 
     Each field is a seeded combination of the basis 1, cos q1,
     sin q1 cos q2, sin 2q1 sin q2, cos q1 cos 2q2, sin q1 sin 2q2.  Built
-    once per (count, seed); each call returns a fresh list of the cached
-    fields.
+    once per (count, seed), for 0 <= count <= MAX_TRIG_FIELDS; each call
+    returns a fresh list of the cached fields.
     """
-    return list(_trig_fields(int(count), int(seed)))
+    count = int(count)
+    if not 0 <= count <= MAX_TRIG_FIELDS:
+        raise ValueError(f"need 0 <= trig count <= {MAX_TRIG_FIELDS} (got {count})")
+    return list(_trig_fields(count, int(seed)))
 
 
 def _trig_field(coeffs, label):

@@ -32,20 +32,8 @@ import numpy as np
 
 from . import fields as flib
 from .errors import ShellFoldError
-from .fields import (
-    POLE_MARGIN,
-    ScalarField,
-    _check_pole,
-    pullback_field,
-    rotation_matrix,
-)
-from .geometry import (
-    _scalar,
-    curvature_gradients,
-    evaluate_frame,
-    laplace_beltrami,
-    laplace_beltrami_jets,
-)
+from .fields import ScalarField, _check_pole, pullback_field, rotation_matrix
+from .geometry import curvature_gradients, evaluate_frame, laplace_beltrami_jets
 from .quadrature import sphere_grid
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
@@ -56,18 +44,6 @@ def _axis(i):
         return AXIS_INDEX[i]
     except (KeyError, TypeError):
         raise ValueError(f"axis must be one of x, y, z (got {i!r})")
-
-
-@dataclass(frozen=True)
-class OperatorResult:
-    """Value of an operator applied to a field at a chart point."""
-
-    value: object  # complex scalar or (3,) complex vector
-    point: tuple
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(np.atleast_1d(self.value))):
-            raise ValueError(f"non-finite operator value at {self.point}")
 
 
 def _complex(x):
@@ -309,12 +285,6 @@ def commutator_position_momentum(chart, i, j, field, q1, q2, hbar=1.0):
     return _complex(position_momentum_residuals(chart, field, q1, q2, hbar)[i, j])
 
 
-def position_momentum_residual_max(chart, field, q1, q2, hbar=1.0):
-    """Max residual of [x_i, p_j] - i hbar (delta - n n) over all 9 pairs."""
-    residuals = position_momentum_residuals(chart, field, q1, q2, hbar)
-    return _scalar(np.abs(residuals).max(axis=(0, 1)))
-
-
 def angular_momentum_residuals(field, theta, phi, hbar=1.0):
     """[L_i, p_j] f - i hbar eps_ijk p_k f on the unit sphere, all nine pairs.
 
@@ -344,22 +314,11 @@ def angular_momentum_residuals(field, theta, phi, hbar=1.0):
     return out
 
 
-def angular_momentum_residual_max(field, theta, phi, hbar=1.0):
-    """Max residual of [L_i, p_j] - i hbar eps_ijk p_k over all 9 pairs."""
-    residuals = angular_momentum_residuals(field, theta, phi, hbar)
-    return _scalar(np.abs(residuals).max(axis=(0, 1)))
-
-
 def commutator_angular_momentum(i, j, field, theta, phi, hbar=1.0):
     """Residual of [L_i, p_j] f - i hbar eps_ijk p_k f on the unit sphere."""
     i = _axis(i)
     j = _axis(j)
     return _complex(angular_momentum_residuals(field, theta, phi, hbar)[i, j])
-
-
-def kinetic_energy(chart, field, q1, q2, hbar=1.0, mass=1.0):
-    """T f = -(hbar^2 / 2 mass) Lap_LB f at the points."""
-    return -(hbar * hbar) / (2.0 * mass) * laplace_beltrami(chart, field, q1, q2)
 
 
 def commutator_position_kinetic(chart, field, q1, q2, hbar=1.0, mass=1.0):
@@ -565,12 +524,21 @@ def confinement_deviation(chart, chi, profile, q1, q2, q3):
 
 
 def confinement_slope(chart, chi, profile, q1, q2, q3_values):
-    """Log-log slope of the deviation against q3 plus the sampled rows."""
+    """Log-log slope of the deviation against q3 plus the sampled rows.
+
+    The fit needs at least two distinct q3, all finite and positive; a
+    shell fold at any q3 is reported first.
+    """
     q3_values = sorted(float(q) for q in q3_values)
     rows = [
         (q3, confinement_deviation(chart, chi, profile, q1, q2, q3))
         for q3 in q3_values
     ]
+    if not (len(set(q3_values)) >= 2 and all(0.0 < q < np.inf for q in q3_values)):
+        raise ValueError(
+            f"the log-log slope needs at least two distinct, finite, positive "
+            f"q3 (got {q3_values})"
+        )
     xs = np.log([r[0] for r in rows])
     ys = np.log([max(r[1], 1e-300) for r in rows])
     slope = float(np.polyfit(xs, ys, 1)[0])

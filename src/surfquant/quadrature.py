@@ -40,13 +40,7 @@ def panel_rule(lo, hi, panel_width=DEFAULT_PANEL_WIDTH, nodes=DEFAULT_PANEL_NODE
     if hi <= lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     n_panels = max(1, int(np.ceil((hi - lo) / float(panel_width))))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    xr, wr = _leggauss(nodes)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * xr[None, :]).ravel()
-    w = (half[:, None] * wr[None, :]).ravel()
-    return x, w
+    return _map_panels(np.linspace(lo, hi, n_panels + 1), nodes)
 
 
 def graded_panel_rule(edges, nodes=DEFAULT_PANEL_NODES):
@@ -54,6 +48,11 @@ def graded_panel_rule(edges, nodes=DEFAULT_PANEL_NODES):
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly increasing with >= 2 entries")
+    return _map_panels(edges, nodes)
+
+
+def _map_panels(edges, nodes):
+    """The `nodes`-point Gauss-Legendre rule mapped onto each panel of `edges`."""
     xr, wr = _leggauss(nodes)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

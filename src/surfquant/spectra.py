@@ -92,17 +92,6 @@ def psi(p, theta, phi=0.0):
     return complex(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class MomentumEigenfunction:
-    """p_z eigenfunction bundled with its eigenvalue and field form."""
-
-    p: float
-    field: flib.ScalarField
-
-    def eval(self, theta, phi=0.0):
-        return psi(self.p, theta, phi)
-
-
 def eigenfunction_field(p):
     """psi_p as a ScalarField (exact partials, usable under operators).
 
@@ -135,10 +124,9 @@ def eigenfunction_field(p):
         out[0, 0] = v * (a * a + a_prime)
         return out
 
-    fld = flib.ScalarField(
+    return flib.ScalarField(
         label=f"psi[p={p:g}]", _value=value, _grad=grad, _hess=hess
     )
-    return MomentumEigenfunction(p=p, field=fld)
 
 
 def _psi_stretched(p, z):
@@ -347,35 +335,8 @@ def moments(l, max_order=2, p_max=16.0, dp=0.05, Q=DEFAULT_Q, nodes=DEFAULT_NODE
 
 
 # ---------------------------------------------------------------------------
-# Distribution tables and reports.
+# Distribution grids and reports.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DistributionSample:
-    p: float
-    amplitude: complex
-    density: float
-    method: str  # "quadrature" | "closed_form"
-
-
-@dataclass(frozen=True)
-class DistributionTable:
-    """Sampled momentum-distribution amplitudes with method provenance."""
-
-    l: int
-    samples: tuple
-
-    CSV_HEADER = "p,re_amp,im_amp,density,method"
-
-    def to_csv(self):
-        lines = [self.CSV_HEADER]
-        for s in self.samples:
-            lines.append(
-                f"{s.p!r},{s.amplitude.real!r},{s.amplitude.imag!r},"
-                f"{s.density!r},{s.method}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def symmetric_grid(p_max, dp):
@@ -404,18 +365,6 @@ def distribution_amplitudes(l, p_max=6.0, dp=0.05, method="quadrature",
     else:
         raise ValueError("method must be 'quadrature' or 'closed_form'")
     return grid, amps
-
-
-def distribution_table(l, p_max=6.0, dp=0.05, method="quadrature",
-                       Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8):
-    grid, amps = distribution_amplitudes(l, p_max, dp, method, Q, nodes, tolerance)
-    samples = tuple(
-        DistributionSample(
-            p=float(p), amplitude=complex(a), density=float(abs(a) ** 2), method=method
-        )
-        for p, a in zip(grid, amps)
-    )
-    return DistributionTable(l=int(l), samples=samples)
 
 
 @dataclass(frozen=True)

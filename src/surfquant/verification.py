@@ -219,8 +219,8 @@ def commutator_suite(options):
         q1, q2 = pts[:, 0], pts[:, 1]
         for fld in library:
             if options.wants("position_momentum"):
-                res = oplib.position_momentum_residual_max(chart, fld, q1, q2)
-                r, p = _worst(res, pts)
+                res = oplib.position_momentum_residuals(chart, fld, q1, q2)
+                r, p = _worst(np.abs(res).max(axis=(0, 1)), pts)
                 out.append(
                     _result(options, "position_momentum", chart.name, fld.label, p, r)
                 )
@@ -236,8 +236,8 @@ def commutator_suite(options):
     theta, phi = pts[:, 0], pts[:, 1]
     for fld in library:
         if options.wants("angular_momentum"):
-            res = oplib.angular_momentum_residual_max(fld, theta, phi)
-            r, p = _worst(res, pts)
+            res = oplib.angular_momentum_residuals(fld, theta, phi)
+            r, p = _worst(np.abs(res).max(axis=(0, 1)), pts)
             out.append(_result(options, "angular_momentum", "sphere", fld.label, p, r))
         if options.wants("sphere_component_match"):
             general = oplib.apply_geometric_momentum(sphere, fld, theta, phi)
@@ -340,10 +340,10 @@ def eigenvalue_suite(options):
         p = rng.uniform(-10.0, 10.0)
         theta = rng.uniform(0.01, np.pi - 0.01)
         eigen = splib.eigenfunction_field(p)
-        value = oplib.sphere_momentum_component("z", eigen.field, theta, 0.0)
+        value = oplib.sphere_momentum_component("z", eigen, theta, 0.0)
         residual = abs(value - p * splib.psi(p, theta))
         if residual > worst:
-            worst, worst_point, worst_label = residual, (theta, 0.0), eigen.field.label
+            worst, worst_point, worst_label = residual, (theta, 0.0), eigen.label
     return [
         _result(
             options, "eigenvalue_residual", "sphere", worst_label, worst_point, worst

@@ -1,20 +1,16 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail line.
 
-Every tolerance is pinned here; the suites draw on the same public API the
-library ships.  Run with `pytest tests/test_acceptance.py -v -s` to see the
-per-criterion lines.
+Every tolerance is pinned here.  Criteria 2-7 and 9-12 run the shipped
+verification suites at 50 points per chart and judge each returned residual
+against the pinned tolerance, not the suite's own verdict; criteria 1 and 8
+evaluate the spectra API directly.  Run with
+`pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
 import numpy as np
-import pytest
 
-from surfquant import charts as chlib
-from surfquant import fields as flib
-from surfquant import operators as oplib
 from surfquant import spectra as splib
-from surfquant.geometry import evaluate_frame, geometric_potential, laplace_beltrami
-
-from conftest import chart_points
+from surfquant.verification import VerifyOptions, run_verification
 
 
 def report(criterion, description, value, tolerance):
@@ -26,107 +22,63 @@ def report(criterion, description, value, tolerance):
     assert ok, f"criterion {criterion} failed: {value} > {tolerance}"
 
 
+def check_suites(criterion, pinned):
+    """Run the suites of the identities in `pinned` ({name: (tolerance,
+    number of checks)}) and report every residual against its tolerance."""
+    checks = run_verification(
+        VerifyOptions(points_per_chart=50, only=tuple(pinned))
+    ).checks
+    for name, (tolerance, count) in pinned.items():
+        mine = [c for c in checks if c.identity_name == name]
+        assert len(mine) == count, (name, len(mine))
+        for c in mine:
+            where = ", ".join(str(x) for x in (c.chart, c.field) if x is not None)
+            report(criterion, f"{name} {where}".rstrip(), c.residual, tolerance)
+
+
 def test_criterion_01_phi0_at_zero():
     residual = abs(splib.amplitude_quadrature(0, 0.0) - np.sqrt(np.pi) / 2.0)
     report(1, "phi_0(0) = sqrt(pi)/2", residual, 1e-8)
 
 
 def test_criterion_02_closed_form_match():
-    grid = splib.symmetric_grid(6.0, 0.05)
-    worst_density = 0.0
-    worst_signed = 0.0
-    for l in (0, 1, 2):
-        quad = splib.amplitude_quadrature(l, grid)
-        closed = splib.amplitude_closed(l, grid)
-        worst_density = max(
-            worst_density, float(np.max(np.abs(np.abs(quad) ** 2 - np.abs(closed) ** 2)))
-        )
-        sign = splib.CLOSED_FORM_COMPARISON_SIGN[l]
-        worst_signed = max(worst_signed, float(np.max(np.abs(quad - sign * closed))))
-    report(2, "density match l=0,1,2", worst_density, 1e-8)
-    report(2, "amplitude match up to recorded sign", worst_signed, 1e-8)
+    check_suites(2, {
+        "amplitude_closed_density": (1e-8, 3),  # l = 0, 1, 2
+        "amplitude_closed_signed": (1e-8, 3),  # up to the recorded sign
+    })
 
 
 def test_criterion_03_ground_state_fluctuation():
-    mom = splib.moments(0, max_order=2)
-    report(3, "<p_z^2> = 1/3 for Y00", abs(mom[2] - 1.0 / 3.0), 1e-8)
-    rep = splib.uncertainty_report(0, 0)
-    report(3, "dz * dp_z = 1/3 for Y00", abs(rep.products["z"] - 1.0 / 3.0), 1e-8)
+    check_suites(3, {
+        "moment_second": (1e-8, 1),  # <p_z^2> = 1/3 for Y00
+        "uncertainty_product": (1e-8, 1),  # dx_i * dp_i = 1/3 for Y00
+    })
 
 
 def test_criterion_04_parseval():
-    worst = max(abs(splib.parseval_check(l) - 1.0) for l in range(9))
-    report(4, "Parseval = 1 for l <= 8", worst, 1e-5)
+    check_suites(4, {"parseval": (1e-5, 9)})  # l <= 8
 
 
-@pytest.fixture(scope="module")
-def acceptance_charts():
-    return [chlib.sphere(), chlib.cylinder(), chlib.torus(), chlib.plane()]
+def test_criterion_05_commutator_suites():
+    # 50 points per chart, Y_lm for l <= 3 plus three trig fields
+    check_suites(5, {
+        "position_momentum": (1e-10, 4 * 19),
+        "position_kinetic": (1e-9, 4 * 19),
+        "angular_momentum": (1e-10, 19),
+    })
 
 
-@pytest.fixture(scope="module")
-def acceptance_fields():
-    return flib.field_library(lmax=3, trig_count=3)
-
-
-def test_criterion_05_commutator_suites(acceptance_charts, acceptance_fields):
-    worst_xp = 0.0
-    worst_rt = 0.0
-    for chart in acceptance_charts:
-        for q1, q2 in chart_points(chart, 50):
-            for fld in acceptance_fields:
-                worst_xp = max(
-                    worst_xp, oplib.position_momentum_residual_max(chart, fld, q1, q2)
-                )
-                worst_rt = max(
-                    worst_rt,
-                    float(
-                        np.abs(
-                            oplib.commutator_position_kinetic(chart, fld, q1, q2)
-                        ).max()
-                    ),
-                )
-    report(5, "[x_i, p_j] identity across charts", worst_xp, 1e-10)
-    report(5, "[r, T] identity across charts", worst_rt, 1e-9)
-    worst_lp = 0.0
-    sphere = acceptance_charts[0]
-    for q1, q2 in chart_points(sphere, 50):
-        for fld in acceptance_fields:
-            worst_lp = max(worst_lp, oplib.angular_momentum_residual_max(fld, q1, q2))
-    report(5, "[L_i, p_j] identity on sphere", worst_lp, 1e-10)
-
-
-def test_criterion_06_geometry_oracles(acceptance_charts):
-    worst = 0.0
-    for chart in acceptance_charts:
-        coords = [flib.coordinate_field(chart, i) for i in range(3)]
-        for q1, q2 in chart_points(chart, 25):
-            fr = evaluate_frame(chart, q1, q2)
-            lap = np.array([laplace_beltrami(chart, c, q1, q2) for c in coords])
-            worst = max(
-                worst, float(np.abs(lap - 2.0 * fr.mean_curvature * fr.normal).max())
-            )
-    report(6, "lap(r) = 2 M n on all built-ins", worst, 1e-10)
-    sphere_v = abs(geometric_potential(evaluate_frame(chlib.sphere(), 1.0, 0.5)))
-    report(6, "sphere V_gp = 0", sphere_v, 1e-12)
-    radius = 2.0
-    cyl_v = abs(
-        geometric_potential(evaluate_frame(chlib.cylinder(radius=radius), 0.3, 0.1))
-        + 1.0 / (8.0 * radius**2)
-    )
-    report(6, "cylinder V_gp = -1/(8 R^2)", cyl_v, 1e-12)
+def test_criterion_06_geometry_oracles():
+    # lap(r) = 2 M n on the four built-ins; V_gp = 0 on the sphere and
+    # -1/(8 R^2) on the radius-2 cylinder
+    check_suites(6, {
+        "laplace_beltrami_coordinates": (1e-10, 4),
+        "geometric_potential": (1e-12, 2),
+    })
 
 
 def test_criterion_07_confining_limit_slope():
-    slope, _ = oplib.confinement_slope(
-        chlib.sphere(),
-        flib.spherical_harmonic(1, 0),
-        oplib.gaussian_profile(),
-        1.0,
-        0.5,
-        np.logspace(-4, -1, 13),
-    )
-    report(7, "confining-limit log-log slope = 1", abs(slope - 1.0), 0.05)
+    check_suites(7, {"confinement_slope": (0.05, 1)})
 
 
 def test_criterion_08_delta_normalization():
@@ -140,42 +92,15 @@ def test_criterion_08_delta_normalization():
 
 
 def test_criterion_09_eigenvalue_relation():
-    rng = np.random.default_rng(20240502)
-    worst = 0.0
-    for _ in range(100):
-        p = rng.uniform(-10.0, 10.0)
-        theta = rng.uniform(0.01, np.pi - 0.01)
-        eig = splib.eigenfunction_field(p)
-        value = oplib.sphere_momentum_component("z", eig.field, theta, 0.0)
-        worst = max(worst, abs(value - p * splib.psi(p, theta)))
-    report(9, "p_z psi_p = p psi_p at 100 random samples", worst, 1e-10)
+    check_suites(9, {"eigenvalue_residual": (1e-10, 1)})  # 100 random samples
 
 
 def test_criterion_10_rotation_relation():
-    grid = oplib.rotation_sample_grid(20, 40)
-    worst = 0.0
-    for fld in (
-        flib.constant(1.0),
-        flib.spherical_harmonic(1, 0),
-        flib.spherical_harmonic(2, 2),
-    ):
-        worst = max(worst, oplib.rotation_relation_check(fld, grid))
-    report(10, "p_x, p_y built from p_z by rotation", worst, 1e-10)
+    check_suites(10, {"rotation_relation": (1e-10, 3)})  # p_x, p_y from p_z
 
 
 def test_criterion_11_hermiticity():
-    pool = [
-        flib.spherical_harmonic(0, 0),
-        flib.spherical_harmonic(1, 0),
-        flib.spherical_harmonic(1, 1),
-        flib.spherical_harmonic(2, 0),
-    ]
-    worst = 0.0
-    for axis in "xyz":
-        for f in pool:
-            for g in pool:
-                worst = max(worst, abs(oplib.hermiticity_defect(axis, f, g, order=64)))
-    report(11, "hermiticity defect of p_x, p_y, p_z", worst, 1e-10)
+    check_suites(11, {"hermiticity": (1e-10, 3)})  # p_x, p_y, p_z at order 64
 
 
 def test_criterion_12_oscillator_figure():
@@ -183,9 +108,5 @@ def test_criterion_12_oscillator_figure():
     # the raw-density table must be present alongside the normalized one
     header = comp.to_csv().splitlines()[0].split(",")
     assert "density" in header and "sho_density" in header
-    report(
-        12,
-        "peak-normalized |phi_0|^2 vs matched oscillator",
-        comp.max_diff_shape_matched,
-        0.05,
-    )
+    # peak-normalized |phi_0|^2 against the matched oscillator
+    check_suites(12, {"sho_shape_match": (0.05, 1)})

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -122,7 +123,11 @@ def test_distribution_closed_form_method(tmp_path, capsys):
     out = tmp_path / "closed.csv"
     assert run(["distribution", "--l", "2", "--pmax", "1", "--dp", "0.5",
                 "--method", "closed_form", "--out", str(out)]) == 0
-    _, rows = read_csv(out)
+    header, rows = read_csv(out)
+    assert header == ["p", "re_amp", "im_amp", "density", "method"]
+    assert len(rows) == 5
+    raw = out.read_bytes()
+    assert raw.endswith(b"\n") and b"\r" not in raw
     assert all(r["method"] == "closed_form" for r in rows)
     center = [r for r in rows if float(r["p"]) == 0.0][0]
     assert abs(float(center["re_amp"]) + np.sqrt(5 * np.pi) / 8.0) < 1e-12
@@ -273,6 +278,67 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     _, rows2 = read_csv(out2)
     center2 = [r for r in rows2 if float(r["p"]) == 0.0][0]
     assert abs(float(center2["density"]) - np.pi / 4.0) < 1e-8  # flag overrode l
+
+
+def test_config_file_with_an_equals_sign_flag(tmp_path):
+    cfg = tmp_path / "l.cfg"
+    cfg.write_text("l = 1\npmax = 1\ndp = 0.5\n")
+    out = tmp_path / "eq.csv"
+    assert run(["distribution", f"--config={cfg}", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 5
+    center = [r for r in rows if float(r["p"]) == 0.0][0]
+    assert float(center["density"]) == 0.0  # l = 1 vanishes at p = 0
+
+
+def test_config_key_the_command_does_not_take(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("pmx = 10\n")
+    code = run(["distribution", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: config:") and "pmx" in captured.err
+    # a key of another command is unknown to this one too
+    cfg.write_text("lmax = 2\n")
+    assert run(["distribution", "--config", str(cfg)]) == 2
+    assert "lmax" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing config", "directory config", "missing out dir"])
+def test_unopenable_paths_are_config_errors(where, tmp_path, capsys):
+    args = {
+        "missing config": ["--config", str(tmp_path / "none.cfg")],
+        "directory config": ["--config", str(tmp_path)],
+        "missing out dir": ["--out", str(tmp_path / "no" / "d.csv")],
+    }[where]
+    code = run(["distribution", "--pmax", "1", "--dp", "0.5"] + args)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: config:")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_argv_is_parsed_once_without_config(monkeypatch, capsys):
+    calls = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counting)
+    assert run(["geom", "--surface", "sphere", "--point", "1,0.5"]) == 0
+    assert calls == ["surfquant"]
+
+
+@pytest.mark.parametrize("q3", ["0.01", "0.01,0.01", "0", "-0.01,0.02"])
+def test_confine_needs_two_distinct_positive_offsets(q3, capfd):
+    code = run(["confine", f"--q3={q3}"])
+    captured = capfd.readouterr()
+    assert code == 2 and captured.out == ""
+    # one line, with no LAPACK complaint and no numpy warning before it
+    assert captured.err.startswith("error: config: the log-log slope needs")
+    assert len(captured.err.splitlines()) == 1
 
 
 DISTRIBUTION_HEADER = ["p", "re_amp", "im_amp", "density", "method",

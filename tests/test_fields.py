@@ -136,8 +136,7 @@ def test_pullback_pole_proximity():
 
 
 def test_eigenfunction_field_partials():
-    eig = eigenfunction_field(1.7)
-    fld = eig.field
+    fld = eigenfunction_field(1.7)
     for theta in (0.4, 1.3, 2.8):
         assert abs(fld.value(theta, 0.3) - psi(1.7, theta)) < 1e-14
         fd = fd_gradient(fld.value, theta, 0.3)

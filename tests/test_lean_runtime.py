@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.special import sph_harm_y
 from scipy.stats import qmc
 
 import surfquant
@@ -152,6 +153,24 @@ def test_harmonics_stay_finite_at_the_poles():
                 assert np.all(np.isfinite(jet(np.array([0.0, np.pi]), 0.3)))
 
 
+def test_spherical_harmonics_match_scipy_up_to_the_bound():
+    theta = np.linspace(0.02, np.pi - 0.02, 201)[:, None]
+    phi = np.linspace(-3.0, 7.0, 9)[None, :]
+    for l in range(flib.MAX_HARMONIC_L + 1):
+        for m in range(-l, l + 1):
+            ours = flib.spherical_harmonic(l, m).value(theta, phi)
+            assert np.max(np.abs(ours - sph_harm_y(l, m, theta, phi))) <= 1e-13, (l, m)
+
+
+def test_field_library_bounds():
+    with pytest.raises(ValueError, match=f"l <= {flib.MAX_HARMONIC_L}"):
+        flib.spherical_harmonic(flib.MAX_HARMONIC_L + 1, 0)
+    # rejected before any field is built
+    for count in (-1, flib.MAX_TRIG_FIELDS + 1, 100_000_000):
+        with pytest.raises(ValueError, match="trig count"):
+            flib.trig_library(count)
+
+
 def test_sympy_symbols_stay_reachable():
     assert isinstance(flib.THETA, sp.Symbol) and flib.PHI.name == "phi"
     with pytest.raises(AttributeError):
@@ -189,10 +208,22 @@ def test_verify_rejects_a_negative_parseval_lmax(capsys):
 
 
 @pytest.mark.parametrize("chi", ["trig-1", "trigx", "trig1.5", "1,2", "2,-3",
-                                 "-1,0", "1,0,0", "1", "x", ""])
+                                 "-1,0", "1,0,0", "1", "x", "",
+                                 f"{flib.MAX_HARMONIC_L + 1},0", "40,0",
+                                 f"trig{flib.MAX_TRIG_FIELDS}", "trig100000000"])
 def test_confine_rejects_bad_field_selectors(chi, capsys):
     code, err = run_cli(["confine", f"--chi={chi}", "--q3", "0.01,0.1"], capsys)
     if chi == "1":  # the constant field
         assert code == 0
     else:
         assert code == 2 and err.startswith("error: config: --chi"), err
+
+
+@pytest.mark.parametrize("args", [
+    ["--lmax", str(flib.MAX_HARMONIC_L + 1)], ["--lmax", "40"],
+    ["--trig", str(flib.MAX_TRIG_FIELDS + 1)], ["--trig", "100000000"], ["--trig", "-1"],
+])
+def test_verify_rejects_field_libraries_past_the_bounds(args, capsys):
+    code, err = run_cli(["verify", "--only", "position_momentum"] + args, capsys)
+    assert code == 2 and err.startswith("error: config:"), err
+    assert len(err.splitlines()) == 1

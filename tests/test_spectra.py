@@ -77,14 +77,14 @@ def test_eigenvalue_relation_random_samples():
         p = rng.uniform(-10.0, 10.0)
         theta = rng.uniform(0.01, np.pi - 0.01)
         eig = splib.eigenfunction_field(p)
-        applied = oplib.sphere_momentum_component("z", eig.field, theta, 0.0)
+        applied = oplib.sphere_momentum_component("z", eig, theta, 0.0)
         worst = max(worst, abs(applied - p * splib.psi(p, theta)))
     assert worst < 1e-10
 
 
 def test_eigenvalue_relation_scales_with_hbar():
     eig = splib.eigenfunction_field(2.0)
-    applied = oplib.sphere_momentum_component("z", eig.field, 1.1, 0.0, hbar=3.0)
+    applied = oplib.sphere_momentum_component("z", eig, 1.1, 0.0, hbar=3.0)
     assert abs(applied - 3.0 * 2.0 * splib.psi(2.0, 1.1)) < 1e-12
 
 
@@ -398,25 +398,15 @@ def test_uncertainty_report_json():
 
 
 # ---------------------------------------------------------------------------
-# distribution table and oscillator comparison
+# distribution amplitudes and oscillator comparison
 # ---------------------------------------------------------------------------
 
 
-def test_distribution_table_riemann_sum_near_one():
-    table = splib.distribution_table(0, p_max=12.0, dp=0.05)
-    total = sum(s.density for s in table.samples) * 0.05
+def test_distribution_amplitudes_riemann_sum_near_one():
+    grid, amps = splib.distribution_amplitudes(0, p_max=12.0, dp=0.05)
+    total = float(np.sum(np.abs(amps) ** 2)) * 0.05
     assert abs(total - 1.0) < 1e-3
-    assert all(s.method == "quadrature" for s in table.samples)
-
-
-def test_distribution_table_csv_shape():
-    table = splib.distribution_table(1, p_max=1.0, dp=0.5, method="closed_form")
-    text = table.to_csv()
-    lines = text.splitlines()
-    assert lines[0] == "p,re_amp,im_amp,density,method"
-    assert len(lines) == 1 + 5
-    assert lines[1].endswith("closed_form")
-    assert text.endswith("\n") and "\r" not in text
+    assert grid.size == amps.size == 481
 
 
 def test_sho_comparison_values():
