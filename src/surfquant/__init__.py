@@ -53,6 +53,7 @@ from .spectra import (
     UncertaintyReport,
     amplitude_closed,
     amplitude_quadrature,
+    amplitude_recurrence,
     amplitude_surface_overlap,
     distribution_amplitudes,
     eigenfunction_field,

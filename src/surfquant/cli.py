@@ -10,14 +10,16 @@ verify        run the identity suites and emit a JSON report
 
 Every output is byte-stable for a fixed invocation: floats are written in
 shortest round-trip form, rows follow a fixed order, JSON keys keep
-insertion order.  Failure paths print a single machine-parseable line
-`error: <tag>: <message>` on stderr and exit nonzero (2 chart/config
-errors, 3 quadrature truncation, 4 shell fold, 1 failed verification).
+insertion order.  Failure paths, bad flags included, print a single
+machine-parseable line `error: <tag>: <message>` on stderr and exit
+nonzero (2 chart/config errors, 3 quadrature truncation, 4 shell fold,
+1 failed verification).
 
 An optional `--config FILE` supplies `key = value` defaults (same names as
 the long flags, hyphens and underscores interchangeable); explicit flags
-override the file.  A key the command does not take, and a config or
-`--out` path that cannot be opened, are config errors.
+override the file.  The repeatable flags (LIST_OPTIONS) take a
+whitespace-separated list there.  A key the command does not take, and a
+config or `--out` path that cannot be opened, are config errors.
 """
 
 import argparse
@@ -66,10 +68,15 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _csv(rows, header):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
+def _csv(columns):
+    """CSV text of `columns`, a dict of header -> float column or a str that
+    fills every row.  Each row is one %-template over the float columns, so
+    cells print as _fmt prints them."""
+    floats = [(np.asarray(col, dtype=float) + 0.0).tolist()
+              for col in columns.values() if not isinstance(col, str)]
+    template = ",".join(col.replace("%", "%%") if isinstance(col, str) else "%r"
+                        for col in columns.values())
+    lines = [",".join(columns)] + [template % row for row in zip(*floats)]
     return "\n".join(lines) + "\n"
 
 
@@ -157,15 +164,16 @@ def _geom_columns(chart, q1, q2, q3_values, hbar, mu):
         dets = shell_frame(frame, np.array(q3_values)).det
         for j, q3 in enumerate(q3_values):
             columns[f"shell_det_q3_{q3:g}"] = dets[:, j]
-    return {key: np.ravel(col).tolist() for key, col in columns.items()}
+    return {key: np.ravel(col) for key, col in columns.items()}
 
 
 def cmd_geom(args):
+    if args.surface is None:
+        # not required by the parser, so that a --config file can supply it
+        raise ValueError("the following arguments are required: --surface")
     chart = _make_surface(args)
     points = _geom_points(args, chart)
     q3_values = _parse_float_list(args.q3) if args.q3 else []
-    header = ["q1", "q2", "M", "K", "V_gp", "n_x", "n_y", "n_z", "sqrt_g"]
-    header += [f"shell_det_q3_{q3:g}" for q3 in q3_values]
     q1, q2 = (np.array(axis) for axis in zip(*points))
     try:
         columns = _geom_columns(chart, q1, q2, q3_values, args.hbar, args.mu)
@@ -176,24 +184,22 @@ def cmd_geom(args):
             one = slice(k, k + 1)
             _geom_columns(chart, q1[one], q2[one], q3_values, args.hbar, args.mu)
         raise
-    dicts = [dict(zip(header, values)) for values in zip(*(columns[k] for k in header))]
-    rows = [[_fmt(record[k]) for k in header] for record in dicts]
     if args.format == "csv":
-        _write_text(args.out, _csv(rows, header))
+        _write_text(args.out, _csv(columns))
     else:
+        values = zip(*(col.tolist() for col in columns.values()))
+        dicts = [dict(zip(columns, row)) for row in values]
         payload = {"surface": chart.name, "params": chart.params, "rows": dicts}
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
-def _fmt_column(values):
-    """_fmt over an array."""
-    return [repr(x) for x in (values + 0.0).tolist()]
-
-
 def cmd_distribution(args):
     if args.l < 0:
         raise ValueError("l must be nonnegative")
+    extra_closed = bool(args.compare_closed)
+    if extra_closed and args.l > 2:
+        raise ValueError("--compare-closed requires l <= 2")
     grid, amps = splib.distribution_amplitudes(
         args.l,
         p_max=args.pmax,
@@ -203,16 +209,13 @@ def cmd_distribution(args):
         nodes=args.nodes,
         tolerance=args.tolerance,
     )
-    extra_closed = bool(args.compare_closed)
-    if extra_closed and args.l > 2:
-        raise ValueError("--compare-closed requires l <= 2")
     density = np.abs(amps) ** 2
     columns = {
         "p": grid,
         "re_amp": amps.real,
         "im_amp": amps.imag,
         "density": density,
-        "method": [args.method] * grid.size,
+        "method": args.method,
     }
     if extra_closed:
         closed = splib.amplitude_closed(args.l, grid)
@@ -222,15 +225,12 @@ def cmd_distribution(args):
         max_density_dev = float(np.max(np.abs(density - columns["density_closed"])))
     if args.sho_overlay:
         columns[GAUSSIAN_REFERENCE_LABEL] = np.exp(-grid * grid) / np.sqrt(np.pi)
-    header = list(columns)
     if args.format == "csv":
-        cells = [col if isinstance(col, list) else _fmt_column(col)
-                 for col in columns.values()]
-        _write_text(args.out, _csv(zip(*cells), header))
+        _write_text(args.out, _csv(columns))
     else:
-        values = [col if isinstance(col, list) else col.tolist()
+        values = [[col] * grid.size if isinstance(col, str) else col.tolist()
                   for col in columns.values()]
-        samples = [dict(zip(header, row)) for row in zip(*values)]
+        samples = [dict(zip(columns, row)) for row in zip(*values)]
         payload = {"l": args.l, "samples": samples}
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     if extra_closed:
@@ -282,7 +282,8 @@ def cmd_confine(args):
         q3_values = list(np.logspace(-4, -1, 13))
     slope, rows = oplib.confinement_slope(chart, chi, profile, q1, q2, q3_values)
     if args.format == "csv":
-        body = _csv([[_fmt(a), _fmt(b)] for a, b in rows], ["q3", "deviation"])
+        q3s, deviations = zip(*rows)
+        body = _csv({"q3": q3s, "deviation": deviations})
         body += f"# loglog_slope={_fmt(slope)}\n"
         _write_text(args.out, body)
     else:
@@ -324,8 +325,17 @@ def _add_common(parser):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, so they print
+    as the one `error: config: ...` line (exit 2) of every other bad input.
+    Subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="surfquant",
         description="Quantum mechanics on parametric surfaces: curvature "
         "reports, momentum distributions, confinement study, identity "
@@ -335,7 +345,9 @@ def build_parser():
 
     p_geom = sub.add_parser("geom", help="pointwise curvature report")
     _add_common(p_geom)
-    p_geom.add_argument("--surface", required=True, help="sphere|cylinder|torus|plane")
+    p_geom.add_argument(
+        "--surface", help="sphere|cylinder|torus|plane (required, here or in --config)"
+    )
     p_geom.add_argument("--radius", type=float, help="radius shortcut parameter")
     p_geom.add_argument(
         "--param", action="append", help="named surface parameter key=value"
@@ -355,7 +367,7 @@ def build_parser():
     p_dist.add_argument("--Q", type=float, default=splib.DEFAULT_Q)
     p_dist.add_argument("--nodes", type=int, default=splib.DEFAULT_NODES)
     p_dist.add_argument(
-        "--method", choices=("quadrature", "closed_form"), default="quadrature"
+        "--method", choices=("quadrature", "closed_form"), default="closed_form"
     )
     p_dist.add_argument(
         "--compare-closed",
@@ -413,12 +425,14 @@ def build_parser():
     return parser, commands
 
 
+# Options that take one value per flag (action="append"); a config file
+# lists their values separated by whitespace.
+LIST_OPTIONS = {"geom": ("param", "point"), "confine": ("param",), "verify": ("only",)}
+
+
 def _coerce(text):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
+    """true/false for the on/off flags; any other value stays a string, which
+    the parser converts as it converts the flag's own text."""
     lowered = text.lower()
     if lowered in ("true", "false"):
         return lowered == "true"
@@ -444,7 +458,8 @@ def _parse_args(parser, commands, argv):
 
     Without --config argv is parsed once.  With it, every key must be an
     option of the invoked command, and argv is parsed again over the new
-    defaults, so explicit flags still win.
+    defaults, so explicit flags still win; for a LIST_OPTIONS key a flag
+    replaces the file's whole list.
     """
     args = parser.parse_args(argv)
     if args.config is None:
@@ -455,6 +470,10 @@ def _parse_args(parser, commands, argv):
         raise ValueError(
             f"{args.config}: {args.command} takes no option {', '.join(unknown)}"
         )
+    for key in LIST_OPTIONS.get(args.command, ()):
+        if key in values:
+            # an append flag would add to the file's list, not replace it
+            values[key] = None if getattr(args, key) else str(values[key]).split()
     commands[args.command].set_defaults(**values)
     return parser.parse_args(argv)
 

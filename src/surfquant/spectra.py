@@ -12,22 +12,36 @@ over them gives momentum-distribution amplitudes
     phi_l(p) = sqrt((2l+1)/(4 pi)) * Int P_l(tanh q) sech(q) e^{-i p q} dq
 
 in the stretched coordinate q = ln tan(theta/2).  This module evaluates
-the eigenfunctions, the amplitudes (by composite Gauss-Legendre quadrature
-in q, with a direct surface-overlap cross-check path), the first three
-closed forms, Parseval sums, momentum moments, uncertainty products, and
-the harmonic-oscillator comparison table.
+the eigenfunctions, the amplitudes, the first three textbook closed forms,
+Parseval sums, momentum moments, uncertainty products, and the
+harmonic-oscillator comparison table.
 
-The quadrature uses the parity (-1)^l of P_l(tanh q) sech(q): it sums a
-real cos (even l) or sin (odd l) over the right half of the mirror-symmetric
-q-rule, once per distinct |p|, in chunks of p, so its phase matrix stays a
-few MB however many p are asked for.  The rule's nodes per panel grow
-with max |p| (ceil(|p|) + 2 on width-2 panels), which keeps the amplitudes
-at machine precision out to |p| = MAX_ABS_P.
+The amplitudes are analytic.  With G_0 = pi sech(pi p/2) and G_1 = p G_0,
 
-Phase convention: the quadrature amplitude is the overlap integral of Y_l0
-against psi_p^*.  The closed-form table `amplitude_closed` keeps the
-commonly quoted prefactors verbatim; relative to the overlap integral
-those carry a fixed global sign per l, recorded in
+    (l+1)^2 G_{l+1} = (2l+1) p G_l - l^2 G_{l-1},
+    phi_l = sqrt((2l+1)/(4 pi)) (-i)^l G_l,
+
+where G_l / G_0 are Meixner-Pollaczek (continuous-Hahn type) polynomials
+(Koekoek, Lesky & Swarttouw, Hypergeometric Orthogonal Polynomials, 2010,
+ch. 9).  amplitude_recurrence evaluates this for 0 <= l <= 64; it is the
+default distribution path and feeds parseval_check and moments.
+
+amplitude_quadrature is the cross-check: composite Gauss-Legendre in q,
+with a direct surface-overlap path (amplitude_surface_overlap) behind it.
+It uses the parity (-1)^l of P_l(tanh q) sech(q): it sums a real cos (even
+l) or sin (odd l) over the right half of the mirror-symmetric q-rule, once
+per distinct |p|, in chunks of p, so its phase matrix stays a few MB
+however many p are asked for.  The rule's nodes per panel grow with max |p|
+(ceil(|p|) + 2 on width-2 panels) and, past l = 2, with l ((l+1) // 2
+more), which keeps the amplitudes within 1e-13 of the recurrence for
+l <= 64 and |p| <= 30 at the default nodes, and within 2e-13 (rounding)
+out to |p| = MAX_ABS_P.
+
+Phase convention: the recurrence and the quadrature both give the overlap
+integral of Y_l0 against psi_p^*, so they agree in sign for every l.  The
+l <= 2 table `amplitude_closed` keeps the commonly quoted prefactors
+verbatim, as an oracle independent of both; relative to the overlap
+integral those carry a fixed global sign per l, recorded in
 CLOSED_FORM_COMPARISON_SIGN and asserted constant across p by the tests.
 Densities are convention-free.
 """
@@ -60,12 +74,14 @@ _CHUNK_ELEMENTS = 1024 * (DEFAULT_NODES // 2)
 MAX_ABS_P = 1000.0
 
 # Caps on the q-rule, which has one width-2 panel per unit of Q: the nodes
-# per panel cover the ceil(MAX_ABS_P) + 2 that |p| can ask for, and the
-# panel count keeps cosh(q) finite and the rule below 2^19 nodes.
+# per panel that --nodes may request cover the ceil(MAX_ABS_P) + 2 that |p|
+# can ask for (the l term of _q_rule adds at most 32 on top), and the panel
+# count keeps cosh(q) finite and the rule below 2^19 nodes.
 MAX_PANEL_NODES = 1024
 MAX_PANELS = 512
 
-# Sign s_l such that amplitude_quadrature == s_l * amplitude_closed.  The
+# Sign s_l such that amplitude_quadrature == amplitude_recurrence
+# == s_l * amplitude_closed.  The
 # odd-l sign follows from the orientation of the q-substitution; the l = 2
 # sign is recorded from the overlap integral (phi_2(0) = +sqrt(5 pi)/8).
 CLOSED_FORM_COMPARISON_SIGN = {0: 1.0, 1: -1.0, 2: -1.0}
@@ -161,14 +177,19 @@ def dirichlet_kernel(dp, L):
     return (L / np.pi) * np.sinc(dp * L / np.pi)
 
 
+def _check_order(l):
+    l = int(l)
+    if l < 0 or l > LEGENDRE_MAX_ORDER:
+        raise ValueError(f"order {l} outside supported range 0..{LEGENDRE_MAX_ORDER}")
+    return l
+
+
 def legendre_p(l, x):
     """Legendre polynomial P_l(x) by the upward three-term recurrence.
 
     Stable on x in [-1, 1]; supported for l <= 64.
     """
-    l = int(l)
-    if l < 0 or l > LEGENDRE_MAX_ORDER:
-        raise ValueError(f"order {l} outside supported range 0..{LEGENDRE_MAX_ORDER}")
+    l = _check_order(l)
     x = np.asarray(x, dtype=float)
     p_prev = np.ones_like(x)
     if l == 0:
@@ -186,9 +207,13 @@ def _check_truncation(Q, tolerance):
         raise QuadratureTruncationError(bound, tolerance)
 
 
-def _q_rule(Q, nodes, p_max):
+def _q_rule(Q, nodes, p_max, l):
     # Width-2 panels over [-Q, Q]; a panel turns the phase by 2|p| radians,
     # which ceil(|p|) + 2 Gauss-Legendre nodes resolve to machine precision.
+    # P_l(tanh q) oscillates about l + 1/2 times per unit q near q = 0, and
+    # (l + 1) // 2 more nodes per panel are the fewest that hold 1e-13
+    # against amplitude_recurrence for every 2 < l <= 64 and |p| <= 30 at
+    # the default nodes (measured; l <= 2 keeps the rule it had).
     Q = float(Q)
     if not 0.0 < Q <= MAX_PANELS:  # NaN fails too
         raise ValueError(f"need a finite Q in (0, {MAX_PANELS}] (got {Q})")
@@ -200,10 +225,12 @@ def _q_rule(Q, nodes, p_max):
         )
     requested = max(4, int(np.ceil(nodes / n_panels)))
     per_panel = max(requested, int(np.ceil(p_max)) + 2)
+    if l > 2:
+        per_panel += (l + 1) // 2
     return panel_rule(-Q, Q, panel_width=2.0, nodes=per_panel)
 
 
-def _folded_q_rule(Q, nodes, p_max):
+def _folded_q_rule(Q, nodes, p_max, l):
     """Right half of the q-rule, weights doubled, for integrands of fixed parity.
 
     The rule is mirror-symmetric (to rounding when Q is not an integer), so
@@ -211,7 +238,7 @@ def _folded_q_rule(Q, nodes, p_max):
     count has a centre node at q = 0, which is its own mirror and keeps its
     single weight; it leads the returned arrays.
     """
-    q, w = _q_rule(Q, nodes, p_max)
+    q, w = _q_rule(Q, nodes, p_max, l)
     centre = q.size // 2
     q_half, w_half = q[centre:], 2.0 * w[centre:]
     if q.size % 2:
@@ -219,8 +246,38 @@ def _folded_q_rule(Q, nodes, p_max):
     return q_half, w_half
 
 
+def amplitude_recurrence(l, p):
+    """Momentum-distribution amplitude phi_l(p) in closed form, 0 <= l <= 64.
+
+    phi_l = sqrt((2l+1)/(4 pi)) (-i)^l G_l(p), with G_0 = pi sech(pi p/2),
+    G_1 = p G_0 and (l+1)^2 G_{l+1} = (2l+1) p G_l - l^2 G_{l-1}: the
+    Fourier transforms of P_l(tanh q) sech q in the overlap convention, so
+    the phase matches amplitude_quadrature for every l.  Even l are real,
+    odd l imaginary, and |phi_l(-p)| == |phi_l(p)| exactly.  Accepts scalar
+    or array p; |p| above MAX_ABS_P is refused, as by the quadrature.
+    """
+    l = _check_order(l)
+    p_arr = np.asarray(p, dtype=float)
+    if not np.all(np.abs(p_arr) <= MAX_ABS_P):
+        raise ValueError(f"need finite |p| <= {MAX_ABS_P:g} for the amplitudes")
+    # sech x = 2a / (1 + a^2) with a = e^{-|x|}: cosh would overflow past |p| ~ 450
+    decay = np.exp(-0.5 * np.pi * np.abs(p_arr))
+    g_prev, g = 0.0, 2.0 * np.pi * decay / (1.0 + decay * decay)
+    for k in range(l):
+        g_prev, g = g, ((2 * k + 1) * p_arr * g - k * k * g_prev) / (k + 1) ** 2
+    values = (1.0, -1.0, -1.0, 1.0)[l % 4] * np.sqrt((2 * l + 1) / (4.0 * np.pi)) * g
+    out = np.zeros(p_arr.shape, dtype=complex)
+    if l % 2:
+        out.imag = values + 0.0  # no -0.0
+    else:
+        out.real = values + 0.0
+    return complex(out) if out.ndim == 0 else out
+
+
 def amplitude_quadrature(l, p, Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8):
     """Momentum-distribution amplitude phi_l(p) by quadrature in q.
+
+    The cross-check of amplitude_recurrence, which it matches in sign.
 
     Evaluates sqrt((2l+1)/(4 pi)) Int_{-Q}^{Q} P_l(tanh q) sech(q)
     e^{-i p q} dq on composite Gauss-Legendre panels.  Equals the surface
@@ -233,18 +290,16 @@ def amplitude_quadrature(l, p, Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8)
     dq for odd l: real work on half the rule.  Each distinct |p| is
     evaluated once, in chunks of p, and mirrored (cos even, sin odd), so
     |phi_l(-p)| == |phi_l(p)| exactly.  The nodes per panel grow with
-    max |p| (see _q_rule); |p| above MAX_ABS_P, a Q outside
+    max |p| and l (see _q_rule); |p| above MAX_ABS_P, a Q outside
     (0, MAX_PANELS] and more than MAX_PANEL_NODES nodes per panel are
     refused.
     """
-    l = int(l)
-    if l < 0:
-        raise ValueError("l must be a nonnegative integer")
+    l = _check_order(l)
     p_arr = np.asarray(p, dtype=float)
     magnitude = np.abs(p_arr).ravel()
     if not np.all(magnitude <= MAX_ABS_P):
         raise ValueError(f"need finite |p| <= {MAX_ABS_P:g} for the quadrature")
-    q, w = _folded_q_rule(Q, nodes, magnitude.max(initial=0.0))
+    q, w = _folded_q_rule(Q, nodes, magnitude.max(initial=0.0), l)
     _check_truncation(Q, tolerance)
     kernel = w * legendre_p(l, np.tanh(q)) / np.cosh(q)
     wave = np.sin if l % 2 else np.cos
@@ -315,22 +370,23 @@ def _momentum_rule(p_max, dp):
     return panel_rule(-p_max, p_max, panel_width=2.0, nodes=per_panel)
 
 
-def parseval_check(l, p_max=16.0, dp=0.05, Q=DEFAULT_Q, nodes=DEFAULT_NODES):
-    """Int |phi_l(p)|^2 dp over [-p_max, p_max]; exactly 1 for a unitary
-    transform of a normalized Y_l0, up to truncation."""
+def parseval_check(l, p_max=16.0, dp=0.05):
+    """Int |phi_l(p)|^2 dp over [-p_max, p_max] from amplitude_recurrence;
+    exactly 1 for a unitary transform of a normalized Y_l0, up to
+    truncation."""
     p_nodes, w = _momentum_rule(p_max, dp)
-    amps = amplitude_quadrature(l, p_nodes, Q=Q, nodes=nodes)
-    return float(np.sum(w * np.abs(amps) ** 2))
+    return float(np.sum(w * np.abs(amplitude_recurrence(l, p_nodes)) ** 2))
 
 
-def moments(l, max_order=2, p_max=16.0, dp=0.05, Q=DEFAULT_Q, nodes=DEFAULT_NODES):
-    """Moments <p^k> of the density |phi_l|^2 for k = 0..max_order.
+def moments(l, max_order=2, p_max=16.0, dp=0.05):
+    """Moments <p^k> of the density |phi_l|^2 (from amplitude_recurrence)
+    for k = 0..max_order.
 
     Odd moments vanish by the parity of the density.  For Y_00 the second
     moment is the zero-point momentum fluctuation 1/3 (hbar = 1).
     """
     p_nodes, w = _momentum_rule(p_max, dp)
-    density = np.abs(amplitude_quadrature(l, p_nodes, Q=Q, nodes=nodes)) ** 2
+    density = np.abs(amplitude_recurrence(l, p_nodes)) ** 2
     return [float(np.sum(w * p_nodes**k * density)) for k in range(max_order + 1)]
 
 
@@ -354,14 +410,16 @@ def symmetric_grid(p_max, dp):
     return float(dp) * np.arange(-n, n + 1)
 
 
-def distribution_amplitudes(l, p_max=6.0, dp=0.05, method="quadrature",
+def distribution_amplitudes(l, p_max=6.0, dp=0.05, method="closed_form",
                             Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8):
-    """(grid, amplitudes) of phi_l on symmetric_grid(p_max, dp) by `method`."""
+    """(grid, amplitudes) of phi_l on symmetric_grid(p_max, dp) by `method`:
+    "closed_form" (amplitude_recurrence) or "quadrature" (Q, nodes and
+    tolerance apply to it alone)."""
     grid = symmetric_grid(p_max, dp)
     if method == "quadrature":
         amps = amplitude_quadrature(l, grid, Q=Q, nodes=nodes, tolerance=tolerance)
     elif method == "closed_form":
-        amps = amplitude_closed(l, grid)
+        amps = amplitude_recurrence(l, grid)
     else:
         raise ValueError("method must be 'quadrature' or 'closed_form'")
     return grid, amps
@@ -369,10 +427,10 @@ def distribution_amplitudes(l, p_max=6.0, dp=0.05, method="quadrature",
 
 @dataclass(frozen=True)
 class UncertaintyReport:
-    """Position/momentum spreads of Y_lm and their products.
+    """Position/momentum spreads of Y_l0 and their products.
 
-    Position moments come from surface quadrature of |Y_lm|^2 x_i and
-    |Y_lm|^2 x_i^2; momentum moments from the |phi_l|^2 density.  For
+    Position moments come from surface quadrature of |Y_l0|^2 x_i and
+    |Y_l0|^2 x_i^2; momentum moments from the |phi_l|^2 density.  For
     l = 0 the x and y momentum spreads are copied from the z one by the
     rotational symmetry of Y_00 (that symmetry argument is only valid at
     l = 0, so for l > 0 just the z-axis product is reported).
@@ -413,6 +471,9 @@ def uncertainty_report(l, m=0, order=96, p_max=16.0, dp=0.05):
     l = int(l)
     if l > 8:
         raise ValueError("supported for l <= 8")
+    if m != 0:
+        # the momentum moments are those of phi_l, the amplitudes of Y_l0
+        raise ValueError(f"momentum amplitudes exist for m = 0 only (got m = {m})")
     ylm = flib.spherical_harmonic(l, m)
     theta, phi, w = sphere_grid(order)
     weight = w * np.abs(ylm.value(theta, phi)) ** 2

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from surfquant import charts as chlib
-from surfquant.cli import _fmt, _fmt_column, main
+from surfquant import spectra as splib
+from surfquant.cli import _csv, _fmt, main
 from surfquant.errors import ShellFoldError
 from surfquant.geometry import evaluate_frame, shell_frame
 
@@ -130,11 +131,18 @@ def test_distribution_closed_form_method(tmp_path, capsys):
     assert raw.endswith(b"\n") and b"\r" not in raw
     assert all(r["method"] == "closed_form" for r in rows)
     center = [r for r in rows if float(r["p"]) == 0.0][0]
-    assert abs(float(center["re_amp"]) + np.sqrt(5 * np.pi) / 8.0) < 1e-12
-    code = run(["distribution", "--l", "5", "--pmax", "1", "--dp", "0.5",
-                "--method", "closed_form"])
-    assert code == 2
-    assert "closed forms available" in capsys.readouterr().err
+    # the overlap sign, as the quadrature's: the verbatim table has -sqrt(5 pi)/8
+    assert abs(float(center["re_amp"]) - np.sqrt(5 * np.pi) / 8.0) < 1e-12
+    # the recurrence covers every l, and matches the quadrature in sign
+    paths = {}
+    for method in ("closed_form", "quadrature"):
+        path = tmp_path / f"l5_{method}.csv"
+        assert run(["distribution", "--l", "5", "--pmax", "1", "--dp", "0.5",
+                    "--method", method, "--out", str(path)]) == 0
+        paths[method] = np.array([[float(r[k]) for k in ("im_amp", "re_amp")]
+                                  for r in read_csv(path)[1]])
+    assert np.max(np.abs(paths["closed_form"] - paths["quadrature"])) < 1e-13
+    assert np.all(paths["closed_form"][:, 1] == 0.0)
 
 
 def test_distribution_sho_overlay(tmp_path):
@@ -149,7 +157,7 @@ def test_distribution_sho_overlay(tmp_path):
 
 def test_distribution_truncation_exit_code(tmp_path, capsys):
     code = run(["distribution", "--l", "0", "--Q", "8", "--pmax", "1",
-                "--dp", "0.5", "--out", str(tmp_path / "d.csv")])
+                "--dp", "0.5", "--method", "quadrature", "--out", str(tmp_path / "d.csv")])
     assert code == 3
     assert "error: quadrature-truncation:" in capsys.readouterr().err
 
@@ -291,6 +299,68 @@ def test_config_file_with_an_equals_sign_flag(tmp_path):
     assert float(center["density"]) == 0.0  # l = 1 vanishes at p = 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["distribution", "--dp", "abc"], "argument --dp: invalid float value: 'abc'"),
+    (["distribution", "--method", "spline"], "argument --method: invalid choice"),
+    (["geom", "--point", "1,1"], "the following arguments are required: --surface"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_print_one_config_line(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_still_prints_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["distribution", "-h"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: surfquant distribution")
+
+
+def test_config_file_lists_and_required_surface(tmp_path, capsys):
+    cfg = tmp_path / "geom.cfg"
+    cfg.write_text("surface = torus\n"
+                   "param = major_radius=3 minor_radius=1\n"
+                   "point = 1,2 0.5,0.5\n"
+                   "q3 = 0.1\n")
+    assert run(["geom", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(",shell_det_q3_0.1") and len(lines) == 3
+    assert [line.split(",")[:2] for line in lines[1:]] == [["1.0", "2.0"], ["0.5", "0.5"]]
+    # M of the (3, 1) torus at q2 = 0 is -(a + 2b) / (2b(a + b)) = -5/8
+    assert run(["geom", "--config", str(cfg), "--point", "0,0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0.0,0.0,-0.625,")  # flags replace
+
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("only = parseval moment_second\nparseval-lmax = 1\n")
+    assert run(["verify", "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["identity_name"] for c in report["checks"]] == ["parseval"] * 2 + ["moment_second"]
+
+    cfg = tmp_path / "confine.cfg"
+    cfg.write_text("surface = torus\nparam = major_radius=3 minor_radius=1\n"
+                   "chi = 1\npoint = 1,0.5\nq3 = 0.01,0.1\nformat = json\n")
+    assert run(["confine", "--config", str(cfg)]) == 0
+    payload = json.loads(capsys.readouterr().out.split("loglog_slope=")[0])
+    assert payload["surface"] == "torus" and payload["chi"] == "const(1)"
+    assert payload["point"] == [1.0, 0.5]
+
+
+def test_distribution_is_exact_at_high_l_by_either_method(tmp_path):
+    exact = splib.amplitude_recurrence(24, splib.symmetric_grid(30.0, 0.25))
+    for method in ("closed_form", "quadrature"):
+        out = tmp_path / f"{method}.csv"
+        assert run(["distribution", "--l", "24", "--pmax", "30", "--dp", "0.25",
+                    "--method", method, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        amps = np.array([float(r["re_amp"]) + 1j * float(r["im_amp"]) for r in rows])
+        assert np.max(np.abs(amps - exact)) <= 1e-13
+
+
 def test_config_key_the_command_does_not_take(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("pmx = 10\n")
@@ -361,7 +431,7 @@ def test_distribution_csv_and_json_layout(tmp_path, capsys):
     assert len(payload["samples"]) == 17
     for line, sample in zip(lines[1:], payload["samples"]):
         assert list(sample) == DISTRIBUTION_HEADER
-        assert sample["method"] == "quadrature"
+        assert sample["method"] == "closed_form"  # the default
         # the CSV prints each JSON value in shortest form, -0.0 folded
         cells = [sample[k] if k == "method" else repr(sample[k] + 0.0)
                  for k in DISTRIBUTION_HEADER]
@@ -370,8 +440,11 @@ def test_distribution_csv_and_json_layout(tmp_path, capsys):
 
 def test_column_formatter_matches_fmt():
     column = np.array([-0.0, 0.0, -1e-300, 0.1, -2.5, 1e22, np.inf, np.nan])
-    assert _fmt_column(column) == [_fmt(x) for x in column]
-    assert _fmt_column(column)[0] == "0.0"
+    text = _csv({"a": column, "label": "x%y", "b": column[::-1].tolist()})
+    header, *lines = text.splitlines()
+    assert header == "a,label,b" and text.endswith("\n")
+    assert lines == [f"{_fmt(a)},x%y,{_fmt(b)}" for a, b in zip(column, column[::-1])]
+    assert lines[0].startswith("0.0,")
 
 
 @pytest.mark.parametrize("args", [

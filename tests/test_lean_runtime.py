@@ -191,15 +191,17 @@ def run_cli(args, capsys):
     ["--Q", "2", "--nodes", str(2 * splib.MAX_PANEL_NODES + 1)],
 ])
 def test_distribution_rejects_bad_rules(args, capsys):
-    code, err = run_cli(["distribution", "--pmax", "1", "--tolerance", "1"] + args, capsys)
+    code, err = run_cli(["distribution", "--method", "quadrature", "--pmax", "1",
+                         "--tolerance", "1"] + args, capsys)
     assert code == 2 and err.startswith("error: config: need")
 
 
 def test_distribution_keeps_rules_up_to_the_caps(capsys):
-    assert run_cli(["distribution", "--pmax", "1", "--tolerance", "1", "--Q", "2",
-                    "--nodes", str(2 * splib.MAX_PANEL_NODES)], capsys)[0] == 0
+    quadrature = ["distribution", "--method", "quadrature"]
+    assert run_cli(quadrature + ["--pmax", "1", "--tolerance", "1", "--Q", "2",
+                                 "--nodes", str(2 * splib.MAX_PANEL_NODES)], capsys)[0] == 0
     # a short Q is still a truncation error, not a config one
-    assert run_cli(["distribution", "--Q", "10"], capsys)[0] == 3
+    assert run_cli(quadrature + ["--Q", "10"], capsys)[0] == 3
 
 
 def test_verify_rejects_a_negative_parseval_lmax(capsys):

@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from surfquant import operators as oplib
 from surfquant import spectra as splib
 from surfquant.errors import PoleProximityError, QuadratureTruncationError
+from surfquant.quadrature import panel_rule
 
 
 def legendre_series_oracle(l, x):
@@ -228,7 +230,7 @@ def unfolded_amplitude(l, p, Q, nodes):
     """Reference: the complex exponential over the whole q-rule, as
     amplitude_quadrature computed it before the parity fold."""
     p = np.asarray(p, dtype=float)
-    q, w = splib._q_rule(Q, nodes, np.max(np.abs(p)))
+    q, w = splib._q_rule(Q, nodes, np.max(np.abs(p)), l)
     kernel = w * splib.legendre_p(l, np.tanh(q)) / np.cosh(q)
     phases = np.exp(-1j * p[:, None] * q[None, :])
     return np.sqrt((2 * l + 1) / (4.0 * np.pi)) * (phases @ kernel)
@@ -246,9 +248,9 @@ def test_folded_amplitude_matches_unfolded_formula(Q, nodes):
 
 
 def test_folded_rule_keeps_a_centre_node_once():
-    q, w = splib._q_rule(5.0, 165, 0.0)
+    q, w = splib._q_rule(5.0, 165, 0.0, 0)
     assert q.size % 2 == 1 and q[q.size // 2] == 0.0
-    q_half, w_half = splib._folded_q_rule(5.0, 165, 0.0)
+    q_half, w_half = splib._folded_q_rule(5.0, 165, 0.0, 0)
     assert q_half[0] == 0.0 and w_half[0] == w[q.size // 2]
     assert abs(np.sum(w_half) - 10.0) < 1e-13  # integrates 1 over [-5, 5]
 
@@ -326,6 +328,97 @@ def test_density_parity_exact():
 
 
 # ---------------------------------------------------------------------------
+# The closed-form recurrence
+# ---------------------------------------------------------------------------
+
+
+def mp_recurrence(l, p):
+    """phi_l(p) by the same recurrence at 50 digits, sech from mpmath."""
+    p = mpmath.mpf(p)
+    g_prev, g = mpmath.mpf(0), mpmath.pi * mpmath.sech(mpmath.pi * p / 2)
+    for k in range(l):
+        g_prev, g = g, ((2 * k + 1) * p * g - k * k * g_prev) / (k + 1) ** 2
+    value = complex(mpmath.sqrt((2 * l + 1) / (4 * mpmath.pi)) * g)
+    return value * (-1j) ** l
+
+
+def mp_overlap_integral(l, p):
+    """phi_l(p) from its defining q-integral at 30 digits (no recurrence)."""
+    p = mpmath.mpf(p)
+    wave = mpmath.sin if l % 2 else mpmath.cos
+    integrand = lambda q: mpmath.legendre(l, mpmath.tanh(q)) * mpmath.sech(q) * wave(p * q)
+    with mpmath.workdps(30):
+        half = mpmath.quad(integrand, mpmath.linspace(0, 80, 81))
+        value = complex(2 * mpmath.sqrt((2 * l + 1) / (4 * mpmath.pi)) * half)
+    return -1j * value if l % 2 else value
+
+
+@pytest.mark.parametrize("l", [0, 2, 8, 24, 40, 64])
+def test_recurrence_matches_a_50_digit_oracle(l):
+    p = np.concatenate([np.linspace(-30.0, 30.0, 121), np.linspace(-1000.0, 1000.0, 41),
+                        [-0.0, 1e-3, 0.4375, 450.25, splib.MAX_ABS_P]])
+    amps = splib.amplitude_recurrence(l, p)
+    with mpmath.workdps(50):
+        oracle = np.array([mp_recurrence(l, x) for x in p])
+    assert np.max(np.abs(amps - oracle)) <= 2e-15
+
+
+@pytest.mark.parametrize("l, p", [(3, -2.5), (8, 1.3), (24, 5.0)])
+def test_recurrence_matches_the_overlap_integral(l, p):
+    assert abs(splib.amplitude_recurrence(l, p) - mp_overlap_integral(l, p)) <= 2e-15
+
+
+def test_recurrence_matches_the_quadrature_for_every_l():
+    # the l-aware q-rule; at l = 8, 24, 64 the |p|-only rule was off by
+    # 2.6e-11, 2.2e-5 and 0.23
+    p = splib.symmetric_grid(30.0, 0.1)
+    for l in range(splib.LEGENDRE_MAX_ORDER + 1):
+        quad = splib.amplitude_quadrature(l, p)
+        assert np.max(np.abs(splib.amplitude_recurrence(l, p) - quad)) <= 1e-13, l
+
+
+def test_recurrence_is_the_signed_closed_table_for_low_l():
+    p = np.concatenate([splib.symmetric_grid(30.0, 0.01), [-0.0]])
+    for l in (0, 1, 2):
+        expected = splib.CLOSED_FORM_COMPARISON_SIGN[l] * splib.amplitude_closed(l, p)
+        assert np.max(np.abs(splib.amplitude_recurrence(l, p) - expected)) <= 4e-16
+
+
+def test_recurrence_amplitudes_are_orthonormal():
+    p, w = panel_rule(-60.0, 60.0, nodes=64)
+    amps = np.array([splib.amplitude_recurrence(l, p) for l in range(17)])
+    gram = (amps * w) @ amps.conj().T
+    assert np.max(np.abs(gram - np.eye(17))) <= 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+def test_recurrence_does_not_overflow_at_the_largest_p():
+    p = np.array([-splib.MAX_ABS_P, -451.0, 451.0, splib.MAX_ABS_P])
+    for l in range(splib.LEGENDRE_MAX_ORDER + 1):
+        amps = splib.amplitude_recurrence(l, p)
+        assert np.all(np.abs(amps) < 1e-200), l
+
+
+def test_recurrence_shapes_parity_and_refusals():
+    p = splib.symmetric_grid(5.0, 0.25)
+    for l in range(9):
+        amps = splib.amplitude_recurrence(l, p)
+        assert np.all((amps.real if l % 2 else amps.imag) == 0.0)
+        assert np.array_equal(np.abs(amps), np.abs(amps[::-1]))
+        assert not np.any(np.signbit(amps.real) & (amps.real == 0.0))
+        assert not np.any(np.signbit(amps.imag) & (amps.imag == 0.0))
+    assert type(splib.amplitude_recurrence(3, 0.5)) is complex
+    assert splib.amplitude_recurrence(1, p[:39].reshape(13, 3)).shape == (13, 3)
+    for l, bad in ((0, np.nan), (0, 1.5 * splib.MAX_ABS_P), (-1, 0.0),
+                   (splib.LEGENDRE_MAX_ORDER + 1, 0.0)):
+        with pytest.raises(ValueError):
+            splib.amplitude_recurrence(l, bad)
+    # the quadrature checks l before it builds an l-sized rule
+    with pytest.raises(ValueError):
+        splib.amplitude_quadrature(10**9, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # Parseval, moments, uncertainty
 # ---------------------------------------------------------------------------
 
@@ -383,6 +476,10 @@ def test_uncertainty_report_y10():
 def test_uncertainty_report_range():
     with pytest.raises(ValueError):
         splib.uncertainty_report(9, 0)
+    # the momentum moments are those of Y_l0, so m != 0 would mix moments
+    for m in (1, -1):
+        with pytest.raises(ValueError, match="m = 0 only"):
+            splib.uncertainty_report(1, m)
 
 
 def test_uncertainty_report_json():
