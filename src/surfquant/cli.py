@@ -18,11 +18,13 @@ nonzero (2 chart/config errors, 3 quadrature truncation, 4 shell fold,
 An optional `--config FILE` supplies `key = value` defaults (same names as
 the long flags, hyphens and underscores interchangeable); explicit flags
 override the file.  The repeatable flags (LIST_OPTIONS) take a
-whitespace-separated list there.  A key the command does not take, and a
-config or `--out` path that cannot be opened, are config errors.
+whitespace-separated list there.  A key the command does not take, a value
+outside its CHOICES, and a config or `--out` path that cannot be opened,
+are config errors.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -42,6 +44,14 @@ from .errors import (
 from .geometry import evaluate_frame, geometric_potential, shell_frame
 
 GAUSSIAN_REFERENCE_LABEL = "sho_density"
+
+# The options with a fixed set of values; a --config value is checked here
+# too, since argparse checks choices only of the text it reads from argv.
+CHOICES = {
+    "format": ("csv", "json"),
+    "method": ("quadrature", "closed_form"),
+    "profile": ("gaussian", "flat"),
+}
 
 # `confine` evaluates here without --point; other charts use their domain
 # centre, which lies inside the domain whatever the surface parameters.
@@ -321,7 +331,7 @@ def _add_common(parser):
     parser.add_argument("--config", help="key=value config file with defaults")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
+        "--format", choices=CHOICES["format"], default="csv", help="output format"
     )
 
 
@@ -367,7 +377,7 @@ def build_parser():
     p_dist.add_argument("--Q", type=float, default=splib.DEFAULT_Q)
     p_dist.add_argument("--nodes", type=int, default=splib.DEFAULT_NODES)
     p_dist.add_argument(
-        "--method", choices=("quadrature", "closed_form"), default="closed_form"
+        "--method", choices=CHOICES["method"], default="closed_form"
     )
     p_dist.add_argument(
         "--compare-closed",
@@ -392,7 +402,7 @@ def build_parser():
     p_conf.add_argument(
         "--chi", default="1,0", help="surface factor: 'l,m' harmonic, trigN or const"
     )
-    p_conf.add_argument("--profile", choices=("gaussian", "flat"), default="gaussian")
+    p_conf.add_argument("--profile", choices=CHOICES["profile"], default="gaussian")
     p_conf.add_argument("--width", type=float, default=1.0)
     p_conf.add_argument(
         "--point",
@@ -453,15 +463,81 @@ def _load_config(path):
     return values
 
 
-def _parse_args(parser, commands, argv):
+def _point_spellings(geom_parser):
+    """--point and those of its prefixes that argparse reads as --point."""
+    spellings = set()
+    for prefix in ("--point"[:k] for k in range(3, len("--point") + 1)):
+        try:
+            args, _ = geom_parser.parse_known_args([prefix, "x"])
+        except ValueError:  # a prefix of several options
+            continue
+        if args.point == ["x"]:
+            spellings.add(prefix)
+    return spellings
+
+
+def _lift_points(argv, spellings):
+    """Split a `geom` argv into (argv without its --point flags, their values
+    in argv order), in one pass; `spellings` are those of _point_spellings.
+
+    argparse rescans the remaining option indices once per option token, so
+    its cost grows with the square of the number of --point flags; the
+    remaining argv holds the few other options.  A lift is exact when it
+    cannot change how argparse reads any other token, so nothing is lifted,
+    and argparse reads the whole argv, when a --point follows a `-`-led token
+    without `=` (an option would take the --point as its missing value) or
+    has a missing, empty or `-`-led value.  Scanning stops at `--`.
+    """
+    if argv[:1] != ["geom"]:
+        return argv, []
+    rest, points = argv[:1], []
+    i = 1
+    while i < len(argv) and argv[i] != "--":
+        name, eq, value = argv[i].partition("=")
+        if name not in spellings:
+            rest.append(argv[i])
+            i += 1
+            continue
+        if not eq:
+            value = argv[i + 1] if i + 1 < len(argv) else ""
+        previous = argv[i - 1]
+        if (not value or (not eq and value.startswith("-"))
+                or (previous.startswith("-") and "=" not in previous)):
+            return argv, []
+        points.append(value)
+        i += 1 if eq else 2
+    return rest + argv[i:], points
+
+
+@functools.cache
+def _shared_parser():
+    """build_parser()'s parser and geom's _point_spellings, made on the
+    first call; the parser is never mutated after."""
+    parser, commands = build_parser()
+    return parser, _point_spellings(commands["geom"])
+
+
+def _parse_args(argv):
     """Parse argv; a --config file's values become the command's defaults.
 
-    Without --config argv is parsed once.  With it, every key must be an
-    option of the invoked command, and argv is parsed again over the new
-    defaults, so explicit flags still win; for a LIST_OPTIONS key a flag
-    replaces the file's whole list.
+    A `geom` argv's --point flags are lifted out first (_lift_points) and
+    set as `point` after each parse.  Without --config argv is parsed once.
+    With it, every key must be an option of the invoked command and every
+    value one of its CHOICES, and argv is parsed again over the new
+    defaults, on a fresh parser since set_defaults mutates it, so explicit
+    flags still win; for a LIST_OPTIONS key a flag replaces the file's
+    whole list.
     """
-    args = parser.parse_args(argv)
+    parser, spellings = _shared_parser()
+    argv, points = _lift_points(argv, spellings)
+
+    def parse(parser):
+        args = parser.parse_args(argv)
+        if points:
+            args.point = points
+        return args
+
+    args = parse(parser)
     if args.config is None:
         return args
     values = _load_config(args.config)
@@ -470,12 +546,19 @@ def _parse_args(parser, commands, argv):
         raise ValueError(
             f"{args.config}: {args.command} takes no option {', '.join(unknown)}"
         )
+    for key, value in values.items():
+        if key in CHOICES and value not in CHOICES[key]:
+            raise ValueError(
+                f"{args.config}: invalid {key} {value!r} "
+                f"(choose from {', '.join(map(repr, CHOICES[key]))})"
+            )
     for key in LIST_OPTIONS.get(args.command, ()):
         if key in values:
             # an append flag would add to the file's list, not replace it
             values[key] = None if getattr(args, key) else str(values[key]).split()
+    parser, commands = build_parser()
     commands[args.command].set_defaults(**values)
-    return parser.parse_args(argv)
+    return parse(parser)
 
 
 _ERROR_TAGS = (
@@ -489,9 +572,8 @@ _ERROR_TAGS = (
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = build_parser()
     try:
-        args = _parse_args(parser, commands, argv)
+        args = _parse_args(argv)
         if getattr(args, "tolerance", None) is not None and args.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         return args.func(args)

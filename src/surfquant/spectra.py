@@ -347,7 +347,8 @@ def amplitude_closed(l, p):
     up to the recorded global sign CLOSED_FORM_COMPARISON_SIGN[l].
     """
     p = np.asarray(p, dtype=float)
-    envelope = 1.0 / np.cosh(0.5 * np.pi * p)
+    with np.errstate(over="ignore"):  # cosh overflows past |p| ~ 452; sech is 0 there
+        envelope = 1.0 / np.cosh(0.5 * np.pi * p)
     if l == 0:
         out = (np.sqrt(np.pi) / 2.0) * envelope + 0j
     elif l == 1:

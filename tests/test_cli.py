@@ -1,10 +1,12 @@
 import argparse
 import json
+import time
 
 import numpy as np
 import pytest
 
 from surfquant import charts as chlib
+from surfquant import cli
 from surfquant import spectra as splib
 from surfquant.cli import _csv, _fmt, main
 from surfquant.errors import ShellFoldError
@@ -497,3 +499,123 @@ def test_shell_frame_treats_nan_as_a_fold():
         shell_frame(frame, np.nan)
     with pytest.raises(ShellFoldError):
         shell_frame(frame, np.array([0.1, np.nan]))
+
+
+def outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one CLI call; -h exits through SystemExit."""
+    try:
+        code = run(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PLANE = ["geom", "--surface", "plane", "--param", "extent=5"]
+PLANE_ROW = ",0.0,0.0,0.0,0.0,0.0,1.0,1.0"  # M, K, V_gp, n, sqrt_g on the plane
+
+
+@pytest.mark.parametrize("argv, message", [
+    (PLANE + ["--point"], "argument --point: expected one argument"),
+    (PLANE + ["--point", "-1,2"], "argument --point: expected one argument"),
+    (PLANE + ["--q3", "--point", "1,2", "0.1"], "argument --q3: expected one argument"),
+    (PLANE + ["--point", "1,2", "--", "--point", "3,4"], "unrecognized arguments:"),
+    (PLANE + ["--p", "1,2"], "ambiguous option: --p could match --param, --point"),
+    (PLANE + ["--point="], "point must be 'q1,q2' (got '')"),
+    (PLANE + ["--point", ""], "point must be 'q1,q2' (got '')"),
+    (PLANE + ["--point", "1,2", "--point", "3,4", "0.5"], "unrecognized arguments: 0.5"),
+])
+def test_rejected_point_flags_read_as_argparse_reads_them(argv, message, capsys, monkeypatch):
+    code, out, err = outcome(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config: {message}") and err.count("\n") == 1
+    monkeypatch.setattr(cli, "_lift_points", lambda argv, parser: (argv, []))
+    assert outcome(argv, capsys) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (PLANE + ["--point=-1,2"], ["-1.0,2.0"]),
+    (PLANE + ["--point", "-1, 2", "--point", "1,1"], ["-1.0,2.0", "1.0,1.0"]),
+    (PLANE + ["--point", "1,1", "--point", "-1, 2"], ["1.0,1.0", "-1.0,2.0"]),
+    (PLANE + ["--poi", "1,1", "--point", "2,2", "--po=3,3"], ["1.0,1.0", "2.0,2.0", "3.0,3.0"]),
+    (PLANE + ["--q3=0.1", "--point", "1,2", "--point", "3,4", "--format", "json"], None),
+    (["geom", "--config", "{cfg}"], ["1.0,2.0", "0.5,0.5"]),
+    (["geom", "--config", "{cfg}", "--point", "0.3,0.3"], ["0.3,0.3"]),
+    (PLANE + ["--point", "1,1", "--grid", "1x1", "--point", "2,2"],
+     ["1.0,1.0", "2.0,2.0", "0.0,0.0"]),
+    (PLANE + ["--point", "1,1", "-h"], None),
+    (["confine", "--point", "1,0.5"], None),
+])
+def test_accepted_point_flags_read_as_argparse_reads_them(
+        argv, rows, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "points.cfg"
+    cfg.write_text("surface = plane\nparam = extent=5\npoint = 1,2 0.5,0.5\n")
+    argv = [str(cfg) if arg == "{cfg}" else arg for arg in argv]
+    code, out, err = outcome(argv, capsys)
+    assert (code, err) == (0, "")
+    if rows is not None:
+        assert out.splitlines()[1:] == [row + PLANE_ROW for row in rows]
+    monkeypatch.setattr(cli, "_lift_points", lambda argv, parser: (argv, []))
+    assert outcome(argv, capsys) == (code, out, err)
+
+
+def test_point_flags_are_lifted_unless_a_neighbour_would_read_differently():
+    spellings = cli._shared_parser()[1]
+    assert spellings == {"--po", "--poi", "--poin", "--point"}  # --p is also --param
+    lifted = PLANE + ["--poi", "1,1", "--q3=0.1", "--point", "2,2", "--po=-3,3",
+                      "--format", "json", "--", "--point", "4,4"]
+    assert cli._lift_points(lifted, spellings) == (
+        PLANE + ["--q3=0.1", "--format", "json", "--", "--point", "4,4"],
+        ["1,1", "2,2", "-3,3"],
+    )
+    for tail in (["--point"], ["--point", "-1,2"], ["--point", ""], ["--point="],
+                 ["--q3", "--point", "1,2"], ["--q3", "--po=1,2"]):
+        assert cli._lift_points(PLANE + tail, spellings) == (PLANE + tail, [])
+    assert cli._lift_points(["confine", "--point", "1,2"], spellings) == (
+        ["confine", "--point", "1,2"], [])
+
+
+def test_geom_reads_many_points_in_linear_time(tmp_path):
+    rng = np.random.default_rng(7)
+    argv = ["geom", "--surface", "torus", "--q3=0.01", "--out", str(tmp_path / "g.csv")]
+    for q1, q2 in rng.uniform(0.0, 6.0, size=(20000, 2)).tolist():
+        argv += ["--point", f"{q1!r},{q2!r}"]
+    start = time.perf_counter()
+    assert run(argv) == 0
+    assert time.perf_counter() - start < 4.0  # a quadratic argv scan takes ~20 s
+    assert len((tmp_path / "g.csv").read_text().splitlines()) == 20001
+
+
+def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
+    cfg = tmp_path / "json.cfg"
+    cfg.write_text("format = json\n")
+    argv = ["geom", "--surface", "sphere", "--point", "1,0.5"]
+    assert run(argv + ["--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["surface"] == "sphere"
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("q1,q2,M,K,")
+
+
+@pytest.mark.parametrize("command, line", [
+    ("geom", "format = xml"),
+    ("confine", "profile = bogus"),
+    ("distribution", "method = spline"),
+])
+def test_config_values_must_be_choices(command, line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"surface = sphere\npoint = 1,0.5\n{line}\n" if command == "geom"
+                   else f"{line}\n")
+    code, out, err = outcome([command, "--config", str(cfg)], capsys)
+    key, value = (tok.strip() for tok in line.split("="))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config: {cfg}: invalid {key} '{value}' (choose from ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_form_columns_are_silent_at_the_largest_p(capfd):
+    pmax = str(splib.MAX_ABS_P)
+    assert run(["distribution", "--compare-closed", "--pmax", pmax, "--dp", "10"]) == 0
+    captured = capfd.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1].startswith("max_density_deviation=")
