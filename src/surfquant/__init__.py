@@ -47,7 +47,6 @@ from .operators import (
     rotation_relation_check,
     shell_gradient_direct,
     sphere_momentum_component,
-    surface_limit_gradient,
 )
 from .spectra import (
     UncertaintyReport,

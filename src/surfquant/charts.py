@@ -78,30 +78,26 @@ def from_map(map_fn, domain, periodic=(False, False), name="custom", params=None
     eps^(1/4) for second/mixed ones.  Good to roughly 1e-10 (first) and
     1e-7 (second) relative on smooth maps.
     """
-    eps = np.finfo(float).eps
-    first_h = float(np.cbrt(eps))
-    second_h = float(eps**0.25)
+    second_h = float(np.finfo(float).eps ** 0.25)
 
     def m(q1, q2):
         return np.asarray(map_fn(q1, q2), dtype=float)
 
     def d1(q1, q2):
-        q = np.array([q1, q2], dtype=float)
-        out = np.empty((2, 3))
-        for mu in range(2):
-            h = first_h * (1.0 + abs(q[mu]))
-            out[mu] = _richardson_first(map_fn, q, mu, h)
-        return out
+        return _richardson_gradient(m, q1, q2)
 
     def d2(q1, q2):
-        q = np.array([q1, q2], dtype=float)
-        out = np.empty((2, 2, 3))
-        for mu in range(2):
-            h = second_h * (1.0 + abs(q[mu]))
-            out[mu, mu] = _richardson_second(map_fn, q, mu, h)
-        hmix = second_h * (1.0 + abs(q[0]) + abs(q[1]))
-        out[0, 1] = out[1, 0] = _richardson_mixed(map_fn, q, hmix)
-        return out
+        a, b = np.array([q1, q2], dtype=float)
+        f0 = m(a, b)
+        diffs = (
+            lambda h: (m(a + h, b) - 2.0 * f0 + m(a - h, b)) / (h * h),
+            lambda h: (m(a, b + h) - 2.0 * f0 + m(a, b - h)) / (h * h),
+            lambda h: (m(a + h, b + h) - m(a + h, b - h) - m(a - h, b + h)
+                       + m(a - h, b - h)) / (4.0 * h * h),
+        )
+        scales = (1.0 + abs(a), 1.0 + abs(b), 1.0 + abs(a) + abs(b))
+        d11, d22, d12 = (_richardson(d, second_h * s) for d, s in zip(diffs, scales))
+        return np.array([[d11, d12], [d12, d22]])
 
     return ParametricChart(
         name=name,
@@ -133,49 +129,34 @@ def _pointwise(jet, jet_shape):
     return batched
 
 
-def _shift(q, mu, h):
-    out = q.copy()
-    out[mu] += h
-    return out
+# First-difference step per unit of (1 + |q|), rounding-optimal at eps^(1/3).
+_FIRST_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
-def _first_diff(f, q, mu, h):
-    fp = np.asarray(f(*_shift(q, mu, h)), dtype=float)
-    fm = np.asarray(f(*_shift(q, mu, -h)), dtype=float)
-    return (fp - fm) / (2.0 * h)
+def _richardson(diff, h):
+    """One Richardson level on a central difference D: (4 D(h/2) - D(h)) / 3."""
+    return (4.0 * diff(0.5 * h) - diff(h)) / 3.0
 
 
-def _richardson_first(f, q, mu, h):
-    d_h = _first_diff(f, q, mu, h)
-    d_h2 = _first_diff(f, q, mu, 0.5 * h)
-    return (4.0 * d_h2 - d_h) / 3.0
+def _richardson_gradient(fn, q1, q2):
+    """First partials of fn at one point, stacked on a new leading axis:
+    Richardson-extrapolated central differences, steps _FIRST_STEP (1 + |q_mu|)."""
+    a, b = np.array([q1, q2], dtype=float)
+
+    def f(x, y):
+        return np.asarray(fn(x, y), dtype=float)
+
+    return np.array([
+        _richardson(lambda h: (f(a + h, b) - f(a - h, b)) / (2.0 * h),
+                    _FIRST_STEP * (1.0 + abs(a))),
+        _richardson(lambda h: (f(a, b + h) - f(a, b - h)) / (2.0 * h),
+                    _FIRST_STEP * (1.0 + abs(b))),
+    ])
 
 
-def _second_diff(f, q, mu, h):
-    fp = np.asarray(f(*_shift(q, mu, h)), dtype=float)
-    f0 = np.asarray(f(*q), dtype=float)
-    fm = np.asarray(f(*_shift(q, mu, -h)), dtype=float)
-    return (fp - 2.0 * f0 + fm) / (h * h)
-
-
-def _richardson_second(f, q, mu, h):
-    d_h = _second_diff(f, q, mu, h)
-    d_h2 = _second_diff(f, q, mu, 0.5 * h)
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
-def _mixed_diff(f, q, h):
-    fpp = np.asarray(f(q[0] + h, q[1] + h), dtype=float)
-    fpm = np.asarray(f(q[0] + h, q[1] - h), dtype=float)
-    fmp = np.asarray(f(q[0] - h, q[1] + h), dtype=float)
-    fmm = np.asarray(f(q[0] - h, q[1] - h), dtype=float)
-    return (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-
-
-def _richardson_mixed(f, q, h):
-    d_h = _mixed_diff(f, q, h)
-    d_h2 = _mixed_diff(f, q, 0.5 * h)
-    return (4.0 * d_h2 - d_h) / 3.0
+def _constant_curvature_gradient(q1, q2):
+    """(d_mu M, d_mu K) of a chart whose curvatures are constant: zero."""
+    return np.zeros(2), np.zeros(2)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +206,6 @@ def sphere(radius=1.0):
         dpp = np.array([-R * st * cp, -R * st * sp, zero])
         return np.array([[dtt, dtp], [dtp, dpp]])
 
-    def curv_grad(th, ph):
-        return np.zeros(2), np.zeros(2)
-
     return ParametricChart(
         name="sphere",
         params={"radius": R},
@@ -236,7 +214,7 @@ def sphere(radius=1.0):
         _map=m,
         _d1=d1,
         _d2=d2,
-        curvature_gradient=curv_grad,
+        curvature_gradient=_constant_curvature_gradient,
     )
 
 
@@ -268,9 +246,6 @@ def cylinder(radius=1.0, half_height=1.0):
         z = np.array([zero, zero, zero])
         return np.array([[dpp, z], [z, z]])
 
-    def curv_grad(ph, v):
-        return np.zeros(2), np.zeros(2)
-
     return ParametricChart(
         name="cylinder",
         params={"radius": R, "half_height": H},
@@ -279,7 +254,7 @@ def cylinder(radius=1.0, half_height=1.0):
         _map=m,
         _d1=d1,
         _d2=d2,
-        curvature_gradient=curv_grad,
+        curvature_gradient=_constant_curvature_gradient,
     )
 
 
@@ -354,9 +329,6 @@ def plane(extent=1.0):
     def d2(u, v):
         return np.zeros((2, 2, 3) + np.broadcast(np.asarray(u), np.asarray(v)).shape)
 
-    def curv_grad(u, v):
-        return np.zeros(2), np.zeros(2)
-
     return ParametricChart(
         name="plane",
         params={"extent": L},
@@ -365,7 +337,7 @@ def plane(extent=1.0):
         _map=m,
         _d1=d1,
         _d2=d2,
-        curvature_gradient=curv_grad,
+        curvature_gradient=_constant_curvature_gradient,
     )
 
 

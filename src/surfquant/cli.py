@@ -574,8 +574,9 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse_args(argv)
-        if getattr(args, "tolerance", None) is not None and args.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        tolerance = getattr(args, "tolerance", None)
+        if tolerance is not None and not 0.0 < tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and positive (got {tolerance})")
         return args.func(args)
     except tuple(exc for exc, _, _ in _ERROR_TAGS) as err:
         for exc_type, tag, code in _ERROR_TAGS:

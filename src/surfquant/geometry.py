@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import _norm, check_regular
+from .charts import _norm, _richardson_gradient, check_regular
 from .errors import ShellFoldError
 
 
@@ -104,12 +104,7 @@ class ShellFrame:
     q3: object  # float, or an array broadcasting with the point shape
     metric3: np.ndarray  # (3, 3) + shape
     det: object  # determinant of metric3 from its entries
-
-    @property
-    def fold_factor(self):
-        M = self.base.mean_curvature
-        K = self.base.gaussian_curvature
-        return 1.0 - 2.0 * M * self.q3 + K * self.q3 * self.q3
+    fold_factor: object  # 1 - 2 M q3 + K q3^2, positive; det = g * fold_factor^2
 
 
 def evaluate_frame(chart, q1, q2):
@@ -166,8 +161,8 @@ def evaluate_frame(chart, q1, q2):
 
 def geometric_potential(frame, hbar=1.0, mu=1.0):
     """Curvature-induced potential -(hbar^2 / 2 mu) (M^2 - K)."""
-    if hbar <= 0.0 or mu <= 0.0:
-        raise ValueError("hbar and mu must be positive")
+    if not (0.0 < hbar < np.inf and 0.0 < mu < np.inf):
+        raise ValueError(f"hbar and mu must be finite and positive (got {hbar}, {mu})")
     M = frame.mean_curvature
     K = frame.gaussian_curvature
     return -(hbar * hbar) / (2.0 * mu) * (M * M - K)
@@ -177,13 +172,15 @@ def shell_frame(frame, q3):
     """Metric of the shell points r + q3 n built on a surface frame.
 
     The surface block is (I + q3 alpha) g (I + q3 alpha)^T, the normal
-    row/column vanish and G_33 = 1.  Degenerates (folds) where
-    1 - 2 M q3 + K q3^2 <= 0, i.e. past the focal distance, and a NaN
-    factor counts as a fold.  q3 may be an array that broadcasts with the
-    frame's point shape; a fold is reported for the first folding entry in
-    C order.
+    row/column vanish and G_33 = 1.  Degenerates (folds) where the fold
+    factor 1 - 2 M q3 + K q3^2 <= 0, i.e. past the focal distance, and a
+    NaN factor (a NaN q3 included) counts as a fold; an infinite q3 is a
+    ValueError.  q3 may be an array that broadcasts with the frame's point
+    shape; a fold is reported for the first folding entry in C order.
     """
     q3 = _scalar(np.asarray(q3, dtype=float))
+    if np.isinf(q3).any():
+        raise ValueError(f"shell offsets q3 must be finite (got {q3})")
     M = frame.mean_curvature
     K = frame.gaussian_curvature
     factor = 1.0 - 2.0 * M * q3 + K * q3 * q3
@@ -199,7 +196,9 @@ def shell_frame(frame, q3):
     metric3[:2, :2] = block
     metric3[2, 2] = 1.0
     det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
-    return ShellFrame(base=frame, q3=q3, metric3=metric3, det=_scalar(det))
+    return ShellFrame(
+        base=frame, q3=q3, metric3=metric3, det=_scalar(det), fold_factor=factor
+    )
 
 
 def laplace_beltrami_jets(frame, grad, hess):
@@ -243,8 +242,8 @@ def curvature_gradients(chart, q1, q2):
     """Surface gradients (d_mu M, d_mu K) at a point.
 
     Uses the chart's analytic formula when available (all built-ins carry
-    one), otherwise Richardson-extrapolated central differences of the
-    frame curvatures.
+    one), otherwise the charts' Richardson-extrapolated central differences
+    of the frame curvatures.
     """
     if chart.curvature_gradient is not None:
         dM, dK = chart.curvature_gradient(q1, q2)
@@ -254,18 +253,5 @@ def curvature_gradients(chart, q1, q2):
         fr = evaluate_frame(chart, a, b)
         return np.array([fr.mean_curvature, fr.gaussian_curvature])
 
-    base_h = float(np.cbrt(np.finfo(float).eps))
-    out = np.empty((2, 2))
-    q = np.array([q1, q2], dtype=float)
-    for mu in range(2):
-        h = base_h * (1.0 + abs(q[mu]))
-
-        def diff(step):
-            qp = q.copy()
-            qm = q.copy()
-            qp[mu] += step
-            qm[mu] -= step
-            return (mk(*qp) - mk(*qm)) / (2.0 * step)
-
-        out[mu] = (4.0 * diff(0.5 * h) - diff(h)) / 3.0
+    out = _richardson_gradient(mk, q1, q2)
     return out[:, 0], out[:, 1]

@@ -14,8 +14,11 @@ verifies the constrained-quantization commutator identities
 
 pointwise, realizes the thin-shell gradient decomposition whose d -> 0
 limit produces the operator, and measures hermiticity defects by sphere
-quadrature.  Composed operators are evaluated through derived exact
-partials (product/chain rule), never through nested finite differences.
+quadrature.  The confining limit (r^mu d_mu + M n) psi is i/hbar times the
+geometric momentum _momentum computes, and the shell's fold factor and fold
+test are geometry.shell_frame's.  Composed operators are evaluated through
+derived exact partials (product/chain rule), never through nested finite
+differences.
 
 Point-axis convention: the operators and residuals take scalar or array
 points (q1, q2) and put the point axes last, as charts, frames and fields
@@ -31,9 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields as flib
-from .errors import ShellFoldError
 from .fields import ScalarField, _check_pole, pullback_field, rotation_matrix
-from .geometry import curvature_gradients, evaluate_frame, laplace_beltrami_jets
+from .geometry import (
+    curvature_gradients,
+    evaluate_frame,
+    laplace_beltrami_jets,
+    shell_frame,
+)
 from .quadrature import sphere_grid
 
 AXIS_INDEX = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
@@ -408,6 +415,8 @@ class NormalProfile:
 
 
 def gaussian_profile(width=1.0):
+    if not 0.0 < width < np.inf:
+        raise ValueError(f"profile width must be finite and positive (got {width})")
     w2 = float(width) ** 2
     return NormalProfile(
         value=lambda q3: np.exp(-0.5 * q3 * q3 / w2),
@@ -434,12 +443,13 @@ class ConfinedGradient:
 
 
 def _shell_pieces(chart, chi, profile, q1, q2, q3):
+    """The shell frame and the jets of psi = chi f^{-1/2} phi at a shell point,
+    f the fold factor; shell_frame raises on a fold or a non-finite q3."""
     frame = evaluate_frame(chart, q1, q2)
+    shell = shell_frame(frame, q3)
+    factor = shell.fold_factor
     M = frame.mean_curvature
     K = frame.gaussian_curvature
-    factor = 1.0 - 2.0 * M * q3 + K * q3 * q3
-    if factor <= 0.0:
-        raise ShellFoldError(q3, factor)
     dM, dK = curvature_gradients(chart, q1, q2)
     finv = factor ** -0.5
     dfactor_mu = -2.0 * dM * q3 + dK * q3 * q3
@@ -451,22 +461,17 @@ def _shell_pieces(chart, chi, profile, q1, q2, q3):
     psi_val = chi_val * finv * phi_val
     dpsi_mu = (chi_grad * finv + chi_val * dfinv_mu) * phi_val
     dpsi_q3 = chi_val * ((M - K * q3) * factor ** -1.5 * phi_val + finv * phi_der)
-    return frame, factor, chi_val, phi_val, phi_der, psi_val, dpsi_mu, dpsi_q3
+    return shell, chi_val, phi_val, phi_der, psi_val, dpsi_mu, dpsi_q3
 
 
-def confined_gradient(chart, chi, profile, q1, q2, q3):
-    """Exact three-part decomposition of grad(psi) at a shell point.
-
-    psi is assembled from the separability ansatz
-    psi = chi(q1, q2) / sqrt(1 - 2 M q3 + K q3^2) * phi(q3).  The parts sum
-    to the true flat-space gradient of psi through the shell chart
-    R = r + q3 n; the normal-geometric coefficient reduces to M at q3 = 0,
-    which is the term the confining limit keeps.
-    """
+def _split(chart, chi, profile, q1, q2, q3):
+    """The ConfinedGradient at one shell point, with the surface frame and
+    the jets (psi, d_mu psi) the limit operator acts on."""
     q3 = float(q3)
-    frame, factor, chi_val, phi_val, phi_der, _, dpsi_mu, _ = _shell_pieces(
+    shell, chi_val, phi_val, phi_der, psi_val, dpsi_mu, _ = _shell_pieces(
         chart, chi, profile, q1, q2, q3
     )
+    frame, factor = shell.base, shell.fold_factor
     B = np.eye(2) + q3 * frame.weingarten
     shell_tangents = B @ frame.tangents
     shell_metric = shell_tangents @ shell_tangents.T
@@ -478,12 +483,26 @@ def confined_gradient(chart, chi, profile, q1, q2, q3):
         frame.normal * (M - K * q3) * factor ** -1.5 * chi_val * phi_val
     )
     normal_derivative = frame.normal * factor ** -0.5 * chi_val * phi_der
-    return ConfinedGradient(
+    parts = ConfinedGradient(
         tangential=tangential.astype(complex),
         normal_geometric=normal_geometric.astype(complex),
         normal_derivative=normal_derivative.astype(complex),
         point=(float(q1), float(q2), q3),
     )
+    return parts, frame, psi_val, dpsi_mu
+
+
+def confined_gradient(chart, chi, profile, q1, q2, q3):
+    """Exact three-part decomposition of grad(psi) at a shell point.
+
+    psi is assembled from the separability ansatz
+    psi = chi(q1, q2) f^{-1/2} phi(q3), with f the shell's fold factor
+    (ShellFrame.fold_factor).  The parts sum to the true flat-space
+    gradient of psi through the shell chart R = r + q3 n; the
+    normal-geometric coefficient reduces to M at q3 = 0, which is the term
+    the confining limit keeps.
+    """
+    return _split(chart, chi, profile, q1, q2, q3)[0]
 
 
 def shell_gradient_direct(chart, chi, profile, q1, q2, q3):
@@ -494,9 +513,8 @@ def shell_gradient_direct(chart, chi, profile, q1, q2, q3):
     confined_gradient.
     """
     q3 = float(q3)
-    frame, _, _, _, _, _, dpsi_mu, dpsi_q3 = _shell_pieces(
-        chart, chi, profile, q1, q2, q3
-    )
+    shell, _, _, _, _, dpsi_mu, dpsi_q3 = _shell_pieces(chart, chi, profile, q1, q2, q3)
+    frame = shell.base
     B = np.eye(2) + q3 * frame.weingarten
     shell_tangents = B @ frame.tangents
     jac = np.column_stack([shell_tangents[0], shell_tangents[1], frame.normal])
@@ -504,20 +522,11 @@ def shell_gradient_direct(chart, chi, profile, q1, q2, q3):
     return np.linalg.solve(jac.T.astype(complex), rhs)
 
 
-def surface_limit_gradient(chart, chi, profile, q1, q2, q3):
-    """(r^mu d_mu + M n) psi, the q3 -> 0 limit operator, at fixed q3."""
-    q3 = float(q3)
-    frame, _, chi_val, phi_val, _, psi_val, dpsi_mu, _ = _shell_pieces(
-        chart, chi, profile, q1, q2, q3
-    )
-    tangential = frame.raised[0] * dpsi_mu[0] + frame.raised[1] * dpsi_mu[1]
-    return tangential + frame.mean_curvature * frame.normal * psi_val
-
-
 def confinement_deviation(chart, chi, profile, q1, q2, q3):
-    """Norm of (tangential + normal_geometric) minus the limit operator."""
-    parts = confined_gradient(chart, chi, profile, q1, q2, q3)
-    limit = surface_limit_gradient(chart, chi, profile, q1, q2, q3)
+    """Norm of (tangential + normal_geometric) minus the limit operator
+    (r^mu d_mu + M n) psi, both built on one frame at the same q3."""
+    parts, frame, psi_val, dpsi_mu = _split(chart, chi, profile, q1, q2, q3)
+    limit = 1j * _momentum(frame, psi_val, dpsi_mu, 1.0)
     return float(
         np.linalg.norm(parts.tangential + parts.normal_geometric - limit)
     )
@@ -526,15 +535,17 @@ def confinement_deviation(chart, chi, profile, q1, q2, q3):
 def confinement_slope(chart, chi, profile, q1, q2, q3_values):
     """Log-log slope of the deviation against q3 plus the sampled rows.
 
-    The fit needs at least two distinct q3, all finite and positive; a
-    shell fold at any q3 is reported first.
+    The fit needs at least two distinct q3, all finite and positive.  A
+    non-finite q3 is refused before any row is built; otherwise a shell
+    fold at any q3 is reported first.
     """
     q3_values = sorted(float(q) for q in q3_values)
+    finite = bool(np.isfinite(q3_values).all())
     rows = [
         (q3, confinement_deviation(chart, chi, profile, q1, q2, q3))
-        for q3 in q3_values
+        for q3 in (q3_values if finite else ())
     ]
-    if not (len(set(q3_values)) >= 2 and all(0.0 < q < np.inf for q in q3_values)):
+    if not (finite and len(set(q3_values)) >= 2 and all(q > 0.0 for q in q3_values)):
         raise ValueError(
             f"the log-log slope needs at least two distinct, finite, positive "
             f"q3 (got {q3_values})"

@@ -499,6 +499,11 @@ def run_verification(options=None):
         raise ValueError(
             f"points per chart must be at least 1 (got {options.points_per_chart})"
         )
+    override = options.tolerance_override
+    if override is not None and not 0.0 < override < np.inf:
+        raise ValueError(
+            f"tolerance override must be finite and positive (got {override})"
+        )
     if options.parseval_lmax < 0:
         raise ValueError(
             f"parseval lmax must be at least 0 (got {options.parseval_lmax})"

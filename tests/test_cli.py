@@ -493,6 +493,33 @@ def test_non_finite_shell_offsets_are_rejected(command, capsys):
     assert captured.err.startswith("error: config: values must be finite")
 
 
+@pytest.mark.parametrize("command", [
+    ["confine", "--width", "0"],  # was a ZeroDivisionError traceback, exit 1
+    ["confine", "--width", "nan"],  # was nan rows and loglog_slope=nan, exit 0
+    ["confine", "--width", "-1"],
+    ["confine", "--width", "inf"],
+    ["geom", "--surface", "sphere", "--point", "1,0.5", "--hbar", "nan"],  # V_gp nan
+    ["geom", "--surface", "sphere", "--point", "1,0.5", "--mu", "inf"],  # V_gp 0.0
+    ["geom", "--surface", "sphere", "--point", "1,0.5", "--hbar", "0"],
+    ["verify", "--only", "parseval", "--tolerance", "nan"],  # wrote "tolerance": NaN
+    ["verify", "--only", "parseval", "--tolerance", "inf"],  # passed every check
+    ["distribution", "--method", "quadrature", "--Q", "2", "--tolerance", "nan"],
+    ["distribution", "--tolerance", "inf"],
+])
+def test_non_finite_or_non_positive_constants_are_config_errors(command, capsys):
+    code = run(command)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: config:")
+    assert "finite and positive" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_flat_profile_ignores_the_width(capsys):
+    assert run(["confine", "--profile", "flat", "--width", "nan"]) == 0
+    assert "nan" not in capsys.readouterr().out
+
+
 def test_shell_frame_treats_nan_as_a_fold():
     frame = evaluate_frame(chlib.torus(), 1.0, 1.0)
     with pytest.raises(ShellFoldError):

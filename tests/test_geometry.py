@@ -121,6 +121,14 @@ def test_geometric_potential_values(builtin_charts):
         geometric_potential(fr, hbar=-1.0)
 
 
+@pytest.mark.parametrize("hbar, mu", [(np.nan, 1.0), (np.inf, 1.0), (0.0, 1.0),
+                                      (1.0, np.nan), (1.0, np.inf), (1.0, -2.0)])
+def test_geometric_potential_needs_finite_positive_constants(hbar, mu):
+    fr = evaluate_frame(chlib.cylinder(), 0.3, 0.1)
+    with pytest.raises(ValueError, match="finite and positive"):
+        geometric_potential(fr, hbar=hbar, mu=mu)
+
+
 def test_shell_frame_zero_offset(builtin_charts):
     for chart in builtin_charts.values():
         q1, q2 = chart_points(chart, 3)[1]
@@ -156,6 +164,18 @@ def test_shell_plane_is_offset_invariant():
     for q3 in (0.0, 0.5, 5.0):
         sf = shell_frame(fr, q3)
         assert np.abs(sf.metric3[:2, :2] - fr.metric).max() == 0.0
+
+
+@pytest.mark.parametrize("q3, error", [(np.nan, ShellFoldError), (np.inf, ValueError),
+                                       (-np.inf, ValueError)])
+def test_shell_frame_refuses_non_finite_offsets(q3, error, builtin_charts):
+    for chart in builtin_charts.values():
+        q1, q2 = chart_points(chart, 3)[1]
+        fr = evaluate_frame(chart, q1, q2)
+        with pytest.raises(error):
+            shell_frame(fr, q3)
+        with pytest.raises(error):
+            shell_frame(fr, np.array([0.1, q3]))
 
 
 def test_shell_fold_error():
@@ -204,3 +224,24 @@ def test_curvature_gradients_match_finite_differences(builtin_charts):
             [(mk(u + h, v) - mk(u - h, v)) / (2 * h), (mk(u, v + h) - mk(u, v - h)) / (2 * h)]
         )
         assert np.abs(np.stack([dM, dK], axis=1) - fd).max() < 1e-6
+
+
+def test_curvature_gradients_fallback_on_a_mapped_torus():
+    # a from_map chart has no analytic formula, so curvature_gradients takes
+    # Richardson differences of curvatures built from difference jets; those
+    # curvatures carry ~2e-7 of rounding noise, which the cbrt(eps)-scaled
+    # step amplifies to a few 1e-2 at worst
+    torus = chlib.torus()
+    a, b = torus.params["major_radius"], torus.params["minor_radius"]
+
+    def torus_map(u, v):
+        w = a + b * np.cos(v)
+        return [w * np.cos(u), w * np.sin(u), b * np.sin(v)]
+
+    mapped = chlib.from_map(torus_map, torus.domain, torus.periodic, name="mapped")
+    assert mapped.curvature_gradient is None
+    for u, v in chart_points(torus, 20):
+        dM, dK = curvature_gradients(mapped, u, v)
+        exact_dM, exact_dK = curvature_gradients(torus, u, v)
+        assert np.abs(dM - exact_dM).max() < 5e-2
+        assert np.abs(dK - exact_dK).max() < 5e-2

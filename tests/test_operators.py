@@ -324,6 +324,52 @@ def test_confined_gradient_fold_error():
         )
 
 
+@pytest.mark.parametrize("name", ["sphere", "cylinder", "torus", "plane"])
+@pytest.mark.parametrize("q3, error", [(np.nan, ShellFoldError), (np.inf, ValueError),
+                                       (-np.inf, ValueError)])
+def test_shell_point_refuses_non_finite_offsets(name, q3, error, builtin_charts):
+    # these used to return NaN parts for a NaN q3 (and warn too at +inf)
+    chart = builtin_charts[name]
+    q1, q2 = chart_points(chart, 3)[1]
+    chi, profile = flib.spherical_harmonic(1, 0), oplib.gaussian_profile()
+    for fn in (oplib.confined_gradient, oplib.shell_gradient_direct,
+               oplib.confinement_deviation):
+        with pytest.raises(error):
+            fn(chart, chi, profile, q1, q2, q3)
+
+
+@pytest.mark.parametrize("q3s", [[0.01, np.inf], [np.nan, 0.01], [-np.inf, 0.01, 0.02]])
+def test_confinement_slope_checks_finiteness_before_any_row(q3s, monkeypatch):
+    built = []
+    monkeypatch.setattr(oplib, "confinement_deviation", lambda *a: built.append(a))
+    with pytest.raises(ValueError, match="at least two distinct, finite, positive q3"):
+        oplib.confinement_slope(chlib.sphere(), flib.spherical_harmonic(1, 0),
+                                oplib.gaussian_profile(), 1.0, 0.5, q3s)
+    assert built == []
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_gaussian_profile_needs_a_finite_positive_width(width):
+    with pytest.raises(ValueError, match="width must be finite and positive"):
+        oplib.gaussian_profile(width)
+
+
+def test_confinement_deviation_limit_is_the_geometric_momentum():
+    # on the sphere the fold factor f is constant, so psi = chi f^{-1/2} phi(q3)
+    # is a multiple of chi and the limit operator is i/hbar times its momentum
+    sphere, chi = chlib.sphere(), flib.spherical_harmonic(2, 1)
+    profile = oplib.gaussian_profile()
+    q1, q2 = 1.0, 0.5
+    for q3 in (0.01, 0.1):
+        scale = (1.0 + 2.0 * q3 + q3 * q3) ** -0.5 * profile.value(q3)
+        limit = 1j * scale * oplib.apply_geometric_momentum(sphere, chi, q1, q2)
+        parts = oplib.confined_gradient(sphere, chi, profile, q1, q2, q3)
+        expected = np.linalg.norm(parts.tangential + parts.normal_geometric - limit)
+        deviation = oplib.confinement_deviation(sphere, chi, profile, q1, q2, q3)
+        assert deviation > 1e-3
+        assert abs(deviation - expected) < 1e-14 * expected
+
+
 # ---------------------------------------------------------------------------
 # hermiticity
 # ---------------------------------------------------------------------------

@@ -55,6 +55,13 @@ def test_tolerance_override_fails_everything():
     assert all(c.tolerance == 1e-30 for c in report.checks)
 
 
+@pytest.mark.parametrize("override", [float("nan"), float("inf"), 0.0, -1.0])
+def test_tolerance_override_must_be_finite_and_positive(override):
+    options = ver.VerifyOptions(only=("geometric_potential",), tolerance_override=override)
+    with pytest.raises(ValueError, match="finite and positive"):
+        ver.run_verification(options)
+
+
 def test_results_are_deterministic():
     options = ver.VerifyOptions(only=("dirichlet_kernel",))
     a = ver.run_verification(options)
