@@ -176,7 +176,8 @@ def shell_frame(frame, q3):
     factor 1 - 2 M q3 + K q3^2 <= 0, i.e. past the focal distance, and a
     NaN factor (a NaN q3 included) counts as a fold; an infinite q3 is a
     ValueError.  q3 may be an array that broadcasts with the frame's point
-    shape; a fold is reported for the first folding entry in C order.
+    shape, with any extra axes leading (offsets (K,) on a scalar frame give
+    shape (K,)); a fold is reported for the first folding entry in C order.
     """
     q3 = _scalar(np.asarray(q3, dtype=float))
     if np.isinf(q3).any():
@@ -190,8 +191,10 @@ def shell_frame(frame, q3):
         q3_k = np.broadcast_to(q3, np.shape(factor)).ravel()[k]
         raise ShellFoldError(q3_k, np.ravel(factor)[k])
     shape = np.shape(factor)
-    B = np.eye(2).reshape((2, 2) + (1,) * len(shape)) + q3 * frame.weingarten
-    block = _mm(_mm(B, frame.metric), B.swapaxes(0, 1))
+    # the offsets' extra leading axes go between the 2x2 axes and the points
+    pad = (slice(None),) * 2 + (None,) * (len(shape) - np.ndim(M))
+    B = np.eye(2).reshape((2, 2) + (1,) * len(shape)) + q3 * frame.weingarten[pad]
+    block = _mm(_mm(B, frame.metric[pad]), B.swapaxes(0, 1))
     metric3 = np.zeros((3, 3) + shape)
     metric3[:2, :2] = block
     metric3[2, 2] = 1.0
@@ -243,7 +246,11 @@ def curvature_gradients(chart, q1, q2):
 
     Uses the chart's analytic formula when available (all built-ins carry
     one), otherwise the charts' Richardson-extrapolated central differences
-    of the frame curvatures.
+    of the frame curvatures.  On a from_map chart that fallback differences
+    curvatures that are themselves second differences of the map, so it is
+    good to only about 1e-2: against the analytic torus at 50 Halton points
+    the error is 6.2e-4 in the median and 3.1e-2 at worst.  Exact third
+    partials of the chart would remove it.
     """
     if chart.curvature_gradient is not None:
         dM, dK = chart.curvature_gradient(q1, q2)

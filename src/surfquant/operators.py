@@ -20,6 +20,16 @@ test are geometry.shell_frame's.  Composed operators are evaluated through
 derived exact partials (product/chain rule), never through nested finite
 differences.
 
+On the unit sphere (outward normal, M = -1) the closed forms are written in
+the orthonormal basis (n, e_theta, e_phi):
+
+    p_j = -i hbar (e_theta_j d_theta + (e_phi_j / sin theta) d_phi - n_j)
+    L_j = -i hbar (e_phi_j d_theta - (e_theta_j / sin theta) d_phi)
+
+and every partial of their coefficients follows from the derivatives of
+the basis vectors, so an operator image carries exact first partials and
+a second operator can act on it.
+
 Point-axis convention: the operators and residuals take scalar or array
 points (q1, q2) and put the point axes last, as charts, frames and fields
 do.  Over a point shape S the geometric momentum has shape (3,) + S, the
@@ -97,53 +107,100 @@ def apply_geometric_momentum(chart, field, q1, q2, hbar=1.0):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form first-order operators on the unit sphere.  Each coefficient is
-# stored with its own analytic theta/phi derivatives so that one operator
-# application yields a field with exact first partials (enough to nest a
-# second first-order operator on top).
+# Closed-form first-order operators on the unit sphere.  Every coefficient
+# partial follows from the basis identities
+#     d_theta n = e_theta           d_phi n = sin(theta) e_phi
+#     d_theta e_theta = -n          d_phi e_theta = cos(theta) e_phi
+#     d_theta e_phi = 0             d_phi e_phi = -e_rho
+# with e_rho = sin(theta) n + cos(theta) e_theta = (cos phi, sin phi, 0).
+# The basis is built from sin and cos alone, never from the sphere chart or
+# its frame, so it stays an independent oracle for the general path.
 # ---------------------------------------------------------------------------
 
 
+def _sphere_basis(theta, phi):
+    """sin(theta), cos(theta) and the unit vectors n, e_theta, e_phi, e_rho,
+    each (3,) + S; points within POLE_MARGIN of a pole raise
+    PoleProximityError."""
+    _check_pole(theta)
+    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    zero = np.zeros_like(sp)
+    n = np.array([st * cp, st * sp, ct])
+    e_theta = np.array([ct * cp, ct * sp, -st])
+    e_phi = np.array([-sp, cp, zero])
+    e_rho = np.array([cp, sp, zero])
+    return st, ct, n, e_theta, e_phi, e_rho
+
+
+def _momentum_jet(theta, phi, derivatives=True):
+    """Coefficients of p / (-i hbar) = e_theta d_theta + (e_phi / sin) d_phi - n
+    (outward normal, M = -1), shape (3, 3) + S indexed [term, component] for
+    the terms (d_theta, d_phi, scalar); with derivatives also their
+    partials, (2, 3, 3) + S indexed [d_theta or d_phi, term, component]."""
+    st, ct, n, e_t, e_p, e_r = _sphere_basis(theta, phi)
+    c = np.array([e_t, e_p / st, -n])
+    if not derivatives:
+        return c, None
+    d_theta = [-n, -ct * e_p / st**2, -e_t]
+    d_phi = [ct * e_p, -e_r / st, -st * e_p]
+    return c, np.array([d_theta, d_phi])
+
+
+def _angular_jet(theta, phi, derivatives=True):
+    """Coefficients of L / (-i hbar) = e_phi d_theta - (e_theta / sin) d_phi,
+    laid out as in _momentum_jet."""
+    st, ct, _, e_t, e_p, e_r = _sphere_basis(theta, phi)
+    zero = np.zeros_like(e_p)
+    c = np.array([e_p, -e_t / st, zero])
+    if not derivatives:
+        return c, None
+    d_theta = [zero, e_r / st**2, zero]
+    d_phi = [-e_r, -ct * e_p / st, zero]
+    return c, np.array([d_theta, d_phi])
+
+
+def _image(c, value, grad, hbar):
+    """-i hbar (c_theta d_theta + c_phi d_phi + c_0) f for all three components.
+
+    c is a coefficient jet's values, (3, 3) + S; value has shape S and grad
+    (2,) + S, and the result is (3,) + S.  Any other shapes broadcast.
+    """
+    return -1j * hbar * (c[0] * grad[0] + c[1] * grad[1] + c[2] * value)
+
+
+def _image_grad(c, dc, value, grad, hess, hbar):
+    """Partials of _image by the product rule, shape (2, 3) + S."""
+    out = (
+        dc[:, 0] * grad[0]
+        + c[0] * hess[:, 0, None]
+        + dc[:, 1] * grad[1]
+        + c[1] * hess[:, 1, None]
+        + dc[:, 2] * value
+        + c[2] * grad[:, None]
+    )
+    return -1j * hbar * out
+
+
+def _sphere_image(jet, field, theta, phi, hbar=1.0):
+    """All three components of the operator with coefficient `jet` applied
+    to a field, values only, (3,) + S."""
+    c, _ = jet(theta, phi, derivatives=False)
+    return _image(c, field.value(theta, phi), field.grad(theta, phi), hbar)
+
+
 class FirstOrderOperator:
-    """Operator pref * hbar * (c_theta d_theta + c_phi d_phi + c_0)."""
+    """Component `axis` of a unit-sphere vector operator
+    -i hbar (c_theta d_theta + c_phi d_phi + c_0) whose coefficients
+    `jet(theta, phi, derivatives)` gives (_momentum_jet or _angular_jet)."""
 
-    def __init__(self, name, prefactor, c_theta, c_phi, c_scalar):
-        # each coefficient entry is (value, d_theta, d_phi) callables
+    def __init__(self, name, jet, axis):
         self.name = name
-        self.prefactor = complex(prefactor)
-        self.c_theta = c_theta
-        self.c_phi = c_phi
-        self.c_scalar = c_scalar
-
-    def _coefficients(self, theta, phi, derivatives=True):
-        """c[k][d] for coefficient k (theta, phi, scalar) and d = value,
-        d_theta, d_phi (the value alone without derivatives)."""
-        n = 3 if derivatives else 1
-        return [
-            [fn(theta, phi) for fn in entry[:n]]
-            for entry in (self.c_theta, self.c_phi, self.c_scalar)
-        ]
-
-    def _value(self, c, f, g, hbar):
-        out = c[0][0] * g[0] + c[1][0] * g[1] + c[2][0] * f
-        return self.prefactor * hbar * out
-
-    def _grad(self, c, f, g, h, hbar):
-        out = np.empty(np.shape(g), dtype=complex)
-        for mu in range(2):
-            out[mu] = (
-                c[0][1 + mu] * g[0]
-                + c[0][0] * h[mu, 0]
-                + c[1][1 + mu] * g[1]
-                + c[1][0] * h[mu, 1]
-                + c[2][1 + mu] * f
-                + c[2][0] * g[mu]
-            )
-        return self.prefactor * hbar * out
+        self.jet = jet
+        self.axis = axis
 
     def value(self, field, theta, phi, hbar=1.0):
-        c = self._coefficients(theta, phi, derivatives=False)
-        return self._value(c, field.value(theta, phi), field.grad(theta, phi), hbar)
+        return _sphere_image(self.jet, field, theta, phi, hbar)[self.axis]
 
     def apply(self, field, hbar=1.0):
         """Operator image as a field with exact first partials."""
@@ -152,106 +209,26 @@ class FirstOrderOperator:
             return self.value(field, theta, phi, hbar)
 
         def grad(theta, phi):
-            c = self._coefficients(theta, phi)
+            c, dc = self.jet(theta, phi)
             f, g = field.value(theta, phi), field.grad(theta, phi)
-            return self._grad(c, f, g, field.hess(theta, phi), hbar)
+            return _image_grad(c, dc, f, g, field.hess(theta, phi), hbar)[:, self.axis]
 
         return ScalarField(
             label=f"{self.name}({field.label})", _value=value, _grad=grad, _hess=None
         )
 
 
-def _zero(theta, phi):
-    return np.zeros(np.broadcast(np.asarray(theta), np.asarray(phi)).shape)
+_AXES = ("x", "y", "z")
 
-
-_SIN = np.sin
-_COS = np.cos
-
-# Geometric momentum components on the unit sphere (outward normal, M = -1):
-# p_j = -i hbar ((r^theta)_j d_theta + (r^phi)_j d_phi + M n_j).
+# Geometric momentum components on the unit sphere (outward normal, M = -1).
 SPHERE_MOMENTUM = {
-    "x": FirstOrderOperator(
-        "p_x",
-        -1j,
-        (
-            lambda t, p: _COS(t) * _COS(p),
-            lambda t, p: -_SIN(t) * _COS(p),
-            lambda t, p: -_COS(t) * _SIN(p),
-        ),
-        (
-            lambda t, p: -_SIN(p) / _SIN(t),
-            lambda t, p: _SIN(p) * _COS(t) / _SIN(t) ** 2,
-            lambda t, p: -_COS(p) / _SIN(t),
-        ),
-        (
-            lambda t, p: -_SIN(t) * _COS(p),
-            lambda t, p: -_COS(t) * _COS(p),
-            lambda t, p: _SIN(t) * _SIN(p),
-        ),
-    ),
-    "y": FirstOrderOperator(
-        "p_y",
-        -1j,
-        (
-            lambda t, p: _COS(t) * _SIN(p),
-            lambda t, p: -_SIN(t) * _SIN(p),
-            lambda t, p: _COS(t) * _COS(p),
-        ),
-        (
-            lambda t, p: _COS(p) / _SIN(t),
-            lambda t, p: -_COS(p) * _COS(t) / _SIN(t) ** 2,
-            lambda t, p: -_SIN(p) / _SIN(t),
-        ),
-        (
-            lambda t, p: -_SIN(t) * _SIN(p),
-            lambda t, p: -_COS(t) * _SIN(p),
-            lambda t, p: -_SIN(t) * _COS(p),
-        ),
-    ),
-    "z": FirstOrderOperator(
-        "p_z",
-        -1j,
-        (lambda t, p: -_SIN(t), lambda t, p: -_COS(t), _zero),
-        (_zero, _zero, _zero),
-        (lambda t, p: -_COS(t), lambda t, p: _SIN(t), _zero),
-    ),
+    a: FirstOrderOperator(f"p_{a}", _momentum_jet, i) for i, a in enumerate(_AXES)
 }
 
 # Standard angular momentum realizations (imported textbook machinery).
 SPHERE_ANGULAR = {
-    "x": FirstOrderOperator(
-        "L_x",
-        -1j,
-        (lambda t, p: -_SIN(p), _zero, lambda t, p: -_COS(p)),
-        (
-            lambda t, p: -_COS(p) * _COS(t) / _SIN(t),
-            lambda t, p: _COS(p) / _SIN(t) ** 2,
-            lambda t, p: _SIN(p) * _COS(t) / _SIN(t),
-        ),
-        (_zero, _zero, _zero),
-    ),
-    "y": FirstOrderOperator(
-        "L_y",
-        -1j,
-        (lambda t, p: _COS(p), _zero, lambda t, p: -_SIN(p)),
-        (
-            lambda t, p: -_SIN(p) * _COS(t) / _SIN(t),
-            lambda t, p: _SIN(p) / _SIN(t) ** 2,
-            lambda t, p: -_COS(p) * _COS(t) / _SIN(t),
-        ),
-        (_zero, _zero, _zero),
-    ),
-    "z": FirstOrderOperator(
-        "L_z",
-        -1j,
-        (_zero, _zero, _zero),
-        (lambda t, p: np.ones(np.broadcast(np.asarray(t), np.asarray(p)).shape), _zero, _zero),
-        (_zero, _zero, _zero),
-    ),
+    a: FirstOrderOperator(f"L_{a}", _angular_jet, i) for i, a in enumerate(_AXES)
 }
-
-_AXES = ("x", "y", "z")
 
 
 _EPSILON = np.zeros((3, 3, 3))
@@ -262,7 +239,6 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 
 def sphere_momentum_component(axis, field, theta, phi, hbar=1.0):
     """Closed-form momentum component on the unit sphere."""
-    _check_pole(theta)
     op = SPHERE_MOMENTUM[_AXES[_axis(axis)]]
     return _complex(op.value(field, theta, phi, hbar))
 
@@ -296,29 +272,17 @@ def angular_momentum_residuals(field, theta, phi, hbar=1.0):
     """[L_i, p_j] f - i hbar eps_ijk p_k f on the unit sphere, all nine pairs.
 
     Complex of shape (3, 3) + point shape, indexed [i, j].  The field's jets
-    and each operator's coefficients are evaluated once for all pairs.
+    and the coefficient jets of p and L are evaluated once for all pairs.
     """
-    _check_pole(theta)
+    cp, dcp = _momentum_jet(theta, phi)
+    cl, dcl = _angular_jet(theta, phi)
     f, g, h = field.value(theta, phi), field.grad(theta, phi), field.hess(theta, phi)
-    P = [SPHERE_MOMENTUM[a] for a in _AXES]
-    L = [SPHERE_ANGULAR[a] for a in _AXES]
-    cP = [op._coefficients(theta, phi) for op in P]
-    cL = [op._coefficients(theta, phi) for op in L]
-    p_vals = [op._value(c, f, g, hbar) for op, c in zip(P, cP)]
-    p_images = [(p_vals[j], P[j]._grad(cP[j], f, g, h, hbar)) for j in range(3)]
-    l_images = [
-        (L[i]._value(cL[i], f, g, hbar), L[i]._grad(cL[i], f, g, h, hbar))
-        for i in range(3)
-    ]
-    out = np.empty((3, 3) + np.shape(f), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            lhs = L[i]._value(cL[i], *p_images[j], hbar) - P[j]._value(
-                cP[j], *l_images[i], hbar
-            )
-            rhs = sum(_EPSILON[i, j, k] * p_vals[k] for k in range(3))
-            out[i, j] = lhs - 1j * hbar * rhs
-    return out
+    p_f, l_f = _image(cp, f, g, hbar), _image(cl, f, g, hbar)
+    l_p_f = _image(cl[:, :, None], p_f, _image_grad(cp, dcp, f, g, h, hbar), hbar)
+    p_l_f = _image(cp[:, :, None], l_f, _image_grad(cl, dcl, f, g, h, hbar), hbar)
+    eps_p_f = np.einsum("ijk,k...->ij...", _EPSILON, p_f)
+    # l_p_f is indexed [i, j] and p_l_f [j, i]
+    return l_p_f - p_l_f.swapaxes(0, 1) - 1j * hbar * eps_p_f
 
 
 def commutator_angular_momentum(i, j, field, theta, phi, hbar=1.0):
@@ -349,22 +313,13 @@ def rotation_sample_grid(n_theta=20, n_phi=40, band=1e-3):
     """
     thetas = np.linspace(band, np.pi - band, n_theta + 2)[1:-1]
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    rotations = [
-        rotation_matrix("y", -np.pi / 2.0),
-        rotation_matrix("x", np.pi / 2.0),
-    ]
-    points = []
-    for t in thetas:
-        for p in phis:
-            vec = flib.sphere_point(t, p)
-            ok = min(t, np.pi - t) > band
-            for rot in rotations:
-                z = abs((rot @ vec)[2])
-                if z > np.cos(band):
-                    ok = False
-            if ok:
-                points.append((t, p))
-    return points
+    t, p = np.meshgrid(thetas, phis, indexing="ij")
+    vec = flib.sphere_point(t, p)
+    ok = np.minimum(t, np.pi - t) > band
+    for rot in (rotation_matrix("y", -np.pi / 2.0), rotation_matrix("x", np.pi / 2.0)):
+        z = rot[2, 0] * vec[0] + rot[2, 1] * vec[1] + rot[2, 2] * vec[2]
+        ok &= ~(np.abs(z) > np.cos(band))
+    return list(zip(t[ok], p[ok]))
 
 
 def rotation_relation_check(field, sample_points=None, hbar=1.0):
@@ -556,6 +511,26 @@ def confinement_slope(chart, chi, profile, q1, q2, q3_values):
     return slope, rows
 
 
+def _hermiticity_defects(fields, order, hbar):
+    """<f, p_a g> - <p_a f, g> for every axis a and pair (f, g) of `fields`,
+    complex of shape (3, F, F) indexed [a, f, g].  Each field's value and
+    p image are evaluated on the grid once; one image component is kept at
+    a time, which bounds the memory at high order."""
+    theta, phi, w = sphere_grid(order)
+    c, _ = _momentum_jet(theta, phi, derivatives=False)
+    vals = [f.value(theta, phi) for f in fields]
+    inner_f_pg = np.empty((3, len(fields), len(fields)), dtype=complex)
+    inner_pf_g = np.empty_like(inner_f_pg)
+    for j, g in enumerate(fields):
+        g_grad = g.grad(theta, phi)
+        for a in range(3):
+            p_g = _image(c[:, a], vals[j], g_grad, hbar)
+            for i, f_val in enumerate(vals):
+                inner_f_pg[a, i, j] = np.sum(w * np.conj(f_val) * p_g)
+                inner_pf_g[a, j, i] = np.sum(w * np.conj(p_g) * f_val)
+    return inner_f_pg - inner_pf_g
+
+
 def hermiticity_defect(axis, f, g, order=64, hbar=1.0):
     """<f, P g> - <P f, g> on the unit sphere by quadrature.
 
@@ -563,12 +538,5 @@ def hermiticity_defect(axis, f, g, order=64, hbar=1.0):
     vanishes for smooth fields because the M n term makes the geometric
     momentum symmetric under the surface measure.
     """
-    op = SPHERE_MOMENTUM[_AXES[_axis(axis)]]
-    theta, phi, w = sphere_grid(order)
-    f_val = f.value(theta, phi)
-    g_val = g.value(theta, phi)
-    p_g = op.value(g, theta, phi, hbar)
-    p_f = op.value(f, theta, phi, hbar)
-    inner_f_pg = np.sum(w * np.conj(f_val) * p_g)
-    inner_pf_g = np.sum(w * np.conj(p_f) * g_val)
-    return complex(inner_f_pg - inner_pf_g)
+    a = _axis(axis)
+    return complex(_hermiticity_defects((f, g), order, hbar)[a, 0, 1])

@@ -213,7 +213,6 @@ def commutator_suite(options):
         return []
     out = []
     library = flib.field_library(options.lmax, options.trig_count)
-    axes = ("x", "y", "z")
     for chart in _builtin_charts():
         pts = chlib.interior_points(chart, options.points_per_chart)
         q1, q2 = pts[:, 0], pts[:, 1]
@@ -241,9 +240,7 @@ def commutator_suite(options):
             out.append(_result(options, "angular_momentum", "sphere", fld.label, p, r))
         if options.wants("sphere_component_match"):
             general = oplib.apply_geometric_momentum(sphere, fld, theta, phi)
-            closed = np.array(
-                [oplib.sphere_momentum_component(ax, fld, theta, phi) for ax in axes]
-            )
+            closed = oplib._sphere_image(oplib._momentum_jet, fld, theta, phi)
             r, p = _worst(np.abs(closed - general).max(axis=0), pts)
             out.append(
                 _result(options, "sphere_component_match", "sphere", fld.label, p, r)
@@ -278,18 +275,12 @@ def hermiticity_suite(options):
         flib.spherical_harmonic(1, 1),
         flib.spherical_harmonic(2, 0),
     ]
-    for axis in ("x", "y", "z"):
-        worst, label = -1.0, None
-        for f in pool:
-            for g in pool:
-                d = abs(
-                    oplib.hermiticity_defect(
-                        axis, f, g, order=options.hermiticity_order
-                    )
-                )
-                if d > worst:
-                    worst, label = d, f"p_{axis}:{f.label},{g.label}"
-        out.append(_result(options, "hermiticity", "sphere", label, None, worst))
+    pairs = [(f.label, g.label) for f in pool for g in pool]
+    defects = np.abs(oplib._hermiticity_defects(pool, options.hermiticity_order, 1.0))
+    for axis, defect in zip(("x", "y", "z"), defects):
+        r, (f, g) = _worst(defect, pairs)
+        label = f"p_{axis}:{f},{g}"
+        out.append(_result(options, "hermiticity", "sphere", label, None, r))
     return out
 
 

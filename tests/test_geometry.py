@@ -245,3 +245,24 @@ def test_curvature_gradients_fallback_on_a_mapped_torus():
         exact_dM, exact_dK = curvature_gradients(torus, u, v)
         assert np.abs(dM - exact_dM).max() < 5e-2
         assert np.abs(dK - exact_dK).max() < 5e-2
+
+
+def test_shell_frame_offset_axes_match_single_offsets():
+    # extra offset axes lead the point axes; every entry is bit for bit the
+    # one-offset, one-point result
+    torus = chlib.torus()
+    q3 = np.array([-0.2, 0.1, 0.3])
+    fr = evaluate_frame(torus, 0.8, 2.0)
+    sf = shell_frame(fr, q3)
+    single = [shell_frame(fr, q) for q in q3]
+    assert np.array_equal(sf.det, [s.det for s in single])
+    assert np.array_equal(sf.fold_factor, [s.fold_factor for s in single])
+    assert np.array_equal(sf.metric3, np.stack([s.metric3 for s in single], axis=-1))
+    q1, q2 = np.array([0.8, 1.3]), np.array([2.0, 0.4])
+    sf = shell_frame(evaluate_frame(torus, q1, q2), q3[:, None])
+    assert sf.det.shape == (3, 2) and sf.metric3.shape == (3, 3, 3, 2)
+    for k, q in enumerate(q3):
+        for m in range(2):
+            one = shell_frame(evaluate_frame(torus, q1[m], q2[m]), q)
+            assert sf.det[k, m] == one.det
+            assert np.array_equal(sf.metric3[:, :, k, m], one.metric3)

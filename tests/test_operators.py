@@ -394,3 +394,92 @@ def test_hermiticity_defect_constant_antisymmetry():
     one = flib.constant(1.0)
     assert abs(oplib.hermiticity_defect("z", one, one, order=32)) < 1e-12
 
+
+# ---------------------------------------------------------------------------
+# closed-form sphere operators
+# ---------------------------------------------------------------------------
+
+
+def _loop_rotation_sample_grid(n_theta=20, n_phi=40, band=1e-3):
+    """Point-by-point reference for rotation_sample_grid."""
+    thetas = np.linspace(band, np.pi - band, n_theta + 2)[1:-1]
+    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    rotations = [
+        flib.rotation_matrix("y", -np.pi / 2.0),
+        flib.rotation_matrix("x", np.pi / 2.0),
+    ]
+    points = []
+    for t in thetas:
+        for p in phis:
+            vec = flib.sphere_point(t, p)
+            ok = min(t, np.pi - t) > band
+            for rot in rotations:
+                if abs((rot @ vec)[2]) > np.cos(band):
+                    ok = False
+            if ok:
+                points.append((t, p))
+    return points
+
+
+@pytest.mark.parametrize("args", [(), (7, 13, 0.2), (50, 80, 1e-3)])
+def test_rotation_grid_matches_point_loop(args):
+    grid = oplib.rotation_sample_grid(*args)
+    reference = _loop_rotation_sample_grid(*args)
+    assert len(grid) == len(reference)
+    assert np.array_equal(np.array(grid), np.array(reference))
+
+
+SPHERE_OPERATORS = [
+    *oplib.SPHERE_MOMENTUM.values(),
+    *oplib.SPHERE_ANGULAR.values(),
+]
+
+
+@pytest.mark.parametrize("op", SPHERE_OPERATORS, ids=lambda op: op.name)
+@pytest.mark.parametrize("theta", [0.0, 1e-12, np.pi - 1e-12])
+def test_sphere_operators_refuse_the_poles(op, theta):
+    y11 = flib.spherical_harmonic(1, 1)
+    image = op.apply(y11)
+    for evaluate in (
+        lambda: op.value(y11, theta, 0.3),
+        lambda: image.value(theta, 0.3),
+        lambda: image.grad(theta, 0.3),
+        lambda: op.value(y11, np.array([1.0, theta]), 0.3),
+    ):
+        with pytest.raises(PoleProximityError):
+            evaluate()
+
+
+def _random_sphere_points(n=50, seed=11, margin=0.05):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(margin, np.pi - margin, n), rng.uniform(0.0, 2.0 * np.pi, n)
+
+
+@pytest.mark.parametrize("lm", [(2, 1), (3, -2)])
+def test_sphere_momentum_dirac_bracket(lm):
+    # [p_i, p_j] f = -i hbar eps_ijk L_k f with nested closed-form operators
+    fld = flib.spherical_harmonic(*lm)
+    theta, phi = _random_sphere_points()
+    hbar = 1.0
+    p, L = oplib.SPHERE_MOMENTUM, oplib.SPHERE_ANGULAR
+    for i, j, k in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
+        p_i_p_j = p[i].value(p[j].apply(fld, hbar), theta, phi, hbar)
+        p_j_p_i = p[j].value(p[i].apply(fld, hbar), theta, phi, hbar)
+        l_k = L[k].value(fld, theta, phi, hbar)
+        assert np.abs(p_i_p_j - p_j_p_i + 1j * hbar * l_k).max() < 1e-13
+        assert np.abs(p_i_p_j - p_j_p_i).max() > 0.1  # not vacuous
+
+
+@pytest.mark.parametrize("op", SPHERE_OPERATORS, ids=lambda op: op.name)
+def test_sphere_operator_image_partials_match_differences(op, field_library):
+    theta, phi = _random_sphere_points(n=20, seed=5, margin=0.3)
+    h = 1e-6
+    worst = 0.0
+    for fld in field_library:
+        image = op.apply(fld)
+        grad = image.grad(theta, phi)
+        d_theta = (image.value(theta + h, phi) - image.value(theta - h, phi)) / (2 * h)
+        d_phi = (image.value(theta, phi + h) - image.value(theta, phi - h)) / (2 * h)
+        assert grad.shape == (2,) + theta.shape
+        worst = max(worst, np.abs(grad - np.array([d_theta, d_phi])).max())
+    assert worst < 1e-8
