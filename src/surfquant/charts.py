@@ -1,26 +1,28 @@
-"""Parametric surface charts with exact first and second partial derivatives.
+"""Parametric surface charts with exact partial derivatives to third order.
 
-A chart is an immutable bundle of callables: the map r(q1, q2) into 3-space
-plus its first partials (shape (2, 3)) and second partials (shape (2, 2, 3)).
-Built-in charts (sphere, cylinder, torus, plane) carry hand-written analytic
-derivatives; user maps without derivatives get a central-difference adaptor
-with one Richardson extrapolation level.
+A chart is an immutable bundle of a name, parameters, a domain and one bare
+map r(q1, q2) into 3-space.  Its first (2, 3), second (2, 2, 3) and third
+(2, 2, 2, 3) partials all come from one path: the map is evaluated on
+truncated Taylor jets of its parameters (`_jets`), so they are exact to
+rounding and no chart carries a hand-written derivative.  `partials`
+returns every order up to the one asked for from a single map call.
 
 Point-axis convention: (q1, q2) may be arrays.  They broadcast to a point
 shape S, which goes last: the position has shape (3,) + S, the tangents
-(2, 3) + S and the second partials (2, 2, 3) + S.  Scalar points give the
-plain (3,), (2, 3) and (2, 2, 3) arrays.
+(2, 3) + S, the second partials (2, 2, 3) + S and the third partials
+(2, 2, 2, 3) + S.  Scalar points give the plain per-point arrays.
 
 Orientation convention: the unit normal is (d1 r x d2 r)/|d1 r x d2 r| and
 the built-in closed surfaces order their parameters so the normal points
 outward.  This is the deterministic rule all curvature signs hang off.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import _jets
 from .errors import ChartSingularityError
 
 # Degeneracy threshold relative to the tangent scale, |t1 x t2| < tol * scale.
@@ -32,28 +34,32 @@ POLE_BAND = 1e-3
 
 @dataclass(frozen=True)
 class ParametricChart:
-    """Surface map r(q1, q2) -> R^3 with exact partials to second order."""
+    """Surface map r(q1, q2) -> R^3; its partials come from jets of the map."""
 
     name: str
     params: dict
     domain: tuple  # ((lo1, hi1), (lo2, hi2))
     periodic: tuple  # (bool, bool)
     _map: Callable
-    _d1: Callable
-    _d2: Callable
-    # Optional analytic gradients of (M, K); None means finite differences.
-    curvature_gradient: Optional[Callable] = field(default=None, compare=False)
+
+    def partials(self, q1, q2, order):
+        """[position, tangents, second, third partials][:order + 1], one map call."""
+        return _jets.partials(self._map, q1, q2, order)
 
     def position(self, q1, q2):
-        return np.asarray(self._map(q1, q2), dtype=float)
+        return self.partials(q1, q2, 0)[0]
 
     def tangents(self, q1, q2):
         """First partials d_mu r, shape (2, 3)."""
-        return np.asarray(self._d1(q1, q2), dtype=float)
+        return self.partials(q1, q2, 1)[1]
 
     def second_partials(self, q1, q2):
         """Second partials d_mu d_nu r, shape (2, 2, 3), symmetric in mu, nu."""
-        return np.asarray(self._d2(q1, q2), dtype=float)
+        return self.partials(q1, q2, 2)[2]
+
+    def third_partials(self, q1, q2):
+        """Third partials d_mu d_nu d_l r, shape (2, 2, 2, 3), fully symmetric."""
+        return self.partials(q1, q2, 3)[3]
 
     def contains(self, q1, q2):
         """Whether (q1, q2) lies inside the domain on the non-periodic axes.
@@ -70,108 +76,27 @@ class ParametricChart:
 
 
 def from_map(map_fn, domain, periodic=(False, False), name="custom", params=None):
-    """Wrap a bare map with finite-difference first/second partials.
+    """Wrap a bare map r(q1, q2) -> three components as a chart.
 
-    Central differences with one Richardson level (h and h/2 combined as
-    (4*D_half - D_h)/3).  Steps scale as (1 + |q|) with the rounding-optimal
-    exponent per derivative order: eps^(1/3) for first differences and
-    eps^(1/4) for second/mixed ones.  Good to roughly 1e-10 (first) and
-    1e-7 (second) relative on smooth maps.
+    The map is evaluated on Taylor jets of its parameters, so its partials
+    are exact to rounding.  It must be elementwise numpy: +, -, *, /, ** by
+    a number, unary minus, and np.sin, np.cos, np.exp, np.log, np.sqrt,
+    returning a sequence of three components (a component may be a
+    constant); any other operation, math.sin for one, raises TypeError.
     """
-    second_h = float(np.finfo(float).eps ** 0.25)
-
-    def m(q1, q2):
-        return np.asarray(map_fn(q1, q2), dtype=float)
-
-    def d1(q1, q2):
-        return _richardson_gradient(m, q1, q2)
-
-    def d2(q1, q2):
-        a, b = np.array([q1, q2], dtype=float)
-        f0 = m(a, b)
-        diffs = (
-            lambda h: (m(a + h, b) - 2.0 * f0 + m(a - h, b)) / (h * h),
-            lambda h: (m(a, b + h) - 2.0 * f0 + m(a, b - h)) / (h * h),
-            lambda h: (m(a + h, b + h) - m(a + h, b - h) - m(a - h, b + h)
-                       + m(a - h, b - h)) / (4.0 * h * h),
-        )
-        scales = (1.0 + abs(a), 1.0 + abs(b), 1.0 + abs(a) + abs(b))
-        d11, d22, d12 = (_richardson(d, second_h * s) for d, s in zip(diffs, scales))
-        return np.array([[d11, d12], [d12, d22]])
-
     return ParametricChart(
         name=name,
         params=dict(params or {}),
         domain=tuple(tuple(map(float, ax)) for ax in domain),
         periodic=tuple(bool(p) for p in periodic),
-        _map=_pointwise(m, (3,)),
-        _d1=_pointwise(d1, (2, 3)),
-        _d2=_pointwise(d2, (2, 2, 3)),
+        _map=map_fn,
     )
-
-
-def _pointwise(jet, jet_shape):
-    """Broadcast a jet that only takes scalar points.
-
-    User maps are not assumed to broadcast, so array points are evaluated
-    one at a time and stacked with the point axes last.
-    """
-
-    def batched(q1, q2):
-        a, b = np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float))
-        if a.ndim == 0:
-            return jet(q1, q2)
-        out = np.empty(jet_shape + (a.size,))
-        for k, (x, y) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
-            out[..., k] = jet(x, y)
-        return out.reshape(jet_shape + a.shape)
-
-    return batched
-
-
-# First-difference step per unit of (1 + |q|), rounding-optimal at eps^(1/3).
-_FIRST_STEP = float(np.cbrt(np.finfo(float).eps))
-
-
-def _richardson(diff, h):
-    """One Richardson level on a central difference D: (4 D(h/2) - D(h)) / 3."""
-    return (4.0 * diff(0.5 * h) - diff(h)) / 3.0
-
-
-def _richardson_gradient(fn, q1, q2):
-    """First partials of fn at one point, stacked on a new leading axis:
-    Richardson-extrapolated central differences, steps _FIRST_STEP (1 + |q_mu|)."""
-    a, b = np.array([q1, q2], dtype=float)
-
-    def f(x, y):
-        return np.asarray(fn(x, y), dtype=float)
-
-    return np.array([
-        _richardson(lambda h: (f(a + h, b) - f(a - h, b)) / (2.0 * h),
-                    _FIRST_STEP * (1.0 + abs(a))),
-        _richardson(lambda h: (f(a, b + h) - f(a, b - h)) / (2.0 * h),
-                    _FIRST_STEP * (1.0 + abs(b))),
-    ])
-
-
-def _constant_curvature_gradient(q1, q2):
-    """(d_mu M, d_mu K) of a chart whose curvatures are constant: zero."""
-    return np.zeros(2), np.zeros(2)
 
 
 # ---------------------------------------------------------------------------
 # Built-in charts.  Parameter order is chosen so d1 x d2 points outward on
 # the closed surfaces (sphere, cylinder, torus); the plane normal is +z.
-# Every jet broadcasts its two parameters first, so constant entries can be
-# written as zeros/ones of the point shape.
 # ---------------------------------------------------------------------------
-
-
-def _points(q1, q2):
-    """The two parameters with one common shape, so jets can stack entries."""
-    if np.shape(q1) == np.shape(q2):
-        return q1, q2
-    return np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
 
 
 def sphere(radius=1.0):
@@ -181,41 +106,11 @@ def sphere(radius=1.0):
         raise ValueError("radius must be positive")
 
     def m(th, ph):
-        th, ph = _points(th, ph)
-        st, ct = np.sin(th), np.cos(th)
-        return np.array([R * st * np.cos(ph), R * st * np.sin(ph), R * ct])
+        st = R * np.sin(th)
+        return [st * np.cos(ph), st * np.sin(ph), R * np.cos(th)]
 
-    def d1(th, ph):
-        th, ph = _points(th, ph)
-        st, ct = np.sin(th), np.cos(th)
-        sp, cp = np.sin(ph), np.cos(ph)
-        return np.array(
-            [
-                [R * ct * cp, R * ct * sp, -R * st],
-                [-R * st * sp, R * st * cp, np.zeros_like(th)],
-            ]
-        )
-
-    def d2(th, ph):
-        th, ph = _points(th, ph)
-        st, ct = np.sin(th), np.cos(th)
-        sp, cp = np.sin(ph), np.cos(ph)
-        zero = np.zeros_like(th)
-        dtt = np.array([-R * st * cp, -R * st * sp, -R * ct])
-        dtp = np.array([-R * ct * sp, R * ct * cp, zero])
-        dpp = np.array([-R * st * cp, -R * st * sp, zero])
-        return np.array([[dtt, dtp], [dtp, dpp]])
-
-    return ParametricChart(
-        name="sphere",
-        params={"radius": R},
-        domain=((0.0, np.pi), (0.0, 2.0 * np.pi)),
-        periodic=(False, True),
-        _map=m,
-        _d1=d1,
-        _d2=d2,
-        curvature_gradient=_constant_curvature_gradient,
-    )
+    return from_map(m, ((0.0, np.pi), (0.0, 2.0 * np.pi)), (False, True),
+                    "sphere", {"radius": R})
 
 
 def cylinder(radius=1.0, half_height=1.0):
@@ -226,36 +121,10 @@ def cylinder(radius=1.0, half_height=1.0):
         raise ValueError("radius and half_height must be positive")
 
     def m(ph, v):
-        ph, v = _points(ph, v)
-        return np.array([R * np.cos(ph), R * np.sin(ph), v])
+        return [R * np.cos(ph), R * np.sin(ph), v]
 
-    def d1(ph, v):
-        ph, v = _points(ph, v)
-        zero, one = np.zeros_like(ph), np.ones_like(ph)
-        return np.array(
-            [
-                [-R * np.sin(ph), R * np.cos(ph), zero],
-                [zero, zero, one],
-            ]
-        )
-
-    def d2(ph, v):
-        ph, v = _points(ph, v)
-        zero = np.zeros_like(ph)
-        dpp = np.array([-R * np.cos(ph), -R * np.sin(ph), zero])
-        z = np.array([zero, zero, zero])
-        return np.array([[dpp, z], [z, z]])
-
-    return ParametricChart(
-        name="cylinder",
-        params={"radius": R, "half_height": H},
-        domain=((0.0, 2.0 * np.pi), (-H, H)),
-        periodic=(True, False),
-        _map=m,
-        _d1=d1,
-        _d2=d2,
-        curvature_gradient=_constant_curvature_gradient,
-    )
+    return from_map(m, ((0.0, 2.0 * np.pi), (-H, H)), (True, False),
+                    "cylinder", {"radius": R, "half_height": H})
 
 
 def torus(major_radius=2.0, minor_radius=0.5):
@@ -266,49 +135,11 @@ def torus(major_radius=2.0, minor_radius=0.5):
         raise ValueError("need major_radius > minor_radius > 0")
 
     def m(u, v):
-        u, v = _points(u, v)
         w = a + b * np.cos(v)
-        return np.array([w * np.cos(u), w * np.sin(u), b * np.sin(v)])
+        return [w * np.cos(u), w * np.sin(u), b * np.sin(v)]
 
-    def d1(u, v):
-        u, v = _points(u, v)
-        w = a + b * np.cos(v)
-        su, cu = np.sin(u), np.cos(u)
-        sv, cv = np.sin(v), np.cos(v)
-        return np.array(
-            [
-                [-w * su, w * cu, np.zeros_like(u)],
-                [-b * sv * cu, -b * sv * su, b * cv],
-            ]
-        )
-
-    def d2(u, v):
-        u, v = _points(u, v)
-        w = a + b * np.cos(v)
-        su, cu = np.sin(u), np.cos(u)
-        sv, cv = np.sin(v), np.cos(v)
-        zero = np.zeros_like(u)
-        duu = np.array([-w * cu, -w * su, zero])
-        duv = np.array([b * sv * su, -b * sv * cu, zero])
-        dvv = np.array([-b * cv * cu, -b * cv * su, -b * sv])
-        return np.array([[duu, duv], [duv, dvv]])
-
-    def curv_grad(u, v):
-        w = a + b * np.cos(v)
-        dM = np.array([0.0, a * np.sin(v) / (2.0 * w * w)])
-        dK = np.array([0.0, -a * np.sin(v) / (b * w * w)])
-        return dM, dK
-
-    return ParametricChart(
-        name="torus",
-        params={"major_radius": a, "minor_radius": b},
-        domain=((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi)),
-        periodic=(True, True),
-        _map=m,
-        _d1=d1,
-        _d2=d2,
-        curvature_gradient=curv_grad,
-    )
+    return from_map(m, ((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi)), (True, True),
+                    "torus", {"major_radius": a, "minor_radius": b})
 
 
 def plane(extent=1.0):
@@ -316,29 +147,8 @@ def plane(extent=1.0):
     L = float(extent)
     if L <= 0.0:
         raise ValueError("extent must be positive")
-
-    def m(u, v):
-        u, v = _points(u, v)
-        return np.array([u, v, np.zeros_like(u)])
-
-    def d1(u, v):
-        u, v = _points(u, v)
-        zero, one = np.zeros_like(u), np.ones_like(u)
-        return np.array([[one, zero, zero], [zero, one, zero]])
-
-    def d2(u, v):
-        return np.zeros((2, 2, 3) + np.broadcast(np.asarray(u), np.asarray(v)).shape)
-
-    return ParametricChart(
-        name="plane",
-        params={"extent": L},
-        domain=((-L, L), (-L, L)),
-        periodic=(False, False),
-        _map=m,
-        _d1=d1,
-        _d2=d2,
-        curvature_gradient=_constant_curvature_gradient,
-    )
+    return from_map(lambda u, v: [u, v, 0.0], ((-L, L), (-L, L)), (False, False),
+                    "plane", {"extent": L})
 
 
 CHART_BUILDERS = {
@@ -374,13 +184,12 @@ def _cross(a, b):
     )
 
 
-def check_regular(chart, q1, q2):
-    """Return (tangents, d1 r x d2 r); raise where the tangents degenerate.
+def _regular_cross(chart, q1, q2, t):
+    """d1 r x d2 r from the tangents t at (q1, q2); raise where they degenerate.
 
     Broadcasts over array points.  The test is written so that NaN fails
     it, and the error names the first failing point in input (C) order.
     """
-    t = chart.tangents(q1, q2)
     cross = _cross(t[0], t[1])
     scale = _norm(t[0]) * _norm(t[1])
     regular = _norm(cross) >= SINGULARITY_RTOL * np.maximum(scale, 1e-300)
@@ -391,7 +200,7 @@ def check_regular(chart, q1, q2):
         finite = np.all(np.isfinite(point))
         detail = "tangent degeneracy" if finite else "non-finite point"
         raise ChartSingularityError(chart.name, point, detail)
-    return t, cross
+    return cross
 
 
 def _radical_inverse(index, base):

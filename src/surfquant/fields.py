@@ -19,6 +19,7 @@ Python complex value and (2,) / (2, 2) arrays.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
 import numpy as np
@@ -131,21 +132,7 @@ def constant(c, label=None):
     if label is None:
         label = f"const({c.real:g}{c.imag:+g}j)" if c.imag else f"const({c.real:g})"
 
-    def value(q1, q2):
-        shape = np.broadcast(np.asarray(q1), np.asarray(q2)).shape
-        if shape == ():
-            return c
-        return np.full(shape, c, dtype=complex)
-
-    def grad(q1, q2):
-        shape = np.broadcast(np.asarray(q1), np.asarray(q2)).shape
-        return np.zeros((2,) + shape, dtype=complex)
-
-    def hess(q1, q2):
-        shape = np.broadcast(np.asarray(q1), np.asarray(q2)).shape
-        return np.zeros((2, 2) + shape, dtype=complex)
-
-    return ScalarField(label=label, _value=value, _grad=grad, _hess=hess)
+    return _closed_form(label, lambda q1, q2, order: [0.0] * (order + 1) if order else [c])
 
 
 def product(f, g, label=None):
@@ -182,19 +169,11 @@ def coordinate_field(chart, axis):
     if axis not in (0, 1, 2):
         raise ValueError("axis must be 0, 1 or 2")
 
-    def value(q1, q2):
-        x = chart.position(q1, q2)[axis]
-        return complex(x) if x.ndim == 0 else x.astype(complex)
+    def partials(q1, q2, order):
+        d = chart.partials(q1, q2, order)[order]
+        return [d[key + (axis,)] for key in combinations_with_replacement((0, 1), order)]
 
-    def grad(q1, q2):
-        return chart.tangents(q1, q2)[:, axis].astype(complex)
-
-    def hess(q1, q2):
-        return chart.second_partials(q1, q2)[:, :, axis].astype(complex)
-
-    return ScalarField(
-        label=f"x{'xyz'[axis]}@{chart.name}", _value=value, _grad=grad, _hess=hess
-    )
+    return _closed_form(f"x{'xyz'[axis]}@{chart.name}", partials)
 
 
 def _closed_form(label, partials):
@@ -373,6 +352,21 @@ def sphere_point(theta, phi):
     return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
 
 
+def _sphere_basis(theta, phi):
+    """sin(theta), cos(theta) and the unit vectors n, e_theta, e_phi, e_rho,
+    each (3,) + S; points within POLE_MARGIN of a pole raise
+    PoleProximityError."""
+    _check_pole(theta)
+    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    zero = np.zeros_like(sp)
+    n = np.array([st * cp, st * sp, ct])
+    e_theta = np.array([ct * cp, ct * sp, -st])
+    e_phi = np.array([-sp, cp, zero])
+    e_rho = np.array([cp, sp, zero])
+    return st, ct, n, e_theta, e_phi, e_rho
+
+
 def _sphere_angles(p):
     """(theta, phi) of unit vectors p of shape (3,) + S."""
     theta = np.arccos(np.clip(p[2], -1.0, 1.0))
@@ -412,11 +406,9 @@ def pullback_field(f, matrix, label=None):
 
     def grad(theta, phi):
         p, tp, pp = mapped(theta, phi)
-        st, ct = np.sin(theta), np.cos(theta)
-        sphi, cphi = np.sin(phi), np.cos(phi)
-        zero = np.zeros_like(st)
-        dp_dtheta = np.tensordot(A, np.array([ct * cphi, ct * sphi, -st]), axes=1)
-        dp_dphi = np.tensordot(A, np.array([-st * sphi, st * cphi, zero]), axes=1)
+        st, _, _, e_theta, e_phi, _ = _sphere_basis(theta, phi)
+        dp_dtheta = np.tensordot(A, e_theta, axes=1)
+        dp_dphi = np.tensordot(A, st * e_phi, axes=1)
         stp = np.sin(tp)
         rho2 = p[0] * p[0] + p[1] * p[1]
         # jac[mu, nu] = d(theta', phi')_nu / d(theta, phi)_mu

@@ -44,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields as flib
-from .fields import ScalarField, _check_pole, pullback_field, rotation_matrix
+from .fields import ScalarField, _sphere_basis, pullback_field, rotation_matrix
 from .geometry import (
-    curvature_gradients,
+    _frame_with_gradients,
     evaluate_frame,
     laplace_beltrami_jets,
     shell_frame,
@@ -113,24 +113,10 @@ def apply_geometric_momentum(chart, field, q1, q2, hbar=1.0):
 #     d_theta e_theta = -n          d_phi e_theta = cos(theta) e_phi
 #     d_theta e_phi = 0             d_phi e_phi = -e_rho
 # with e_rho = sin(theta) n + cos(theta) e_theta = (cos phi, sin phi, 0).
-# The basis is built from sin and cos alone, never from the sphere chart or
-# its frame, so it stays an independent oracle for the general path.
+# The basis (fields._sphere_basis) is built from sin and cos alone, never
+# from the sphere chart or its frame, so it stays an independent oracle for
+# the general path.
 # ---------------------------------------------------------------------------
-
-
-def _sphere_basis(theta, phi):
-    """sin(theta), cos(theta) and the unit vectors n, e_theta, e_phi, e_rho,
-    each (3,) + S; points within POLE_MARGIN of a pole raise
-    PoleProximityError."""
-    _check_pole(theta)
-    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
-    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    zero = np.zeros_like(sp)
-    n = np.array([st * cp, st * sp, ct])
-    e_theta = np.array([ct * cp, ct * sp, -st])
-    e_phi = np.array([-sp, cp, zero])
-    e_rho = np.array([cp, sp, zero])
-    return st, ct, n, e_theta, e_phi, e_rho
 
 
 def _momentum_jet(theta, phi, derivatives=True):
@@ -250,7 +236,11 @@ def position_momentum_residuals(chart, field, q1, q2, hbar=1.0):
     set of field jets and the frame's own jets of x_i serve every pair.
     """
     frame = evaluate_frame(chart, q1, q2)
-    f_val, f_grad = field.value(q1, q2), field.grad(q1, q2)
+    return _position_momentum(frame, field.value(q1, q2), field.grad(q1, q2), hbar)
+
+
+def _position_momentum(frame, f_val, f_grad, hbar=1.0):
+    """position_momentum_residuals on a frame, from the field's jets there."""
     p_f = _momentum(frame, f_val, f_grad, hbar)  # [j]
     xf_val, xf_grad, _ = _coordinate_products(frame, f_val, f_grad)
     p_xf = _momentum(frame, xf_val, xf_grad, hbar).swapaxes(0, 1)  # [i, j]
@@ -295,7 +285,12 @@ def commutator_angular_momentum(i, j, field, theta, phi, hbar=1.0):
 def commutator_position_kinetic(chart, field, q1, q2, hbar=1.0, mass=1.0):
     """Componentwise residual of [r, T] f - (i hbar / mass) p f, (3,) + point shape."""
     frame = evaluate_frame(chart, q1, q2)
-    f_val, f_grad, f_hess = field.value(q1, q2), field.grad(q1, q2), field.hess(q1, q2)
+    jets = field.value(q1, q2), field.grad(q1, q2), field.hess(q1, q2)
+    return _position_kinetic(frame, *jets, hbar, mass)
+
+
+def _position_kinetic(frame, f_val, f_grad, f_hess, hbar=1.0, mass=1.0):
+    """commutator_position_kinetic on a frame, from the field's jets there."""
     scale = -(hbar * hbar) / (2.0 * mass)
     t_f = scale * laplace_beltrami_jets(frame, f_grad, f_hess)
     p_f = _momentum(frame, f_val, f_grad, hbar)
@@ -400,12 +395,11 @@ class ConfinedGradient:
 def _shell_pieces(chart, chi, profile, q1, q2, q3):
     """The shell frame and the jets of psi = chi f^{-1/2} phi at a shell point,
     f the fold factor; shell_frame raises on a fold or a non-finite q3."""
-    frame = evaluate_frame(chart, q1, q2)
+    frame, dM, dK = _frame_with_gradients(chart, q1, q2)
     shell = shell_frame(frame, q3)
     factor = shell.fold_factor
     M = frame.mean_curvature
     K = frame.gaussian_curvature
-    dM, dK = curvature_gradients(chart, q1, q2)
     finv = factor ** -0.5
     dfactor_mu = -2.0 * dM * q3 + dK * q3 * q3
     dfinv_mu = -0.5 * factor ** -1.5 * dfactor_mu

@@ -115,34 +115,16 @@ def eigenfunction_field(p):
     """
     p = float(p)
 
-    def value(theta, phi):
+    def partials(theta, phi, order):
         st = np.sin(theta)
-        return np.exp(-1j * p * np.log(np.tan(0.5 * theta))) / (2.0 * np.pi * st)
-
-    def log_d(theta):
-        st = np.sin(theta)
-        return -np.cos(theta) / st - 1j * p / st
-
-    def grad(theta, phi):
-        shape = np.broadcast(np.asarray(theta), np.asarray(phi)).shape
-        v = value(theta, phi)
-        out = np.zeros((2,) + shape, dtype=complex)
-        out[0] = v * log_d(theta)
-        return out
-
-    def hess(theta, phi):
-        shape = np.broadcast(np.asarray(theta), np.asarray(phi)).shape
-        v = value(theta, phi)
-        st = np.sin(theta)
-        a = log_d(theta)
+        v = np.exp(-1j * p * np.log(np.tan(0.5 * theta))) / (2.0 * np.pi * st)
+        a = -np.cos(theta) / st - 1j * p / st  # d/dtheta ln psi
+        if order < 2:
+            return [v * a, 0.0] if order else [v]
         a_prime = 1.0 / st**2 + 1j * p * np.cos(theta) / st**2
-        out = np.zeros((2, 2) + shape, dtype=complex)
-        out[0, 0] = v * (a * a + a_prime)
-        return out
+        return [v * (a * a + a_prime), 0.0, 0.0]
 
-    return flib.ScalarField(
-        label=f"psi[p={p:g}]", _value=value, _grad=grad, _hess=hess
-    )
+    return flib._closed_form(f"psi[p={p:g}]", partials)
 
 
 def _psi_stretched(p, z):

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import charts as chlib
 from . import fields as flib
+from . import geometry as geolib
 from . import operators as oplib
 from . import spectra as splib
-from .geometry import evaluate_frame, geometric_potential, laplace_beltrami, shell_frame
 
 # Default tolerances: 1e-10 for identities evaluated through analytic
 # derivatives, 1e-9 where second derivatives enter, 1e-8 for quadrature
@@ -153,18 +153,15 @@ def geometry_suite(options):
     for chart in _builtin_charts():
         pts = chlib.interior_points(chart, options.points_per_chart)
         q1, q2 = pts[:, 0], pts[:, 1]
-        frame = evaluate_frame(chart, q1, q2)
+        frame = geolib.evaluate_frame(chart, q1, q2)
         if options.wants("frame_completeness"):
             res = np.abs(frame.completeness_residual()).max(axis=(0, 1))
             r, p = _worst(res, pts)
             out.append(_result(options, "frame_completeness", chart.name, None, p, r))
         if options.wants("laplace_beltrami_coordinates"):
-            lap = np.array(
-                [
-                    laplace_beltrami(chart, flib.coordinate_field(chart, i), q1, q2)
-                    for i in range(3)
-                ]
-            )
+            # the coordinate fields' jets are the frame's tangents and second
+            # partials, all three coordinates on one extra axis
+            lap = geolib.laplace_beltrami_jets(frame, frame.tangents, frame.second_partials)
             res = np.abs(lap - 2.0 * frame.mean_curvature * frame.normal).max(axis=0)
             r, p = _worst(res, pts)
             out.append(
@@ -175,14 +172,14 @@ def geometry_suite(options):
         if options.wants("shell_determinant"):
             res = np.zeros(len(pts))
             for q3 in (-0.2, -0.05, 0.1, 0.2):
-                sf = shell_frame(frame, q3)
+                sf = geolib.shell_frame(frame, q3)
                 closed = frame.sqrt_g**2 * sf.fold_factor**2
                 res = np.maximum(res, np.abs(sf.det - closed))
             r, p = _worst(res, pts)
             out.append(_result(options, "shell_determinant", chart.name, None, p, r))
     if options.wants("geometric_potential"):
         sph = chlib.sphere()
-        fr = evaluate_frame(sph, 1.0, 0.5)
+        fr = geolib.evaluate_frame(sph, 1.0, 0.5)
         out.append(
             _result(
                 options,
@@ -190,11 +187,11 @@ def geometry_suite(options):
                 "sphere",
                 None,
                 (1.0, 0.5),
-                abs(geometric_potential(fr)),
+                abs(geolib.geometric_potential(fr)),
             )
         )
         cyl = chlib.cylinder(radius=2.0)
-        fr = evaluate_frame(cyl, 0.3, 0.1)
+        fr = geolib.evaluate_frame(cyl, 0.3, 0.1)
         out.append(
             _result(
                 options,
@@ -202,7 +199,7 @@ def geometry_suite(options):
                 "cylinder",
                 None,
                 (0.3, 0.1),
-                abs(geometric_potential(fr) - (-1.0 / 32.0)),
+                abs(geolib.geometric_potential(fr) - (-1.0 / 32.0)),
             )
         )
     return out
@@ -216,15 +213,17 @@ def commutator_suite(options):
     for chart in _builtin_charts():
         pts = chlib.interior_points(chart, options.points_per_chart)
         q1, q2 = pts[:, 0], pts[:, 1]
+        frame = geolib.evaluate_frame(chart, q1, q2)
         for fld in library:
+            f_val, f_grad = fld.value(q1, q2), fld.grad(q1, q2)
             if options.wants("position_momentum"):
-                res = oplib.position_momentum_residuals(chart, fld, q1, q2)
+                res = oplib._position_momentum(frame, f_val, f_grad)
                 r, p = _worst(np.abs(res).max(axis=(0, 1)), pts)
                 out.append(
                     _result(options, "position_momentum", chart.name, fld.label, p, r)
                 )
             if options.wants("position_kinetic"):
-                res = oplib.commutator_position_kinetic(chart, fld, q1, q2)
+                res = oplib._position_kinetic(frame, f_val, f_grad, fld.hess(q1, q2))
                 res = np.abs(res).max(axis=0)
                 r, p = _worst(res, pts)
                 out.append(
@@ -233,13 +232,15 @@ def commutator_suite(options):
     sphere = chlib.sphere()
     pts = chlib.interior_points(sphere, options.points_per_chart)
     theta, phi = pts[:, 0], pts[:, 1]
+    frame = geolib.evaluate_frame(sphere, theta, phi)
     for fld in library:
         if options.wants("angular_momentum"):
             res = oplib.angular_momentum_residuals(fld, theta, phi)
             r, p = _worst(np.abs(res).max(axis=(0, 1)), pts)
             out.append(_result(options, "angular_momentum", "sphere", fld.label, p, r))
         if options.wants("sphere_component_match"):
-            general = oplib.apply_geometric_momentum(sphere, fld, theta, phi)
+            f_val, f_grad = fld.value(theta, phi), fld.grad(theta, phi)
+            general = oplib._momentum(frame, f_val, f_grad, 1.0)
             closed = oplib._sphere_image(oplib._momentum_jet, fld, theta, phi)
             r, p = _worst(np.abs(closed - general).max(axis=0), pts)
             out.append(

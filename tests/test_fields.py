@@ -133,6 +133,17 @@ def test_pullback_pole_proximity():
     # theta = pi/2, phi = pi maps to the north pole under R_y(pi/2)
     with pytest.raises(PoleProximityError):
         pulled.value(np.pi / 2.0, np.pi)
+    # the rotated theta is checked first, so its error names it
+    with pytest.raises(PoleProximityError) as err:
+        pulled.grad(np.array([1.0, np.pi / 2.0]), np.array([0.3, np.pi]))
+    assert err.value.theta < flib.POLE_MARGIN
+    # the gradient also needs the unrotated point's sphere basis, which
+    # refuses a theta within POLE_MARGIN of a pole though its image is fine
+    for theta in (1e-10, np.pi - 1e-9):
+        assert abs(pulled.value(theta, 0.3)) > 0.1
+        with pytest.raises(PoleProximityError) as err:
+            pulled.grad(np.array([1.0, theta]), 0.3)
+        assert err.value.theta == theta
 
 
 def test_eigenfunction_field_partials():

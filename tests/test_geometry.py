@@ -36,7 +36,7 @@ def test_frame_invariants(name, builtin_charts):
 
 
 def test_frame_invariants_fd_adaptor():
-    # User-supplied map without derivatives: looser 1e-6 residual budget.
+    # A user map without derivatives gets exact partials from jets.
     chart = chlib.from_map(
         lambda u, v: np.array([u, v, np.sin(u) * np.cos(v)]),
         domain=((-1.0, 1.0), (-1.0, 1.0)),
@@ -44,10 +44,10 @@ def test_frame_invariants_fd_adaptor():
     )
     for q1, q2 in chart_points(chart, 25):
         fr = evaluate_frame(chart, q1, q2)
-        assert np.abs(fr.tangents @ fr.normal).max() < 1e-6
-        assert abs(np.linalg.norm(fr.normal) - 1.0) < 1e-6
-        assert np.abs(fr.metric_inv @ fr.metric - np.eye(2)).max() < 1e-6
-        assert np.abs(fr.completeness_residual()).max() < 1e-6
+        assert np.abs(fr.tangents @ fr.normal).max() < 1e-12
+        assert abs(np.linalg.norm(fr.normal) - 1.0) < 1e-12
+        assert np.abs(fr.metric_inv @ fr.metric - np.eye(2)).max() < 1e-12
+        assert np.abs(fr.completeness_residual()).max() < 1e-12
 
 
 def test_sphere_curvatures(builtin_charts):
@@ -226,11 +226,36 @@ def test_curvature_gradients_match_finite_differences(builtin_charts):
         assert np.abs(np.stack([dM, dK], axis=1) - fd).max() < 1e-6
 
 
-def test_curvature_gradients_fallback_on_a_mapped_torus():
-    # a from_map chart has no analytic formula, so curvature_gradients takes
-    # Richardson differences of curvatures built from difference jets; those
-    # curvatures carry ~2e-7 of rounding noise, which the cbrt(eps)-scaled
-    # step amplifies to a few 1e-2 at worst
+def _torus_gradients(a, b, v):
+    """Closed-form (d_mu M, d_mu K) of the torus chart; both vanish along u."""
+    w = a + b * np.cos(v)
+    zero = np.zeros_like(v)
+    dM = np.array([zero, a * np.sin(v) / (2.0 * w * w)])
+    dK = np.array([zero, -a * np.sin(v) / (b * w * w)])
+    return dM, dK
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 0.5), (3.1, 0.7)])
+def test_curvature_gradients_match_the_torus_closed_forms(a, b):
+    torus = chlib.torus(a, b)
+    for u, v in chart_points(torus, 50):
+        dM, dK = curvature_gradients(torus, u, v)
+        exact_dM, exact_dK = _torus_gradients(a, b, v)
+        assert np.abs(dM - exact_dM).max() < 1e-14
+        assert np.abs(dK - exact_dK).max() < 1e-14
+
+
+@pytest.mark.parametrize("name", ["sphere", "cylinder", "plane"])
+def test_constant_curvature_gradients_vanish(name, builtin_charts):
+    chart = builtin_charts[name]
+    pts = chart_points(chart, 50)
+    dM, dK = curvature_gradients(chart, pts[:, 0], pts[:, 1])
+    assert np.abs(dM).max() < 1e-14 and np.abs(dK).max() < 1e-14
+
+
+def test_curvature_gradients_exact_on_a_mapped_torus():
+    # a from_map chart gets its third partials from the same jets as a
+    # built-in one, so its gradients are the closed forms to rounding
     torus = chlib.torus()
     a, b = torus.params["major_radius"], torus.params["minor_radius"]
 
@@ -239,12 +264,24 @@ def test_curvature_gradients_fallback_on_a_mapped_torus():
         return [w * np.cos(u), w * np.sin(u), b * np.sin(v)]
 
     mapped = chlib.from_map(torus_map, torus.domain, torus.periodic, name="mapped")
-    assert mapped.curvature_gradient is None
     for u, v in chart_points(torus, 20):
         dM, dK = curvature_gradients(mapped, u, v)
-        exact_dM, exact_dK = curvature_gradients(torus, u, v)
-        assert np.abs(dM - exact_dM).max() < 5e-2
-        assert np.abs(dK - exact_dK).max() < 5e-2
+        exact_dM, exact_dK = _torus_gradients(a, b, v)
+        assert np.abs(dM - exact_dM).max() < 1e-13
+        assert np.abs(dK - exact_dK).max() < 1e-13
+
+
+def test_curvature_gradients_on_array_points():
+    torus = chlib.torus()
+    q1 = np.linspace(0.1, 6.0, 4)[:, None]
+    q2 = np.linspace(0.2, 5.0, 3)[None, :]
+    dM, dK = curvature_gradients(torus, q1, q2)
+    assert dM.shape == dK.shape == (2, 4, 3)
+    for i in range(4):
+        for j in range(3):
+            one_dM, one_dK = curvature_gradients(torus, q1[i, 0], q2[0, j])
+            assert np.allclose(dM[:, i, j], one_dM, rtol=1e-14, atol=1e-15)
+            assert np.allclose(dK[:, i, j], one_dK, rtol=1e-14, atol=1e-15)
 
 
 def test_shell_frame_offset_axes_match_single_offsets():
