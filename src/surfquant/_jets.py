@@ -11,7 +11,8 @@ the set partitions of Faa di Bruno's formula, both precomputed per order
 
 A map evaluated on jets must be elementwise numpy: +, -, *, /, ** by a
 number, unary minus, and np.sin, np.cos, np.exp, np.log and np.sqrt.
-Anything else (math.sin, np.arctan2, a comparison) raises TypeError.
+Anything else (math.sin, np.arctan2, c ** u, abs(u), a comparison) raises
+TypeError with CONTRACT.
 """
 
 import itertools
@@ -150,6 +151,10 @@ def _chain(x, rows):
     return Jet(d, x.order)
 
 
+def _refuse(*_):
+    raise TypeError(CONTRACT)
+
+
 _UFUNCS = {np.add: _add, np.subtract: _sub, np.multiply: _mul,
            np.true_divide: _div, np.power: _pow, np.negative: _neg}
 
@@ -171,8 +176,9 @@ class Jet:
                 return _UFUNCS[ufunc](*inputs)
         raise TypeError(f"{ufunc.__name__} of a jet: {CONTRACT}")
 
-    def __float__(self):
-        raise TypeError(CONTRACT)
+    # float(), c ** jet, abs() and comparisons are outside the contract
+    __float__ = __rpow__ = __abs__ = _refuse
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _refuse
 
     __add__ = __radd__ = _add
     __sub__ = _sub

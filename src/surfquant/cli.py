@@ -10,7 +10,9 @@ verify        run the identity suites and emit a JSON report
 
 Every output is byte-stable for a fixed invocation: floats are written in
 shortest round-trip form, rows follow a fixed order, JSON keys keep
-insertion order.  Failure paths, bad flags included, print a single
+insertion order.  The one CSV writer (_csv) prints each distinct float of a
+table once, with repr, and fills one row template, repeated per row, in a
+single `%`.  Failure paths, bad flags included, print a single
 machine-parseable line `error: <tag>: <message>` on stderr and exit
 nonzero (2 chart/config errors, 3 quadrature truncation, 4 shell fold,
 1 failed verification).
@@ -79,15 +81,16 @@ def _write_text(path, text):
 
 
 def _csv(columns):
-    """CSV text of `columns`, a dict of header -> float column or a str that
-    fills every row.  Each row is one %-template over the float columns, so
-    cells print as _fmt prints them."""
-    floats = [(np.asarray(col, dtype=float) + 0.0).tolist()
-              for col in columns.values() if not isinstance(col, str)]
-    template = ",".join(col.replace("%", "%%") if isinstance(col, str) else "%r"
-                        for col in columns.values())
-    lines = [",".join(columns)] + [template % row for row in zip(*floats)]
-    return "\n".join(lines) + "\n"
+    """CSV text of `columns`, header -> float column or a str for every row:
+    one repr per distinct float (cells as _fmt), one row template per row, one %."""
+    cols = columns.values()
+    floats = np.column_stack([c for c in cols if not isinstance(c, str)]) + 0.0
+    row = ",".join(c.replace("%", "%%") if isinstance(c, str) else "%s" for c in cols)
+    template = ",".join(columns).replace("%", "%%") + ("\n" + row) * len(floats) + "\n"
+    distinct, inverse = np.unique(floats, return_inverse=True)
+    cells = tuple(np.frompyfunc(repr, 1, 1)(distinct)[inverse.ravel()].tolist())
+    del floats, distinct, inverse  # freed before the text is built: lower peak memory
+    return template % cells
 
 
 def _parse_point(text):

@@ -392,10 +392,11 @@ class ConfinedGradient:
         return self.tangential + self.normal_geometric + self.normal_derivative
 
 
-def _shell_pieces(chart, chi, profile, q1, q2, q3):
+def _shell_pieces(surface, chi, profile, q1, q2, q3):
     """The shell frame and the jets of psi = chi f^{-1/2} phi at a shell point,
-    f the fold factor; shell_frame raises on a fold or a non-finite q3."""
-    frame, dM, dK = _frame_with_gradients(chart, q1, q2)
+    f the fold factor, from the surface's (frame, dM, dK) at (q1, q2), which
+    does not depend on q3; shell_frame raises on a fold or a non-finite q3."""
+    frame, dM, dK = surface
     shell = shell_frame(frame, q3)
     factor = shell.fold_factor
     M = frame.mean_curvature
@@ -413,12 +414,13 @@ def _shell_pieces(chart, chi, profile, q1, q2, q3):
     return shell, chi_val, phi_val, phi_der, psi_val, dpsi_mu, dpsi_q3
 
 
-def _split(chart, chi, profile, q1, q2, q3):
+def _split(surface, chi, profile, q1, q2, q3):
     """The ConfinedGradient at one shell point, with the surface frame and
-    the jets (psi, d_mu psi) the limit operator acts on."""
+    the jets (psi, d_mu psi) the limit operator acts on; `surface` as for
+    _shell_pieces."""
     q3 = float(q3)
     shell, chi_val, phi_val, phi_der, psi_val, dpsi_mu, _ = _shell_pieces(
-        chart, chi, profile, q1, q2, q3
+        surface, chi, profile, q1, q2, q3
     )
     frame, factor = shell.base, shell.fold_factor
     B = np.eye(2) + q3 * frame.weingarten
@@ -451,7 +453,7 @@ def confined_gradient(chart, chi, profile, q1, q2, q3):
     normal-geometric coefficient reduces to M at q3 = 0, which is the term
     the confining limit keeps.
     """
-    return _split(chart, chi, profile, q1, q2, q3)[0]
+    return _split(_frame_with_gradients(chart, q1, q2), chi, profile, q1, q2, q3)[0]
 
 
 def shell_gradient_direct(chart, chi, profile, q1, q2, q3):
@@ -462,7 +464,8 @@ def shell_gradient_direct(chart, chi, profile, q1, q2, q3):
     confined_gradient.
     """
     q3 = float(q3)
-    shell, _, _, _, _, dpsi_mu, dpsi_q3 = _shell_pieces(chart, chi, profile, q1, q2, q3)
+    surface = _frame_with_gradients(chart, q1, q2)
+    shell, _, _, _, _, dpsi_mu, dpsi_q3 = _shell_pieces(surface, chi, profile, q1, q2, q3)
     frame = shell.base
     B = np.eye(2) + q3 * frame.weingarten
     shell_tangents = B @ frame.tangents
@@ -474,7 +477,11 @@ def shell_gradient_direct(chart, chi, profile, q1, q2, q3):
 def confinement_deviation(chart, chi, profile, q1, q2, q3):
     """Norm of (tangential + normal_geometric) minus the limit operator
     (r^mu d_mu + M n) psi, both built on one frame at the same q3."""
-    parts, frame, psi_val, dpsi_mu = _split(chart, chi, profile, q1, q2, q3)
+    return _deviation(_frame_with_gradients(chart, q1, q2), chi, profile, q1, q2, q3)
+
+
+def _deviation(surface, chi, profile, q1, q2, q3):
+    parts, frame, psi_val, dpsi_mu = _split(surface, chi, profile, q1, q2, q3)
     limit = 1j * _momentum(frame, psi_val, dpsi_mu, 1.0)
     return float(
         np.linalg.norm(parts.tangential + parts.normal_geometric - limit)
@@ -490,10 +497,10 @@ def confinement_slope(chart, chi, profile, q1, q2, q3_values):
     """
     q3_values = sorted(float(q) for q in q3_values)
     finite = bool(np.isfinite(q3_values).all())
-    rows = [
-        (q3, confinement_deviation(chart, chi, profile, q1, q2, q3))
-        for q3 in (q3_values if finite else ())
-    ]
+    rows = []
+    if finite and q3_values:
+        surface = _frame_with_gradients(chart, q1, q2)  # the same at every q3
+        rows = [(q3, _deviation(surface, chi, profile, q1, q2, q3)) for q3 in q3_values]
     if not (finite and len(set(q3_values)) >= 2 and all(q > 0.0 for q in q3_values)):
         raise ValueError(
             f"the log-log slope needs at least two distinct, finite, positive "

@@ -512,14 +512,11 @@ class ShoComparison:
     )
 
     def to_csv(self):
-        lines = [self.CSV_HEADER]
-        for k in range(self.p.size):
-            lines.append(
-                f"{self.p[k]!r},{self.density[k]!r},{self.gaussian_reference[k]!r},"
-                f"{self.density_unit_peak[k]!r},{self.gaussian_reference_unit_peak[k]!r},"
-                f"{self.gaussian_matched_unit_peak[k]!r}"
-            )
-        return "\n".join(lines) + "\n"
+        from .cli import _csv  # imported here: cli imports this module
+
+        columns = (self.p, self.density, self.gaussian_reference, self.density_unit_peak,
+                   self.gaussian_reference_unit_peak, self.gaussian_matched_unit_peak)
+        return _csv(dict(zip(self.CSV_HEADER.split(","), columns)))
 
 
 def sho_comparison(p_grid):

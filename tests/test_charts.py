@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from surfquant import charts as chlib
+from surfquant._jets import CONTRACT
 from surfquant.errors import ChartSingularityError
 from surfquant.geometry import evaluate_frame
 
@@ -160,6 +161,20 @@ def test_maps_outside_the_elementwise_contract_raise():
     chart = chlib.from_map(lambda u, v: [u, v, np.arctan2(u, v)], ((-1, 1), (-1, 1)))
     with pytest.raises(TypeError, match="elementwise numpy"):
         chart.second_partials(0.2, 0.3)
+
+
+@pytest.mark.parametrize("third", [
+    lambda u: 2.0 ** u, lambda u: abs(u), lambda u: u * (u > 0), lambda u: u * (0 >= u),
+    lambda u: u * (u < 1.0), lambda u: u * (u <= 1.0), lambda u: u * (u == 0),
+    lambda u: u * (u != 0),
+], ids=["rpow", "abs", "gt", "le-reflected", "lt", "le", "eq", "ne"])
+def test_pow_abs_and_comparisons_of_a_jet_name_the_contract(third):
+    # the error names the elementwise contract, not the internal type, and
+    # == / != may not silently compare identities
+    chart = chlib.from_map(lambda u, v: [u, v, third(u)], ((-1, 1), (-1, 1)))
+    with pytest.raises(TypeError) as err:
+        chart.tangents(0.2, 0.3)
+    assert str(err.value) == CONTRACT
 
 
 def test_maps_with_numpy_scalar_constants():

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from surfquant import charts as chlib
 from surfquant import cli
@@ -447,6 +449,61 @@ def test_column_formatter_matches_fmt():
     assert header == "a,label,b" and text.endswith("\n")
     assert lines == [f"{_fmt(a)},x%y,{_fmt(b)}" for a, b in zip(column, column[::-1])]
     assert lines[0].startswith("0.0,")
+
+
+def _reference_csv(columns):
+    """The CSV text printed one cell at a time with _fmt."""
+    rows = len(next(c for c in columns.values() if not isinstance(c, str)))
+    lines = [",".join(c if isinstance(c, str) else _fmt(c[k]) for c in columns.values())
+             for k in range(rows)]
+    return "\n".join([",".join(columns)] + lines) + "\n"
+
+
+# Few values, so that repeats and +-x pairs are common, and the edge cases of
+# shortest round-trip printing: signed zeros, non-finite values, subnormals,
+# and the exponent switches near 1e16 and 1e-4.
+CELL_POOL = [0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 1 / 3, -1 / 3, np.nan, -np.nan, np.inf,
+             -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
+             9999999999999998.0, 1e-4, 9.999999999999999e-05, -1e-4, 1e-5]
+CELLS = st.one_of(st.sampled_from(CELL_POOL), st.floats(width=64))
+
+
+@st.composite
+def csv_tables(draw):
+    rows = draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=5).filter(any))
+    columns = {}
+    for j, is_float in enumerate(kinds):
+        if is_float:
+            column = draw(st.lists(CELLS, min_size=rows, max_size=rows))
+            columns[f"f{j}"] = np.array(column) if draw(st.booleans()) else column
+        else:
+            columns[f"s%{j}"] = draw(st.text(alphabet="ab%s(d)r%, ", max_size=6))
+    return columns
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(csv_tables())
+@example({"a": [5e-324], "s": "%%", "b": [-0.0]})  # one row
+@example({"a": [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1e16, -1e16]})  # one column
+@example({"a": [1e-5]})  # one row, one column
+@example({"%": "%(a)s", "a": [2.0, -2.0, 2.0], "%%": "%%"})
+def test_csv_matches_the_per_cell_reference(columns):
+    assert _csv(columns) == _reference_csv(columns)
+
+
+@pytest.mark.parametrize("argv", [
+    ["geom", "--surface", "torus", "--grid", "3x4", "--q3", "0.01"],
+    ["distribution", "--l", "2", "--compare-closed"],
+])
+def test_cli_float_cells_print_as_fmt(argv, tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert rows
+    cells = [row[key] for row in rows for key in header if key != "method"]
+    assert len(cells) == len(rows) * (len(header) - ("method" in header))
+    assert all(cell == _fmt(float(cell)) for cell in cells)
 
 
 @pytest.mark.parametrize("args", [

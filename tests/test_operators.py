@@ -341,11 +341,28 @@ def test_shell_point_refuses_non_finite_offsets(name, q3, error, builtin_charts)
 @pytest.mark.parametrize("q3s", [[0.01, np.inf], [np.nan, 0.01], [-np.inf, 0.01, 0.02]])
 def test_confinement_slope_checks_finiteness_before_any_row(q3s, monkeypatch):
     built = []
-    monkeypatch.setattr(oplib, "confinement_deviation", lambda *a: built.append(a))
+    monkeypatch.setattr(oplib, "_frame_with_gradients", lambda *a: built.append(a))
     with pytest.raises(ValueError, match="at least two distinct, finite, positive q3"):
         oplib.confinement_slope(chlib.sphere(), flib.spherical_harmonic(1, 0),
                                 oplib.gaussian_profile(), 1.0, 0.5, q3s)
     assert built == []
+
+
+@pytest.mark.parametrize("name", ["sphere", "torus"])
+def test_confinement_slope_builds_the_surface_frame_once(name, builtin_charts, monkeypatch):
+    chart = builtin_charts[name]
+    q1, q2 = chart_points(chart, 3)[1]
+    chi, profile = flib.spherical_harmonic(1, 0), oplib.gaussian_profile()
+    q3s = np.logspace(-4, -1, 13)
+    expected = [(q3, oplib.confinement_deviation(chart, chi, profile, q1, q2, q3))
+                for q3 in q3s]
+    frames = []
+    build = oplib._frame_with_gradients
+    monkeypatch.setattr(oplib, "_frame_with_gradients",
+                        lambda *a: frames.append(a) or build(*a))
+    _, rows = oplib.confinement_slope(chart, chi, profile, q1, q2, q3s)
+    assert len(frames) == 1
+    assert rows == expected  # the per-q3 deviations, bit for bit
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf, -np.inf])

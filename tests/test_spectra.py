@@ -519,6 +519,21 @@ def test_sho_comparison_values():
     assert comp.density[0] < 1e-4 and comp.gaussian_reference[0] < 1e-6
 
 
+def test_sho_comparison_csv_prints_plain_floats():
+    # every cell a plain float as the CLI prints it, never a numpy scalar repr
+    from surfquant.cli import _fmt
+
+    comp = splib.sho_comparison(np.linspace(-1, 1, 3))
+    header, *lines = comp.to_csv().splitlines()
+    assert header == splib.ShoComparison.CSV_HEADER and len(lines) == 3
+    columns = (comp.p, comp.density, comp.gaussian_reference, comp.density_unit_peak,
+               comp.gaussian_reference_unit_peak, comp.gaussian_matched_unit_peak)
+    for k, line in enumerate(lines):
+        cells = line.split(",")
+        assert [float(c) for c in cells] == [col[k] for col in columns]
+        assert cells == [_fmt(col[k]) for col in columns]
+
+
 def test_sho_comparison_shape_match():
     comp = splib.sho_comparison(splib.symmetric_grid(4.0, 0.01))
     # the shape-matched oscillator is the "almost identical" pair ...
