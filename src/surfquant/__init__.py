@@ -18,7 +18,7 @@ from .fields import (
     constant,
     coordinate_field,
     field_library,
-    from_expr,
+    map_field,
     product,
     pullback_field,
     rotation_matrix,

@@ -1,4 +1,4 @@
-"""Truncated bivariate Taylor arithmetic: exact partials of a chart map.
+"""Truncated bivariate Taylor arithmetic: exact partials of a chart or field map.
 
 A jet carries the partial derivatives of one scalar quantity in the two
 chart parameters up to a fixed order (at most 3).  It is a dict from a
@@ -10,9 +10,11 @@ the set partitions of Faa di Bruno's formula, both precomputed per order
 (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13).
 
 A map evaluated on jets must be elementwise numpy: +, -, *, /, ** by a
-number, unary minus, and np.sin, np.cos, np.exp, np.log and np.sqrt.
-Anything else (math.sin, np.arctan2, c ** u, abs(u), a comparison) raises
-TypeError with CONTRACT.
+number, unary minus, and np.sin, np.cos, np.tan, np.exp, np.log and
+np.sqrt; its constants may be real or complex.  Anything else (math.sin,
+np.arctan2, c ** u, abs(u), a comparison) raises TypeError with CONTRACT.
+A function of one variable computes its derivative rows only up to the
+jet's order.
 """
 
 import itertools
@@ -23,8 +25,8 @@ import numpy as np
 MAX_ORDER = 3
 
 CONTRACT = (
-    "from_map needs an elementwise numpy map of its two parameters: "
-    "+, -, *, /, ** by a number, and np.sin, np.cos, np.exp, np.log, np.sqrt"
+    "a chart or field map must be elementwise numpy in its two parameters: "
+    "+, -, *, /, ** by a number, and np.sin, np.cos, np.tan, np.exp, np.log, np.sqrt"
 )
 
 KEYS = [k for n in range(MAX_ORDER + 1)
@@ -73,25 +75,49 @@ _SLOTS = {key: sorted(set(itertools.permutations(key))) for key in KEYS}
 
 
 def _cycle(f, g):
-    return [f, g, -f, -g]
+    """Rows of a function whose derivatives run f, g, -f, -g."""
+
+    def rows(x, n):
+        if not n:
+            return [f(x)]
+        a, b = f(x), g(x)
+        return [a, b] + [-a, -b][:n - 1]
+
+    return rows
 
 
-def _power_rows(x, exponent):
-    """The rows of x ** exponent; None for a zero row past an integer exponent."""
+def _power_rows(x, exponent, n, first=0):
+    """Rows first..n of x ** exponent; None for a zero row past an integer
+    exponent."""
     rows, coeff = [], 1.0
-    for k in range(MAX_ORDER + 1):
-        rows.append(coeff * x ** (exponent - k) if coeff else None)
+    for k in range(n + 1):
+        if k >= first:
+            rows.append(coeff * x ** (exponent - k) if coeff else None)
         coeff *= exponent - k
     return rows
 
 
-# The rows [f, f', f'', f'''] of each supported function at the values x.
+def _tan_rows(x, n):
+    t = np.tan(x)
+    rows = [t]
+    if n:
+        rows.append(1.0 + t * t)  # tan' = 1 + tan^2
+    if n > 1:
+        rows.append(2.0 * t * rows[1])
+    if n > 2:
+        rows.append(2.0 * rows[1] * (rows[1] + 2.0 * t * t))
+    return rows
+
+
+# rows(x, n): the values at x of each supported function and of its first n
+# derivatives, for a jet of order n.
 _ROWS = {
-    np.sin: lambda x: _cycle(np.sin(x), np.cos(x)),
-    np.cos: lambda x: _cycle(np.cos(x), -np.sin(x)),
-    np.exp: lambda x: [np.exp(x)] * 4,
-    np.log: lambda x: [np.log(x)] + _power_rows(x, -1)[:3],
-    np.sqrt: lambda x: [np.sqrt(x)] + _power_rows(x, 0.5)[1:],
+    np.sin: _cycle(np.sin, np.cos),
+    np.cos: _cycle(np.cos, lambda x: -np.sin(x)),
+    np.tan: _tan_rows,
+    np.exp: lambda x, n: [np.exp(x)] * (n + 1),
+    np.log: lambda x, n: [np.log(x)] + _power_rows(x, -1, n - 1),
+    np.sqrt: lambda x, n: [np.sqrt(x)] + _power_rows(x, 0.5, n, first=1),
 }
 
 
@@ -135,7 +161,7 @@ def _div(x, y):
 def _pow(x, exponent):
     if not isinstance(x, Jet) or isinstance(exponent, Jet) or np.ndim(exponent):
         raise TypeError(f"** on a jet takes a number exponent: {CONTRACT}")
-    return _chain(x, _power_rows(x.d[()], exponent))
+    return _chain(x, _power_rows(x.d[()], exponent, x.order))
 
 
 def _chain(x, rows):
@@ -171,7 +197,7 @@ class Jet:
         if method == "__call__" and not kwargs:
             if ufunc in _ROWS:
                 (x,) = inputs
-                return _chain(x, _ROWS[ufunc](x.d[()]))
+                return _chain(x, _ROWS[ufunc](x.d[()], x.order))
             if ufunc in _UFUNCS:
                 return _UFUNCS[ufunc](*inputs)
         raise TypeError(f"{ufunc.__name__} of a jet: {CONTRACT}")
@@ -195,16 +221,19 @@ def partials(fn, q1, q2, order):
 
     Over the broadcast point shape S the n-th entry has shape
     (2,) * n + (C,) + S, for a map into C components (C = 3 for a chart),
-    symmetric in its derivative axes.
+    symmetric in its derivative axes.  Its dtype is that of the jet values,
+    at least float64: complex for a map with complex constants.
     """
     a, b = np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
     seeds = [{(): a}, {(): b}]
     if order:
         seeds[0][(0,)] = seeds[1][(1,)] = 1.0
-    comps = list(fn(*(Jet(d, order) for d in seeds)))
-    out = [np.zeros((2,) * n + (len(comps),) + a.shape) for n in range(order + 1)]
-    for c, comp in enumerate(comps):
-        for key, value in (comp.d if isinstance(comp, Jet) else {(): comp}).items():
+    comps = [c.d if isinstance(c, Jet) else {(): c}
+             for c in fn(*(Jet(d, order) for d in seeds))]
+    dtype = np.result_type(float, *(v for d in comps for v in d.values()))
+    out = [np.zeros((2,) * n + (len(comps),) + a.shape, dtype) for n in range(order + 1)]
+    for c, d in enumerate(comps):
+        for key, value in d.items():
             for slot in _SLOTS[key]:
                 out[len(key)][slot + (c,)] = value
     return out

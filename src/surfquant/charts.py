@@ -80,7 +80,7 @@ def from_map(map_fn, domain, periodic=(False, False), name="custom", params=None
 
     The map is evaluated on Taylor jets of its parameters, so its partials
     are exact to rounding.  It must be elementwise numpy: +, -, *, /, ** by
-    a number, unary minus, and np.sin, np.cos, np.exp, np.log, np.sqrt,
+    a number, unary minus, and np.sin, np.cos, np.tan, np.exp, np.log, np.sqrt,
     returning a sequence of three components (a component may be a
     constant); any other operation, math.sin for one, raises TypeError.
     """

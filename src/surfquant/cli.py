@@ -59,6 +59,10 @@ CHOICES = {
 # centre, which lies inside the domain whatever the surface parameters.
 CONFINE_DEFAULT_POINTS = {"sphere": (1.0, 0.5), "torus": (0.8, 2.0)}
 
+# geom holds about 1.1 kB per point (135 MB at a 300x300 grid), so this many
+# points, --point and --grid together, keep it near 1 GB.
+MAX_GEOM_POINTS = 1_000_000
+
 
 def _fmt(x):
     return repr(float(x) + 0.0)  # +0.0 folds -0.0 into 0.0
@@ -133,6 +137,11 @@ def _geom_points(args, chart):
     points = [_parse_point(p) for p in (args.point or [])]
     if args.grid:
         n1, n2 = _parse_grid(args.grid)
+        if n1 * n2 > MAX_GEOM_POINTS - len(points):
+            raise ValueError(
+                f"--grid {n1}x{n2} and {len(points)} --point make more than "
+                f"{MAX_GEOM_POINTS} points"
+            )
         for axis, n in ((0, n1), (1, n2)):
             lo, hi = chart.domain[axis]
             if not lo < hi:
@@ -142,6 +151,8 @@ def _geom_points(args, chart):
         points.extend((float(a), float(b)) for a in q1s for b in q2s)
     if not points:
         raise ValueError("no evaluation points: pass --point and/or --grid")
+    if len(points) > MAX_GEOM_POINTS:
+        raise ValueError(f"more than {MAX_GEOM_POINTS} --point values ({len(points)})")
     return points
 
 

@@ -245,7 +245,7 @@ def laplace_beltrami(chart, field, q1, q2):
     otherwise.
     """
     frame = evaluate_frame(chart, q1, q2)
-    out = laplace_beltrami_jets(frame, field.grad(q1, q2), field.hess(q1, q2))
+    out = laplace_beltrami_jets(frame, *field.partials(q1, q2, 2)[1:])
     return complex(out) if np.ndim(out) == 0 else out
 
 

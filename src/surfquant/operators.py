@@ -103,7 +103,7 @@ def _coordinate_products(frame, value, grad, hess=None):
 def apply_geometric_momentum(chart, field, q1, q2, hbar=1.0):
     """-i hbar (r^mu d_mu f + M n f), complex of shape (3,) + point shape."""
     frame = evaluate_frame(chart, q1, q2)
-    return _momentum(frame, field.value(q1, q2), field.grad(q1, q2), hbar)
+    return _momentum(frame, *field.partials(q1, q2, 1), hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +168,6 @@ def _image_grad(c, dc, value, grad, hess, hbar):
     return -1j * hbar * out
 
 
-def _sphere_image(jet, field, theta, phi, hbar=1.0):
-    """All three components of the operator with coefficient `jet` applied
-    to a field, values only, (3,) + S."""
-    c, _ = jet(theta, phi, derivatives=False)
-    return _image(c, field.value(theta, phi), field.grad(theta, phi), hbar)
-
-
 class FirstOrderOperator:
     """Component `axis` of a unit-sphere vector operator
     -i hbar (c_theta d_theta + c_phi d_phi + c_0) whose coefficients
@@ -186,22 +179,20 @@ class FirstOrderOperator:
         self.axis = axis
 
     def value(self, field, theta, phi, hbar=1.0):
-        return _sphere_image(self.jet, field, theta, phi, hbar)[self.axis]
+        return self.apply(field, hbar).value(theta, phi)
 
     def apply(self, field, hbar=1.0):
         """Operator image as a field with exact first partials."""
 
-        def value(theta, phi):
-            return self.value(field, theta, phi, hbar)
+        def partials(theta, phi, order):
+            c, dc = self.jet(theta, phi, derivatives=bool(order))
+            jets = field.partials(theta, phi, order + 1)
+            out = [_image(c, *jets[:2], hbar)[self.axis]]
+            if order:
+                out.append(_image_grad(c, dc, *jets, hbar)[:, self.axis])
+            return out
 
-        def grad(theta, phi):
-            c, dc = self.jet(theta, phi)
-            f, g = field.value(theta, phi), field.grad(theta, phi)
-            return _image_grad(c, dc, f, g, field.hess(theta, phi), hbar)[:, self.axis]
-
-        return ScalarField(
-            label=f"{self.name}({field.label})", _value=value, _grad=grad, _hess=None
-        )
+        return ScalarField(f"{self.name}({field.label})", partials, 1)
 
 
 _AXES = ("x", "y", "z")
@@ -236,7 +227,7 @@ def position_momentum_residuals(chart, field, q1, q2, hbar=1.0):
     set of field jets and the frame's own jets of x_i serve every pair.
     """
     frame = evaluate_frame(chart, q1, q2)
-    return _position_momentum(frame, field.value(q1, q2), field.grad(q1, q2), hbar)
+    return _position_momentum(frame, *field.partials(q1, q2, 1), hbar)
 
 
 def _position_momentum(frame, f_val, f_grad, hbar=1.0):
@@ -264,9 +255,16 @@ def angular_momentum_residuals(field, theta, phi, hbar=1.0):
     Complex of shape (3, 3) + point shape, indexed [i, j].  The field's jets
     and the coefficient jets of p and L are evaluated once for all pairs.
     """
-    cp, dcp = _momentum_jet(theta, phi)
-    cl, dcl = _angular_jet(theta, phi)
-    f, g, h = field.value(theta, phi), field.grad(theta, phi), field.hess(theta, phi)
+    return _angular_momentum(
+        _momentum_jet(theta, phi), _angular_jet(theta, phi),
+        *field.partials(theta, phi, 2), hbar,
+    )
+
+
+def _angular_momentum(p_jet, l_jet, f, g, h, hbar=1.0):
+    """angular_momentum_residuals from the coefficient jets of p and L and
+    the field's jets at the points."""
+    (cp, dcp), (cl, dcl) = p_jet, l_jet
     p_f, l_f = _image(cp, f, g, hbar), _image(cl, f, g, hbar)
     l_p_f = _image(cl[:, :, None], p_f, _image_grad(cp, dcp, f, g, h, hbar), hbar)
     p_l_f = _image(cp[:, :, None], l_f, _image_grad(cl, dcl, f, g, h, hbar), hbar)
@@ -285,8 +283,7 @@ def commutator_angular_momentum(i, j, field, theta, phi, hbar=1.0):
 def commutator_position_kinetic(chart, field, q1, q2, hbar=1.0, mass=1.0):
     """Componentwise residual of [r, T] f - (i hbar / mass) p f, (3,) + point shape."""
     frame = evaluate_frame(chart, q1, q2)
-    jets = field.value(q1, q2), field.grad(q1, q2), field.hess(q1, q2)
-    return _position_kinetic(frame, *jets, hbar, mass)
+    return _position_kinetic(frame, *field.partials(q1, q2, 2), hbar, mass)
 
 
 def _position_kinetic(frame, f_val, f_grad, f_hess, hbar=1.0, mass=1.0):
@@ -404,8 +401,7 @@ def _shell_pieces(surface, chi, profile, q1, q2, q3):
     finv = factor ** -0.5
     dfactor_mu = -2.0 * dM * q3 + dK * q3 * q3
     dfinv_mu = -0.5 * factor ** -1.5 * dfactor_mu
-    chi_val = chi.value(q1, q2)
-    chi_grad = chi.grad(q1, q2)
+    chi_val, chi_grad = chi.partials(q1, q2, 1)
     phi_val = complex(profile.value(q3))
     phi_der = complex(profile.derivative(q3))
     psi_val = chi_val * finv * phi_val
@@ -463,8 +459,13 @@ def shell_gradient_direct(chart, chi, profile, q1, q2, q3):
     R_mu = (I + q3 alpha) r_mu; independent of the block assembly used by
     confined_gradient.
     """
+    return _direct(_frame_with_gradients(chart, q1, q2), chi, profile, q1, q2, q3)
+
+
+def _direct(surface, chi, profile, q1, q2, q3):
+    """shell_gradient_direct from the surface's (frame, dM, dK), as for
+    _shell_pieces."""
     q3 = float(q3)
-    surface = _frame_with_gradients(chart, q1, q2)
     shell, _, _, _, _, dpsi_mu, dpsi_q3 = _shell_pieces(surface, chi, profile, q1, q2, q3)
     frame = shell.base
     B = np.eye(2) + q3 * frame.weingarten
@@ -514,18 +515,19 @@ def confinement_slope(chart, chi, profile, q1, q2, q3_values):
 
 def _hermiticity_defects(fields, order, hbar):
     """<f, p_a g> - <p_a f, g> for every axis a and pair (f, g) of `fields`,
-    complex of shape (3, F, F) indexed [a, f, g].  Each field's value and
-    p image are evaluated on the grid once; one image component is kept at
-    a time, which bounds the memory at high order."""
+    complex of shape (3, F, F) indexed [a, f, g].  Each field's jets come
+    from one evaluation on the grid and each p image is built once; one
+    image component is kept at a time, which bounds the memory at high
+    order."""
     theta, phi, w = sphere_grid(order)
     c, _ = _momentum_jet(theta, phi, derivatives=False)
-    vals = [f.value(theta, phi) for f in fields]
+    jets = [f.partials(theta, phi, 1) for f in fields]
+    vals = [value for value, _ in jets]
     inner_f_pg = np.empty((3, len(fields), len(fields)), dtype=complex)
     inner_pf_g = np.empty_like(inner_f_pg)
-    for j, g in enumerate(fields):
-        g_grad = g.grad(theta, phi)
+    for j, (g_val, g_grad) in enumerate(jets):
         for a in range(3):
-            p_g = _image(c[:, a], vals[j], g_grad, hbar)
+            p_g = _image(c[:, a], g_val, g_grad, hbar)
             for i, f_val in enumerate(vals):
                 inner_f_pg[a, i, j] = np.sum(w * np.conj(f_val) * p_g)
                 inner_pf_g[a, j, i] = np.sum(w * np.conj(p_g) * f_val)

@@ -103,28 +103,19 @@ def psi(p, theta, phi=0.0):
     """
     theta = np.asarray(theta, dtype=float)
     flib._check_pole(theta, PSI_POLE_MARGIN)
-    stretched = np.log(np.tan(0.5 * theta))
-    out = np.exp(-1j * float(p) * stretched) / (2.0 * np.pi * np.sin(theta))
+    out = _psi_map(float(p), theta)
     return complex(out) if out.ndim == 0 else out
 
 
+def _psi_map(p, theta):
+    """psi_p(theta) as a bare elementwise map, for arrays and for jets."""
+    return np.exp(-1j * p * np.log(np.tan(0.5 * theta))) / (2.0 * np.pi * np.sin(theta))
+
+
 def eigenfunction_field(p):
-    """psi_p as a ScalarField (exact partials, usable under operators).
-
-    Partials follow from d/dtheta ln psi = -cot(theta) - i p / sin(theta).
-    """
+    """psi_p as a ScalarField: psi's own map, with exact partials from jets."""
     p = float(p)
-
-    def partials(theta, phi, order):
-        st = np.sin(theta)
-        v = np.exp(-1j * p * np.log(np.tan(0.5 * theta))) / (2.0 * np.pi * st)
-        a = -np.cos(theta) / st - 1j * p / st  # d/dtheta ln psi
-        if order < 2:
-            return [v * a, 0.0] if order else [v]
-        a_prime = 1.0 / st**2 + 1j * p * np.cos(theta) / st**2
-        return [v * (a * a + a_prime), 0.0, 0.0]
-
-    return flib._closed_form(f"psi[p={p:g}]", partials)
+    return flib.map_field(lambda theta, phi: _psi_map(p, theta), f"psi[p={p:g}]")
 
 
 def _psi_stretched(p, z):

@@ -54,6 +54,19 @@ TOLERANCES = {
 
 IDENTITY_NAMES = tuple(TOLERANCES)
 
+# verify holds about 2.4 kB per point of the one chart it evaluates at a
+# time (61 MB at 10^4 points, 134 MB at 4 x 10^4, default library), so this
+# many points per chart keep it near 1 GB.
+MAX_POINTS_PER_CHART = 400_000
+
+# The hermiticity pool's integrands have degree <= 5 in cos(theta), which
+# Gauss-Legendre in cos(theta) integrates exactly from 3 nodes (degree
+# 2n - 1); fewer give false failures.  The order-n grid has 2 n^2 points
+# and its memory grows with them (75 MB at n = 256, 200 MB at 512), so the
+# largest order keeps it below 1 GB.
+MIN_HERMITICITY_ORDER = 3
+MAX_HERMITICITY_ORDER = 1024
+
 # The identities checked once per field of the field library.
 LIBRARY_IDENTITIES = (
     "position_momentum",
@@ -206,47 +219,42 @@ def geometry_suite(options):
 
 
 def commutator_suite(options):
+    """The LIBRARY_IDENTITIES for every library field: [x_i, p_j] and [r, T]
+    on each built-in chart, then [L_i, p_j] and the closed-form p against
+    the general one on the sphere.  Each field's jets come from one
+    evaluation per chart's point set; the sphere's serve all four
+    identities, and their entries follow every chart's."""
     if not any(options.wants(name) for name in LIBRARY_IDENTITIES):
         return []
-    out = []
+    out, sphere_out = [], []
     library = flib.field_library(options.lmax, options.trig_count)
-    for chart in _builtin_charts():
+    every_chart = options.wants("position_momentum") or options.wants("position_kinetic")
+    for chart in _builtin_charts() if every_chart else [chlib.sphere()]:
         pts = chlib.interior_points(chart, options.points_per_chart)
         q1, q2 = pts[:, 0], pts[:, 1]
         frame = geolib.evaluate_frame(chart, q1, q2)
+        if chart.name == "sphere":
+            p_jet, l_jet = oplib._momentum_jet(q1, q2), oplib._angular_jet(q1, q2)
         for fld in library:
-            f_val, f_grad = fld.value(q1, q2), fld.grad(q1, q2)
+            f_val, f_grad, f_hess = fld.partials(q1, q2, 2)
+            checks = []  # (the list its entry joins, identity, residual per point)
             if options.wants("position_momentum"):
                 res = oplib._position_momentum(frame, f_val, f_grad)
-                r, p = _worst(np.abs(res).max(axis=(0, 1)), pts)
-                out.append(
-                    _result(options, "position_momentum", chart.name, fld.label, p, r)
-                )
+                checks.append((out, "position_momentum", np.abs(res).max(axis=(0, 1))))
             if options.wants("position_kinetic"):
-                res = oplib._position_kinetic(frame, f_val, f_grad, fld.hess(q1, q2))
-                res = np.abs(res).max(axis=0)
+                res = oplib._position_kinetic(frame, f_val, f_grad, f_hess)
+                checks.append((out, "position_kinetic", np.abs(res).max(axis=0)))
+            if chart.name == "sphere" and options.wants("angular_momentum"):
+                res = oplib._angular_momentum(p_jet, l_jet, f_val, f_grad, f_hess)
+                checks.append((sphere_out, "angular_momentum", np.abs(res).max(axis=(0, 1))))
+            if chart.name == "sphere" and options.wants("sphere_component_match"):
+                closed = oplib._image(p_jet[0], f_val, f_grad, 1.0)
+                res = closed - oplib._momentum(frame, f_val, f_grad, 1.0)
+                checks.append((sphere_out, "sphere_component_match", np.abs(res).max(axis=0)))
+            for entries, name, res in checks:
                 r, p = _worst(res, pts)
-                out.append(
-                    _result(options, "position_kinetic", chart.name, fld.label, p, r)
-                )
-    sphere = chlib.sphere()
-    pts = chlib.interior_points(sphere, options.points_per_chart)
-    theta, phi = pts[:, 0], pts[:, 1]
-    frame = geolib.evaluate_frame(sphere, theta, phi)
-    for fld in library:
-        if options.wants("angular_momentum"):
-            res = oplib.angular_momentum_residuals(fld, theta, phi)
-            r, p = _worst(np.abs(res).max(axis=(0, 1)), pts)
-            out.append(_result(options, "angular_momentum", "sphere", fld.label, p, r))
-        if options.wants("sphere_component_match"):
-            f_val, f_grad = fld.value(theta, phi), fld.grad(theta, phi)
-            general = oplib._momentum(frame, f_val, f_grad, 1.0)
-            closed = oplib._sphere_image(oplib._momentum_jet, fld, theta, phi)
-            r, p = _worst(np.abs(closed - general).max(axis=0), pts)
-            out.append(
-                _result(options, "sphere_component_match", "sphere", fld.label, p, r)
-            )
-    return out
+                entries.append(_result(options, name, chart.name, fld.label, p, r))
+    return out + sphere_out
 
 
 def rotation_suite(options):
@@ -297,12 +305,12 @@ def confinement_suite(options):
             (chlib.torus(), (0.8, 2.0)),
             (chlib.plane(), (0.2, -0.3)),
         ):
+            # confined_gradient against shell_gradient_direct, on one surface
+            surface = geolib._frame_with_gradients(chart, *pt)
             worst = 0.0
             for q3 in (0.0, 0.01, 0.1, 0.15):
-                parts = oplib.confined_gradient(chart, chi, profile, pt[0], pt[1], q3)
-                direct = oplib.shell_gradient_direct(
-                    chart, chi, profile, pt[0], pt[1], q3
-                )
+                parts = oplib._split(surface, chi, profile, *pt, q3)[0]
+                direct = oplib._direct(surface, chi, profile, *pt, q3)
                 worst = max(worst, float(np.abs(parts.total() - direct).max()))
             out.append(_result(options, "confined_sum", chart.name, chi.label, pt, worst))
     if options.wants("confinement_slope"):
@@ -324,21 +332,26 @@ def confinement_suite(options):
 
 
 def eigenvalue_suite(options):
+    """p_z psi_p = p psi_p at 100 seeded (p, theta), all in one evaluation:
+    the field is psi's map with one p per point."""
     if not options.wants("eigenvalue_residual"):
         return []
     rng = np.random.default_rng(20240502)
-    worst, worst_point, worst_label = -1.0, None, None
-    for _ in range(100):
-        p = rng.uniform(-10.0, 10.0)
-        theta = rng.uniform(0.01, np.pi - 0.01)
-        eigen = splib.eigenfunction_field(p)
-        value = oplib.sphere_momentum_component("z", eigen, theta, 0.0)
-        residual = abs(value - p * splib.psi(p, theta))
-        if residual > worst:
-            worst, worst_point, worst_label = residual, (theta, 0.0), eigen.label
+    p, theta = np.array(
+        [(rng.uniform(-10.0, 10.0), rng.uniform(0.01, np.pi - 0.01)) for _ in range(100)]
+    ).T
+    eigen = flib.map_field(lambda th, ph: splib._psi_map(p, th), "psi")
+    value = oplib.sphere_momentum_component("z", eigen, theta, 0.0)
+    residual = np.abs(value - p * splib._psi_map(p, theta))
+    k = int(np.argmax(residual))
     return [
         _result(
-            options, "eigenvalue_residual", "sphere", worst_label, worst_point, worst
+            options,
+            "eigenvalue_residual",
+            "sphere",
+            splib.eigenfunction_field(p[k]).label,
+            (theta[k], 0.0),
+            residual[k],
         )
     ]
 
@@ -490,6 +503,17 @@ def run_verification(options=None):
     if options.points_per_chart < 1:
         raise ValueError(
             f"points per chart must be at least 1 (got {options.points_per_chart})"
+        )
+    if options.points_per_chart > MAX_POINTS_PER_CHART:
+        raise ValueError(
+            f"points per chart must be at most {MAX_POINTS_PER_CHART} "
+            f"(got {options.points_per_chart})"
+        )
+    if not MIN_HERMITICITY_ORDER <= options.hermiticity_order <= MAX_HERMITICITY_ORDER:
+        raise ValueError(
+            f"hermiticity order must be at least {MIN_HERMITICITY_ORDER}, the "
+            f"fewest nodes that integrate its pool exactly, and at most "
+            f"{MAX_HERMITICITY_ORDER} (got {options.hermiticity_order})"
         )
     override = options.tolerance_override
     if override is not None and not 0.0 < override < np.inf:

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+from surfquant import _jets
 from surfquant import charts as chlib
 from surfquant._jets import CONTRACT
 from surfquant.errors import ChartSingularityError
@@ -131,25 +132,68 @@ def test_jet_partials_equal_the_hand_written_ones(chart, hand):
 
 
 def test_jets_match_sympy_to_third_order():
-    # every supported operation, against sympy's derivatives of the same map
+    # every supported operation, with real and complex constants, against
+    # sympy's derivatives of the same map
     sp = pytest.importorskip("sympy")
 
-    def expressions(lib, u, v):
+    def real(lib, u, v):
         return [
             lib.exp(u) * v / (2.0 + lib.cos(v)),
             lib.log(3.0 + u * u) - lib.sqrt(2.0 + lib.sin(u * v)),
             (1.5 + u) ** -2 * v**3 - 1.0 / (2.0 - u),
         ]
 
-    chart = chlib.from_map(lambda u, v: expressions(np, u, v), ((-1, 1), (-1, 1)))
+    def expressions(lib, u, v):
+        return real(lib, u, v) + [
+            lib.tan(0.4 * u - 0.3 * v) * (1.0 - 2.0j) + 1j * v,
+            lib.exp(-2.5j * lib.log(lib.tan(0.5 * (u + 1.6)))) / lib.sin(u + 1.6),
+        ]
+
     u, v = sp.symbols("u v")
     exprs = expressions(sp, u, v)
     for q1, q2 in ((0.3, -0.7), (-0.8, 0.45)):
-        jets = chart.partials(q1, q2, 3)
+        assert _jets.partials(lambda a, b: real(np, a, b), q1, q2, 3)[3].dtype == float
+        jets = _jets.partials(lambda a, b: expressions(np, a, b), q1, q2, 3)
+        assert all(d.dtype == complex for d in jets)
         for key in (k for n in range(4) for k in combinations_with_replacement((0, 1), n)):
             wrt = [(u, v)[k] for k in key]
-            exact = [float((e.diff(*wrt) if wrt else e).subs({u: q1, v: q2})) for e in exprs]
+            exact = [complex((e.diff(*wrt) if wrt else e).subs({u: q1, v: q2}))
+                     for e in exprs]
             assert np.allclose(jets[len(key)][key], exact, rtol=1e-13, atol=1e-13)
+
+
+ROW_FUNCTIONS = {name: _jets._ROWS[f] for name, f in (
+    ("sin", np.sin), ("cos", np.cos), ("tan", np.tan), ("exp", np.exp), ("log", np.log),
+    ("sqrt", np.sqrt),
+)} | {f"power{e}": lambda x, n, e=e: _jets._power_rows(x, e, n) for e in (2, 0.5, -1)}
+
+
+class CountingArray(np.ndarray):
+    """An array that counts the ufuncs applied to it."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        CountingArray.calls += 1
+        return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+
+@pytest.mark.parametrize("name", ROW_FUNCTIONS)
+def test_rows_stop_at_the_jet_order(name):
+    # a jet of order n computes n + 1 rows, the same bits as the first n + 1
+    # rows at order 3 (None marks a row that is zero by structure), and an
+    # order-0 jet evaluates the function alone, none of its derivatives
+    rows_of = ROW_FUNCTIONS[name]
+    x = np.linspace(0.2, 1.3, 7)
+    full = rows_of(x, 3)
+    for n in range(4):
+        rows = rows_of(x, n)
+        assert len(rows) == n + 1
+        for a, b in zip(rows, full):
+            assert (a is None and b is None) or np.array_equal(a, b)
+    CountingArray.calls = 0
+    rows_of(x.view(CountingArray), 0)
+    assert CountingArray.calls == 1
 
 
 def test_maps_outside_the_elementwise_contract_raise():

@@ -9,6 +9,7 @@ from surfquant.errors import PoleProximityError
 from surfquant.spectra import eigenfunction_field, psi
 
 from conftest import fd_gradient, fd_hessian
+from sympy_oracle import PHI, THETA, from_expr
 
 
 def field_points():
@@ -55,11 +56,7 @@ def test_product_matches_symbolic_product():
     y21 = flib.spherical_harmonic(2, 1)
     z_field = flib.coordinate_field(sphere, 2)
     prod = flib.product(z_field, y21)
-    symbolic = flib.from_expr(
-        sp.cos(flib.THETA) * sp.Ynm(2, 1, flib.THETA, flib.PHI).expand(func=True),
-        (flib.THETA, flib.PHI),
-        "z*Y21",
-    )
+    symbolic = from_expr(sp.cos(THETA) * sp.Ynm(2, 1, THETA, PHI).expand(func=True))
     for q1, q2 in field_points():
         assert abs(prod.value(q1, q2) - symbolic.value(q1, q2)) < 1e-13
         assert np.abs(prod.grad(q1, q2) - symbolic.grad(q1, q2)).max() < 1e-12
@@ -68,9 +65,10 @@ def test_product_matches_symbolic_product():
 
 def test_product_without_hessian_downgrades():
     f = flib.spherical_harmonic(1, 0)
-    first_order = flib.ScalarField("g", f._value, f._grad, None)
+    first_order = flib.ScalarField("g", f.partials, 1)
     prod = flib.product(f, first_order)
-    assert not prod.has_hessian
+    assert prod.order == 1
+    assert prod.grad(1.0, 1.0).shape == (2,)
     with pytest.raises(ValueError):
         prod.hess(1.0, 1.0)
 
@@ -123,7 +121,7 @@ def test_pullback_value_and_gradient():
     assert abs(pulled.value(theta, phi) - y21.value(tp, pp)) < 1e-13
     fd = fd_gradient(pulled.value, theta, phi)
     assert np.abs(pulled.grad(theta, phi) - fd).max() < 1e-6
-    assert not pulled.has_hessian
+    assert pulled.order == 1
 
 
 def test_pullback_pole_proximity():
@@ -166,3 +164,37 @@ def test_rotation_matrices_orthogonal():
         flib.rotation_matrix("y", np.pi / 2.0) @ np.array([0.0, 0.0, 1.0])
         - np.array([1.0, 0.0, 0.0])
     ).max() < 1e-15
+
+
+def test_map_field_contract():
+    import math
+
+    from surfquant._jets import CONTRACT
+
+    with pytest.raises(TypeError) as err:
+        flib.map_field(lambda q1, q2: math.sin(q1), "bad").grad(0.3, 0.2)
+    assert str(err.value) == CONTRACT
+    # complex coefficients
+    wave = flib.map_field(lambda q1, q2: (1.0 - 2.0j) * np.exp(1.5j * q1) * q2, "wave")
+    q1, q2 = 0.7, -0.4
+    value = (1.0 - 2.0j) * np.exp(1.5j * q1) * q2
+    assert type(wave.value(q1, q2)) is complex
+    assert abs(wave.value(q1, q2) - value) < 1e-15
+    assert np.allclose(wave.grad(q1, q2), [1.5j * value, value / q2], rtol=1e-15)
+    assert np.allclose(wave.hess(q1, q2), [[-2.25 * value, 1.5j * value / q2],
+                                           [1.5j * value / q2, 0.0]], rtol=1e-15)
+    # a constant broadcasts to the point shape; a real map still gives complex
+    points = np.linspace(0.1, 1.0, 6).reshape(3, 2), 0.5
+    for fn, c in ((lambda q1, q2: 2.5 - 1.0j, 2.5 - 1.0j), (lambda q1, q2: 3, 3.0)):
+        jets = flib.map_field(fn, "c").partials(*points, 2)
+        assert [j.shape for j in jets] == [(3, 2), (2, 3, 2), (2, 2, 3, 2)]
+        assert all(j.dtype == complex for j in jets)
+        assert np.all(jets[0] == c) and not jets[1].any() and not jets[2].any()
+    assert type(flib.map_field(lambda q1, q2: 3, "three").value(0.1, 0.2)) is complex
+
+
+def test_partials_past_the_order_of_a_field_raise():
+    pulled = flib.pullback_field(flib.spherical_harmonic(1, 1), flib.rotation_matrix("y", 0.3))
+    assert len(pulled.partials(1.0, 0.5, 1)) == 2
+    with pytest.raises(ValueError, match="order 1 only"):
+        pulled.partials(1.0, 0.5, 2)

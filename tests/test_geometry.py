@@ -189,8 +189,9 @@ def test_shell_fold_error():
 
 def test_laplace_beltrami_eigenfunction(builtin_charts):
     import sympy as sp
+    from sympy_oracle import THETA, from_expr
 
-    cos_theta = flib.from_expr(sp.cos(flib.THETA), (flib.THETA, flib.PHI), "cos")
+    cos_theta = from_expr(sp.cos(THETA), label="cos")
     one = flib.constant(1.0)
     sphere = builtin_charts["sphere"]
     for q1, q2 in chart_points(sphere, 10):

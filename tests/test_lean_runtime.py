@@ -21,7 +21,10 @@ import surfquant
 from surfquant import charts as chlib
 from surfquant import fields as flib
 from surfquant import spectra as splib
+from surfquant import verification as ver
 from surfquant.cli import main
+
+from sympy_oracle import PHI, THETA, from_expr
 
 SRC = str(Path(surfquant.__file__).resolve().parent.parent)
 ORACLE_RTOL = 5e-14
@@ -88,19 +91,19 @@ POINT_SETS = {
 
 
 def trig_oracle(k, seed=20240501):
-    theta, phi = flib.THETA, flib.PHI
+    theta, phi = THETA, PHI
     basis = [sp.Integer(1), sp.cos(theta), sp.sin(theta) * sp.cos(phi),
              sp.sin(2 * theta) * sp.sin(phi), sp.cos(theta) * sp.cos(2 * phi),
              sp.sin(theta) * sp.sin(2 * phi)]
     coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(k + 1, len(basis)))[k]
     # 17 digits, so the lambdified coefficients are the drawn doubles
     expr = sum(sp.Float(float(c), 17) * b for c, b in zip(coeffs, basis))
-    return flib.from_expr(expr, (theta, phi), f"trig{k}")
+    return from_expr(expr, label=f"trig{k}")
 
 
 @lru_cache(maxsize=None)
 def oracle(kind, *args):
-    theta, phi = flib.THETA, flib.PHI
+    theta, phi = THETA, PHI
     if kind == "ylm":
         expr = sp.Ynm(*args, theta, phi).expand(func=True)
     elif kind == "wave":
@@ -108,7 +111,7 @@ def oracle(kind, *args):
         expr = sp.exp(sp.I * sp.Float(k) * (theta, phi)[axis])
     else:
         return trig_oracle(*args)
-    return flib.from_expr(expr, (theta, phi), "oracle")
+    return from_expr(expr)
 
 
 def assert_matches_oracle(fld, ref):
@@ -144,6 +147,31 @@ def test_plane_wave_matches_the_sympy_oracle(k, axis):
     assert_matches_oracle(flib.plane_wave(k, axis), oracle("wave", k, axis))
 
 
+def chart_oracle(name):
+    """The built-in charts' maps at their default parameters, in sympy."""
+    q1, q2 = THETA, PHI
+    w = 2 + sp.cos(q2) / 2
+    return {
+        "sphere": [sp.sin(q1) * sp.cos(q2), sp.sin(q1) * sp.sin(q2), sp.cos(q1)],
+        "cylinder": [sp.cos(q1), sp.sin(q1), q2],
+        "torus": [w * sp.cos(q1), w * sp.sin(q1), sp.sin(q2) / 2],
+        "plane": [q1, q2, sp.Integer(0)],
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["sphere", "cylinder", "torus", "plane"])
+def test_coordinate_fields_match_the_sympy_oracle(name):
+    chart = chlib.make_chart(name)
+    for axis, expr in enumerate(chart_oracle(name)):
+        assert_matches_oracle(flib.coordinate_field(chart, axis), from_expr(expr))
+
+
+@pytest.mark.parametrize("p", [1.7, -4.2, 0.0])
+def test_eigenfunction_field_matches_the_sympy_oracle(p):
+    expr = sp.exp(-sp.I * sp.Float(p) * sp.log(sp.tan(THETA / 2))) / (2 * sp.pi * sp.sin(THETA))
+    assert_matches_oracle(splib.eigenfunction_field(p), from_expr(expr))
+
+
 def test_harmonics_stay_finite_at_the_poles():
     # Y_lm also serves as a field on charts whose q1 reaches 0 or pi.
     for l in range(4):
@@ -169,12 +197,6 @@ def test_field_library_bounds():
     for count in (-1, flib.MAX_TRIG_FIELDS + 1, 100_000_000):
         with pytest.raises(ValueError, match="trig count"):
             flib.trig_library(count)
-
-
-def test_sympy_symbols_stay_reachable():
-    assert isinstance(flib.THETA, sp.Symbol) and flib.PHI.name == "phi"
-    with pytest.raises(AttributeError):
-        flib.NOT_A_SYMBOL
 
 
 # -- CLI inputs that crashed or passed vacuously ---------------------------------
@@ -227,5 +249,31 @@ def test_confine_rejects_bad_field_selectors(chi, capsys):
 ])
 def test_verify_rejects_field_libraries_past_the_bounds(args, capsys):
     code, err = run_cli(["verify", "--only", "position_momentum"] + args, capsys)
+    assert code == 2 and err.startswith("error: config:"), err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("order", ["-3", "0", "1", "2"])
+def test_verify_rejects_a_hermiticity_order_below_three(order, capsys):
+    code, err = run_cli(["verify", "--only", "hermiticity", "--order", order], capsys)
+    assert code == 2 and err.startswith("error: config: hermiticity order must be at least 3")
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_hermiticity_passes_from_order_three(capsys):
+    assert run_cli(["verify", "--only", "hermiticity", "--order", "3"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--points", "1000000000000"],
+    ["verify", "--points", str(ver.MAX_POINTS_PER_CHART + 1)],
+    ["verify", "--order", "100000"],
+    ["verify", "--order", str(ver.MAX_HERMITICITY_ORDER + 1)],
+    ["geom", "--surface", "torus", "--grid", "100000x100000"],
+    ["geom", "--surface", "torus", "--grid", "1000x1000", "--point", "1,1"],
+])
+def test_size_bounds_refuse_before_allocating(args, capsys):
+    # each argv asks for more points than its cap, and allocates nothing
+    code, err = run_cli(args, capsys)
     assert code == 2 and err.startswith("error: config:"), err
     assert len(err.splitlines()) == 1

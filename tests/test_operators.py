@@ -8,10 +8,11 @@ from surfquant import operators as oplib
 from surfquant.errors import PoleProximityError, ShellFoldError
 
 from conftest import chart_points
+from sympy_oracle import THETA, from_expr
 
 
 def cos_theta_field():
-    return flib.from_expr(sp.cos(flib.THETA), (flib.THETA, flib.PHI), "cos_theta")
+    return from_expr(sp.cos(THETA), label="cos_theta")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,23 @@ import json
 
 import pytest
 
+from surfquant import _jets
+from surfquant import fields as flib
 from surfquant import verification as ver
+
+
+@pytest.fixture
+def jet_orders(monkeypatch):
+    """The order of every _jets.partials evaluation made while it is active."""
+    orders = []
+    partials = _jets.partials
+
+    def counting(fn, q1, q2, order):
+        orders.append(order)
+        return partials(fn, q1, q2, order)
+
+    monkeypatch.setattr(_jets, "partials", counting)
+    return orders
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +83,25 @@ def test_results_are_deterministic():
     a = ver.run_verification(options)
     b = ver.run_verification(options)
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("only, charts, per_field", [
+    (None, 4, 10),
+    (("position_kinetic",), 4, 4),
+    (("angular_momentum", "sphere_component_match"), 1, 2),
+])
+def test_commutator_suite_evaluates_each_field_once_per_point_set(
+    only, charts, per_field, jet_orders
+):
+    # one frame per chart, and one jet evaluation per library field on each
+    # chart's points, whose sphere jets also serve the sphere-only identities
+    options = ver.VerifyOptions(points_per_chart=3, lmax=2, trig_count=2, only=only)
+    fields = len(flib.field_library(2, 2))
+    assert len(ver.commutator_suite(options)) == per_field * fields
+    assert len(jet_orders) == charts * (1 + fields)
+
+
+def test_confined_sum_builds_each_surface_once(jet_orders):
+    report = ver.run_verification(ver.VerifyOptions(only=("confined_sum",)))
+    assert report.total == 3 and report.all_pass
+    assert jet_orders.count(3) == 3  # sphere, torus and plane, each at all four q3
