@@ -168,12 +168,21 @@ def _frame(chart, q1, q2, partials):
 
 
 def geometric_potential(frame, hbar=1.0, mu=1.0):
-    """Curvature-induced potential -(hbar^2 / 2 mu) (M^2 - K)."""
+    """Curvature-induced potential -(hbar^2 / 2 mu) (M^2 - K); a potential
+    that overflows is a ValueError naming its first point."""
     if not (0.0 < hbar < np.inf and 0.0 < mu < np.inf):
         raise ValueError(f"hbar and mu must be finite and positive (got {hbar}, {mu})")
     M = frame.mean_curvature
     K = frame.gaussian_curvature
-    return -(hbar * hbar) / (2.0 * mu) * (M * M - K)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        potential = -(hbar * hbar) / (2.0 * mu) * (M * M - K)
+    overflow = ~np.isfinite(potential)
+    if overflow.any():
+        point = tuple(float(np.ravel(q)[np.argmax(overflow)]) for q in frame.point)
+        raise ValueError(
+            f"the geometric potential overflows at {point} (hbar={hbar}, mu={mu})"
+        )
+    return potential
 
 
 def shell_frame(frame, q3):
@@ -182,31 +191,36 @@ def shell_frame(frame, q3):
     The surface block is (I + q3 alpha) g (I + q3 alpha)^T, the normal
     row/column vanish and G_33 = 1.  Degenerates (folds) where the fold
     factor 1 - 2 M q3 + K q3^2 <= 0, i.e. past the focal distance, and a
-    NaN factor (a NaN q3 included) counts as a fold; an infinite q3 is a
-    ValueError.  q3 may be an array that broadcasts with the frame's point
-    shape, with any extra axes leading (offsets (K,) on a scalar frame give
-    shape (K,)); a fold is reported for the first folding entry in C order.
+    NaN factor (a NaN q3 included) counts as a fold; an infinite q3, and an
+    offset whose fold factor or determinant overflows, is a ValueError.
+    q3 may be an array that broadcasts with the frame's point shape, with
+    any extra axes leading (offsets (K,) on a scalar frame give shape
+    (K,)); the first failing entry in C order is reported.
     """
     q3 = _scalar(np.asarray(q3, dtype=float))
     if np.isinf(q3).any():
         raise ValueError(f"shell offsets q3 must be finite (got {q3})")
     M = frame.mean_curvature
     K = frame.gaussian_curvature
-    factor = 1.0 - 2.0 * M * q3 + K * q3 * q3
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        factor = 1.0 - 2.0 * M * q3 + K * q3 * q3
+        shape = np.shape(factor)
+        # the offsets' extra leading axes go between the 2x2 axes and the points
+        pad = (slice(None),) * 2 + (None,) * (len(shape) - np.ndim(M))
+        B = np.eye(2).reshape((2, 2) + (1,) * len(shape)) + q3 * frame.weingarten[pad]
+        block = _mm(_mm(B, frame.metric[pad]), B.swapaxes(0, 1))
+        det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
     folded = np.ravel(np.logical_not(factor > 0.0))  # NaN folds too
-    if folded.any():
-        k = int(np.argmax(folded))
-        q3_k = np.broadcast_to(q3, np.shape(factor)).ravel()[k]
-        raise ShellFoldError(q3_k, np.ravel(factor)[k])
-    shape = np.shape(factor)
-    # the offsets' extra leading axes go between the 2x2 axes and the points
-    pad = (slice(None),) * 2 + (None,) * (len(shape) - np.ndim(M))
-    B = np.eye(2).reshape((2, 2) + (1,) * len(shape)) + q3 * frame.weingarten[pad]
-    block = _mm(_mm(B, frame.metric[pad]), B.swapaxes(0, 1))
+    failed = folded | np.ravel(~(np.isfinite(factor) & np.isfinite(det)))
+    if failed.any():
+        k = int(np.argmax(failed))
+        q3_k = np.broadcast_to(q3, shape).ravel()[k]
+        if folded[k]:
+            raise ShellFoldError(q3_k, np.ravel(factor)[k])
+        raise ValueError(f"shell offset q3={q3_k} overflows the shell metric")
     metric3 = np.zeros((3, 3) + shape)
     metric3[:2, :2] = block
     metric3[2, 2] = 1.0
-    det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
     return ShellFrame(
         base=frame, q3=q3, metric3=metric3, det=_scalar(det), fold_factor=factor
     )

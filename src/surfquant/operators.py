@@ -16,9 +16,12 @@ pointwise, realizes the thin-shell gradient decomposition whose d -> 0
 limit produces the operator, and measures hermiticity defects by sphere
 quadrature.  The confining limit (r^mu d_mu + M n) psi is i/hbar times the
 geometric momentum _momentum computes, and the shell's fold factor and fold
-test are geometry.shell_frame's.  Composed operators are evaluated through
-derived exact partials (product/chain rule), never through nested finite
-differences.
+test are geometry.shell_frame's.  One array-first core, _thin_shell,
+evaluates the decomposition, its Jacobian oracle and the deviation at all
+offsets q3 above a surface point; the public thin-shell functions read it
+at one offset, confinement_slope at all.  Composed operators are evaluated
+through derived exact partials (product/chain rule), never through nested
+finite differences.
 
 On the unit sphere (outward normal, M = -1) the closed forms are written in
 the orthonormal basis (n, e_theta, e_phi):
@@ -46,6 +49,7 @@ import numpy as np
 from . import fields as flib
 from .fields import ScalarField, _sphere_basis, pullback_field, rotation_matrix
 from .geometry import (
+    _contract,
     _frame_with_gradients,
     evaluate_frame,
     laplace_beltrami_jets,
@@ -362,13 +366,23 @@ class NormalProfile:
 
 
 def gaussian_profile(width=1.0):
+    """exp(-q3^2 / (2 width^2)); the square of the width must be a normal
+    float, so that phi'(q3) = -q3 (phi(q3) / width^2) stays finite."""
     if not 0.0 < width < np.inf:
         raise ValueError(f"profile width must be finite and positive (got {width})")
-    w2 = float(width) ** 2
+    w2 = float(width) * float(width)
+    if not np.finfo(float).tiny <= w2 < np.inf:
+        raise ValueError(
+            f"profile width {width} is finite and positive, but its square is not a "
+            f"normal float"
+        )
+
+    def value(q3):
+        with np.errstate(over="ignore"):  # q3^2 past the float range: exp(-inf) = 0
+            return np.exp(-0.5 * q3 * q3 / w2)
+
     return NormalProfile(
-        value=lambda q3: np.exp(-0.5 * q3 * q3 / w2),
-        derivative=lambda q3: -(q3 / w2) * np.exp(-0.5 * q3 * q3 / w2),
-        label=f"gaussian(width={width:g})",
+        value, lambda q3: -q3 * (value(q3) / w2), f"gaussian(width={width:g})"
     )
 
 
@@ -380,6 +394,7 @@ def flat_profile():
 class ConfinedGradient:
     """Three-part split of the bulk gradient of a separable shell function."""
 
+    # each part (3,) at one shell point, (3, K) over K offsets
     tangential: np.ndarray  # r^mu d_mu psi part (shell-raised tangents)
     normal_geometric: np.ndarray  # n (M - K q3) f^{-3/2} chi phi part
     normal_derivative: np.ndarray  # n f^{-1/2} chi dphi/dq3 part
@@ -389,54 +404,44 @@ class ConfinedGradient:
         return self.tangential + self.normal_geometric + self.normal_derivative
 
 
-def _shell_pieces(surface, chi, profile, q1, q2, q3):
-    """The shell frame and the jets of psi = chi f^{-1/2} phi at a shell point,
-    f the fold factor, from the surface's (frame, dM, dK) at (q1, q2), which
-    does not depend on q3; shell_frame raises on a fold or a non-finite q3."""
-    frame, dM, dK = surface
-    shell = shell_frame(frame, q3)
-    factor = shell.fold_factor
-    M = frame.mean_curvature
-    K = frame.gaussian_curvature
-    finv = factor ** -0.5
-    dfactor_mu = -2.0 * dM * q3 + dK * q3 * q3
-    dfinv_mu = -0.5 * factor ** -1.5 * dfactor_mu
+def _thin_shell(chart, chi, profile, q1, q2, q3):
+    """psi = chi f^{-1/2} phi(q3), f the fold factor, above the surface point
+    (q1, q2) at the 1-D offsets q3 (K,): its ConfinedGradient with parts
+    (3, K), the Jacobian oracle's gradient (3, K) and the deviations (K,)
+    from the limit operator.  The frame with (dM, dK), chi's jets, f and the
+    profile are each evaluated once; shell_frame raises on a fold or an
+    overflowing offset."""
+    q3 = np.asarray(q3, dtype=float)
+    frame, dM, dK = _frame_with_gradients(chart, q1, q2)
+    f = shell_frame(frame, q3).fold_factor
     chi_val, chi_grad = chi.partials(q1, q2, 1)
-    phi_val = complex(profile.value(q3))
-    phi_der = complex(profile.derivative(q3))
+    phi_val, phi_der = profile.value(q3), profile.derivative(q3)
+    shift = frame.mean_curvature - frame.gaussian_curvature * q3
+    finv, f32 = f**-0.5, f**-1.5
+    dfinv_mu = -0.5 * f32 * (-2.0 * dM[:, None] * q3 + dK[:, None] * q3 * q3)
     psi_val = chi_val * finv * phi_val
-    dpsi_mu = (chi_grad * finv + chi_val * dfinv_mu) * phi_val
-    dpsi_q3 = chi_val * ((M - K * q3) * factor ** -1.5 * phi_val + finv * phi_der)
-    return shell, chi_val, phi_val, phi_der, psi_val, dpsi_mu, dpsi_q3
-
-
-def _split(surface, chi, profile, q1, q2, q3):
-    """The ConfinedGradient at one shell point, with the surface frame and
-    the jets (psi, d_mu psi) the limit operator acts on; `surface` as for
-    _shell_pieces."""
-    q3 = float(q3)
-    shell, chi_val, phi_val, phi_der, psi_val, dpsi_mu, _ = _shell_pieces(
-        surface, chi, profile, q1, q2, q3
-    )
-    frame, factor = shell.base, shell.fold_factor
-    B = np.eye(2) + q3 * frame.weingarten
-    shell_tangents = B @ frame.tangents
-    shell_metric = shell_tangents @ shell_tangents.T
-    shell_raised = np.linalg.inv(shell_metric) @ shell_tangents
-    tangential = shell_raised[0] * dpsi_mu[0] + shell_raised[1] * dpsi_mu[1]
-    M = frame.mean_curvature
-    K = frame.gaussian_curvature
-    normal_geometric = (
-        frame.normal * (M - K * q3) * factor ** -1.5 * chi_val * phi_val
-    )
-    normal_derivative = frame.normal * factor ** -0.5 * chi_val * phi_der
+    dpsi_mu = (chi_grad[:, None] * finv + chi_val * dfinv_mu) * phi_val
+    dpsi_q3 = chi_val * (shift * f32 * phi_val + finv * phi_der)
+    # The shell tangents are R_mu = B r_mu, B = I + q3 alpha with det B = f,
+    # so R^mu = B^{-T} r^mu with B^{-1} = adj(B) / f: no shell metric is
+    # inverted, and R^mu d_mu psi = r^nu (adj(B) d psi)_nu / f.
+    B = np.eye(2) + q3[:, None, None] * frame.weingarten
+    (b00, b01), (b10, b11) = B.transpose(1, 2, 0)
+    d0, d1 = dpsi_mu
+    r, n = frame.raised[:, :, None], frame.normal[:, None]
     parts = ConfinedGradient(
-        tangential=tangential.astype(complex),
-        normal_geometric=normal_geometric.astype(complex),
-        normal_derivative=normal_derivative.astype(complex),
+        tangential=r[0] * ((b11 * d0 - b01 * d1) / f) + r[1] * ((b00 * d1 - b10 * d0) / f),
+        normal_geometric=n * shift * f32 * chi_val * phi_val,
+        normal_derivative=n * finv * chi_val * phi_der,
         point=(float(q1), float(q2), q3),
     )
-    return parts, frame, psi_val, dpsi_mu
+    # the oracle solves J^T grad = (d1 psi, d2 psi, d3 psi), J = [R_1 | R_2 | n]
+    jac_t = np.concatenate([B @ frame.tangents, np.broadcast_to(n.T, (len(q3), 1, 3))], 1)
+    rhs = np.stack([d0, d1, dpsi_q3], axis=-1)[..., None]
+    direct = np.linalg.solve(jac_t, rhs)[..., 0].T
+    limit = 1j * _momentum(frame, psi_val, dpsi_mu, 1.0)
+    gap = parts.tangential + parts.normal_geometric - limit
+    return parts, direct, np.sqrt(_contract(gap.real**2 + gap.imag**2, 0))
 
 
 def confined_gradient(chart, chi, profile, q1, q2, q3):
@@ -449,44 +454,29 @@ def confined_gradient(chart, chi, profile, q1, q2, q3):
     normal-geometric coefficient reduces to M at q3 = 0, which is the term
     the confining limit keeps.
     """
-    return _split(_frame_with_gradients(chart, q1, q2), chi, profile, q1, q2, q3)[0]
+    parts = _thin_shell(chart, chi, profile, q1, q2, [q3])[0]
+    return ConfinedGradient(
+        parts.tangential[:, 0],
+        parts.normal_geometric[:, 0],
+        parts.normal_derivative[:, 0],
+        point=(float(q1), float(q2), float(q3)),
+    )
 
 
 def shell_gradient_direct(chart, chi, profile, q1, q2, q3):
     """Flat-space gradient of psi via the 3x3 shell Jacobian (oracle path).
 
     Solves J^T grad = (d1 psi, d2 psi, d3 psi) with J = [R_1 | R_2 | n],
-    R_mu = (I + q3 alpha) r_mu; independent of the block assembly used by
-    confined_gradient.
+    R_mu = (I + q3 alpha) r_mu; independent of the adjugate assembly used
+    by confined_gradient.
     """
-    return _direct(_frame_with_gradients(chart, q1, q2), chi, profile, q1, q2, q3)
-
-
-def _direct(surface, chi, profile, q1, q2, q3):
-    """shell_gradient_direct from the surface's (frame, dM, dK), as for
-    _shell_pieces."""
-    q3 = float(q3)
-    shell, _, _, _, _, dpsi_mu, dpsi_q3 = _shell_pieces(surface, chi, profile, q1, q2, q3)
-    frame = shell.base
-    B = np.eye(2) + q3 * frame.weingarten
-    shell_tangents = B @ frame.tangents
-    jac = np.column_stack([shell_tangents[0], shell_tangents[1], frame.normal])
-    rhs = np.array([dpsi_mu[0], dpsi_mu[1], dpsi_q3], dtype=complex)
-    return np.linalg.solve(jac.T.astype(complex), rhs)
+    return _thin_shell(chart, chi, profile, q1, q2, [q3])[1][:, 0]
 
 
 def confinement_deviation(chart, chi, profile, q1, q2, q3):
     """Norm of (tangential + normal_geometric) minus the limit operator
     (r^mu d_mu + M n) psi, both built on one frame at the same q3."""
-    return _deviation(_frame_with_gradients(chart, q1, q2), chi, profile, q1, q2, q3)
-
-
-def _deviation(surface, chi, profile, q1, q2, q3):
-    parts, frame, psi_val, dpsi_mu = _split(surface, chi, profile, q1, q2, q3)
-    limit = 1j * _momentum(frame, psi_val, dpsi_mu, 1.0)
-    return float(
-        np.linalg.norm(parts.tangential + parts.normal_geometric - limit)
-    )
+    return float(_thin_shell(chart, chi, profile, q1, q2, [q3])[2][0])
 
 
 def confinement_slope(chart, chi, profile, q1, q2, q3_values):
@@ -496,21 +486,17 @@ def confinement_slope(chart, chi, profile, q1, q2, q3_values):
     non-finite q3 is refused before any row is built; otherwise a shell
     fold at any q3 is reported first.
     """
-    q3_values = sorted(float(q) for q in q3_values)
-    finite = bool(np.isfinite(q3_values).all())
-    rows = []
-    if finite and q3_values:
-        surface = _frame_with_gradients(chart, q1, q2)  # the same at every q3
-        rows = [(q3, _deviation(surface, chi, profile, q1, q2, q3)) for q3 in q3_values]
-    if not (finite and len(set(q3_values)) >= 2 and all(q > 0.0 for q in q3_values)):
+    q3 = np.array(sorted(float(q) for q in q3_values))
+    finite = bool(np.isfinite(q3).all())
+    if finite and q3.size:
+        deviation = _thin_shell(chart, chi, profile, q1, q2, q3)[2]
+    if not (finite and q3.size and 0.0 < q3[0] < q3[-1]):  # q3 is sorted
         raise ValueError(
             f"the log-log slope needs at least two distinct, finite, positive "
-            f"q3 (got {q3_values})"
+            f"q3 (got {q3.tolist()})"
         )
-    xs = np.log([r[0] for r in rows])
-    ys = np.log([max(r[1], 1e-300) for r in rows])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return slope, rows
+    slope = np.polyfit(np.log(q3), np.log(np.maximum(deviation, 1e-300)), 1)[0]
+    return float(slope), list(zip(q3.tolist(), deviation.tolist()))
 
 
 def _hermiticity_defects(fields, order, hbar):

@@ -555,6 +555,8 @@ def test_non_finite_shell_offsets_are_rejected(command, capsys):
     ["confine", "--width", "nan"],  # was nan rows and loglog_slope=nan, exit 0
     ["confine", "--width", "-1"],
     ["confine", "--width", "inf"],
+    ["confine", "--width", "1e-200"],  # was a ZeroDivisionError traceback, exit 1
+    ["confine", "--width", "1e200"],  # was an OverflowError traceback, exit 1
     ["geom", "--surface", "sphere", "--point", "1,0.5", "--hbar", "nan"],  # V_gp nan
     ["geom", "--surface", "sphere", "--point", "1,0.5", "--mu", "inf"],  # V_gp 0.0
     ["geom", "--surface", "sphere", "--point", "1,0.5", "--hbar", "0"],
@@ -570,6 +572,44 @@ def test_non_finite_or_non_positive_constants_are_config_errors(command, capsys)
     assert captured.err.startswith("error: config:")
     assert "finite and positive" in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["geom", "--surface", "torus", "--point", "1,1", "--q3", "1e200"],  # was shell_det nan
+    ["geom", "--surface", "cylinder", "--point", "1,0", "--q3", "1e160"],  # was inf
+    ["geom", "--surface", "sphere", "--point", "1,0.5", "--point", "1,1", "--q3", "0.1,1e200"],
+    ["confine", "--q3", "1e200,1e201"],  # was nan rows and loglog_slope=nan
+    ["confine", "--surface", "cylinder", "--q3", "0.01,1e160"],
+])
+def test_overflowing_shell_offsets_are_config_errors(command, capsys):
+    code = run(command)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: config: shell offset q3=1e+")
+    assert "overflows the shell metric" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("option, value", [("--hbar", "1e200"), ("--mu", "1e-320")])
+def test_an_overflowing_geometric_potential_is_a_config_error(option, value, capsys):
+    # was V_gp inf, exit 0; the error names the first failing point
+    code = run(["geom", "--surface", "sphere", "--point", "1,0.5", "--point", "1,1",
+                option, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: config: the geometric potential overflows at (1.0, 0.5) "
+        f"(hbar={1e200 if option == '--hbar' else 1.0}, "
+        f"mu={1e-320 if option == '--mu' else 1.0})\n"
+    )
+
+
+def test_confine_past_the_float_range_of_the_profile_is_silent(capsys):
+    # q3^2 overflows in the Gaussian profile, which is 0.0 there
+    assert run(["confine", "--surface", "plane", "--q3", "1e300,1e301"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "1e+300,0.0\n1e+301,0.0\n" in captured.out
 
 
 def test_flat_profile_ignores_the_width(capsys):

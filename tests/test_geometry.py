@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,34 @@ def test_shell_frame_refuses_non_finite_offsets(q3, error, builtin_charts):
             shell_frame(fr, q3)
         with pytest.raises(error):
             shell_frame(fr, np.array([0.1, q3]))
+
+
+@pytest.mark.parametrize("name, q3", [("sphere", 1e200), ("cylinder", 1e160),
+                                     ("torus", 1e200), ("sphere", 1e150)])
+def test_shell_frame_refuses_overflowing_offsets(name, q3, builtin_charts):
+    # these returned an inf or NaN determinant, with RuntimeWarnings
+    fr = evaluate_frame(builtin_charts[name], 1.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"q3={q3} overflows the shell metric")):
+        shell_frame(fr, q3)
+    with pytest.raises(ValueError, match=re.escape(f"q3={q3} overflows")):
+        shell_frame(fr, np.array([0.1, q3, np.nan]))  # the first failing entry
+    with pytest.raises(ShellFoldError):
+        shell_frame(fr, np.array([np.nan, q3]))
+
+
+def test_shell_frame_keeps_a_far_plane_offset():
+    # a flat chart has no fold factor to overflow
+    fr = evaluate_frame(chlib.plane(), 0.2, -0.4)
+    sf = shell_frame(fr, np.array([1e300, -1e300]))
+    assert sf.fold_factor.tolist() == [1.0, 1.0]
+
+
+def test_geometric_potential_refuses_an_overflow():
+    fr = evaluate_frame(chlib.cylinder(), np.array([0.1, 0.3]), np.array([0.2, 0.4]))
+    with pytest.raises(ValueError, match=r"overflows at \(0.1, 0.2\)"):
+        geometric_potential(fr, hbar=1e200)
+    with pytest.raises(ValueError, match="overflows"):
+        geometric_potential(fr, mu=1e-320)
 
 
 def test_shell_fold_error():

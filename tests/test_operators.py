@@ -6,6 +6,7 @@ from surfquant import charts as chlib
 from surfquant import fields as flib
 from surfquant import operators as oplib
 from surfquant.errors import PoleProximityError, ShellFoldError
+from surfquant.geometry import evaluate_frame
 
 from conftest import chart_points
 from sympy_oracle import THETA, from_expr
@@ -249,6 +250,20 @@ def test_confined_gradient_parts_sum_to_direct_gradient(builtin_charts):
             assert np.abs(parts.total() - direct).max() < 1e-10, name
 
 
+def test_confined_gradient_on_a_skew_weingarten_map():
+    # the built-in charts are principal (alpha diagonal); on this graph alpha
+    # is not even symmetric, so a transposed adjugate would miss the oracle
+    graph = chlib.from_map(
+        lambda u, v: [u, v, 0.3 * u * u + 0.5 * u * v - 0.2 * v * v + 0.1 * u * u * u],
+        ((-1.0, 1.0), (-1.0, 1.0)),
+    )
+    alpha = evaluate_frame(graph, 0.4, -0.3).weingarten
+    assert abs(alpha[0, 1] - alpha[1, 0]) > 0.05
+    chi, profile = flib.spherical_harmonic(2, 1), oplib.gaussian_profile(0.5)
+    parts, direct, _ = oplib._thin_shell(graph, chi, profile, 0.4, -0.3, [0.05, 0.2, -0.3])
+    assert np.abs(parts.total() - direct).max() < 1e-12
+
+
 def test_confined_gradient_zero_offset_coefficient_is_mean_curvature():
     # normal_geometric = n * M * chi * phi exactly at q3 = 0
     for chart in (chlib.sphere(), chlib.torus()):
@@ -294,7 +309,6 @@ def test_confinement_slope_sphere():
     assert deviations == sorted(deviations)  # monotone growth in q3
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf and NaN rows
 @pytest.mark.parametrize("q3s", [[0.01], [0.01, 0.01], [0.0], [0.0, 0.01],
                                  [-0.01, 0.02], [0.01, np.inf], [0.01, np.nan], []])
 def test_confinement_slope_needs_two_distinct_positive_offsets(q3s):
@@ -357,19 +371,55 @@ def test_confinement_slope_builds_the_surface_frame_once(name, builtin_charts, m
     q3s = np.logspace(-4, -1, 13)
     expected = [(q3, oplib.confinement_deviation(chart, chi, profile, q1, q2, q3))
                 for q3 in q3s]
-    frames = []
+    frames, chis = [], []
     build = oplib._frame_with_gradients
     monkeypatch.setattr(oplib, "_frame_with_gradients",
                         lambda *a: frames.append(a) or build(*a))
-    _, rows = oplib.confinement_slope(chart, chi, profile, q1, q2, q3s)
+    counted = flib.ScalarField(
+        chi.label, lambda *a: chis.append(a) or chi.partials(*a), chi.order
+    )
+    _, rows = oplib.confinement_slope(chart, counted, profile, q1, q2, q3s)
     assert len(frames) == 1
+    assert len(chis) == 1  # chi's jets do not depend on q3
     assert rows == expected  # the per-q3 deviations, bit for bit
+
+
+@pytest.mark.parametrize("name", ["sphere", "cylinder", "torus", "plane"])
+def test_thin_shell_offsets_match_single_offsets(name, builtin_charts):
+    # every offset of one batched evaluation equals the public one-point calls
+    chart = builtin_charts[name]
+    q1, q2 = chart_points(chart, 3)[1]
+    chi, profile = flib.spherical_harmonic(2, 1), oplib.gaussian_profile(0.3)
+    q3s = [0.0, 0.02, 0.1, 0.15]
+    parts, direct, deviation = oplib._thin_shell(chart, chi, profile, q1, q2, q3s)
+    assert parts.tangential.shape == direct.shape == (3, 4)
+    for k, q3 in enumerate(q3s):
+        one = oplib.confined_gradient(chart, chi, profile, q1, q2, q3)
+        assert np.array_equal(one.total(), parts.total()[:, k])
+        assert one.point == (q1, q2, q3)
+        single = oplib.shell_gradient_direct(chart, chi, profile, q1, q2, q3)
+        assert np.array_equal(single, direct[:, k])
+        assert oplib.confinement_deviation(chart, chi, profile, q1, q2, q3) == deviation[k]
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf, -np.inf])
 def test_gaussian_profile_needs_a_finite_positive_width(width):
     with pytest.raises(ValueError, match="width must be finite and positive"):
         oplib.gaussian_profile(width)
+
+
+@pytest.mark.parametrize("width", [1e-200, 1e-160, 1e200])
+def test_gaussian_profile_needs_a_normal_square_width(width):
+    # 1e-200 squares to 0.0, 1e-160 to a subnormal and 1e200 to inf
+    with pytest.raises(ValueError, match="its square is not a normal float"):
+        oplib.gaussian_profile(width)
+
+
+def test_gaussian_profile_is_silent_past_the_float_range():
+    profile = oplib.gaussian_profile(1e-150)
+    q3 = np.array([0.0, 1e10, 1e300])
+    assert profile.value(q3).tolist() == [1.0, 0.0, 0.0]
+    assert profile.derivative(q3).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_confinement_deviation_limit_is_the_geometric_momentum():

@@ -104,4 +104,6 @@ def test_commutator_suite_evaluates_each_field_once_per_point_set(
 def test_confined_sum_builds_each_surface_once(jet_orders):
     report = ver.run_verification(ver.VerifyOptions(only=("confined_sum",)))
     assert report.total == 3 and report.all_pass
-    assert jet_orders.count(3) == 3  # sphere, torus and plane, each at all four q3
+    # sphere, torus and plane, each at all four q3: one frame and one chi each
+    assert jet_orders.count(3) == 3 and jet_orders.count(1) == 3
+    assert len(jet_orders) == 6
