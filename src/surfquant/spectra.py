@@ -73,6 +73,12 @@ _CHUNK_ELEMENTS = 1024 * (DEFAULT_NODES // 2)
 # every amplitude out here is below 1e-300.
 MAX_ABS_P = 1000.0
 
+# `distribution` holds about 2.5 kB per p-sample with --format json,
+# --compare-closed and --sho-overlay (537 MB at 200,001 samples; about
+# 0.45 kB as CSV), so this many samples of symmetric_grid keep every output
+# form near 1 GB.
+MAX_DISTRIBUTION_SAMPLES = 400_000
+
 # Caps on the q-rule, which has one width-2 panel per unit of Q: the nodes
 # per panel that --nodes may request cover the ceil(MAX_ABS_P) + 2 that |p|
 # can ask for (the l term of _q_rule adds at most 32 on top), and the panel
@@ -374,13 +380,25 @@ def symmetric_grid(p_max, dp):
 
     Built as dp * k for integer k so that grid[-(i+1)] == -grid[i] exactly;
     the density-parity check |phi_l(-p)|^2 == |phi_l(p)|^2 relies on it.
-    Needs a finite p_max >= 0 and a finite dp > 0.
+    Needs a finite p_max >= 0, a finite dp > 0 and at most
+    MAX_DISTRIBUTION_SAMPLES samples, checked before anything is allocated.
     """
     if not 0.0 < dp < np.inf:
         raise ValueError(f"need a finite dp > 0 (got {dp})")
     if not 0.0 <= p_max < np.inf:
         raise ValueError(f"need a finite p_max >= 0 (got {p_max})")
-    n = int(round(p_max / dp))
+    ratio = float(p_max) / float(dp)
+    if 2.0 * ratio == np.inf:
+        raise ValueError(
+            f"the p grid's sample count 2 p_max / dp + 1 overflows "
+            f"(p_max={p_max}, dp={dp})"
+        )
+    n = int(round(ratio))
+    if 2 * n + 1 > MAX_DISTRIBUTION_SAMPLES:
+        raise ValueError(
+            f"the p grid would have {2 * n + 1:.7g} samples, more than the "
+            f"{MAX_DISTRIBUTION_SAMPLES} allowed (p_max={p_max}, dp={dp})"
+        )
     return float(dp) * np.arange(-n, n + 1)
 
 

@@ -7,11 +7,15 @@ the pass flag.  The CLI `verify` command serializes the entries as JSON;
 the acceptance tests run the same suites at the tolerances fixed here.
 
 Aggregation is deterministic: matrices are walked in a fixed order and
-reduced with max, so reports are byte-stable across runs.  Each (chart,
-field) pair is evaluated in one call over all its points (point axis last,
-as in the rest of the package) and reduced with a first-occurrence argmax.
+reduced with max, so reports are byte-stable across runs.  Each chart is
+evaluated in one call over all its points (point axis last, as in the rest
+of the package); the library identities stack the field library's jets on
+a field axis before the point axis, so each of their residuals runs once
+per chart (and block of fields), and every (chart, field) row is reduced
+with a first-occurrence argmax.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -56,7 +60,9 @@ IDENTITY_NAMES = tuple(TOLERANCES)
 
 # verify holds about 2.4 kB per point of the one chart it evaluates at a
 # time (61 MB at 10^4 points, 134 MB at 4 x 10^4, default library), so this
-# many points per chart keep it near 1 GB.
+# many points per chart keep it near 1 GB.  That still holds with the
+# library identities' stacked fields: a block holds at most _STACK_POINTS
+# field-points, so at these point counts the fields go one at a time.
 MAX_POINTS_PER_CHART = 400_000
 
 # The hermiticity pool's integrands have degree <= 5 in cos(theta), which
@@ -66,6 +72,12 @@ MAX_POINTS_PER_CHART = 400_000
 # largest order keeps it below 1 GB.
 MIN_HERMITICITY_ORDER = 3
 MAX_HERMITICITY_ORDER = 1024
+
+# commutator_suite stacks the jets of at most this many field-points
+# (fields x points of a chart) into one operator evaluation: all 19 default
+# fields at the default 25 points, and one field at a time from 2049 points
+# on, so a large point set costs the memory of one field.
+_STACK_POINTS = 4096
 
 # The identities checked once per field of the field library.
 LIBRARY_IDENTITIES = (
@@ -221,9 +233,14 @@ def geometry_suite(options):
 def commutator_suite(options):
     """The LIBRARY_IDENTITIES for every library field: [x_i, p_j] and [r, T]
     on each built-in chart, then [L_i, p_j] and the closed-form p against
-    the general one on the sphere.  Each field's jets come from one
-    evaluation per chart's point set; the sphere's serve all four
-    identities, and their entries follow every chart's."""
+    the general one on the sphere.  Each chart's frame (and the sphere's
+    coefficient jets of p and L) is evaluated once on the point shape
+    (1, N); each field's jets once on the N points.  The jets of a block
+    of fields are stacked on a field axis, shape (F, N), so each residual
+    runs once per chart and block, and its rows are read back field by
+    field.  A block holds at most _STACK_POINTS field-points, so a large N
+    costs the memory of one field.  The sphere's entries follow every
+    chart's."""
     if not any(options.wants(name) for name in LIBRARY_IDENTITIES):
         return []
     out, sphere_out = [], []
@@ -232,12 +249,18 @@ def commutator_suite(options):
     for chart in _builtin_charts() if every_chart else [chlib.sphere()]:
         pts = chlib.interior_points(chart, options.points_per_chart)
         q1, q2 = pts[:, 0], pts[:, 1]
-        frame = geolib.evaluate_frame(chart, q1, q2)
+        frame = geolib.evaluate_frame(chart, q1[None], q2[None])
         if chart.name == "sphere":
-            p_jet, l_jet = oplib._momentum_jet(q1, q2), oplib._angular_jet(q1, q2)
-        for fld in library:
-            f_val, f_grad, f_hess = fld.partials(q1, q2, 2)
-            checks = []  # (the list its entry joins, identity, residual per point)
+            p_jet = oplib._momentum_jet(q1[None], q2[None])
+            l_jet = oplib._angular_jet(q1[None], q2[None])
+        size = max(1, _STACK_POINTS // len(pts))
+        for start in range(0, len(library), size):
+            block = library[start:start + size]
+            f_val, f_grad, f_hess = (
+                np.stack(jet, axis=-2)
+                for jet in zip(*(fld.partials(q1, q2, 2) for fld in block))
+            )
+            checks = []  # (the list its entries join, identity, residuals (F, N))
             if options.wants("position_momentum"):
                 res = oplib._position_momentum(frame, f_val, f_grad)
                 checks.append((out, "position_momentum", np.abs(res).max(axis=(0, 1))))
@@ -251,9 +274,10 @@ def commutator_suite(options):
                 closed = oplib._image(p_jet[0], f_val, f_grad, 1.0)
                 res = closed - oplib._momentum(frame, f_val, f_grad, 1.0)
                 checks.append((sphere_out, "sphere_component_match", np.abs(res).max(axis=0)))
-            for entries, name, res in checks:
-                r, p = _worst(res, pts)
-                entries.append(_result(options, name, chart.name, fld.label, p, r))
+            for row, fld in enumerate(block):
+                for entries, name, res in checks:
+                    r, p = _worst(res[row], pts)
+                    entries.append(_result(options, name, chart.name, fld.label, p, r))
     return out + sphere_out
 
 
@@ -373,11 +397,13 @@ def spectra_suite(options):
                 )
             )
     p_grid = splib.symmetric_grid(6.0, 0.05)
+    # the closed-form and parity checks share each l's amplitudes on p_grid
+    quadrature = functools.cache(lambda l: splib.amplitude_quadrature(l, p_grid))
     if options.wants("amplitude_closed_density") or options.wants(
         "amplitude_closed_signed"
     ):
         for l in (0, 1, 2):
-            quad = splib.amplitude_quadrature(l, p_grid)
+            quad = quadrature(l)
             closed = splib.amplitude_closed(l, p_grid)
             sign = splib.CLOSED_FORM_COMPARISON_SIGN[l]
             if options.wants("amplitude_closed_density"):
@@ -414,8 +440,7 @@ def spectra_suite(options):
             )
     if options.wants("density_parity"):
         for l in range(min(options.parseval_lmax, 8) + 1):
-            amps = splib.amplitude_quadrature(l, p_grid)
-            dens = np.abs(amps) ** 2
+            dens = np.abs(quadrature(l)) ** 2
             out.append(
                 _result(
                     options,

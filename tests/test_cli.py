@@ -520,6 +520,20 @@ def test_distribution_rejects_bad_grids(args, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--l", "1", "--pmax", "1e308"], "the p grid's sample count 2 p_max / dp + 1 overflows"),
+    (["--pmax", "10", "--dp", "1e-300"], "the p grid would have 2e+301 samples"),
+    (["--pmax", "1000", "--dp", "1e-3"], "the p grid would have 2000001 samples"),
+], ids=["overflow", "tiny-dp", "past-the-cap"])
+def test_distribution_refuses_an_oversized_grid(args, message, capsys):
+    code = run(["distribution"] + args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config: {message}")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_distribution_resolves_large_p(capsys):
     # the true density at p = 60 is about 4e-82; a fixed 32-node rule gave 1.8e-3
     assert run(["distribution", "--pmax", "60", "--dp", "5"]) == 0

@@ -320,6 +320,26 @@ def test_symmetric_grid_rejects_bad_spacing():
     assert splib.symmetric_grid(0.0, 0.05).tolist() == [0.0]
 
 
+def test_symmetric_grid_refuses_an_oversized_grid_before_allocating(monkeypatch):
+    def arange(*args, **kwargs):
+        raise AssertionError("symmetric_grid allocated an oversized grid")
+
+    monkeypatch.setattr(splib.np, "arange", arange)
+    cap = splib.MAX_DISTRIBUTION_SAMPLES
+    with pytest.raises(ValueError, match=rf"2e\+15 samples, more than the {cap} allowed"):
+        splib.symmetric_grid(1000.0, 1e-12)
+    for p_max, dp in ((1e308, 0.05), (1e308, 1.0), (10.0, 1e-320)):
+        with pytest.raises(ValueError, match="sample count 2 p_max / dp \\+ 1 overflows"):
+            splib.symmetric_grid(p_max, dp)
+
+
+def test_symmetric_grid_takes_up_to_the_sample_cap():
+    half = (splib.MAX_DISTRIBUTION_SAMPLES - 1) // 2
+    assert splib.symmetric_grid(half * 0.5, 0.5).size == 2 * half + 1
+    with pytest.raises(ValueError, match=f"have {2 * half + 3} samples"):
+        splib.symmetric_grid((half + 1) * 0.5, 0.5)
+
+
 def test_density_parity_exact():
     grid = splib.symmetric_grid(6.0, 0.05)
     for l in range(9):
