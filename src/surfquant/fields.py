@@ -3,13 +3,13 @@
 A field is one callable `partials(q1, q2, order)` that returns
 [value, grad, hess][:order + 1], and the highest order it supports.
 Operators in this package never use nested finite differences.  Every
-closed-form field (Y_lm, the trig library, plane waves, constants, the
-coordinate functions of a chart, spectra's eigenfunctions) is a bare
-elementwise-numpy map of (q1, q2), differentiated exactly by the Taylor
-jets that differentiate the charts (`_jets`); `map_field` wraps any such
-map.  Composite fields (products, rotated pullbacks, operator images)
-derive their partials from their factors' by the product and chain rules.
-The package needs only numpy at run time.
+closed-form field (Y_lm from associated_legendre, the trig library, plane
+waves, constants, the coordinate functions of a chart, spectra's
+eigenfunctions) is a bare elementwise-numpy map of (q1, q2), differentiated
+exactly by the Taylor jets that differentiate the charts (`_jets`);
+`map_field` wraps any such map.  Composite fields (products, rotated
+pullbacks, operator images) derive their partials from their factors' by
+the product and chain rules.  The package needs only numpy at run time.
 
 Point-axis convention: all callables broadcast over array points, and the
 point axes go last.  Over a point shape S the value has shape S, the
@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from . import _jets
 from .errors import PoleProximityError
@@ -32,10 +31,9 @@ from .errors import PoleProximityError
 # Evaluation closer to a sphere-chart pole than this raises.
 POLE_MARGIN = 1e-8
 
-# The power-basis Y_lm stays within 1e-13 of scipy's sph_harm_y up to this l
-# (5e-14 at l = 10) and loses digits fast beyond it (2e-13 at l = 11, 3e-8
-# at l = 24); a stable associated-Legendre recurrence would lift the bound.
-MAX_HARMONIC_L = 10
+# The highest l of Y_lm and of spectra's P_l and amplitudes; Y_lm stays within
+# 1e-13 of scipy's sph_harm_y for every |m| <= l up to here (9e-14 at l = 64).
+MAX_HARMONIC_L = 64
 
 # Each trig field costs about 1.6 kB, and trig_library(n) builds all n.
 MAX_TRIG_FIELDS = 1024
@@ -125,41 +123,49 @@ def coordinate_field(chart, axis):
                      f"x{'xyz'[axis]}@{chart.name}")
 
 
+def associated_legendre(l, m, x, s=None):
+    """P_l^m(x) with the Condon-Shortley phase, 0 <= m <= l, stable on [-1, 1].
+
+    Upward in l (Abramowitz & Stegun 8.5.3), (k - m + 1) P_{k+1}^m =
+    (2k+1) x P_k^m - (k+m) P_{k-1}^m, from P_{m-1}^m = 0 and P_m^m =
+    (-1)^m (2m-1)!! s^m with s = sqrt(1 - x^2) passed in (read for m > 0
+    only).  Elementwise, so x and s may be Taylor jets.
+    """
+    p_prev, p = 0.0, (-1) ** m * math.prod(range(1, 2 * m, 2)) * s ** m if m else x ** 0
+    for k in range(m, l):
+        p_prev, p = p, ((2 * k + 1) * x * p - (k + m) * p_prev) / (k - m + 1)
+    return p
+
+
 @lru_cache(maxsize=None)
 def spherical_harmonic(l, m):
     """Orthonormal Y_lm(theta, phi) with the Condon-Shortley phase.
 
-    Y_lm = c_lm sin^|m|(theta) Q(cos theta) e^{i m phi} with
-    Q = d^|m| P_l / dx^|m| in the power basis, built once here.  Defined for
-    l <= MAX_HARMONIC_L.
+    Y_lm = N_lm P_l^|m|(cos theta) e^{i m phi} from associated_legendre,
+    with s = sin(theta) and Y_l,-m = (-1)^m conj(Y_lm).  Defined for
+    |m| <= l <= MAX_HARMONIC_L.
     """
-    l = int(l)
-    m = int(m)
+    l, m = int(l), int(m)
     if abs(m) > l:
         raise ValueError("need |m| <= l")
     if l > MAX_HARMONIC_L:
         raise ValueError(f"Y_lm is limited to l <= {MAX_HARMONIC_L} (got l = {l})")
     a = abs(m)
-    norm = math.sqrt(
-        (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - a) / math.factorial(l + a)
-    )
-    if m > 0 and m % 2:
+    norm = math.sqrt((2 * l + 1) / (4.0 * math.pi)
+                     * math.factorial(l - a) / math.factorial(l + a))
+    if m < 0 and a % 2:
         norm = -norm
-    q = norm * legendre.leg2poly(legendre.legder([0] * l + [1], a))
 
     def ylm(theta, phi):
-        c = np.cos(theta)
-        out = q[-1]
-        for coef in q[-2::-1]:  # Horner
-            out = out * c + coef
-        if a:
-            out = out * np.sin(theta) ** a
+        out = norm * associated_legendre(l, a, np.cos(theta), np.sin(theta) if a else None)
         return out * np.exp(1j * m * phi) if m else out
 
     return map_field(ylm, f"Y{l}{m:+d}")
 
 
 def harmonic_library(lmax=3):
+    if int(lmax) > MAX_HARMONIC_L:  # refused before any field is built
+        raise ValueError(f"Y_lm is limited to l <= {MAX_HARMONIC_L} (got lmax = {lmax})")
     return [spherical_harmonic(l, m) for l in range(lmax + 1) for m in range(-l, l + 1)]
 
 

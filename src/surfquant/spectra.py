@@ -59,7 +59,7 @@ from .quadrature import graded_panel_rule, panel_rule, sphere_grid
 # pure evaluation (no derivative amplification), so the band is tiny.
 PSI_POLE_MARGIN = 1e-12
 
-LEGENDRE_MAX_ORDER = 64
+LEGENDRE_MAX_ORDER = flib.MAX_HARMONIC_L
 
 DEFAULT_Q = 40.0
 DEFAULT_NODES = 1280  # total nodes across the width-2 panels for Q = 40
@@ -164,20 +164,14 @@ def _check_order(l):
 
 
 def legendre_p(l, x):
-    """Legendre polynomial P_l(x) by the upward three-term recurrence.
+    """Legendre polynomial P_l(x): the m = 0 case of fields.associated_legendre.
 
-    Stable on x in [-1, 1]; supported for l <= 64.
+    Stable on x in [-1, 1]; supported for l <= LEGENDRE_MAX_ORDER.
     """
     l = _check_order(l)
     x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if l == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p_cur = x.copy()
-    for k in range(1, l):
-        p_next = ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
-        p_prev, p_cur = p_cur, p_next
-    return p_cur if p_cur.ndim else float(p_cur)
+    p = flib.associated_legendre(l, 0, x)
+    return p if p.ndim else float(p)
 
 
 def _check_truncation(Q, tolerance):
@@ -306,11 +300,11 @@ def amplitude_surface_overlap(l, p, Q=20.0, nodes=32):
     panel) with psi evaluated through its theta form, and carries the
     trivial phi circle explicitly.  Truncation at theta = 2 atan(e^{-Q}).
     """
-    l = int(l)
+    l = _check_order(l)
     q_edges = np.linspace(-float(Q), float(Q), 2 * max(1, int(np.ceil(Q))) + 1)
     theta_edges = 2.0 * np.arctan(np.exp(q_edges))
     theta_nodes, w = graded_panel_rule(theta_edges, nodes=nodes)
-    y_l0 = np.sqrt((2 * l + 1) / (4.0 * np.pi)) * legendre_p(l, np.cos(theta_nodes))
+    y_l0 = flib.spherical_harmonic(l, 0).value(theta_nodes, 0.0)
     psi_conj = np.conj(psi(p, theta_nodes))
     return complex(2.0 * np.pi * np.sum(w * y_l0 * psi_conj * np.sin(theta_nodes)))
 

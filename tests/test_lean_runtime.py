@@ -23,6 +23,7 @@ from surfquant import fields as flib
 from surfquant import spectra as splib
 from surfquant import verification as ver
 from surfquant.cli import main
+from surfquant.geometry import laplace_beltrami
 
 from sympy_oracle import PHI, THETA, from_expr
 
@@ -174,11 +175,11 @@ def test_eigenfunction_field_matches_the_sympy_oracle(p):
 
 def test_harmonics_stay_finite_at_the_poles():
     # Y_lm also serves as a field on charts whose q1 reaches 0 or pi.
-    for l in range(4):
+    for l in range(flib.MAX_HARMONIC_L + 1):
         for m in range(-l, l + 1):
-            fld = flib.spherical_harmonic(l, m)
-            for jet in (fld.value, fld.grad, fld.hess):
-                assert np.all(np.isfinite(jet(np.array([0.0, np.pi]), 0.3)))
+            jets = flib.spherical_harmonic(l, m).partials(np.array([0.0, np.pi]), 0.3, 2)
+            for jet in jets:  # value, gradient, Hessian
+                assert np.all(np.isfinite(jet)), (l, m)
 
 
 def test_spherical_harmonics_match_scipy_up_to_the_bound():
@@ -190,10 +191,27 @@ def test_spherical_harmonics_match_scipy_up_to_the_bound():
             assert np.max(np.abs(ours - sph_harm_y(l, m, theta, phi))) <= 1e-13, (l, m)
 
 
+def test_harmonics_are_laplace_beltrami_eigenfunctions_up_to_the_bound():
+    # checks the second-order jets of the recurrence, which scipy cannot
+    sphere = chlib.sphere()
+    q1, q2 = chlib.interior_points(sphere, 50).T
+    for l in range(flib.MAX_HARMONIC_L + 1):
+        for m in sorted({-l, -(l // 3), 0, l // 2, l}):
+            fld = flib.spherical_harmonic(l, m)
+            value = fld.value(q1, q2)
+            residual = laplace_beltrami(sphere, fld, q1, q2) + l * (l + 1) * value
+            scale = (l * (l + 1) + 1) * np.maximum(1.0, np.abs(value))
+            assert np.max(np.abs(residual) / scale) <= 1e-13, (l, m)
+
+
 def test_field_library_bounds():
     with pytest.raises(ValueError, match=f"l <= {flib.MAX_HARMONIC_L}"):
         flib.spherical_harmonic(flib.MAX_HARMONIC_L + 1, 0)
-    # rejected before any field is built
+    # each library is rejected before any field is built
+    flib.spherical_harmonic.cache_clear()
+    with pytest.raises(ValueError, match=f"l <= {flib.MAX_HARMONIC_L}"):
+        flib.harmonic_library(flib.MAX_HARMONIC_L + 1)
+    assert flib.spherical_harmonic.cache_info().currsize == 0
     for count in (-1, flib.MAX_TRIG_FIELDS + 1, 100_000_000):
         with pytest.raises(ValueError, match="trig count"):
             flib.trig_library(count)
@@ -233,7 +251,7 @@ def test_verify_rejects_a_negative_parseval_lmax(capsys):
 
 @pytest.mark.parametrize("chi", ["trig-1", "trigx", "trig1.5", "1,2", "2,-3",
                                  "-1,0", "1,0,0", "1", "x", "",
-                                 f"{flib.MAX_HARMONIC_L + 1},0", "40,0",
+                                 f"{flib.MAX_HARMONIC_L + 1},0", "100,0",
                                  f"trig{flib.MAX_TRIG_FIELDS}", "trig100000000"])
 def test_confine_rejects_bad_field_selectors(chi, capsys):
     code, err = run_cli(["confine", f"--chi={chi}", "--q3", "0.01,0.1"], capsys)
@@ -243,8 +261,15 @@ def test_confine_rejects_bad_field_selectors(chi, capsys):
         assert code == 2 and err.startswith("error: config: --chi"), err
 
 
+@pytest.mark.parametrize("chi", [f"{flib.MAX_HARMONIC_L},-{flib.MAX_HARMONIC_L}", "40,7"])
+def test_confine_takes_harmonics_up_to_the_bound(chi, capsys):
+    code = main(["confine", f"--chi={chi}"])
+    slope = float(capsys.readouterr().out.rsplit("loglog_slope=", 1)[1])
+    assert code == 0 and np.isfinite(slope)
+
+
 @pytest.mark.parametrize("args", [
-    ["--lmax", str(flib.MAX_HARMONIC_L + 1)], ["--lmax", "40"],
+    ["--lmax", str(flib.MAX_HARMONIC_L + 1)], ["--lmax", "100"],
     ["--trig", str(flib.MAX_TRIG_FIELDS + 1)], ["--trig", "100000000"], ["--trig", "-1"],
 ])
 def test_verify_rejects_field_libraries_past_the_bounds(args, capsys):
