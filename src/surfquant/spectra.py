@@ -136,19 +136,26 @@ def overlap_kernel(p_prime, p, theta_min):
     Integrates psi_{p'}^* psi_p over theta in [theta_min, pi - theta_min]
     (full phi circle) in the stretched variable z = ln tan(theta/2); the
     exact value is the Dirichlet kernel sin((p'-p) L) / (pi (p'-p)) with
-    L = -ln tan(theta_min / 2).
+    L = -ln tan(theta_min / 2).  p_prime and p may be scalars or arrays,
+    broadcast against each other (an array comes back); two scalars give a
+    complex.  A non-finite p or p_prime is refused.
     """
     theta_min = float(theta_min)
     if not (0.0 < theta_min < 0.5 * np.pi):
         raise ValueError("need 0 < theta_min < pi/2")
+    p_prime = np.asarray(p_prime, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if not (np.all(np.isfinite(p_prime)) and np.all(np.isfinite(p))):
+        raise ValueError("need finite p and p_prime for the overlap kernel")
     L = -np.log(np.tan(0.5 * theta_min))
     z, w = panel_rule(-L, L)
     values = (
-        np.conj(_psi_stretched(p_prime, z))
-        * _psi_stretched(p, z)
+        np.conj(_psi_stretched(p_prime[..., None], z))
+        * _psi_stretched(p[..., None], z)
         / np.cosh(z) ** 2  # sin^2(theta) from the measure and dtheta = sin dz
     )
-    return complex(2.0 * np.pi * np.sum(w * values))
+    out = 2.0 * np.pi * np.sum(w * values, axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
 def dirichlet_kernel(dp, L):
@@ -299,14 +306,24 @@ def amplitude_surface_overlap(l, p, Q=20.0, nodes=32):
     panels graded like the stretched coordinate (constant phase change per
     panel) with psi evaluated through its theta form, and carries the
     trivial phi circle explicitly.  Truncation at theta = 2 atan(e^{-Q}).
+    Accepts scalar p (a complex comes back) or array p (an array of its
+    shape, on one theta rule and one set of Y_l0 values).  A non-finite p
+    or |p| above MAX_ABS_P is refused, as by the quadrature, and
+    PoleProximityError is raised when Q puts a theta node within
+    PSI_POLE_MARGIN of a pole.
     """
     l = _check_order(l)
+    p = np.asarray(p, dtype=float)
+    if not np.all(np.abs(p) <= MAX_ABS_P):
+        raise ValueError(f"need finite |p| <= {MAX_ABS_P:g} for the quadrature")
     q_edges = np.linspace(-float(Q), float(Q), 2 * max(1, int(np.ceil(Q))) + 1)
     theta_edges = 2.0 * np.arctan(np.exp(q_edges))
     theta_nodes, w = graded_panel_rule(theta_edges, nodes=nodes)
-    y_l0 = flib.spherical_harmonic(l, 0).value(theta_nodes, 0.0)
-    psi_conj = np.conj(psi(p, theta_nodes))
-    return complex(2.0 * np.pi * np.sum(w * y_l0 * psi_conj * np.sin(theta_nodes)))
+    flib._check_pole(theta_nodes, PSI_POLE_MARGIN)
+    weighted = w * flib.spherical_harmonic(l, 0).value(theta_nodes, 0.0)
+    psi_conj = np.conj(_psi_map(p[..., None], theta_nodes))
+    out = 2.0 * np.pi * np.sum(weighted * psi_conj * np.sin(theta_nodes), axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
 def amplitude_closed(l, p):

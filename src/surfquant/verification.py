@@ -380,12 +380,12 @@ def eigenvalue_suite(options):
 def spectra_suite(options):
     out = []
     if options.wants("dirichlet_kernel"):
+        dp = np.linspace(0.0, 5.0, 21)
         for theta_min in (1e-3, 1e-5, 1e-7):
             L = -np.log(np.tan(0.5 * theta_min))
-            worst = 0.0
-            for dp in np.linspace(0.0, 5.0, 21):
-                value = splib.overlap_kernel(1.0 + dp, 1.0, theta_min)
-                worst = max(worst, abs(value - splib.dirichlet_kernel(dp, L)))
+            values = splib.overlap_kernel(1.0 + dp, 1.0, theta_min)
+            # np.max, not max(): a NaN residual must win and fail the check
+            worst = np.max(np.abs(values - splib.dirichlet_kernel(dp, L)))
             out.append(
                 _result(
                     options,
@@ -429,12 +429,10 @@ def spectra_suite(options):
                     )
                 )
     if options.wants("amplitude_surface_match"):
+        p = np.linspace(-4.0, 4.0, 9)
         for l in range(5):
-            worst = 0.0
-            for p in np.linspace(-4.0, 4.0, 9):
-                surf = splib.amplitude_surface_overlap(l, p)
-                quad = splib.amplitude_quadrature(l, p)
-                worst = max(worst, abs(surf - quad))
+            surf = splib.amplitude_surface_overlap(l, p)
+            worst = np.max(np.abs(surf - splib.amplitude_quadrature(l, p)))
             out.append(
                 _result(options, "amplitude_surface_match", None, f"l={l}", None, worst)
             )

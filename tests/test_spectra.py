@@ -129,6 +129,28 @@ def test_overlap_kernel_rejects_bad_band():
         splib.overlap_kernel(1.0, 1.0, 2.0)
 
 
+def test_overlap_kernel_array_matches_scalar_calls():
+    dp = np.linspace(0.0, 5.0, 26)
+    for theta_min in (1e-3, 1e-5, 1e-7):
+        values = splib.overlap_kernel(2.0 + dp, 2.0, theta_min)
+        scalar = [splib.overlap_kernel(2.0 + d, 2.0, theta_min) for d in dp]
+        assert np.array_equal(values, scalar)
+        # p broadcasts the same way as p_prime, and a 2-D shape is kept
+        swapped = splib.overlap_kernel(2.0, (2.0 + dp).reshape(2, 13), theta_min)
+        assert swapped.shape == (2, 13)
+        assert np.array_equal(swapped.ravel(), [splib.overlap_kernel(2.0, 2.0 + d, theta_min)
+                                                for d in dp])
+    assert type(splib.overlap_kernel(1.5, 1.0, 1e-3)) is complex
+
+
+def test_overlap_kernel_rejects_non_finite_p():
+    for bad in (np.nan, np.inf, -np.inf, [0.0, np.nan]):
+        with pytest.raises(ValueError, match="finite p and p_prime"):
+            splib.overlap_kernel(bad, 1.0, 1e-3)
+        with pytest.raises(ValueError, match="finite p and p_prime"):
+            splib.overlap_kernel(1.0, bad, 1e-3)
+
+
 # ---------------------------------------------------------------------------
 # Legendre recurrence
 # ---------------------------------------------------------------------------
@@ -211,11 +233,35 @@ def test_amplitude_comparison_sign_is_constant_in_p():
 
 
 def test_amplitude_surface_overlap_matches_stretched_quadrature():
+    # one array call per l, reduced with np.max so that a NaN fails
+    p = np.linspace(-4.0, 4.0, 9)
     for l in range(5):
-        for p in np.linspace(-4.0, 4.0, 9):
-            surf = splib.amplitude_surface_overlap(l, p)
-            quad = splib.amplitude_quadrature(l, p)
-            assert abs(surf - quad) < 1e-7, (l, p)
+        surf = splib.amplitude_surface_overlap(l, p)
+        quad = splib.amplitude_quadrature(l, p)
+        assert np.max(np.abs(surf - quad)) < 1e-7, l
+
+
+def test_amplitude_surface_overlap_array_matches_scalar_calls():
+    p = np.linspace(-6.0, 6.0, 25)
+    for l in range(9):
+        values = splib.amplitude_surface_overlap(l, p)
+        assert np.array_equal(values, [splib.amplitude_surface_overlap(l, x) for x in p]), l
+    assert splib.amplitude_surface_overlap(2, p[:24].reshape(4, 6)).shape == (4, 6)
+    assert type(splib.amplitude_surface_overlap(2, 0.5)) is complex
+
+
+def test_amplitude_surface_overlap_keeps_the_pole_check():
+    # Q = 30 puts the outermost theta nodes within PSI_POLE_MARGIN of a pole
+    for p in (0.5, np.linspace(-4.0, 4.0, 9)):
+        with pytest.raises(PoleProximityError):
+            splib.amplitude_surface_overlap(0, p, Q=30.0)
+
+
+def test_amplitude_surface_overlap_rejects_unresolvable_p():
+    for p in (np.nan, np.inf, -np.inf, 1e6, 1.5 * splib.MAX_ABS_P, [0.0, np.nan],
+              [0.0, -1e6]):
+        with pytest.raises(ValueError, match="finite"):
+            splib.amplitude_surface_overlap(0, p)
 
 
 def test_amplitude_truncation_flag():
