@@ -29,9 +29,11 @@ default distribution path and feeds parseval_check and moments.
 amplitude_quadrature is the cross-check: composite Gauss-Legendre in q,
 with a direct surface-overlap path (amplitude_surface_overlap) behind it.
 It uses the parity (-1)^l of P_l(tanh q) sech(q): it sums a real cos (even
-l) or sin (odd l) over the right half of the mirror-symmetric q-rule, once
-per distinct |p|, in chunks of p, so its phase matrix stays a few MB
-however many p are asked for.  The rule's nodes per panel grow with max |p|
+l) or sin (odd l) over the q-rule, once per distinct |p|.  By angle
+addition over the equal panels, each p costs sines and cosines of p times
+the panel centres and of p times one panel's nodes, not of p times every
+node; it works in chunks of p, so its temporaries stay a few MB however
+many p are asked for.  The rule's nodes per panel grow with max |p|
 (ceil(|p|) + 2 on width-2 panels) and, past l = 2, with l ((l+1) // 2
 more), which keeps the amplitudes within 1e-13 of the recurrence for
 l <= 64 and |p| <= 30 at the default nodes, and within 2e-13 (rounding)
@@ -64,9 +66,10 @@ LEGENDRE_MAX_ORDER = flib.MAX_HARMONIC_L
 DEFAULT_Q = 40.0
 DEFAULT_NODES = 1280  # total nodes across the width-2 panels for Q = 40
 
-# amplitude_quadrature works through p in chunks of this many phase entries:
-# 1024 rows of the default folded rule, 5 MB of float64.
-_CHUNK_ELEMENTS = 1024 * (DEFAULT_NODES // 2)
+# amplitude_quadrature works through p in chunks of this many entries of
+# rows x (panels + nodes per panel): 1024 rows of the default rule's 40
+# panels and 32 nodes, which keeps its temporaries to a few MB.
+_CHUNK_ELEMENTS = 1024 * 72
 
 # The q-rule takes ceil(|p|) + 2 nodes per panel and its Gauss-Legendre
 # nodes cost O(n^3) to build (0.13 s at this |p|, 1 s at twice it), while
@@ -105,11 +108,12 @@ def psi(p, theta, phi=0.0):
     Independent of phi; |psi_p| = 1 / (2 pi sin theta) for every p.  theta
     may be an array (a complex array comes back); a scalar theta gives a
     complex.  Raises PoleProximityError for the first theta within
-    PSI_POLE_MARGIN of a pole.
+    PSI_POLE_MARGIN of a pole; a non-finite p is refused.
     """
+    p = _finite_p(p)
     theta = np.asarray(theta, dtype=float)
     flib._check_pole(theta, PSI_POLE_MARGIN)
-    out = _psi_map(float(p), theta)
+    out = _psi_map(p, theta)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -118,9 +122,19 @@ def _psi_map(p, theta):
     return np.exp(-1j * p * np.log(np.tan(0.5 * theta))) / (2.0 * np.pi * np.sin(theta))
 
 
-def eigenfunction_field(p):
-    """psi_p as a ScalarField: psi's own map, with exact partials from jets."""
+def _finite_p(p):
     p = float(p)
+    if not np.isfinite(p):
+        raise ValueError(f"need a finite p for the eigenfunction (got {p})")
+    return p
+
+
+def eigenfunction_field(p):
+    """psi_p as a ScalarField: psi's own map, with exact partials from jets.
+
+    A non-finite p is refused.
+    """
+    p = _finite_p(p)
     return flib.map_field(lambda theta, phi: _psi_map(p, theta), f"psi[p={p:g}]")
 
 
@@ -188,8 +202,9 @@ def _check_truncation(Q, tolerance):
 
 
 def _q_rule(Q, nodes, p_max, l):
-    # Width-2 panels over [-Q, Q]; a panel turns the phase by 2|p| radians,
-    # which ceil(|p|) + 2 Gauss-Legendre nodes resolve to machine precision.
+    # Width-2 panels over [-Q, Q], returned as (panels, nodes per panel); a
+    # panel turns the phase by 2|p| radians, which ceil(|p|) + 2
+    # Gauss-Legendre nodes resolve to machine precision.
     # P_l(tanh q) oscillates about l + 1/2 times per unit q near q = 0, and
     # (l + 1) // 2 more nodes per panel are the fewest that hold 1e-13
     # against amplitude_recurrence for every 2 < l <= 64 and |p| <= 30 at
@@ -207,23 +222,8 @@ def _q_rule(Q, nodes, p_max, l):
     per_panel = max(requested, int(np.ceil(p_max)) + 2)
     if l > 2:
         per_panel += (l + 1) // 2
-    return panel_rule(-Q, Q, panel_width=2.0, nodes=per_panel)
-
-
-def _folded_q_rule(Q, nodes, p_max, l):
-    """Right half of the q-rule, weights doubled, for integrands of fixed parity.
-
-    The rule is mirror-symmetric (to rounding when Q is not an integer), so
-    node k from the right pairs with node k from the left.  An odd node
-    count has a centre node at q = 0, which is its own mirror and keeps its
-    single weight; it leads the returned arrays.
-    """
-    q, w = _q_rule(Q, nodes, p_max, l)
-    centre = q.size // 2
-    q_half, w_half = q[centre:], 2.0 * w[centre:]
-    if q.size % 2:
-        w_half[0] = w[centre]
-    return q_half, w_half
+    q, w = panel_rule(-Q, Q, panel_width=2.0, nodes=per_panel)
+    return q.reshape(n_panels, per_panel), w.reshape(n_panels, per_panel)
 
 
 def amplitude_recurrence(l, p):
@@ -266,9 +266,14 @@ def amplitude_quadrature(l, p, Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8)
     tolerance.  Accepts scalar or array p.
 
     The kernel P_l(tanh q) sech(q) has parity (-1)^l, so the integral is
-    2 Int_0^Q kernel cos(p q) dq for even l and -2i Int_0^Q kernel sin(p q)
-    dq for odd l: real work on half the rule.  Each distinct |p| is
-    evaluated once, in chunks of p, and mirrored (cos even, sin odd), so
+    Int kernel cos(p q) dq for even l and -i Int kernel sin(p q) dq for
+    odd l: real work.  A node sits at q = mid + offset + delta (its panel's
+    centre, its place in the panel, its rounding), so the angle-addition
+    formulas need cos and sin of p mid (panels) and p offset (nodes per
+    panel) alone; the per-panel sums are matmuls against the kernel, and
+    delta enters to first order through the kernel times delta.  Each
+    distinct |p| is evaluated once, in chunks of p that keep the
+    temporaries to a few MB, and mirrored (cos even, sin odd), so
     |phi_l(-p)| == |phi_l(p)| exactly.  The nodes per panel grow with
     max |p| and l (see _q_rule); |p| above MAX_ABS_P, a Q outside
     (0, MAX_PANELS] and more than MAX_PANEL_NODES nodes per panel are
@@ -279,16 +284,30 @@ def amplitude_quadrature(l, p, Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8)
     magnitude = np.abs(p_arr).ravel()
     if not np.all(magnitude <= MAX_ABS_P):
         raise ValueError(f"need finite |p| <= {MAX_ABS_P:g} for the quadrature")
-    q, w = _folded_q_rule(Q, nodes, magnitude.max(initial=0.0), l)
+    q, w = _q_rule(Q, nodes, magnitude.max(initial=0.0), l)
     _check_truncation(Q, tolerance)
     kernel = w * legendre_p(l, np.tanh(q)) / np.cosh(q)
-    wave = np.sin if l % 2 else np.cos
+    # q = mid + offset + delta: the panel centres (Gauss-Legendre nodes sit
+    # symmetrically in a panel), one panel's nodes about its centre, and each
+    # node's rounding, which enters to first order through kernel * delta.
+    mid = 0.5 * (q[:, 0] + q[:, -1])
+    offset = q[0] - mid[0]
+    slope = kernel * (q - mid[:, None] - offset)
     distinct, index = np.unique(magnitude, return_inverse=True)
-    folded = np.empty(distinct.size)
-    rows = max(1, _CHUNK_ELEMENTS // q.size)
+    sums = np.empty(distinct.size)
+    rows = max(1, _CHUNK_ELEMENTS // sum(q.shape))
     for k in range(0, distinct.size, rows):
-        folded[k:k + rows] = wave(np.multiply.outer(distinct[k:k + rows], q)) @ kernel
-    values = np.sqrt((2 * l + 1) / (4.0 * np.pi)) * folded[index]
+        p_k = distinct[k:k + rows, None]
+        cos_b, sin_b = np.cos(p_k * offset), np.sin(p_k * offset)
+        # per panel: Sum kernel cos(p (offset + delta)) and Sum kernel sin(...)
+        c = cos_b @ kernel.T - p_k * (sin_b @ slope.T)
+        s = sin_b @ kernel.T + p_k * (cos_b @ slope.T)
+        cos_a, sin_a = np.cos(p_k * mid), np.sin(p_k * mid)
+        if l % 2:  # sin(a + b) = sin a cos b + cos a sin b
+            sums[k:k + rows] = np.sum(sin_a * c + cos_a * s, axis=1)
+        else:  # cos(a + b) = cos a cos b - sin a sin b
+            sums[k:k + rows] = np.sum(cos_a * c - sin_a * s, axis=1)
+    values = np.sqrt((2 * l + 1) / (4.0 * np.pi)) * sums[index]
     out = np.zeros(magnitude.shape, dtype=complex)
     if l % 2:
         out.imag = np.where(p_arr.ravel() < 0.0, values, -values) + 0.0  # no -0.0
@@ -306,19 +325,25 @@ def amplitude_surface_overlap(l, p, Q=20.0, nodes=32):
     panels graded like the stretched coordinate (constant phase change per
     panel) with psi evaluated through its theta form, and carries the
     trivial phi circle explicitly.  Truncation at theta = 2 atan(e^{-Q}).
-    Accepts scalar p (a complex comes back) or array p (an array of its
-    shape, on one theta rule and one set of Y_l0 values).  A non-finite p
-    or |p| above MAX_ABS_P is refused, as by the quadrature, and
-    PoleProximityError is raised when Q puts a theta node within
-    PSI_POLE_MARGIN of a pole.
+    A panel spans Q / ceil(Q) <= 1 of q, so the phase turns by up to |p|
+    radians across it; as in _q_rule, a panel takes
+    max(nodes, ceil(|p| Q / (2 ceil(Q))) + 2) nodes for the largest |p|
+    of the call, so an array's rule follows its largest |p| (at the
+    defaults nothing changes for |p| <= 60).  Accepts scalar p (a complex
+    comes back) or array p (an array of its shape, on one theta rule and
+    one set of Y_l0 values).  A non-finite p or |p| above MAX_ABS_P is
+    refused, as by the quadrature, and PoleProximityError is raised when Q
+    puts a theta node within PSI_POLE_MARGIN of a pole.
     """
     l = _check_order(l)
     p = np.asarray(p, dtype=float)
     if not np.all(np.abs(p) <= MAX_ABS_P):
         raise ValueError(f"need finite |p| <= {MAX_ABS_P:g} for the quadrature")
-    q_edges = np.linspace(-float(Q), float(Q), 2 * max(1, int(np.ceil(Q))) + 1)
+    n_panels = 2 * max(1, int(np.ceil(Q)))
+    per_panel = max(nodes, int(np.ceil(np.abs(p).max(initial=0.0) * Q / n_panels)) + 2)
+    q_edges = np.linspace(-float(Q), float(Q), n_panels + 1)
     theta_edges = 2.0 * np.arctan(np.exp(q_edges))
-    theta_nodes, w = graded_panel_rule(theta_edges, nodes=nodes)
+    theta_nodes, w = graded_panel_rule(theta_edges, nodes=per_panel)
     flib._check_pole(theta_nodes, PSI_POLE_MARGIN)
     weighted = w * flib.spherical_harmonic(l, 0).value(theta_nodes, 0.0)
     psi_conj = np.conj(_psi_map(p[..., None], theta_nodes))

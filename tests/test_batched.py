@@ -160,7 +160,7 @@ def test_from_map_jets_stack_pointwise():
 def test_rotation_relation_batch_matches_single_points():
     grid = oplib.rotation_sample_grid()[::40]
     fld = flib.spherical_harmonic(2, 2)
-    single = max(oplib.rotation_relation_check(fld, [pt]) for pt in grid)
+    single = np.max([oplib.rotation_relation_check(fld, [pt]) for pt in grid])
     assert abs(oplib.rotation_relation_check(fld, grid) - single) <= RTOL
 
 

@@ -55,6 +55,14 @@ def test_psi_pole_error():
         splib.psi(1.0, 1e-13)
 
 
+def test_psi_and_eigenfunction_field_refuse_non_finite_p():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            splib.psi(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            splib.eigenfunction_field(bad)
+
+
 def test_psi_takes_array_theta():
     theta = np.linspace(0.05, np.pi - 0.05, 41)
     values = splib.psi(2.3, theta)
@@ -74,14 +82,14 @@ def test_psi_names_the_first_pole_theta():
 
 def test_eigenvalue_relation_random_samples():
     rng = np.random.default_rng(77)
-    worst = 0.0
+    residuals = []
     for _ in range(100):
         p = rng.uniform(-10.0, 10.0)
         theta = rng.uniform(0.01, np.pi - 0.01)
         eig = splib.eigenfunction_field(p)
         applied = oplib.sphere_momentum_component("z", eig, theta, 0.0)
-        worst = max(worst, abs(applied - p * splib.psi(p, theta)))
-    assert worst < 1e-10
+        residuals.append(abs(applied - p * splib.psi(p, theta)))
+    assert np.max(residuals) < 1e-10
 
 
 def test_eigenvalue_relation_scales_with_hbar():
@@ -250,6 +258,15 @@ def test_amplitude_surface_overlap_array_matches_scalar_calls():
     assert type(splib.amplitude_surface_overlap(2, 0.5)) is complex
 
 
+def test_amplitude_surface_overlap_resolves_large_p():
+    # the theta rule's nodes grow with max |p|: 32 per panel was off by
+    # 7.3e-5, 0.065 and 0.16 at these p
+    p = np.array([100.0, 500.0, 1000.0])
+    for l in (0, 3):
+        surf = splib.amplitude_surface_overlap(l, p)
+        assert np.max(np.abs(surf - splib.amplitude_recurrence(l, p))) <= 1e-9, l
+
+
 def test_amplitude_surface_overlap_keeps_the_pole_check():
     # Q = 30 puts the outermost theta nodes within PSI_POLE_MARGIN of a pole
     for p in (0.5, np.linspace(-4.0, 4.0, 9)):
@@ -273,37 +290,33 @@ def test_amplitude_truncation_flag():
 
 
 def unfolded_amplitude(l, p, Q, nodes):
-    """Reference: the complex exponential over the whole q-rule, as
-    amplitude_quadrature computed it before the parity fold."""
+    """Reference: the complex exponential of p q at every node of the
+    q-rule, with no parity or angle-addition split, 1024 p at a time."""
     p = np.asarray(p, dtype=float)
-    q, w = splib._q_rule(Q, nodes, np.max(np.abs(p)), l)
+    q, w = (x.ravel() for x in splib._q_rule(Q, nodes, np.max(np.abs(p)), l))
     kernel = w * splib.legendre_p(l, np.tanh(q)) / np.cosh(q)
-    phases = np.exp(-1j * p[:, None] * q[None, :])
-    return np.sqrt((2 * l + 1) / (4.0 * np.pi)) * (phases @ kernel)
+    sums = [np.exp(-1j * p[k:k + 1024, None] * q) @ kernel for k in range(0, p.size, 1024)]
+    return np.sqrt((2 * l + 1) / (4.0 * np.pi)) * np.concatenate(sums)
 
 
 @pytest.mark.parametrize("nodes", [1280, 165, 100])
 @pytest.mark.parametrize("Q", [40.0, 12.0, 7.3, 33.3, 5.0])
 def test_folded_amplitude_matches_unfolded_formula(Q, nodes):
-    # Q = 7.3 and 33.3 give rules symmetric only to rounding; Q = 5 with 165
-    # nodes has a centre node at q = 0.
-    p = np.concatenate([splib.symmetric_grid(8.0, 0.25), [-0.0, 0.1, 29.7, -13.3]])
-    for l in range(9):
-        folded = splib.amplitude_quadrature(l, p, Q=Q, nodes=nodes, tolerance=1.0)
-        assert np.max(np.abs(folded - unfolded_amplitude(l, p, Q, nodes))) <= 1e-14, l
-
-
-def test_folded_rule_keeps_a_centre_node_once():
-    q, w = splib._q_rule(5.0, 165, 0.0, 0)
-    assert q.size % 2 == 1 and q[q.size // 2] == 0.0
-    q_half, w_half = splib._folded_q_rule(5.0, 165, 0.0, 0)
-    assert q_half[0] == 0.0 and w_half[0] == w[q.size // 2]
-    assert abs(np.sum(w_half) - 10.0) < 1e-13  # integrates 1 over [-5, 5]
+    # Q = 7.3 and 33.3 give panels equal only to rounding; Q = 5 with 165
+    # nodes has a centre node at q = 0.  The second p set grows the rule past
+    # 1000 nodes per panel.
+    small = np.concatenate([splib.symmetric_grid(8.0, 0.25), [-0.0, 0.1, 29.7, -13.3]])
+    large = np.array([61.3, -100.0, 500.0, -999.5, 999.5])
+    for p in (small, large):
+        for l in range(9):
+            amps = splib.amplitude_quadrature(l, p, Q=Q, nodes=nodes, tolerance=1.0)
+            assert np.max(np.abs(amps - unfolded_amplitude(l, p, Q, nodes))) <= 1e-14, l
 
 
 @pytest.mark.parametrize("offset", [None, -1, 0, 1, "3C+7"])
 def test_amplitude_chunk_boundaries(offset):
-    chunk = splib._CHUNK_ELEMENTS // (splib.DEFAULT_NODES // 2)  # rows per chunk
+    q, _ = splib._q_rule(40.0, 1280, 6.0, 2)  # the rule of every call below
+    chunk = splib._CHUNK_ELEMENTS // (q.shape[0] + q.shape[1])  # rows per chunk
     distinct = {None: 1, -1: chunk - 1, 0: chunk, 1: chunk + 1, "3C+7": 3 * chunk + 7}
     magnitudes = np.linspace(0.0, 6.0, distinct[offset])
     # duplicates, both signs, -0.0 and +0.0, in no particular order
