@@ -10,8 +10,11 @@ verify        run the identity suites and emit a JSON report
 
 Every output is byte-stable for a fixed invocation: floats are written in
 shortest round-trip form, rows follow a fixed order, JSON keys keep
-insertion order.  The one CSV writer (_csv) prints each distinct float of a
-table once, with repr, and fills one row template, repeated per row, in a
+insertion order.  CSV cells print as repr with -0.0 folded into 0.0; JSON
+cells print as json.dumps prints them (-0.0 kept, NaN and +-Infinity).  The
+CSV and the JSON tables take their cell texts from one table (_cells) that
+formats each distinct float magnitude once, -x taking "-" + repr(x), and
+each writer (_csv, _json) fills one row template, repeated per row, in a
 single `%`.  Failure paths, bad flags included, print a single
 machine-parseable line `error: <tag>: <message>` on stderr and exit
 nonzero (2 chart/config errors, 3 quadrature truncation, 4 shell fold,
@@ -59,8 +62,10 @@ CHOICES = {
 # centre, which lies inside the domain whatever the surface parameters.
 CONFINE_DEFAULT_POINTS = {"sphere": (1.0, 0.5), "torus": (0.8, 2.0)}
 
-# geom holds about 1.1 kB per point (135 MB at a 300x300 grid), so this many
-# points, --point and --grid together, keep it near 1 GB.
+# geom holds about 0.9 kB per point as CSV and 1.4 kB as JSON, plus 0.2 kB
+# per --q3 offset (ru_maxrss of a child process at 20,001 torus points, less
+# that of one point), so this many points, --point and --grid together, keep
+# it near 1 GB as CSV without offsets, and under 2 GB as JSON with three.
 MAX_GEOM_POINTS = 1_000_000
 
 
@@ -84,17 +89,81 @@ def _write_text(path, text):
             fh.write(text)
 
 
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _cells(columns, signed_zero=False):
+    """(row count, the texts of the float cells of `columns` in row order).
+
+    `columns` maps a header to a float column or to a str for every row.  A
+    cell prints as repr, with -0.0 folded into 0.0 (as _fmt), or, with
+    `signed_zero`, as json.dumps prints a float.  Each distinct magnitude
+    is formatted once: repr(-x) == "-" + repr(x), so a negative value whose
+    magnitude is also a positive cell takes that text with a "-" in front,
+    and only a negative without such a twin gets its own repr.  Distinct
+    values are those of the bit patterns, so -0.0 stays apart from 0.0;
+    every NaN is made the one unsigned NaN first, since its text has no sign.
+    """
+    floats = np.column_stack([c for c in columns.values() if not isinstance(c, str)])
+    floats = floats.astype(np.float64, copy=False)
+    if not signed_zero:
+        floats += 0.0  # folds -0.0 into 0.0
+    floats[np.isnan(floats)] = np.nan
+    rows = len(floats)
+    distinct, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+    del floats
+    # The sign bit makes a pattern a negative int64, so negatives come first,
+    # in order of magnitude; a twin is the positive pattern of that magnitude.
+    negatives = np.searchsorted(distinct, 0)
+    magnitude = distinct[:negatives] & 0x7FFF_FFFF_FFFF_FFFF
+    twin = np.minimum(negatives + np.searchsorted(distinct[negatives:], magnitude),
+                      len(distinct) - 1)
+    paired = distinct[twin] == magnitude
+    own = np.ones(len(distinct), dtype=bool)
+    own[:negatives] = ~paired
+    texts = np.empty(len(distinct), dtype=object)
+    texts[own] = np.frompyfunc(repr, 1, 1)(distinct[own].view(np.float64))
+    texts[:negatives][paired] = "-" + texts[twin[paired]]
+    if signed_zero:
+        for k in np.flatnonzero(~np.isfinite(distinct.view(np.float64))):
+            texts[k] = _JSON_NON_FINITE[texts[k]]
+    cells = texts[inverse.ravel()]
+    del texts, inverse  # freed before the text is built: lower peak memory
+    return rows, tuple(cells.tolist())
+
+
 def _csv(columns):
     """CSV text of `columns`, header -> float column or a str for every row:
-    one repr per distinct float (cells as _fmt), one row template per row, one %."""
-    cols = columns.values()
-    floats = np.column_stack([c for c in cols if not isinstance(c, str)]) + 0.0
-    row = ",".join(c.replace("%", "%%") if isinstance(c, str) else "%s" for c in cols)
-    template = ",".join(columns).replace("%", "%%") + ("\n" + row) * len(floats) + "\n"
-    distinct, inverse = np.unique(floats, return_inverse=True)
-    cells = tuple(np.frompyfunc(repr, 1, 1)(distinct)[inverse.ravel()].tolist())
-    del floats, distinct, inverse  # freed before the text is built: lower peak memory
+    one repr per distinct float magnitude (cells as _fmt, see _cells), one
+    row template per row, one %."""
+    rows, cells = _cells(columns)
+    row = ",".join(c.replace("%", "%%") if isinstance(c, str) else "%s"
+                   for c in columns.values())
+    template = ",".join(columns).replace("%", "%%") + ("\n" + row) * rows + "\n"
     return template % cells
+
+
+def _json(payload, table):
+    """json.dumps(payload, indent=2) + "\\n", where payload[table] is a
+    mapping of columns, as _csv takes, of at least one row, written as the
+    list of one object per row: the cells come from _cells (json.dumps'
+    floats), filled into one row template, repeated per row, in one %.
+    Keys, strings and the other values of payload go through json.dumps."""
+    rows, cells = _cells(payload[table], signed_zero=True)
+    row = ",\n".join(
+        f"      {json.dumps(key)}: ".replace("%", "%%")
+        + (json.dumps(col).replace("%", "%%") if isinstance(col, str) else "%s")
+        for key, col in payload[table].items()
+    )
+    body = "[\n" + ",\n".join(["    {\n" + row + "\n    }"] * rows) + "\n  ]"
+    entries = (
+        f"  {json.dumps(key)}: ".replace("%", "%%") + (
+            body if key == table
+            else json.dumps(value, indent=2).replace("\n", "\n  ").replace("%", "%%")
+        )
+        for key, value in payload.items()
+    )
+    return ("{\n" + ",\n".join(entries) + "\n}\n") % cells
 
 
 def _parse_point(text):
@@ -211,10 +280,8 @@ def cmd_geom(args):
     if args.format == "csv":
         _write_text(args.out, _csv(columns))
     else:
-        values = zip(*(col.tolist() for col in columns.values()))
-        dicts = [dict(zip(columns, row)) for row in values]
-        payload = {"surface": chart.name, "params": chart.params, "rows": dicts}
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        payload = {"surface": chart.name, "params": chart.params, "rows": columns}
+        _write_text(args.out, _json(payload, "rows"))
     return 0
 
 
@@ -252,11 +319,7 @@ def cmd_distribution(args):
     if args.format == "csv":
         _write_text(args.out, _csv(columns))
     else:
-        values = [[col] * grid.size if isinstance(col, str) else col.tolist()
-                  for col in columns.values()]
-        samples = [dict(zip(columns, row)) for row in zip(*values)]
-        payload = {"l": args.l, "samples": samples}
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        _write_text(args.out, _json({"l": args.l, "samples": columns}, "samples"))
     if extra_closed:
         print(f"max_density_deviation={_fmt(max_density_dev)}")
     return 0
@@ -305,21 +368,20 @@ def cmd_confine(args):
     else:
         q3_values = list(np.logspace(-4, -1, 13))
     slope, rows = oplib.confinement_slope(chart, chi, profile, q1, q2, q3_values)
+    q3s, deviations = zip(*rows)
+    columns = {"q3": q3s, "deviation": deviations}
     if args.format == "csv":
-        q3s, deviations = zip(*rows)
-        body = _csv({"q3": q3s, "deviation": deviations})
-        body += f"# loglog_slope={_fmt(slope)}\n"
-        _write_text(args.out, body)
+        _write_text(args.out, _csv(columns) + f"# loglog_slope={_fmt(slope)}\n")
     else:
         payload = {
             "surface": chart.name,
             "chi": chi.label,
             "profile": profile.label,
             "point": [q1, q2],
-            "rows": [{"q3": a, "deviation": b} for a, b in rows],
+            "rows": columns,
             "loglog_slope": slope,
         }
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        _write_text(args.out, _json(payload, "rows"))
     print(f"loglog_slope={_fmt(slope)}")
     return 0
 

@@ -69,6 +69,7 @@ DEFAULT_NODES = 1280  # total nodes across the width-2 panels for Q = 40
 # amplitude_quadrature works through p in chunks of this many entries of
 # rows x (panels + nodes per panel): 1024 rows of the default rule's 40
 # panels and 32 nodes, which keeps its temporaries to a few MB.
+# amplitude_surface_overlap takes chunks of this many rows x theta nodes.
 _CHUNK_ELEMENTS = 1024 * 72
 
 # The q-rule takes ceil(|p|) + 2 nodes per panel and its Gauss-Legendre
@@ -76,10 +77,10 @@ _CHUNK_ELEMENTS = 1024 * 72
 # every amplitude out here is below 1e-300.
 MAX_ABS_P = 1000.0
 
-# `distribution` holds about 2.5 kB per p-sample with --format json,
-# --compare-closed and --sho-overlay (537 MB at 200,001 samples; about
-# 0.45 kB as CSV), so this many samples of symmetric_grid keep every output
-# form near 1 GB.
+# `distribution` holds about 1.8 kB per p-sample with --format json,
+# --compare-closed and --sho-overlay, and about 0.75 kB as CSV (ru_maxrss of
+# a child process at 20,001 samples, less that of one sample), so this many
+# samples of symmetric_grid keep every output form under 1 GB.
 MAX_DISTRIBUTION_SAMPLES = 400_000
 
 # Caps on the q-rule, which has one width-2 panel per unit of Q: the nodes
@@ -331,9 +332,12 @@ def amplitude_surface_overlap(l, p, Q=20.0, nodes=32):
     of the call, so an array's rule follows its largest |p| (at the
     defaults nothing changes for |p| <= 60).  Accepts scalar p (a complex
     comes back) or array p (an array of its shape, on one theta rule and
-    one set of Y_l0 values).  A non-finite p or |p| above MAX_ABS_P is
-    refused, as by the quadrature, and PoleProximityError is raised when Q
-    puts a theta node within PSI_POLE_MARGIN of a pole.
+    one set of Y_l0 values).  p is taken in chunks of at most
+    _CHUNK_ELEMENTS phases, so the temporaries stay a few MB however many
+    p there are; a p's sum has the same bits in any chunk.  A non-finite p
+    or |p| above MAX_ABS_P is refused, as by the quadrature, and
+    PoleProximityError is raised when Q puts a theta node within
+    PSI_POLE_MARGIN of a pole.
     """
     l = _check_order(l)
     p = np.asarray(p, dtype=float)
@@ -346,8 +350,14 @@ def amplitude_surface_overlap(l, p, Q=20.0, nodes=32):
     theta_nodes, w = graded_panel_rule(theta_edges, nodes=per_panel)
     flib._check_pole(theta_nodes, PSI_POLE_MARGIN)
     weighted = w * flib.spherical_harmonic(l, 0).value(theta_nodes, 0.0)
-    psi_conj = np.conj(_psi_map(p[..., None], theta_nodes))
-    out = 2.0 * np.pi * np.sum(weighted * psi_conj * np.sin(theta_nodes), axis=-1)
+    sin_theta = np.sin(theta_nodes)
+    flat = p.ravel()
+    sums = np.empty(flat.size, dtype=complex)
+    rows = max(1, _CHUNK_ELEMENTS // theta_nodes.size)
+    for k in range(0, flat.size, rows):
+        psi_conj = np.conj(_psi_map(flat[k:k + rows, None], theta_nodes))
+        sums[k:k + rows] = np.sum(weighted * psi_conj * sin_theta, axis=-1)
+    out = 2.0 * np.pi * sums.reshape(p.shape)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from surfquant import charts as chlib
 from surfquant import cli
 from surfquant import spectra as splib
-from surfquant.cli import _csv, _fmt, main
+from surfquant.cli import _csv, _fmt, _json, main
 from surfquant.errors import ShellFoldError
 from surfquant.geometry import evaluate_frame, shell_frame
 
@@ -488,8 +488,89 @@ def csv_tables(draw):
 @example({"a": [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1e16, -1e16]})  # one column
 @example({"a": [1e-5]})  # one row, one column
 @example({"%": "%(a)s", "a": [2.0, -2.0, 2.0], "%%": "%%"})
+# negatives of one column with (-1.5, -0.1, -inf) and without (-2.5, -1e-300)
+# a positive twin in the other columns, and a -nan beside a nan
+@example({"a": [-1.5, -2.5, -0.1, -np.inf, -1e-300, -np.nan],
+          "b": np.array([0.1, 3.0, 1.5, 7.0, np.nan, 1e-300 * 2]),
+          "c": [np.inf, 2.5e-3, 0.0, -0.0, 4.0, 1.0]})
 def test_csv_matches_the_per_cell_reference(columns):
     assert _csv(columns) == _reference_csv(columns)
+
+
+def _reference_json(payload, table):
+    """The JSON text of the dict form: one dict of Python floats and strs
+    per row of payload[table], through json.dumps."""
+    columns = payload[table]
+    rows = len(next(c for c in columns.values() if not isinstance(c, str)))
+    dicts = [{key: col if isinstance(col, str) else float(col[k])
+              for key, col in columns.items()} for k in range(rows)]
+    return json.dumps({**payload, table: dicts}, indent=2) + "\n"
+
+
+JSON_TEXT = st.text(alphabet='a%s"\\\né', max_size=4)
+
+
+@st.composite
+def json_payloads(draw):
+    """A csv_tables table, with a str column whose key and text json.dumps
+    escapes, at a drawn place among head entries of every kind."""
+    table = draw(csv_tables())
+    if draw(st.booleans()):
+        table[draw(JSON_TEXT)] = draw(JSON_TEXT)
+    head = draw(st.dictionaries(JSON_TEXT, st.one_of(
+        CELLS, st.integers(), JSON_TEXT, st.lists(CELLS, max_size=3),
+        st.dictionaries(JSON_TEXT, CELLS, max_size=2)), max_size=3))
+    key = draw(JSON_TEXT.filter(lambda k: k not in head))
+    items = list(head.items())
+    items.insert(draw(st.integers(0, len(items))), (key, table))
+    return dict(items), key
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(json_payloads())
+@example(({"l": 1, "samples": {"p": [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf],
+                                "method": "closed_form"}}, "samples"))
+@example(({"rows": {"a": [-1.5, -2.5, 1.5, -np.inf, 5e-324, -0.0]}, "%": "%s"}, "rows"))
+def test_json_matches_the_per_row_reference(case):
+    payload, table = case
+    assert _json(payload, table) == _reference_json(payload, table)
+
+
+@pytest.mark.parametrize("argv", [
+    ["distribution", "--l", "1", "--pmax", "2", "--dp", "0.25", "--compare-closed",
+     "--sho-overlay"],
+    ["geom", "--surface", "plane", "--point", "0,0", "--q3", "0.1"],
+    ["geom", "--surface", "torus", "--grid", "4x5", "--point", "0.5,1", "--q3",
+     "0.01,-0.2"],
+    ["confine", "--surface", "torus", "--chi", "trig2"],
+], ids=["distribution", "geom-plane", "geom-torus", "confine"])
+def test_cli_json_bytes_are_those_of_the_dict_form(argv, tmp_path, capsys, monkeypatch):
+    argv = argv + ["--format", "json"]
+    out = tmp_path / "table.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    summary = capsys.readouterr().out  # the deviation or slope line, if any
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_json", _reference_json)
+    assert run(argv) == 0
+    assert printed == capsys.readouterr().out
+    assert out.read_bytes().decode() + summary == printed
+
+
+def test_plane_geom_json_keeps_the_sign_of_zero(capsys):
+    # V_gp = -(hbar^2 / 2 mu)(M^2 - K) is -0.0 on the plane: the CSV folds
+    # it into 0.0, the JSON prints it as json.dumps does
+    argv = ["geom", "--surface", "plane", "--point", "0,0", "--q3", "0.1"]
+    assert run(argv + ["--format", "json"]) == 0
+    cells = ['"q1": 0.0', '"q2": 0.0', '"M": 0.0', '"K": 0.0', '"V_gp": -0.0',
+             '"n_x": 0.0', '"n_y": 0.0', '"n_z": 1.0', '"sqrt_g": 1.0',
+             '"shell_det_q3_0.1": 1.0']
+    assert capsys.readouterr().out == (
+        '{\n  "surface": "plane",\n  "params": {\n    "extent": 1.0\n  },\n'
+        '  "rows": [\n    {\n      ' + ",\n      ".join(cells) + "\n    }\n  ]\n}\n"
+    )
+    assert run(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0.0,0.0,0.0,0.0,0.0,0.0,0.0,1.0,1.0,1.0"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -265,6 +266,29 @@ def test_amplitude_surface_overlap_resolves_large_p():
     for l in (0, 3):
         surf = splib.amplitude_surface_overlap(l, p)
         assert np.max(np.abs(surf - splib.amplitude_recurrence(l, p))) <= 1e-9, l
+
+
+def test_amplitude_surface_overlap_chunks_keep_every_bit(monkeypatch):
+    # 80 p up to |p| = 100 make 3 chunks of the 2,080-node theta rule
+    p = np.linspace(-100.0, 100.0, 80).reshape(8, 10)
+    chunked = {l: splib.amplitude_surface_overlap(l, p) for l in (0, 3)}
+    for elements in (10**9, 1):  # one chunk for every p; one p per chunk
+        monkeypatch.setattr(splib, "_CHUNK_ELEMENTS", elements)
+        for l, values in chunked.items():
+            assert np.array_equal(splib.amplitude_surface_overlap(l, p), values), (elements, l)
+
+
+def test_amplitude_surface_overlap_memory_does_not_grow_with_the_p_count():
+    # one (P, N) phase at N = 20,080 theta nodes peaked at 62.6 MB of traced
+    # memory for these 64 p; chunks of p keep it to a few MB
+    p = np.linspace(900.0, 1000.0, 64)
+    tracemalloc.start()
+    try:
+        splib.amplitude_surface_overlap(1, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 def test_amplitude_surface_overlap_keeps_the_pole_check():
