@@ -36,17 +36,13 @@ from .geometry import (
 from .operators import (
     ConfinedGradient,
     apply_geometric_momentum,
-    commutator_angular_momentum,
     commutator_position_kinetic,
-    commutator_position_momentum,
-    confined_gradient,
     confinement_slope,
     flat_profile,
     gaussian_profile,
-    hermiticity_defect,
+    hermiticity_defects,
     rotation_relation_check,
-    shell_gradient_direct,
-    sphere_momentum_component,
+    thin_shell,
 )
 from .spectra import (
     UncertaintyReport,

@@ -62,11 +62,12 @@ CHOICES = {
 # centre, which lies inside the domain whatever the surface parameters.
 CONFINE_DEFAULT_POINTS = {"sphere": (1.0, 0.5), "torus": (0.8, 2.0)}
 
-# geom holds about 0.9 kB per point as CSV and 1.4 kB as JSON, plus 0.2 kB
-# per --q3 offset (ru_maxrss of a child process at 20,001 torus points, less
-# that of one point), so this many points, --point and --grid together, keep
-# it near 1 GB as CSV without offsets, and under 2 GB as JSON with three.
-MAX_GEOM_POINTS = 1_000_000
+# geom's table has one cell per point and column, 9 surface columns plus one
+# per --q3 offset.  It holds at most about 0.25 kB per cell (JSON with the
+# points given as --point, 0 to 60 offsets: ru_maxrss of a child process at
+# 20,000 to 100,000 torus points, less that of one point; CSV and --grid hold
+# less), so this many cells keep any accepted geom at or under about 1 GB.
+MAX_GEOM_CELLS = 4_000_000
 
 
 def _fmt(x):
@@ -202,15 +203,18 @@ def _make_surface(args):
     return chlib.make_chart(args.surface, **params)
 
 
-def _geom_points(args, chart):
+def _geom_points(args, chart, columns):
+    """The --point and --grid points, refused before the grid is built when
+    they and the `columns` per point make more than MAX_GEOM_CELLS cells."""
     points = [_parse_point(p) for p in (args.point or [])]
+    n1, n2 = _parse_grid(args.grid) if args.grid else (0, 0)
+    count = len(points) + n1 * n2
+    if count * columns > MAX_GEOM_CELLS:
+        raise ValueError(
+            f"{count} points of {columns} columns make {count * columns} table "
+            f"cells, more than the {MAX_GEOM_CELLS} allowed"
+        )
     if args.grid:
-        n1, n2 = _parse_grid(args.grid)
-        if n1 * n2 > MAX_GEOM_POINTS - len(points):
-            raise ValueError(
-                f"--grid {n1}x{n2} and {len(points)} --point make more than "
-                f"{MAX_GEOM_POINTS} points"
-            )
         for axis, n in ((0, n1), (1, n2)):
             lo, hi = chart.domain[axis]
             if not lo < hi:
@@ -220,8 +224,6 @@ def _geom_points(args, chart):
         points.extend((float(a), float(b)) for a in q1s for b in q2s)
     if not points:
         raise ValueError("no evaluation points: pass --point and/or --grid")
-    if len(points) > MAX_GEOM_POINTS:
-        raise ValueError(f"more than {MAX_GEOM_POINTS} --point values ({len(points)})")
     return points
 
 
@@ -265,8 +267,8 @@ def cmd_geom(args):
         # not required by the parser, so that a --config file can supply it
         raise ValueError("the following arguments are required: --surface")
     chart = _make_surface(args)
-    points = _geom_points(args, chart)
     q3_values = _parse_float_list(args.q3) if args.q3 else []
+    points = _geom_points(args, chart, 9 + len(q3_values))
     q1, q2 = (np.array(axis) for axis in zip(*points))
     try:
         columns = _geom_columns(chart, q1, q2, q3_values, args.hbar, args.mu)

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import _jets
-from .errors import PoleProximityError
+from .errors import ChartSingularityError, PoleProximityError
 
 # Evaluation closer to a sphere-chart pole than this raises.
 POLE_MARGIN = 1e-8
@@ -223,10 +223,14 @@ def sphere_point(theta, phi):
 
 def _sphere_basis(theta, phi):
     """sin(theta), cos(theta) and the unit vectors n, e_theta, e_phi, e_rho,
-    each (3,) + S; points within POLE_MARGIN of a pole raise
-    PoleProximityError."""
+    each (3,) + S; a theta within POLE_MARGIN of a pole (or NaN) raises
+    PoleProximityError and a non-finite phi ChartSingularityError."""
     _check_pole(theta)
     theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
+    finite = np.isfinite(phi).ravel()
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ChartSingularityError("sphere", (theta.flat[k], phi.flat[k]), "non-finite point")
     st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
     zero = np.zeros_like(sp)
     n = np.array([st * cp, st * sp, ct])
@@ -244,9 +248,10 @@ def _sphere_angles(p):
 
 
 def _check_pole(theta, margin=POLE_MARGIN):
-    """Raise PoleProximityError for the first theta within `margin` of a pole."""
+    """Raise PoleProximityError for the first theta within `margin` of a pole;
+    the test is written so that NaN fails it."""
     t = np.ravel(theta)
-    near = np.minimum(t, np.pi - t) < margin
+    near = ~(np.minimum(t, np.pi - t) >= margin)
     if near.any():
         raise PoleProximityError(t[np.argmax(near)], margin)
 

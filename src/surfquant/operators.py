@@ -16,12 +16,11 @@ pointwise, realizes the thin-shell gradient decomposition whose d -> 0
 limit produces the operator, and measures hermiticity defects by sphere
 quadrature.  The confining limit (r^mu d_mu + M n) psi is i/hbar times the
 geometric momentum _momentum computes, and the shell's fold factor and fold
-test are geometry.shell_frame's.  One array-first core, _thin_shell,
+test are geometry.shell_frame's.  One array-first function, thin_shell,
 evaluates the decomposition, its Jacobian oracle and the deviation at all
-offsets q3 above a surface point; the public thin-shell functions read it
-at one offset, confinement_slope at all.  Composed operators are evaluated
-through derived exact partials (product/chain rule), never through nested
-finite differences.
+offsets q3 above a surface point; confinement_slope fits its deviations.
+Composed operators are evaluated through derived exact partials
+(product/chain rule), never through nested finite differences.
 
 On the unit sphere (outward normal, M = -1) the closed forms are written in
 the orthonormal basis (n, e_theta, e_phi):
@@ -38,8 +37,9 @@ points (q1, q2) and put the point axes last, as charts, frames and fields
 do.  Over a point shape S the geometric momentum has shape (3,) + S, the
 [x_i, p_j] and [L_i, p_j] residual tensors (3, 3) + S (indices i, j first)
 and the [r, T] residual (3,) + S.  Each residual evaluates its frame and
-field jets once for all points and all index pairs.  A scalar point gives
-the per-point results (Python complex and float for scalar quantities).
+field jets once for all points and all index pairs and returns the whole
+tensor; a caller reads one pair as [i, j].  A scalar point gives the
+per-point results.
 """
 
 from dataclasses import dataclass
@@ -56,21 +56,6 @@ from .geometry import (
     shell_frame,
 )
 from .quadrature import sphere_grid
-
-AXIS_INDEX = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
-
-
-def _axis(i):
-    try:
-        return AXIS_INDEX[i]
-    except (KeyError, TypeError):
-        raise ValueError(f"axis must be one of x, y, z (got {i!r})")
-
-
-def _complex(x):
-    """A Python complex for a single point, the array otherwise."""
-    return complex(x) if np.ndim(x) == 0 else x
-
 
 def _momentum(frame, value, grad, hbar):
     """-i hbar (r^mu d_mu f + M n f) from a field's jets on a frame.
@@ -218,12 +203,6 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPSILON[_i, _k, _j] = -1.0
 
 
-def sphere_momentum_component(axis, field, theta, phi, hbar=1.0):
-    """Closed-form momentum component on the unit sphere."""
-    op = SPHERE_MOMENTUM[_AXES[_axis(axis)]]
-    return _complex(op.value(field, theta, phi, hbar))
-
-
 def position_momentum_residuals(chart, field, q1, q2, hbar=1.0):
     """[x_i, p_j] f - i hbar (delta_ij - n_i n_j) f for all nine pairs.
 
@@ -244,13 +223,6 @@ def _position_momentum(frame, f_val, f_grad, hbar=1.0):
     projector = delta - n[:, None] * n[None, :]
     commutator = frame.position[:, None] * p_f[None, :] - p_xf
     return commutator - 1j * hbar * projector * f_val
-
-
-def commutator_position_momentum(chart, i, j, field, q1, q2, hbar=1.0):
-    """Residual of [x_i, p_j] f - i hbar (delta_ij - n_i n_j) f at the points."""
-    i = _axis(i)
-    j = _axis(j)
-    return _complex(position_momentum_residuals(chart, field, q1, q2, hbar)[i, j])
 
 
 def angular_momentum_residuals(field, theta, phi, hbar=1.0):
@@ -275,13 +247,6 @@ def _angular_momentum(p_jet, l_jet, f, g, h, hbar=1.0):
     eps_p_f = np.einsum("ijk,k...->ij...", _EPSILON, p_f)
     # l_p_f is indexed [i, j] and p_l_f [j, i]
     return l_p_f - p_l_f.swapaxes(0, 1) - 1j * hbar * eps_p_f
-
-
-def commutator_angular_momentum(i, j, field, theta, phi, hbar=1.0):
-    """Residual of [L_i, p_j] f - i hbar eps_ijk p_k f on the unit sphere."""
-    i = _axis(i)
-    j = _axis(j)
-    return _complex(angular_momentum_residuals(field, theta, phi, hbar)[i, j])
 
 
 def commutator_position_kinetic(chart, field, q1, q2, hbar=1.0, mass=1.0):
@@ -394,7 +359,7 @@ def flat_profile():
 class ConfinedGradient:
     """Three-part split of the bulk gradient of a separable shell function."""
 
-    # each part (3,) at one shell point, (3, K) over K offsets
+    # each part (3, K) over K offsets
     tangential: np.ndarray  # r^mu d_mu psi part (shell-raised tangents)
     normal_geometric: np.ndarray  # n (M - K q3) f^{-3/2} chi phi part
     normal_derivative: np.ndarray  # n f^{-1/2} chi dphi/dq3 part
@@ -404,14 +369,27 @@ class ConfinedGradient:
         return self.tangential + self.normal_geometric + self.normal_derivative
 
 
-def _thin_shell(chart, chi, profile, q1, q2, q3):
-    """psi = chi f^{-1/2} phi(q3), f the fold factor, above the surface point
-    (q1, q2) at the 1-D offsets q3 (K,): its ConfinedGradient with parts
-    (3, K), the Jacobian oracle's gradient (3, K) and the deviations (K,)
-    from the limit operator.  The frame with (dM, dK), chi's jets, f and the
-    profile are each evaluated once; shell_frame raises on a fold or an
-    overflowing offset."""
+def thin_shell(chart, chi, profile, q1, q2, q3):
+    """The thin-shell gradient of psi = chi f^{-1/2} phi(q3) above the
+    surface point (q1, q2) at the 1-D offsets q3 (K,), f the shell's fold
+    factor (ShellFrame.fold_factor).  Returns three things:
+
+    - its exact three-part ConfinedGradient, parts (3, K), which sum to the
+      flat-space gradient of psi through the shell chart R = r + q3 n; the
+      normal-geometric coefficient reduces to M at q3 = 0, the term the
+      confining limit keeps;
+    - the Jacobian oracle's gradient (3, K), which solves
+      J^T grad = (d1 psi, d2 psi, d3 psi) with J = [R_1 | R_2 | n],
+      independently of the adjugate assembly of the parts;
+    - the deviations (K,), the norm of (tangential + normal_geometric)
+      minus the limit operator (r^mu d_mu + M n) psi, both on one frame.
+
+    The frame with (dM, dK), chi's jets, f and the profile are each
+    evaluated once; shell_frame raises on a fold or an overflowing offset.
+    """
     q3 = np.asarray(q3, dtype=float)
+    if q3.ndim != 1:
+        raise ValueError(f"q3 must be a 1-D array of offsets (got shape {q3.shape})")
     frame, dM, dK = _frame_with_gradients(chart, q1, q2)
     f = shell_frame(frame, q3).fold_factor
     chi_val, chi_grad = chi.partials(q1, q2, 1)
@@ -444,41 +422,6 @@ def _thin_shell(chart, chi, profile, q1, q2, q3):
     return parts, direct, np.sqrt(_contract(gap.real**2 + gap.imag**2, 0))
 
 
-def confined_gradient(chart, chi, profile, q1, q2, q3):
-    """Exact three-part decomposition of grad(psi) at a shell point.
-
-    psi is assembled from the separability ansatz
-    psi = chi(q1, q2) f^{-1/2} phi(q3), with f the shell's fold factor
-    (ShellFrame.fold_factor).  The parts sum to the true flat-space
-    gradient of psi through the shell chart R = r + q3 n; the
-    normal-geometric coefficient reduces to M at q3 = 0, which is the term
-    the confining limit keeps.
-    """
-    parts = _thin_shell(chart, chi, profile, q1, q2, [q3])[0]
-    return ConfinedGradient(
-        parts.tangential[:, 0],
-        parts.normal_geometric[:, 0],
-        parts.normal_derivative[:, 0],
-        point=(float(q1), float(q2), float(q3)),
-    )
-
-
-def shell_gradient_direct(chart, chi, profile, q1, q2, q3):
-    """Flat-space gradient of psi via the 3x3 shell Jacobian (oracle path).
-
-    Solves J^T grad = (d1 psi, d2 psi, d3 psi) with J = [R_1 | R_2 | n],
-    R_mu = (I + q3 alpha) r_mu; independent of the adjugate assembly used
-    by confined_gradient.
-    """
-    return _thin_shell(chart, chi, profile, q1, q2, [q3])[1][:, 0]
-
-
-def confinement_deviation(chart, chi, profile, q1, q2, q3):
-    """Norm of (tangential + normal_geometric) minus the limit operator
-    (r^mu d_mu + M n) psi, both built on one frame at the same q3."""
-    return float(_thin_shell(chart, chi, profile, q1, q2, [q3])[2][0])
-
-
 def confinement_slope(chart, chi, profile, q1, q2, q3_values):
     """Log-log slope of the deviation against q3 plus the sampled rows.
 
@@ -489,7 +432,7 @@ def confinement_slope(chart, chi, profile, q1, q2, q3_values):
     q3 = np.array(sorted(float(q) for q in q3_values))
     finite = bool(np.isfinite(q3).all())
     if finite and q3.size:
-        deviation = _thin_shell(chart, chi, profile, q1, q2, q3)[2]
+        deviation = thin_shell(chart, chi, profile, q1, q2, q3)[2]
     if not (finite and q3.size and 0.0 < q3[0] < q3[-1]):  # q3 is sorted
         raise ValueError(
             f"the log-log slope needs at least two distinct, finite, positive "
@@ -499,12 +442,16 @@ def confinement_slope(chart, chi, profile, q1, q2, q3_values):
     return float(slope), list(zip(q3.tolist(), deviation.tolist()))
 
 
-def _hermiticity_defects(fields, order, hbar):
+def hermiticity_defects(fields, order=64, hbar=1.0):
     """<f, p_a g> - <p_a f, g> for every axis a and pair (f, g) of `fields`,
-    complex of shape (3, F, F) indexed [a, f, g].  Each field's jets come
-    from one evaluation on the grid and each p image is built once; one
-    image component is kept at a time, which bounds the memory at high
-    order."""
+    complex of shape (3, F, F) indexed [a, f, g], on the unit sphere.
+
+    Gauss-Legendre in cos(theta) crossed with a trapezoid rule in phi; the
+    defects vanish for smooth fields because the M n term makes the
+    geometric momentum symmetric under the surface measure.  Each field's
+    jets come from one evaluation on the grid and each p image is built
+    once; one image component is kept at a time, which bounds the memory at
+    high order."""
     theta, phi, w = sphere_grid(order)
     c, _ = _momentum_jet(theta, phi, derivatives=False)
     jets = [f.partials(theta, phi, 1) for f in fields]
@@ -518,14 +465,3 @@ def _hermiticity_defects(fields, order, hbar):
                 inner_f_pg[a, i, j] = np.sum(w * np.conj(f_val) * p_g)
                 inner_pf_g[a, j, i] = np.sum(w * np.conj(p_g) * f_val)
     return inner_f_pg - inner_pf_g
-
-
-def hermiticity_defect(axis, f, g, order=64, hbar=1.0):
-    """<f, P g> - <P f, g> on the unit sphere by quadrature.
-
-    Gauss-Legendre in cos(theta) crossed with a trapezoid rule in phi;
-    vanishes for smooth fields because the M n term makes the geometric
-    momentum symmetric under the surface measure.
-    """
-    a = _axis(axis)
-    return complex(_hermiticity_defects((f, g), order, hbar)[a, 0, 1])

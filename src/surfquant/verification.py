@@ -309,7 +309,7 @@ def hermiticity_suite(options):
         flib.spherical_harmonic(2, 0),
     ]
     pairs = [(f.label, g.label) for f in pool for g in pool]
-    defects = np.abs(oplib._hermiticity_defects(pool, options.hermiticity_order, 1.0))
+    defects = np.abs(oplib.hermiticity_defects(pool, options.hermiticity_order, 1.0))
     for axis, defect in zip(("x", "y", "z"), defects):
         r, (f, g) = _worst(defect, pairs)
         label = f"p_{axis}:{f},{g}"
@@ -331,7 +331,7 @@ def confinement_suite(options):
         ):
             # the split against the Jacobian oracle, at all four q3 at once
             q3s = (0.0, 0.01, 0.1, 0.15)
-            parts, direct, _ = oplib._thin_shell(chart, chi, profile, *pt, q3s)
+            parts, direct, _ = oplib.thin_shell(chart, chi, profile, *pt, q3s)
             worst = float(np.abs(parts.total() - direct).max())
             out.append(_result(options, "confined_sum", chart.name, chi.label, pt, worst))
     if options.wants("confinement_slope"):
@@ -362,7 +362,7 @@ def eigenvalue_suite(options):
         [(rng.uniform(-10.0, 10.0), rng.uniform(0.01, np.pi - 0.01)) for _ in range(100)]
     ).T
     eigen = flib.map_field(lambda th, ph: splib._psi_map(p, th), "psi")
-    value = oplib.sphere_momentum_component("z", eigen, theta, 0.0)
+    value = oplib.SPHERE_MOMENTUM["z"].value(eigen, theta, 0.0)
     residual = np.abs(value - p * splib._psi_map(p, theta))
     k = int(np.argmax(residual))
     return [

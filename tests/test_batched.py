@@ -12,6 +12,7 @@ import pytest
 from surfquant import charts as chlib
 from surfquant import fields as flib
 from surfquant import operators as oplib
+from surfquant import spectra as splib
 from surfquant import verification as ver
 from surfquant.cli import main
 from surfquant.errors import ChartSingularityError, PoleProximityError
@@ -83,20 +84,6 @@ def test_batched_operators_match_scalar(name, builtin_charts, field_library):
             assert_stacked(fn(*lead, q1, q2), [fn(*lead, a, b) for a, b in pts])
 
 
-def test_residual_max_and_pairs_share_the_tensor(builtin_charts):
-    torus = builtin_charts["torus"]
-    fld = flib.spherical_harmonic(2, 1)
-    q1, q2 = 0.7, 2.3
-    tensor = oplib.position_momentum_residuals(torus, fld, q1, q2)
-    assert tensor.shape == (3, 3)
-    for i, ax_i in enumerate("xyz"):
-        for j, ax_j in enumerate("xyz"):
-            pair = oplib.commutator_position_momentum(torus, ax_i, ax_j, fld, q1, q2)
-            assert pair == tensor[i, j]
-    ang = oplib.angular_momentum_residuals(fld, 1.1, 0.4)
-    assert oplib.commutator_angular_momentum("y", "z", fld, 1.1, 0.4) == ang[1, 2]
-
-
 def test_point_shape_goes_last(builtin_charts):
     torus = builtin_charts["torus"]
     q1 = np.linspace(0.1, 6.0, 4)[:, None]
@@ -138,10 +125,10 @@ def test_scalar_calls_keep_their_types(builtin_charts):
     assert type(shell_frame(frame, 0.1).det) is float
     assert type(laplace_beltrami(sphere, fld, q1, q2)) is complex
     assert oplib.apply_geometric_momentum(sphere, fld, q1, q2).shape == (3,)
-    assert type(oplib.sphere_momentum_component("z", fld, q1, q2)) is complex
-    assert type(oplib.commutator_position_momentum(sphere, "x", "y", fld, q1, q2)) is complex
+    assert type(oplib.SPHERE_MOMENTUM["z"].value(fld, q1, q2)) is complex
+    assert oplib.position_momentum_residuals(sphere, fld, q1, q2).shape == (3, 3)
     assert oplib.commutator_position_kinetic(sphere, fld, q1, q2).shape == (3,)
-    assert type(oplib.commutator_angular_momentum("x", "y", fld, q1, q2)) is complex
+    assert oplib.angular_momentum_residuals(fld, q1, q2).shape == (3, 3)
     assert type(flib.coordinate_field(sphere, 2).value(q1, q2)) is complex
 
 
@@ -264,7 +251,7 @@ def test_batched_errors_name_the_first_failing_point():
     assert err.value.point[0] == 2.0 and np.isnan(err.value.point[1])
     one = flib.constant(1.0)
     with pytest.raises(PoleProximityError) as err:
-        oplib.sphere_momentum_component("z", one, np.array([1.0, 1e-12, 2e-12]), 0.0)
+        oplib.SPHERE_MOMENTUM["z"].value(one, np.array([1.0, 1e-12, 2e-12]), 0.0)
     assert err.value.theta == 1e-12
     with pytest.raises(PoleProximityError) as err:
         oplib.angular_momentum_residuals(one, np.array([1.0, np.pi - 3e-9]), 0.0)
@@ -273,3 +260,28 @@ def test_batched_errors_name_the_first_failing_point():
     pulled = flib.pullback_field(flib.spherical_harmonic(1, 1), rot)
     with pytest.raises(PoleProximityError):
         pulled.value(np.array([1.0, np.pi / 2.0]), np.array([0.3, np.pi]))
+
+
+_Y11 = flib.spherical_harmonic(1, 1)
+_ROT = flib.rotation_matrix("y", np.pi / 2.0)
+SPHERE_PATHS = {
+    "p_z": lambda t, p: oplib.SPHERE_MOMENTUM["z"].value(_Y11, t, p),
+    "L_x": lambda t, p: oplib.SPHERE_ANGULAR["x"].apply(_Y11).partials(t, p, 1),
+    "[L, p]": lambda t, p: oplib.angular_momentum_residuals(_Y11, t, p),
+    "rotation": lambda t, p: oplib.rotation_relation_check(_Y11, [(t, p)]),
+    "pullback": lambda t, p: flib.pullback_field(_Y11, _ROT).partials(t, p, 1),
+    "psi": lambda t, p: splib.psi(1.0, t),  # independent of phi
+}
+
+
+@pytest.mark.parametrize("path, theta, phi, error", [
+    *((name, np.nan, 0.3, PoleProximityError) for name in SPHERE_PATHS),
+    *((name, 1.0, np.nan, ChartSingularityError)
+      for name in ("p_z", "L_x", "[L, p]", "rotation")),
+    # the pullback reads phi through the rotated point, whose theta is NaN
+    ("pullback", 1.0, np.nan, PoleProximityError),
+])
+def test_closed_form_sphere_paths_refuse_a_nan_angle(path, theta, phi, error):
+    # these returned NaN without an error (psi with a RuntimeWarning too)
+    with pytest.raises(error):
+        SPHERE_PATHS[path](theta, phi)

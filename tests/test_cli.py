@@ -615,6 +615,24 @@ def test_distribution_refuses_an_oversized_grid(args, message, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    # 500,000 points: under the old cap of 1,000,000 points, over the cell bound
+    (["--grid", "1000x500"], "500000 points of 9 columns make 4500000 table cells"),
+    (["--grid", "100x100", "--q3=" + ",".join(f"{1e-5 * k:.5g}" for k in range(1, 401))],
+     "10000 points of 409 columns make 4090000 table cells"),
+], ids=["grid", "offsets"])
+def test_geom_refuses_too_many_table_cells(args, message, capsys, monkeypatch):
+    frames = []
+    monkeypatch.setattr(cli, "evaluate_frame", lambda *a: frames.append(a))
+    code = run(["geom", "--surface", "torus"] + args)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: config: {message}, more than the {cli.MAX_GEOM_CELLS} allowed\n"
+    )
+    assert frames == []  # refused before any frame is evaluated
+
+
 def test_distribution_resolves_large_p(capsys):
     # the true density at p = 60 is about 4e-82; a fixed 32-node rule gave 1.8e-3
     assert run(["distribution", "--pmax", "60", "--dp", "5"]) == 0

@@ -47,7 +47,7 @@ def test_momentum_of_plane_wave_on_plane():
 def test_momentum_z_component_of_constant():
     # p_z 1 = i hbar cos(theta): the closed form's scalar term alone
     for theta, phi in ((0.4, 0.0), (2.1, 1.3)):
-        value = oplib.sphere_momentum_component("z", flib.constant(1.0), theta, phi)
+        value = oplib.SPHERE_MOMENTUM["z"].value(flib.constant(1.0), theta, phi)
         assert abs(value - 1j * np.cos(theta)) < 1e-15
 
 
@@ -56,11 +56,11 @@ def test_momentum_z_component_of_cos_theta():
     sphere = chlib.sphere()
     fld = cos_theta_field()
     for theta in (0.3, 1.0, np.pi / 2.0):
-        closed = oplib.sphere_momentum_component("z", fld, theta, 0.7)
+        closed = oplib.SPHERE_MOMENTUM["z"].value(fld, theta, 0.7)
         general = oplib.apply_geometric_momentum(sphere, fld, theta, 0.7)[2]
         assert abs(closed - 1j * np.cos(2.0 * theta)) < 1e-13
         assert abs(closed - general) < 1e-13
-    assert abs(oplib.sphere_momentum_component("z", fld, np.pi / 2.0, 0.0) + 1j) < 1e-13
+    assert abs(oplib.SPHERE_MOMENTUM["z"].value(fld, np.pi / 2.0, 0.0) + 1j) < 1e-13
 
 
 def test_sphere_components_match_general_operator(field_library, sphere_points):
@@ -71,14 +71,14 @@ def test_sphere_components_match_general_operator(field_library, sphere_points):
     for fld in field_library:
         general = oplib.apply_geometric_momentum(sphere, fld, q1, q2)
         for k, axis in enumerate("xyz"):
-            val = oplib.sphere_momentum_component(axis, fld, q1, q2)
+            val = oplib.SPHERE_MOMENTUM[axis].value(fld, q1, q2)
             residuals.append(np.abs(val - general[k]))
     assert np.max(residuals) < 1e-12
 
 
 def test_sphere_component_pole_error():
     with pytest.raises(PoleProximityError):
-        oplib.sphere_momentum_component("z", flib.constant(1.0), 1e-12, 0.0)
+        oplib.SPHERE_MOMENTUM["z"].value(flib.constant(1.0), 1e-12, 0.0)
 
 
 def test_momentum_chart_singularity_error():
@@ -92,9 +92,7 @@ def test_momentum_chart_singularity_error():
 
 def test_angular_commutator_pole_error():
     with pytest.raises(PoleProximityError):
-        oplib.commutator_angular_momentum(
-            "x", "y", flib.constant(1.0), 1e-10, 0.0
-        )
+        oplib.angular_momentum_residuals(flib.constant(1.0), 1e-10, 0.0)
 
 
 def test_momentum_scales_with_hbar():
@@ -121,7 +119,7 @@ def test_position_momentum_commutator_suite(name, builtin_charts, field_library)
 def test_position_momentum_examples(builtin_charts):
     sphere = builtin_charts["sphere"]
     y21 = flib.spherical_harmonic(2, 1)
-    assert abs(oplib.commutator_position_momentum(sphere, "z", "z", y21, 1.3, 0.9)) < 1e-10
+    assert abs(oplib.position_momentum_residuals(sphere, y21, 1.3, 0.9)[2, 2]) < 1e-10
     # constant field: the commutator itself equals -i hbar n_x n_y
     one = flib.constant(1.0)
     theta, phi = 1.1, 0.6
@@ -136,7 +134,7 @@ def test_position_momentum_examples(builtin_charts):
     # flat chart: canonical relation [x, p_x] = i hbar f exactly
     plane = builtin_charts["plane"]
     wave = flib.plane_wave(2.0)
-    residual = oplib.commutator_position_momentum(plane, "x", "x", wave, 0.2, 0.1)
+    residual = oplib.position_momentum_residuals(plane, wave, 0.2, 0.1)[0, 0]
     assert abs(residual) < 1e-14
 
 
@@ -171,20 +169,21 @@ def test_angular_momentum_examples():
     y11 = flib.spherical_harmonic(1, 1)
     theta, phi = 1.2, 0.8
     # [L_z, p_x] f = i hbar p_y f
-    res = oplib.commutator_angular_momentum("z", "x", y11, theta, phi)
+    res = oplib.angular_momentum_residuals(y11, theta, phi)[2, 0]
     assert abs(res) < 1e-12
     lz = oplib.SPHERE_ANGULAR["z"]
     px = oplib.SPHERE_MOMENTUM["x"]
     commutator = lz.value(px.apply(y11), theta, phi) - px.value(
         lz.apply(y11), theta, phi
     )
-    p_y = oplib.sphere_momentum_component("y", y11, theta, phi)
+    p_y = oplib.SPHERE_MOMENTUM["y"].value(y11, theta, phi)
     assert abs(commutator - 1j * p_y) < 1e-12
     # [L_z, p_z] f = 0 exactly for any field
     arbitrary = flib.spherical_harmonic(3, -2)
-    assert abs(oplib.commutator_angular_momentum("z", "z", arbitrary, theta, phi)) < 1e-13
+    assert abs(oplib.angular_momentum_residuals(arbitrary, theta, phi)[2, 2]) < 1e-13
     # constant field, mixed axes
-    assert abs(oplib.commutator_angular_momentum("x", "y", flib.constant(1.0), theta, phi)) < 1e-10
+    one = flib.constant(1.0)
+    assert abs(oplib.angular_momentum_residuals(one, theta, phi)[0, 1]) < 1e-10
 
 
 def test_angular_momentum_eigenvalue_sanity():
@@ -236,10 +235,8 @@ def test_confined_gradient_parts_sum_to_direct_gradient(builtin_charts):
     ]
     for name, (q1, q2) in cases:
         chart = builtin_charts[name]
-        for q3 in (0.0, 0.01, 0.1, 0.15):
-            parts = oplib.confined_gradient(chart, chi, profile, q1, q2, q3)
-            direct = oplib.shell_gradient_direct(chart, chi, profile, q1, q2, q3)
-            assert np.abs(parts.total() - direct).max() < 1e-10, name
+        parts, direct, _ = oplib.thin_shell(chart, chi, profile, q1, q2, [0.0, 0.01, 0.1, 0.15])
+        assert np.abs(parts.total() - direct).max() < 1e-10, name
 
 
 def test_confined_gradient_on_a_skew_weingarten_map():
@@ -252,7 +249,7 @@ def test_confined_gradient_on_a_skew_weingarten_map():
     alpha = evaluate_frame(graph, 0.4, -0.3).weingarten
     assert abs(alpha[0, 1] - alpha[1, 0]) > 0.05
     chi, profile = flib.spherical_harmonic(2, 1), oplib.gaussian_profile(0.5)
-    parts, direct, _ = oplib._thin_shell(graph, chi, profile, 0.4, -0.3, [0.05, 0.2, -0.3])
+    parts, direct, _ = oplib.thin_shell(graph, chi, profile, 0.4, -0.3, [0.05, 0.2, -0.3])
     assert np.abs(parts.total() - direct).max() < 1e-12
 
 
@@ -262,28 +259,25 @@ def test_confined_gradient_zero_offset_coefficient_is_mean_curvature():
         chi = flib.spherical_harmonic(1, 1)
         profile = oplib.gaussian_profile()
         q1, q2 = 1.0, 0.5
-        parts = oplib.confined_gradient(chart, chi, profile, q1, q2, 0.0)
-        from surfquant.geometry import evaluate_frame
-
+        parts = oplib.thin_shell(chart, chi, profile, q1, q2, [0.0])[0]
         fr = evaluate_frame(chart, q1, q2)
         expected = (
             fr.normal * fr.mean_curvature * chi.value(q1, q2) * profile.value(0.0)
         )
-        assert np.abs(parts.normal_geometric - expected).max() == 0.0
+        assert np.abs(parts.normal_geometric[:, 0] - expected).max() == 0.0
 
 
 def test_confined_gradient_plane_cases():
     plane = chlib.plane()
     chi = flib.trig_library(1)[0]
     profile = oplib.gaussian_profile()
-    tangentials = []
-    for q3 in (0.0, 0.2, 0.8):
-        parts = oplib.confined_gradient(plane, chi, profile, 0.3, -0.2, q3)
-        assert np.abs(parts.normal_geometric).max() == 0.0
-        # tangential direction is q3-independent on a flat chart (the
-        # profile factor scales it; normalize it away)
-        tangentials.append(parts.tangential / profile.value(q3))
-    assert np.abs(np.diff(tangentials, axis=0)).max() < 1e-15
+    q3s = np.array([0.0, 0.2, 0.8])
+    parts = oplib.thin_shell(plane, chi, profile, 0.3, -0.2, q3s)[0]
+    assert np.abs(parts.normal_geometric).max() == 0.0
+    # tangential direction is q3-independent on a flat chart (the profile
+    # factor scales it; normalize it away)
+    tangentials = parts.tangential / profile.value(q3s)
+    assert np.abs(np.diff(tangentials, axis=1)).max() < 1e-15
 
 
 def test_confinement_slope_sphere():
@@ -312,22 +306,20 @@ def test_confinement_slope_needs_two_distinct_positive_offsets(q3s):
 def test_confinement_deviation_vanishes_at_zero_and_on_plane():
     chi = flib.spherical_harmonic(1, 0)
     profile = oplib.gaussian_profile()
-    assert oplib.confinement_deviation(chlib.sphere(), chi, profile, 1.0, 0.5, 0.0) < 1e-15
-    assert (
-        oplib.confinement_deviation(chlib.plane(), flib.trig_library(1)[0], profile, 0.1, 0.2, 0.3)
-        < 1e-15
-    )
+    assert oplib.thin_shell(chlib.sphere(), chi, profile, 1.0, 0.5, [0.0])[2][0] < 1e-15
+    trig = flib.trig_library(1)[0]
+    assert oplib.thin_shell(chlib.plane(), trig, profile, 0.1, 0.2, [0.3])[2][0] < 1e-15
 
 
 def test_confined_gradient_fold_error():
     with pytest.raises(ShellFoldError):
-        oplib.confined_gradient(
+        oplib.thin_shell(
             chlib.sphere(),
             flib.constant(1.0),
             oplib.flat_profile(),
             1.0,
             0.5,
-            -1.0,
+            [-1.0],
         )
 
 
@@ -339,10 +331,16 @@ def test_shell_point_refuses_non_finite_offsets(name, q3, error, builtin_charts)
     chart = builtin_charts[name]
     q1, q2 = chart_points(chart, 3)[1]
     chi, profile = flib.spherical_harmonic(1, 0), oplib.gaussian_profile()
-    for fn in (oplib.confined_gradient, oplib.shell_gradient_direct,
-               oplib.confinement_deviation):
-        with pytest.raises(error):
-            fn(chart, chi, profile, q1, q2, q3)
+    with pytest.raises(error):
+        oplib.thin_shell(chart, chi, profile, q1, q2, [q3])
+
+
+@pytest.mark.parametrize("q3", [0.1, [[0.1, 0.2]]], ids=["scalar", "2-D"])
+def test_thin_shell_needs_a_1d_array_of_offsets(q3):
+    # a scalar offset raised numpy's IndexError from deep inside
+    with pytest.raises(ValueError, match="q3 must be a 1-D array of offsets"):
+        oplib.thin_shell(chlib.sphere(), flib.spherical_harmonic(1, 0),
+                         oplib.gaussian_profile(), 1.0, 0.5, q3)
 
 
 @pytest.mark.parametrize("q3s", [[0.01, np.inf], [np.nan, 0.01], [-np.inf, 0.01, 0.02]])
@@ -361,7 +359,7 @@ def test_confinement_slope_builds_the_surface_frame_once(name, builtin_charts, m
     q1, q2 = chart_points(chart, 3)[1]
     chi, profile = flib.spherical_harmonic(1, 0), oplib.gaussian_profile()
     q3s = np.logspace(-4, -1, 13)
-    expected = [(q3, oplib.confinement_deviation(chart, chi, profile, q1, q2, q3))
+    expected = [(q3, float(oplib.thin_shell(chart, chi, profile, q1, q2, [q3])[2][0]))
                 for q3 in q3s]
     frames, chis = [], []
     build = oplib._frame_with_gradients
@@ -378,20 +376,22 @@ def test_confinement_slope_builds_the_surface_frame_once(name, builtin_charts, m
 
 @pytest.mark.parametrize("name", ["sphere", "cylinder", "torus", "plane"])
 def test_thin_shell_offsets_match_single_offsets(name, builtin_charts):
-    # every offset of one batched evaluation equals the public one-point calls
+    # every offset of a multi-offset evaluation equals a one-offset call bit
+    # for bit: an offset's result does not depend on the batch it is in
     chart = builtin_charts[name]
     q1, q2 = chart_points(chart, 3)[1]
     chi, profile = flib.spherical_harmonic(2, 1), oplib.gaussian_profile(0.3)
     q3s = [0.0, 0.02, 0.1, 0.15]
-    parts, direct, deviation = oplib._thin_shell(chart, chi, profile, q1, q2, q3s)
+    parts, direct, deviation = oplib.thin_shell(chart, chi, profile, q1, q2, q3s)
     assert parts.tangential.shape == direct.shape == (3, 4)
+    assert deviation.shape == (4,)
     for k, q3 in enumerate(q3s):
-        one = oplib.confined_gradient(chart, chi, profile, q1, q2, q3)
-        assert np.array_equal(one.total(), parts.total()[:, k])
-        assert one.point == (q1, q2, q3)
-        single = oplib.shell_gradient_direct(chart, chi, profile, q1, q2, q3)
-        assert np.array_equal(single, direct[:, k])
-        assert oplib.confinement_deviation(chart, chi, profile, q1, q2, q3) == deviation[k]
+        one, one_direct, one_deviation = oplib.thin_shell(chart, chi, profile, q1, q2, [q3])
+        for part in ("tangential", "normal_geometric", "normal_derivative"):
+            assert np.array_equal(getattr(one, part)[:, 0], getattr(parts, part)[:, k])
+        assert one.point[:2] == (q1, q2) and one.point[2].tolist() == [q3]
+        assert np.array_equal(one_direct[:, 0], direct[:, k])
+        assert one_deviation.tolist() == [deviation[k]]
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf, -np.inf])
@@ -423,9 +423,8 @@ def test_confinement_deviation_limit_is_the_geometric_momentum():
     for q3 in (0.01, 0.1):
         scale = (1.0 + 2.0 * q3 + q3 * q3) ** -0.5 * profile.value(q3)
         limit = 1j * scale * oplib.apply_geometric_momentum(sphere, chi, q1, q2)
-        parts = oplib.confined_gradient(sphere, chi, profile, q1, q2, q3)
-        expected = np.linalg.norm(parts.tangential + parts.normal_geometric - limit)
-        deviation = oplib.confinement_deviation(sphere, chi, profile, q1, q2, q3)
+        parts, _, (deviation,) = oplib.thin_shell(sphere, chi, profile, q1, q2, [q3])
+        expected = np.linalg.norm(parts.tangential[:, 0] + parts.normal_geometric[:, 0] - limit)
         assert deviation > 1e-3
         assert abs(deviation - expected) < 1e-14 * expected
 
@@ -442,14 +441,14 @@ def test_hermiticity_defect_matrix():
         flib.spherical_harmonic(1, 1),
         flib.spherical_harmonic(2, 0),
     ]
-    defects = [oplib.hermiticity_defect(axis, f, g, order=64)
-               for axis in "xyz" for f in pool for g in pool]
+    defects = oplib.hermiticity_defects(pool, order=64)
+    assert defects.shape == (3, 4, 4)
     assert np.max(np.abs(defects)) < 1e-10
 
 
 def test_hermiticity_defect_constant_antisymmetry():
     one = flib.constant(1.0)
-    assert abs(oplib.hermiticity_defect("z", one, one, order=32)) < 1e-12
+    assert abs(oplib.hermiticity_defects([one], order=32)[2, 0, 0]) < 1e-12
 
 
 # ---------------------------------------------------------------------------

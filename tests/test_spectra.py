@@ -88,14 +88,14 @@ def test_eigenvalue_relation_random_samples():
         p = rng.uniform(-10.0, 10.0)
         theta = rng.uniform(0.01, np.pi - 0.01)
         eig = splib.eigenfunction_field(p)
-        applied = oplib.sphere_momentum_component("z", eig, theta, 0.0)
+        applied = oplib.SPHERE_MOMENTUM["z"].value(eig, theta, 0.0)
         residuals.append(abs(applied - p * splib.psi(p, theta)))
     assert np.max(residuals) < 1e-10
 
 
 def test_eigenvalue_relation_scales_with_hbar():
     eig = splib.eigenfunction_field(2.0)
-    applied = oplib.sphere_momentum_component("z", eig, 1.1, 0.0, hbar=3.0)
+    applied = oplib.SPHERE_MOMENTUM["z"].value(eig, 1.1, 0.0, hbar=3.0)
     assert abs(applied - 3.0 * 2.0 * splib.psi(2.0, 1.1)) < 1e-12
 
 

@@ -153,7 +153,7 @@ def test_stacked_entries_equal_the_public_per_field_residuals(name, pinned_entri
             expected["angular_momentum"] = np.abs(
                 oplib.angular_momentum_residuals(fld, q1, q2)
             ).max(axis=(0, 1))
-            closed = [oplib.sphere_momentum_component(a, fld, q1, q2) for a in "xyz"]
+            closed = [oplib.SPHERE_MOMENTUM[a].value(fld, q1, q2) for a in "xyz"]
             general = oplib.apply_geometric_momentum(chart, fld, q1, q2)
             expected["sphere_component_match"] = np.abs(closed - general).max(axis=0)
         for identity, residuals in expected.items():
