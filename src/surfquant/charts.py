@@ -5,7 +5,9 @@ map r(q1, q2) into 3-space.  Its first (2, 3), second (2, 2, 3) and third
 (2, 2, 2, 3) partials all come from one path: the map is evaluated on
 truncated Taylor jets of its parameters (`_jets`), so they are exact to
 rounding and no chart carries a hand-written derivative.  `partials`
-returns every order up to the one asked for from a single map call.
+returns every order up to the one asked for from a single map call; it is
+the one entry, and a caller indexes `partials(q1, q2, n)[n]` for one order.
+Built-in charts refuse a parameter that is not finite and positive.
 
 Point-axis convention: (q1, q2) may be arrays.  They broadcast to a point
 shape S, which goes last: the position has shape (3,) + S, the tangents
@@ -45,21 +47,6 @@ class ParametricChart:
     def partials(self, q1, q2, order):
         """[position, tangents, second, third partials][:order + 1], one map call."""
         return _jets.partials(self._map, q1, q2, order)
-
-    def position(self, q1, q2):
-        return self.partials(q1, q2, 0)[0]
-
-    def tangents(self, q1, q2):
-        """First partials d_mu r, shape (2, 3)."""
-        return self.partials(q1, q2, 1)[1]
-
-    def second_partials(self, q1, q2):
-        """Second partials d_mu d_nu r, shape (2, 2, 3), symmetric in mu, nu."""
-        return self.partials(q1, q2, 2)[2]
-
-    def third_partials(self, q1, q2):
-        """Third partials d_mu d_nu d_l r, shape (2, 2, 2, 3), fully symmetric."""
-        return self.partials(q1, q2, 3)[3]
 
     def contains(self, q1, q2):
         """Whether (q1, q2) lies inside the domain on the non-periodic axes.
@@ -102,8 +89,8 @@ def from_map(map_fn, domain, periodic=(False, False), name="custom", params=None
 def sphere(radius=1.0):
     """Sphere of given radius, chart (theta, phi), outward normal."""
     R = float(radius)
-    if R <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < R < np.inf:
+        raise ValueError(f"radius must be finite and positive (got {R})")
 
     def m(th, ph):
         st = R * np.sin(th)
@@ -117,8 +104,8 @@ def cylinder(radius=1.0, half_height=1.0):
     """Cylinder of given radius, chart (phi, v), outward normal."""
     R = float(radius)
     H = float(half_height)
-    if R <= 0.0 or H <= 0.0:
-        raise ValueError("radius and half_height must be positive")
+    if not (0.0 < R < np.inf and 0.0 < H < np.inf):
+        raise ValueError(f"radius and half_height must be finite and positive (got {R}, {H})")
 
     def m(ph, v):
         return [R * np.cos(ph), R * np.sin(ph), v]
@@ -131,8 +118,8 @@ def torus(major_radius=2.0, minor_radius=0.5):
     """Torus, chart (u around the axis, v around the tube), outward normal."""
     a = float(major_radius)
     b = float(minor_radius)
-    if not (a > b > 0.0):
-        raise ValueError("need major_radius > minor_radius > 0")
+    if not 0.0 < b < a < np.inf:
+        raise ValueError(f"need major > minor radius, both finite and positive (got {a}, {b})")
 
     def m(u, v):
         w = a + b * np.cos(v)
@@ -145,8 +132,8 @@ def torus(major_radius=2.0, minor_radius=0.5):
 def plane(extent=1.0):
     """Flat plane z = 0, chart (u, v), normal +z."""
     L = float(extent)
-    if L <= 0.0:
-        raise ValueError("extent must be positive")
+    if not 0.0 < L < np.inf:
+        raise ValueError(f"extent must be finite and positive (got {L})")
     return from_map(lambda u, v: [u, v, 0.0], ((-L, L), (-L, L)), (False, False),
                     "plane", {"extent": L})
 

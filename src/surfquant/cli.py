@@ -215,10 +215,12 @@ def _geom_points(args, chart, columns):
             f"cells, more than the {MAX_GEOM_CELLS} allowed"
         )
     if args.grid:
-        for axis, n in ((0, n1), (1, n2)):
-            lo, hi = chart.domain[axis]
-            if not lo < hi:
-                raise ValueError("grid bounds must be ordered")
+        for lo, hi in chart.domain:
+            if not 0.0 < hi - lo < np.inf:
+                raise ValueError(
+                    f"--grid needs the span of each axis of the {chart.name} chart "
+                    f"domain {chart.domain} to be finite and positive"
+                )
         q1s = np.linspace(*chart.domain[0], n1 + 2)[1:-1]
         q2s = np.linspace(*chart.domain[1], n2 + 2)[1:-1]
         points.extend((float(a), float(b)) for a in q1s for b in q2s)

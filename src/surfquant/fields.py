@@ -1,7 +1,9 @@
 """Complex scalar fields on a chart with exact partials to second order.
 
 A field is one callable `partials(q1, q2, order)` that returns
-[value, grad, hess][:order + 1], and the highest order it supports.
+[value, grad, hess][:order + 1], and the highest order it supports;
+`value` reads its order-0 jet, and a caller indexes `partials` for the
+others.
 Operators in this package never use nested finite differences.  Every
 closed-form field (Y_lm from associated_legendre, the trig library, plane
 waves, constants, the coordinate functions of a chart, spectra's
@@ -15,7 +17,10 @@ Point-axis convention: all callables broadcast over array points, and the
 point axes go last.  Over a point shape S the value has shape S, the
 gradient (2,) + S and the Hessian (2, 2) + S (derivative axes first), the
 same layout the charts and geometry frames use.  A scalar point gives a
-Python complex value and (2,) / (2, 2) arrays.
+Python complex value and (2,) / (2, 2) arrays.  A field may carry extra
+value axes E before the point axes: the value is then E + S and the
+gradient (2,) + E + S.  The unit-sphere operator images of `operators`
+are such fields, with E = (3,) for the vector component.
 """
 
 import math
@@ -44,7 +49,8 @@ class ScalarField:
     """Complex function of (q1, q2) with exact partials up to `order`.
 
     `_partials(q1, q2, n)` returns [value, grad, hess][:n + 1], complex
-    arrays of shapes S, (2,) + S and (2, 2) + S over the point shape S.
+    arrays of shapes S, (2,) + S and (2, 2) + S over the point shape S
+    (E + S, (2,) + E + S, ... for a field with extra value axes E).
     """
 
     label: str
@@ -62,14 +68,6 @@ class ScalarField:
     def value(self, q1, q2):
         v = self.partials(q1, q2, 0)[0]
         return complex(v) if v.ndim == 0 else v
-
-    def grad(self, q1, q2):
-        """First partials, shape (2,) (leading axis) over the input shape."""
-        return self.partials(q1, q2, 1)[1]
-
-    def hess(self, q1, q2):
-        """Second partials, shape (2, 2) over the input shape."""
-        return self.partials(q1, q2, 2)[2]
 
 
 def map_field(fn, label):
@@ -226,11 +224,7 @@ def _sphere_basis(theta, phi):
     each (3,) + S; a theta within POLE_MARGIN of a pole (or NaN) raises
     PoleProximityError and a non-finite phi ChartSingularityError."""
     _check_pole(theta)
-    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
-    finite = np.isfinite(phi).ravel()
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ChartSingularityError("sphere", (theta.flat[k], phi.flat[k]), "non-finite point")
+    theta, phi = _finite_angles(theta, phi)
     st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
     zero = np.zeros_like(sp)
     n = np.array([st * cp, st * sp, ct])
@@ -238,6 +232,19 @@ def _sphere_basis(theta, phi):
     e_phi = np.array([-sp, cp, zero])
     e_rho = np.array([cp, sp, zero])
     return st, ct, n, e_theta, e_phi, e_rho
+
+
+def _finite_angles(theta, phi):
+    """theta and phi broadcast to float arrays.  The first non-finite theta
+    raises PoleProximityError, as _check_pole does, and the first
+    non-finite phi ChartSingularityError."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
+    _check_pole(theta[~np.isfinite(theta)])  # which fails every one of them
+    finite = np.isfinite(phi).ravel()
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ChartSingularityError("sphere", (theta.flat[k], phi.flat[k]), "non-finite point")
+    return theta, phi
 
 
 def _sphere_angles(p):
@@ -269,6 +276,7 @@ def pullback_field(f, matrix, label=None):
         label = f"pullback({f.label})"
 
     def partials(theta, phi, order):
+        theta, phi = _finite_angles(theta, phi)  # before the rotation hides them
         p = np.tensordot(A, sphere_point(theta, phi), axes=1)
         tp, pp = _sphere_angles(p)
         _check_pole(tp)

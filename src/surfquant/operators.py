@@ -30,7 +30,11 @@ the orthonormal basis (n, e_theta, e_phi):
 
 and every partial of their coefficients follows from the derivatives of
 the basis vectors, so an operator image carries exact first partials and
-a second operator can act on it.
+a second operator can act on it.  Every first-order operator here, the
+general p with the frame's coefficients (r^1, r^2, M n) included, is one
+kernel, _image.  SPHERE_MOMENTUM and SPHERE_ANGULAR give all three
+components, (3,) + S, and a nested image such as p.value(p.apply(f)) is
+the whole tensor p_i (p_j f), (3, 3) + S indexed [outer, inner].
 
 Point-axis convention: the operators and residuals take scalar or array
 points (q1, q2) and put the point axes last, as charts, frames and fields
@@ -58,16 +62,14 @@ from .geometry import (
 from .quadrature import sphere_grid
 
 def _momentum(frame, value, grad, hbar):
-    """-i hbar (r^mu d_mu f + M n f) from a field's jets on a frame.
+    """-i hbar (r^mu d_mu f + M n f) from a field's jets on a frame: the
+    first-order image of the frame's coefficients (r^1, r^2, M n).
 
     value has shape E + S and grad (2,) + E + S, with S the frame's point
     shape and E extra axes; the result is (3,) + E + S.
     """
-    pad = (slice(None),) + (None,) * (np.ndim(value) - np.ndim(frame.mean_curvature))
-    raised, n = frame.raised[(slice(None),) + pad], frame.normal[pad]
-    tangential = raised[0] * grad[0] + raised[1] * grad[1]
-    normal = frame.mean_curvature * n * value
-    return -1j * hbar * (tangential + normal)
+    c = np.concatenate([frame.raised, (frame.mean_curvature * frame.normal)[None]])
+    return _image(c, value, grad, hbar)
 
 
 def _coordinate_products(frame, value, grad, hess=None):
@@ -136,11 +138,14 @@ def _angular_jet(theta, phi, derivatives=True):
 
 
 def _image(c, value, grad, hbar):
-    """-i hbar (c_theta d_theta + c_phi d_phi + c_0) f for all three components.
+    """-i hbar (c_1 d_1 + c_2 d_2 + c_0) f for all three components.
 
-    c is a coefficient jet's values, (3, 3) + S; value has shape S and grad
-    (2,) + S, and the result is (3,) + S.  Any other shapes broadcast.
+    c holds the coefficient values, (3, 3) + S indexed [term, component];
+    value has shape E + S and grad (2,) + E + S, with E extra leading axes,
+    for which c is padded, and the result is (3,) + E + S.  Any other
+    shapes broadcast.
     """
+    c = c[(slice(None),) * 2 + (None,) * (np.ndim(value) - np.ndim(c) + 2)]
     return -1j * hbar * (c[0] * grad[0] + c[1] * grad[1] + c[2] * value)
 
 
@@ -158,43 +163,39 @@ def _image_grad(c, dc, value, grad, hess, hbar):
 
 
 class FirstOrderOperator:
-    """Component `axis` of a unit-sphere vector operator
-    -i hbar (c_theta d_theta + c_phi d_phi + c_0) whose coefficients
+    """A unit-sphere vector operator -i hbar (c_theta d_theta + c_phi d_phi + c_0),
+    all three components at once, whose coefficients
     `jet(theta, phi, derivatives)` gives (_momentum_jet or _angular_jet)."""
 
-    def __init__(self, name, jet, axis):
+    def __init__(self, name, jet):
         self.name = name
         self.jet = jet
-        self.axis = axis
 
     def value(self, field, theta, phi, hbar=1.0):
+        """The image at the points, (3,) + E + S for a field of value shape E + S."""
         return self.apply(field, hbar).value(theta, phi)
 
     def apply(self, field, hbar=1.0):
-        """Operator image as a field with exact first partials."""
+        """The image as a field with exact first partials: value (3,) + S and
+        gradient (2, 3) + S, so a second operator's image of it is
+        (3, 3) + S, indexed [outer, inner]."""
 
         def partials(theta, phi, order):
             c, dc = self.jet(theta, phi, derivatives=bool(order))
             jets = field.partials(theta, phi, order + 1)
-            out = [_image(c, *jets[:2], hbar)[self.axis]]
+            out = [_image(c, *jets[:2], hbar)]
             if order:
-                out.append(_image_grad(c, dc, *jets, hbar)[:, self.axis])
+                out.append(_image_grad(c, dc, *jets, hbar))
             return out
 
         return ScalarField(f"{self.name}({field.label})", partials, 1)
 
 
-_AXES = ("x", "y", "z")
+# The geometric momentum on the unit sphere (outward normal, M = -1).
+SPHERE_MOMENTUM = FirstOrderOperator("p", _momentum_jet)
 
-# Geometric momentum components on the unit sphere (outward normal, M = -1).
-SPHERE_MOMENTUM = {
-    a: FirstOrderOperator(f"p_{a}", _momentum_jet, i) for i, a in enumerate(_AXES)
-}
-
-# Standard angular momentum realizations (imported textbook machinery).
-SPHERE_ANGULAR = {
-    a: FirstOrderOperator(f"L_{a}", _angular_jet, i) for i, a in enumerate(_AXES)
-}
+# Standard angular momentum realization (imported textbook machinery).
+SPHERE_ANGULAR = FirstOrderOperator("L", _angular_jet)
 
 
 _EPSILON = np.zeros((3, 3, 3))
@@ -242,8 +243,8 @@ def _angular_momentum(p_jet, l_jet, f, g, h, hbar=1.0):
     the field's jets at the points."""
     (cp, dcp), (cl, dcl) = p_jet, l_jet
     p_f, l_f = _image(cp, f, g, hbar), _image(cl, f, g, hbar)
-    l_p_f = _image(cl[:, :, None], p_f, _image_grad(cp, dcp, f, g, h, hbar), hbar)
-    p_l_f = _image(cp[:, :, None], l_f, _image_grad(cl, dcl, f, g, h, hbar), hbar)
+    l_p_f = _image(cl, p_f, _image_grad(cp, dcp, f, g, h, hbar), hbar)
+    p_l_f = _image(cp, l_f, _image_grad(cl, dcl, f, g, h, hbar), hbar)
     eps_p_f = np.einsum("ijk,k...->ij...", _EPSILON, p_f)
     # l_p_f is indexed [i, j] and p_l_f [j, i]
     return l_p_f - p_l_f.swapaxes(0, 1) - 1j * hbar * eps_p_f
@@ -301,18 +302,13 @@ def rotation_relation_check(field, sample_points=None, hbar=1.0):
     if len(points) == 0:
         raise ValueError("rotation relation needs at least one sample point")
     theta, phi = points[:, 0], points[:, 1]
-    p_z = SPHERE_MOMENTUM["z"]
-    constructions = [
-        ("x", rotation_matrix("y", np.pi / 2.0)),
-        ("y", rotation_matrix("x", -np.pi / 2.0)),
-    ]
+    p_f = SPHERE_MOMENTUM.value(field, theta, phi, hbar)  # once, for both constructions
     worst = []
-    for axis, rot in constructions:
-        pulled = pullback_field(field, rot)
-        lhs = SPHERE_MOMENTUM[axis].value(field, theta, phi, hbar)
-        inner = np.tensordot(rot.T, flib.sphere_point(theta, phi), axes=1)
-        rhs = p_z.value(pulled, *flib._sphere_angles(inner), hbar)
-        worst.append(np.abs(lhs - rhs).max())
+    for component, rot in ((0, rotation_matrix("y", np.pi / 2.0)),
+                           (1, rotation_matrix("x", -np.pi / 2.0))):
+        inner = flib._sphere_angles(np.tensordot(rot.T, flib.sphere_point(theta, phi), axes=1))
+        p_z = SPHERE_MOMENTUM.value(pullback_field(field, rot), *inner, hbar)[2]
+        worst.append(np.abs(p_f[component] - p_z).max())
     return float(np.max(worst))
 
 
@@ -460,7 +456,7 @@ def hermiticity_defects(fields, order=64, hbar=1.0):
     inner_pf_g = np.empty_like(inner_f_pg)
     for j, (g_val, g_grad) in enumerate(jets):
         for a in range(3):
-            p_g = _image(c[:, a], g_val, g_grad, hbar)
+            p_g = _image(c[:, a:a + 1], g_val, g_grad, hbar)[0]
             for i, f_val in enumerate(vals):
                 inner_f_pg[a, i, j] = np.sum(w * np.conj(f_val) * p_g)
                 inner_pf_g[a, j, i] = np.sum(w * np.conj(p_g) * f_val)

@@ -62,19 +62,18 @@ def _map_panels(edges, nodes):
     return x, w
 
 
-def sphere_grid(order=64, n_phi=None):
+def sphere_grid(order=64):
     """Product quadrature grid over the unit sphere.
 
     Gauss-Legendre of the given order in x = cos(theta) and a periodic
-    trapezoid rule in phi (2*order points unless overridden).  Returns
+    trapezoid rule of n_phi = 2*order points in phi.  Returns
     (theta, phi, w) broadcastable arrays: theta with shape (order, 1),
     phi with shape (1, n_phi) and w with shape (order, n_phi) such that
     sum(w * F(theta, phi)) approximates the surface integral of F over
     the sphere with the sin(theta) measure already absorbed.
     """
     order = int(order)
-    if n_phi is None:
-        n_phi = 2 * order
+    n_phi = 2 * order
     x, wx = _leggauss(order)
     theta = np.arccos(x)[:, None]
     phi = (2.0 * np.pi / n_phi) * np.arange(n_phi)[None, :]

@@ -195,12 +195,10 @@ def geometry_suite(options):
                 )
             )
         if options.wants("shell_determinant"):
-            res = np.zeros(len(pts))
-            for q3 in (-0.2, -0.05, 0.1, 0.2):
-                sf = geolib.shell_frame(frame, q3)
-                closed = frame.sqrt_g**2 * sf.fold_factor**2
-                res = np.maximum(res, np.abs(sf.det - closed))
-            r, p = _worst(res, pts)
+            # the four offsets on a leading axis, shape (4, N)
+            sf = geolib.shell_frame(frame, np.array([-0.2, -0.05, 0.1, 0.2])[:, None])
+            closed = frame.sqrt_g**2 * sf.fold_factor**2
+            r, p = _worst(np.abs(sf.det - closed).max(axis=0), pts)
             out.append(_result(options, "shell_determinant", chart.name, None, p, r))
     if options.wants("geometric_potential"):
         sph = chlib.sphere()
@@ -362,7 +360,7 @@ def eigenvalue_suite(options):
         [(rng.uniform(-10.0, 10.0), rng.uniform(0.01, np.pi - 0.01)) for _ in range(100)]
     ).T
     eigen = flib.map_field(lambda th, ph: splib._psi_map(p, th), "psi")
-    value = oplib.SPHERE_MOMENTUM["z"].value(eigen, theta, 0.0)
+    value = oplib.SPHERE_MOMENTUM.value(eigen, theta, 0.0)[2]
     residual = np.abs(value - p * splib._psi_map(p, theta))
     k = int(np.argmax(residual))
     return [

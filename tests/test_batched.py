@@ -89,9 +89,10 @@ def test_point_shape_goes_last(builtin_charts):
     q1 = np.linspace(0.1, 6.0, 4)[:, None]
     q2 = np.linspace(0.2, 5.0, 3)[None, :]
     fld = flib.spherical_harmonic(1, 1)
-    assert torus.position(q1, q2).shape == (3, 4, 3)
-    assert torus.tangents(q1, q2).shape == (2, 3, 4, 3)
-    assert torus.second_partials(q1, q2).shape == (2, 2, 3, 4, 3)
+    position, tangents, second = torus.partials(q1, q2, 2)
+    assert position.shape == (3, 4, 3)
+    assert tangents.shape == (2, 3, 4, 3)
+    assert second.shape == (2, 2, 3, 4, 3)
     frame = evaluate_frame(torus, q1, q2)
     assert frame.mean_curvature.shape == (4, 3)
     assert frame.metric.shape == (2, 2, 4, 3)
@@ -112,9 +113,10 @@ def test_scalar_calls_keep_their_types(builtin_charts):
     sphere = builtin_charts["sphere"]
     fld = flib.spherical_harmonic(2, 0)
     q1, q2 = 1.0, 0.5
-    assert sphere.position(q1, q2).shape == (3,)
-    assert sphere.tangents(q1, q2).shape == (2, 3)
-    assert sphere.second_partials(q1, q2).shape == (2, 2, 3)
+    position, tangents, second = sphere.partials(q1, q2, 2)
+    assert position.shape == (3,)
+    assert tangents.shape == (2, 3)
+    assert second.shape == (2, 2, 3)
     assert sphere.contains(q1, q2) is True
     frame = evaluate_frame(sphere, q1, q2)
     assert frame.point == (1.0, 0.5)
@@ -125,7 +127,8 @@ def test_scalar_calls_keep_their_types(builtin_charts):
     assert type(shell_frame(frame, 0.1).det) is float
     assert type(laplace_beltrami(sphere, fld, q1, q2)) is complex
     assert oplib.apply_geometric_momentum(sphere, fld, q1, q2).shape == (3,)
-    assert type(oplib.SPHERE_MOMENTUM["z"].value(fld, q1, q2)) is complex
+    assert oplib.SPHERE_MOMENTUM.value(fld, q1, q2).shape == (3,)
+    assert oplib.SPHERE_MOMENTUM.value(oplib.SPHERE_ANGULAR.apply(fld), q1, q2).shape == (3, 3)
     assert oplib.position_momentum_residuals(sphere, fld, q1, q2).shape == (3, 3)
     assert oplib.commutator_position_kinetic(sphere, fld, q1, q2).shape == (3,)
     assert oplib.angular_momentum_residuals(fld, q1, q2).shape == (3, 3)
@@ -139,9 +142,10 @@ def test_from_map_jets_stack_pointwise():
         name="wave",
     )
     pts = chlib.interior_points(chart, 7)
-    for jet in (chart.position, chart.tangents, chart.second_partials):
-        batched = jet(pts[:, 0], pts[:, 1])
-        assert np.array_equal(batched, np.stack([jet(a, b) for a, b in pts], axis=-1))
+    batched = chart.partials(pts[:, 0], pts[:, 1], 3)
+    single = [chart.partials(a, b, 3) for a, b in pts]
+    for n, jet in enumerate(batched):
+        assert np.array_equal(jet, np.stack([one[n] for one in single], axis=-1))
 
 
 def test_rotation_relation_batch_matches_single_points():
@@ -251,7 +255,7 @@ def test_batched_errors_name_the_first_failing_point():
     assert err.value.point[0] == 2.0 and np.isnan(err.value.point[1])
     one = flib.constant(1.0)
     with pytest.raises(PoleProximityError) as err:
-        oplib.SPHERE_MOMENTUM["z"].value(one, np.array([1.0, 1e-12, 2e-12]), 0.0)
+        oplib.SPHERE_MOMENTUM.value(one, np.array([1.0, 1e-12, 2e-12]), 0.0)
     assert err.value.theta == 1e-12
     with pytest.raises(PoleProximityError) as err:
         oplib.angular_momentum_residuals(one, np.array([1.0, np.pi - 3e-9]), 0.0)
@@ -265,21 +269,30 @@ def test_batched_errors_name_the_first_failing_point():
 _Y11 = flib.spherical_harmonic(1, 1)
 _ROT = flib.rotation_matrix("y", np.pi / 2.0)
 SPHERE_PATHS = {
-    "p_z": lambda t, p: oplib.SPHERE_MOMENTUM["z"].value(_Y11, t, p),
-    "L_x": lambda t, p: oplib.SPHERE_ANGULAR["x"].apply(_Y11).partials(t, p, 1),
+    "p_z": lambda t, p: oplib.SPHERE_MOMENTUM.value(_Y11, t, p)[2],
+    "L_x": lambda t, p: oplib.SPHERE_ANGULAR.apply(_Y11).partials(t, p, 1)[1][:, 0],
     "[L, p]": lambda t, p: oplib.angular_momentum_residuals(_Y11, t, p),
     "rotation": lambda t, p: oplib.rotation_relation_check(_Y11, [(t, p)]),
     "pullback": lambda t, p: flib.pullback_field(_Y11, _ROT).partials(t, p, 1),
+    "pullback value": lambda t, p: flib.pullback_field(_Y11, _ROT).partials(t, p, 0),
     "psi": lambda t, p: splib.psi(1.0, t),  # independent of phi
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("path, theta, phi, error", [
-    *((name, np.nan, 0.3, PoleProximityError) for name in SPHERE_PATHS),
+    *((name, np.nan, 0.3, PoleProximityError) for name in SPHERE_PATHS
+      if name != "pullback value"),
     *((name, 1.0, np.nan, ChartSingularityError)
-      for name in ("p_z", "L_x", "[L, p]", "rotation")),
-    # the pullback reads phi through the rotated point, whose theta is NaN
-    ("pullback", 1.0, np.nan, PoleProximityError),
+      for name in ("p_z", "L_x", "[L, p]", "rotation", "pullback", "pullback value")),
+    # the pullback refuses a non-finite input angle at both orders before it
+    # rotates the point, which would turn it into a NaN theta (after a
+    # RuntimeWarning from cos, for an infinite angle)
+    *((name, theta, phi, error)
+      for name in ("pullback", "pullback value")
+      for theta, phi, error in ((np.inf, 0.3, PoleProximityError),
+                                (1.0, np.inf, ChartSingularityError),
+                                (1.0, -np.inf, ChartSingularityError))),
 ])
 def test_closed_form_sphere_paths_refuse_a_nan_angle(path, theta, phi, error):
     # these returned NaN without an error (psi with a RuntimeWarning too)

@@ -27,24 +27,26 @@ def test_registry_rejects_unknown_surface():
 def test_analytic_partials_match_finite_differences(name, builtin_charts):
     chart = builtin_charts[name]
     h = 1e-5
+    def position(a, b):
+        return chart.partials(a, b, 0)[0]
+
     for q1, q2 in chart_points(chart, 20):
-        d1 = chart.tangents(q1, q2)
-        d2 = chart.second_partials(q1, q2)
+        _, d1, d2 = chart.partials(q1, q2, 2)
         fd1 = np.array(
             [
-                (chart.position(q1 + h, q2) - chart.position(q1 - h, q2)) / (2 * h),
-                (chart.position(q1, q2 + h) - chart.position(q1, q2 - h)) / (2 * h),
+                (position(q1 + h, q2) - position(q1 - h, q2)) / (2 * h),
+                (position(q1, q2 + h) - position(q1, q2 - h)) / (2 * h),
             ]
         )
         assert np.abs(d1 - fd1).max() < 1e-8
-        p0 = chart.position(q1, q2)
-        fd_tt = (chart.position(q1 + h, q2) - 2 * p0 + chart.position(q1 - h, q2)) / h**2
-        fd_pp = (chart.position(q1, q2 + h) - 2 * p0 + chart.position(q1, q2 - h)) / h**2
+        p0 = position(q1, q2)
+        fd_tt = (position(q1 + h, q2) - 2 * p0 + position(q1 - h, q2)) / h**2
+        fd_pp = (position(q1, q2 + h) - 2 * p0 + position(q1, q2 - h)) / h**2
         fd_tp = (
-            chart.position(q1 + h, q2 + h)
-            - chart.position(q1 + h, q2 - h)
-            - chart.position(q1 - h, q2 + h)
-            + chart.position(q1 - h, q2 - h)
+            position(q1 + h, q2 + h)
+            - position(q1 + h, q2 - h)
+            - position(q1 - h, q2 + h)
+            + position(q1 - h, q2 - h)
         ) / (4 * h**2)
         assert np.abs(d2[0, 0] - fd_tt).max() < 1e-5
         assert np.abs(d2[1, 1] - fd_pp).max() < 1e-5
@@ -60,15 +62,14 @@ def test_finite_difference_adaptor_on_paraboloid():
         name="paraboloid",
     )
     for u, v in chart_points(adapted, 10):
-        d1 = adapted.tangents(u, v)
+        _, d1, d2, d3 = adapted.partials(u, v, 3)
         exact_d1 = np.array([[1.0, 0.0, 2 * u], [0.0, 1.0, 2 * v]])
         assert np.array_equal(d1, exact_d1)
-        d2 = adapted.second_partials(u, v)
         exact_d2 = np.zeros((2, 2, 3))
         exact_d2[0, 0, 2] = 2.0
         exact_d2[1, 1, 2] = 2.0
         assert np.array_equal(d2, exact_d2)
-        assert not adapted.third_partials(u, v).any()
+        assert not d3.any()
 
 
 # Hand-written first and second partials the built-in charts carried before
@@ -127,8 +128,8 @@ def test_jet_partials_equal_the_hand_written_ones(chart, hand):
     for q1, q2 in [(pts[:, 0], pts[:, 1])] + [tuple(p) for p in pts[:10]]:
         q1, q2 = np.asarray(q1), np.asarray(q2)
         d1, d2 = hand(q1, q2)
-        assert np.array_equal(chart.tangents(q1, q2), d1)
-        assert np.array_equal(chart.second_partials(q1, q2), d2)
+        assert np.array_equal(chart.partials(q1, q2, 2)[1], d1)
+        assert np.array_equal(chart.partials(q1, q2, 2)[2], d2)
 
 
 def test_jets_match_sympy_to_third_order():
@@ -201,10 +202,10 @@ def test_maps_outside_the_elementwise_contract_raise():
 
     chart = chlib.from_map(lambda u, v: [u, v, math.sin(u)], ((-1, 1), (-1, 1)))
     with pytest.raises(TypeError, match="elementwise numpy"):
-        chart.tangents(0.2, 0.3)
+        chart.partials(0.2, 0.3, 1)
     chart = chlib.from_map(lambda u, v: [u, v, np.arctan2(u, v)], ((-1, 1), (-1, 1)))
     with pytest.raises(TypeError, match="elementwise numpy"):
-        chart.second_partials(0.2, 0.3)
+        chart.partials(0.2, 0.3, 2)
 
 
 @pytest.mark.parametrize("third", [
@@ -217,7 +218,7 @@ def test_pow_abs_and_comparisons_of_a_jet_name_the_contract(third):
     # == / != may not silently compare identities
     chart = chlib.from_map(lambda u, v: [u, v, third(u)], ((-1, 1), (-1, 1)))
     with pytest.raises(TypeError) as err:
-        chart.tangents(0.2, 0.3)
+        chart.partials(0.2, 0.3, 1)
     assert str(err.value) == CONTRACT
 
 
@@ -226,8 +227,8 @@ def test_maps_with_numpy_scalar_constants():
     chart = chlib.from_map(
         lambda u, v: [two * u, v - half, half * u * v + two], ((-1, 1), (-1, 1))
     )
-    d1 = chart.tangents(np.array([0.2, -0.4]), 0.3)
-    assert np.array_equal(chart.position(0.2, 0.3), [0.4, 0.3 - 0.5, 0.5 * 0.2 * 0.3 + 2.0])
+    d1 = chart.partials(np.array([0.2, -0.4]), 0.3, 1)[1]
+    assert np.array_equal(chart.partials(0.2, 0.3, 0)[0], [0.4, 0.3 - 0.5, 0.5 * 0.2 * 0.3 + 2.0])
     assert np.array_equal(d1[:, :, 1], [[2.0, 0.0, 0.5 * 0.3], [0.0, 1.0, 0.5 * -0.4]])
 
 
@@ -256,3 +257,14 @@ def test_builtin_parameter_validation():
         chlib.sphere(radius=-1.0)
     with pytest.raises(ValueError):
         chlib.torus(major_radius=1.0, minor_radius=2.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, param", [
+    ("sphere", "radius"), ("cylinder", "radius"), ("cylinder", "half_height"),
+    ("torus", "major_radius"), ("torus", "minor_radius"), ("plane", "extent"),
+])
+def test_builders_refuse_a_non_finite_parameter(name, param, value):
+    # `R <= 0.0` let NaN and inf through, to a chart with NaN or inf partials
+    with pytest.raises(ValueError, match="finite"):
+        chlib.make_chart(name, **{param: value})

@@ -663,6 +663,7 @@ def test_non_finite_shell_offsets_are_rejected(command, capsys):
     assert captured.err.startswith("error: config: values must be finite")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", [
     ["confine", "--width", "0"],  # was a ZeroDivisionError traceback, exit 1
     ["confine", "--width", "nan"],  # was nan rows and loglog_slope=nan, exit 0
@@ -677,6 +678,16 @@ def test_non_finite_shell_offsets_are_rejected(command, capsys):
     ["verify", "--only", "parseval", "--tolerance", "inf"],  # passed every check
     ["distribution", "--method", "quadrature", "--Q", "2", "--tolerance", "nan"],
     ["distribution", "--tolerance", "inf"],
+    # two RuntimeWarnings, then a chart-singularity error naming a tangent degeneracy
+    ["geom", "--surface", "sphere", "--radius", "inf", "--point", "1,1"],
+    # a tangent degeneracy reported at a regular point
+    ["geom", "--surface", "sphere", "--radius", "nan", "--point", "1,1"],
+    # "the geometric potential overflows"
+    ["geom", "--surface", "torus", "--param", "major_radius=inf", "--point", "1,1"],
+    ["confine", "--surface", "cylinder", "--param", "half_height=-inf"],
+    # a finite extent whose grid span overflows: a RuntimeWarning, then
+    # "point (inf, inf) is outside"
+    ["geom", "--surface", "plane", "--param", "extent=1e308", "--grid", "2x2"],
 ])
 def test_non_finite_or_non_positive_constants_are_config_errors(command, capsys):
     code = run(command)

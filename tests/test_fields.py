@@ -26,11 +26,10 @@ def test_library_contents(field_library):
 def test_every_library_field_partials_match_finite_differences(field_library):
     for fld in field_library:
         for q1, q2 in field_points():
-            grad = fld.grad(q1, q2)
+            _, grad, hess = fld.partials(q1, q2, 2)
             fd = fd_gradient(fld.value, q1, q2)
             scale = 1.0 + abs(fld.value(q1, q2))
             assert np.abs(grad - fd).max() < 2e-6 * scale, fld.label
-            hess = fld.hess(q1, q2)
             fdh = fd_hessian(fld.value, q1, q2)
             assert np.abs(hess - fdh).max() < 2e-5 * scale, fld.label
 
@@ -59,8 +58,8 @@ def test_product_matches_symbolic_product():
     symbolic = from_expr(sp.cos(THETA) * sp.Ynm(2, 1, THETA, PHI).expand(func=True))
     for q1, q2 in field_points():
         assert abs(prod.value(q1, q2) - symbolic.value(q1, q2)) < 1e-13
-        assert np.abs(prod.grad(q1, q2) - symbolic.grad(q1, q2)).max() < 1e-12
-        assert np.abs(prod.hess(q1, q2) - symbolic.hess(q1, q2)).max() < 1e-12
+        for got, want in zip(prod.partials(q1, q2, 2)[1:], symbolic.partials(q1, q2, 2)[1:]):
+            assert np.abs(got - want).max() < 1e-12
 
 
 def test_product_without_hessian_downgrades():
@@ -68,22 +67,23 @@ def test_product_without_hessian_downgrades():
     first_order = flib.ScalarField("g", f.partials, 1)
     prod = flib.product(f, first_order)
     assert prod.order == 1
-    assert prod.grad(1.0, 1.0).shape == (2,)
+    assert prod.partials(1.0, 1.0, 1)[1].shape == (2,)
     with pytest.raises(ValueError):
-        prod.hess(1.0, 1.0)
+        prod.partials(1.0, 1.0, 2)
 
 
 def test_constant_field():
     c = flib.constant(2.0 - 1.5j)
     assert c.value(0.3, 0.4) == 2.0 - 1.5j
-    assert np.abs(c.grad(0.3, 0.4)).max() == 0.0
-    assert np.abs(c.hess(0.3, 0.4)).max() == 0.0
+    _, grad, hess = c.partials(0.3, 0.4, 2)
+    assert np.abs(grad).max() == 0.0
+    assert np.abs(hess).max() == 0.0
 
 
 def test_plane_wave_partials():
     k = 2.5
     wave = flib.plane_wave(k)
-    g = wave.grad(0.3, -0.2)
+    g = wave.partials(0.3, -0.2, 1)[1]
     assert abs(g[0] - 1j * k * wave.value(0.3, -0.2)) < 1e-14
     assert abs(g[1]) == 0.0
 
@@ -93,10 +93,9 @@ def test_coordinate_field_jets(builtin_charts):
     for axis in range(3):
         fld = flib.coordinate_field(torus, axis)
         for q1, q2 in field_points():
-            assert fld.value(q1, q2) == complex(torus.position(q1, q2)[axis])
-            assert np.abs(
-                fld.grad(q1, q2) - torus.tangents(q1, q2)[:, axis]
-            ).max() == 0.0
+            position, tangents = torus.partials(q1, q2, 1)
+            assert fld.value(q1, q2) == complex(position[axis])
+            assert np.abs(fld.partials(q1, q2, 1)[1] - tangents[:, axis]).max() == 0.0
 
 
 def test_fields_broadcast_over_arrays(field_library):
@@ -105,7 +104,7 @@ def test_fields_broadcast_over_arrays(field_library):
     fld = field_library[5]
     vals = fld.value(theta, phi)
     assert vals.shape == (7, 5)
-    grad = fld.grad(theta, phi)
+    grad = fld.partials(theta, phi, 1)[1]
     assert grad.shape == (2, 7, 5)
     assert abs(vals[2, 3] - fld.value(theta[2, 0], phi[0, 3])) < 1e-14
 
@@ -120,7 +119,7 @@ def test_pullback_value_and_gradient():
     pp = np.arctan2(target[1], target[0])
     assert abs(pulled.value(theta, phi) - y21.value(tp, pp)) < 1e-13
     fd = fd_gradient(pulled.value, theta, phi)
-    assert np.abs(pulled.grad(theta, phi) - fd).max() < 1e-6
+    assert np.abs(pulled.partials(theta, phi, 1)[1] - fd).max() < 1e-6
     assert pulled.order == 1
 
 
@@ -133,14 +132,14 @@ def test_pullback_pole_proximity():
         pulled.value(np.pi / 2.0, np.pi)
     # the rotated theta is checked first, so its error names it
     with pytest.raises(PoleProximityError) as err:
-        pulled.grad(np.array([1.0, np.pi / 2.0]), np.array([0.3, np.pi]))
+        pulled.partials(np.array([1.0, np.pi / 2.0]), np.array([0.3, np.pi]), 1)
     assert err.value.theta < flib.POLE_MARGIN
     # the gradient also needs the unrotated point's sphere basis, which
     # refuses a theta within POLE_MARGIN of a pole though its image is fine
     for theta in (1e-10, np.pi - 1e-9):
         assert abs(pulled.value(theta, 0.3)) > 0.1
         with pytest.raises(PoleProximityError) as err:
-            pulled.grad(np.array([1.0, theta]), 0.3)
+            pulled.partials(np.array([1.0, theta]), 0.3, 1)
         assert err.value.theta == theta
 
 
@@ -150,9 +149,10 @@ def test_eigenfunction_field_partials():
         assert abs(fld.value(theta, 0.3) - psi(1.7, theta)) < 1e-14
         fd = fd_gradient(fld.value, theta, 0.3)
         scale = 1.0 + abs(fld.value(theta, 0.3))
-        assert np.abs(fld.grad(theta, 0.3) - fd).max() < 1e-6 * scale
+        _, grad, hess = fld.partials(theta, 0.3, 2)
+        assert np.abs(grad - fd).max() < 1e-6 * scale
         fdh = fd_hessian(fld.value, theta, 0.3)
-        assert np.abs(fld.hess(theta, 0.3) - fdh).max() < 2e-4 * scale
+        assert np.abs(hess - fdh).max() < 2e-4 * scale
 
 
 def test_rotation_matrices_orthogonal():
@@ -172,7 +172,7 @@ def test_map_field_contract():
     from surfquant._jets import CONTRACT
 
     with pytest.raises(TypeError) as err:
-        flib.map_field(lambda q1, q2: math.sin(q1), "bad").grad(0.3, 0.2)
+        flib.map_field(lambda q1, q2: math.sin(q1), "bad").partials(0.3, 0.2, 1)
     assert str(err.value) == CONTRACT
     # complex coefficients
     wave = flib.map_field(lambda q1, q2: (1.0 - 2.0j) * np.exp(1.5j * q1) * q2, "wave")
@@ -180,8 +180,9 @@ def test_map_field_contract():
     value = (1.0 - 2.0j) * np.exp(1.5j * q1) * q2
     assert type(wave.value(q1, q2)) is complex
     assert abs(wave.value(q1, q2) - value) < 1e-15
-    assert np.allclose(wave.grad(q1, q2), [1.5j * value, value / q2], rtol=1e-15)
-    assert np.allclose(wave.hess(q1, q2), [[-2.25 * value, 1.5j * value / q2],
+    _, grad, hess = wave.partials(q1, q2, 2)
+    assert np.allclose(grad, [1.5j * value, value / q2], rtol=1e-15)
+    assert np.allclose(hess, [[-2.25 * value, 1.5j * value / q2],
                                            [1.5j * value / q2, 0.0]], rtol=1e-15)
     # a constant broadcasts to the point shape; a real map still gives complex
     points = np.linspace(0.1, 1.0, 6).reshape(3, 2), 0.5

@@ -47,7 +47,7 @@ def test_momentum_of_plane_wave_on_plane():
 def test_momentum_z_component_of_constant():
     # p_z 1 = i hbar cos(theta): the closed form's scalar term alone
     for theta, phi in ((0.4, 0.0), (2.1, 1.3)):
-        value = oplib.SPHERE_MOMENTUM["z"].value(flib.constant(1.0), theta, phi)
+        value = oplib.SPHERE_MOMENTUM.value(flib.constant(1.0), theta, phi)[2]
         assert abs(value - 1j * np.cos(theta)) < 1e-15
 
 
@@ -56,29 +56,28 @@ def test_momentum_z_component_of_cos_theta():
     sphere = chlib.sphere()
     fld = cos_theta_field()
     for theta in (0.3, 1.0, np.pi / 2.0):
-        closed = oplib.SPHERE_MOMENTUM["z"].value(fld, theta, 0.7)
+        closed = oplib.SPHERE_MOMENTUM.value(fld, theta, 0.7)[2]
         general = oplib.apply_geometric_momentum(sphere, fld, theta, 0.7)[2]
         assert abs(closed - 1j * np.cos(2.0 * theta)) < 1e-13
         assert abs(closed - general) < 1e-13
-    assert abs(oplib.SPHERE_MOMENTUM["z"].value(fld, np.pi / 2.0, 0.0) + 1j) < 1e-13
+    assert abs(oplib.SPHERE_MOMENTUM.value(fld, np.pi / 2.0, 0.0)[2] + 1j) < 1e-13
 
 
 def test_sphere_components_match_general_operator(field_library, sphere_points):
-    # one array call per field and axis, reduced with np.max so that a NaN fails
+    # one array call per field for all three axes, reduced with np.max so
+    # that a NaN fails
     sphere = chlib.sphere()
     q1, q2 = sphere_points.T
     residuals = []
     for fld in field_library:
         general = oplib.apply_geometric_momentum(sphere, fld, q1, q2)
-        for k, axis in enumerate("xyz"):
-            val = oplib.SPHERE_MOMENTUM[axis].value(fld, q1, q2)
-            residuals.append(np.abs(val - general[k]))
+        residuals.append(np.abs(oplib.SPHERE_MOMENTUM.value(fld, q1, q2) - general))
     assert np.max(residuals) < 1e-12
 
 
 def test_sphere_component_pole_error():
     with pytest.raises(PoleProximityError):
-        oplib.SPHERE_MOMENTUM["z"].value(flib.constant(1.0), 1e-12, 0.0)
+        oplib.SPHERE_MOMENTUM.value(flib.constant(1.0), 1e-12, 0.0)
 
 
 def test_momentum_chart_singularity_error():
@@ -171,13 +170,10 @@ def test_angular_momentum_examples():
     # [L_z, p_x] f = i hbar p_y f
     res = oplib.angular_momentum_residuals(y11, theta, phi)[2, 0]
     assert abs(res) < 1e-12
-    lz = oplib.SPHERE_ANGULAR["z"]
-    px = oplib.SPHERE_MOMENTUM["x"]
-    commutator = lz.value(px.apply(y11), theta, phi) - px.value(
-        lz.apply(y11), theta, phi
-    )
-    p_y = oplib.SPHERE_MOMENTUM["y"].value(y11, theta, phi)
-    assert abs(commutator - 1j * p_y) < 1e-12
+    L, p = oplib.SPHERE_ANGULAR, oplib.SPHERE_MOMENTUM
+    # nested images are indexed [outer, inner]
+    commutator = L.value(p.apply(y11), theta, phi)[2, 0] - p.value(L.apply(y11), theta, phi)[0, 2]
+    assert abs(commutator - 1j * p.value(y11, theta, phi)[1]) < 1e-12
     # [L_z, p_z] f = 0 exactly for any field
     arbitrary = flib.spherical_harmonic(3, -2)
     assert abs(oplib.angular_momentum_residuals(arbitrary, theta, phi)[2, 2]) < 1e-13
@@ -190,8 +186,8 @@ def test_angular_momentum_eigenvalue_sanity():
     # L_z Y_lm = m hbar Y_lm verifies the imported differential realization
     y32 = flib.spherical_harmonic(3, 2)
     theta, phi = 0.9, 1.4
-    lz = oplib.SPHERE_ANGULAR["z"]
-    assert abs(lz.value(y32, theta, phi) - 2.0 * y32.value(theta, phi)) < 1e-13
+    l_z = oplib.SPHERE_ANGULAR.value(y32, theta, phi)[2]
+    assert abs(l_z - 2.0 * y32.value(theta, phi)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -485,22 +481,28 @@ def test_rotation_grid_matches_point_loop(args):
     assert np.array_equal(np.array(grid), np.array(reference))
 
 
-SPHERE_OPERATORS = [
-    *oplib.SPHERE_MOMENTUM.values(),
-    *oplib.SPHERE_ANGULAR.values(),
+# each component of p and of L, as (operator, axis)
+SPHERE_COMPONENTS = [
+    (op, axis) for op in (oplib.SPHERE_MOMENTUM, oplib.SPHERE_ANGULAR) for axis in range(3)
 ]
 
 
-@pytest.mark.parametrize("op", SPHERE_OPERATORS, ids=lambda op: op.name)
+def component_id(component):
+    op, axis = component
+    return f"{op.name}_{'xyz'[axis]}"
+
+
+@pytest.mark.parametrize("component", SPHERE_COMPONENTS, ids=component_id)
 @pytest.mark.parametrize("theta", [0.0, 1e-12, np.pi - 1e-12])
-def test_sphere_operators_refuse_the_poles(op, theta):
+def test_sphere_operators_refuse_the_poles(component, theta):
+    op, axis = component
     y11 = flib.spherical_harmonic(1, 1)
     image = op.apply(y11)
     for evaluate in (
-        lambda: op.value(y11, theta, 0.3),
-        lambda: image.value(theta, 0.3),
-        lambda: image.grad(theta, 0.3),
-        lambda: op.value(y11, np.array([1.0, theta]), 0.3),
+        lambda: op.value(y11, theta, 0.3)[axis],
+        lambda: image.value(theta, 0.3)[axis],
+        lambda: image.partials(theta, 0.3, 1)[1][:, axis],
+        lambda: op.value(y11, np.array([1.0, theta]), 0.3)[axis],
     ):
         with pytest.raises(PoleProximityError):
             evaluate()
@@ -513,29 +515,36 @@ def _random_sphere_points(n=50, seed=11, margin=0.05):
 
 @pytest.mark.parametrize("lm", [(2, 1), (3, -2)])
 def test_sphere_momentum_dirac_bracket(lm):
-    # [p_i, p_j] f = -i hbar eps_ijk L_k f with nested closed-form operators
+    # [p_i, p_j] f = -i hbar eps_ijk L_k f from one nested image, the whole
+    # tensor p_i (p_j f) of shape (3, 3) + S indexed [i, j]
     fld = flib.spherical_harmonic(*lm)
     theta, phi = _random_sphere_points()
     hbar = 1.0
     p, L = oplib.SPHERE_MOMENTUM, oplib.SPHERE_ANGULAR
-    for i, j, k in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
-        p_i_p_j = p[i].value(p[j].apply(fld, hbar), theta, phi, hbar)
-        p_j_p_i = p[j].value(p[i].apply(fld, hbar), theta, phi, hbar)
-        l_k = L[k].value(fld, theta, phi, hbar)
-        assert np.abs(p_i_p_j - p_j_p_i + 1j * hbar * l_k).max() < 1e-13
-        assert np.abs(p_i_p_j - p_j_p_i).max() > 0.1  # not vacuous
+    p_p_f = p.value(p.apply(fld, hbar), theta, phi, hbar)
+    assert p_p_f.shape == (3, 3) + theta.shape
+    bracket = p_p_f - p_p_f.swapaxes(0, 1)
+    eps_l_f = np.einsum("ijk,k...->ij...", oplib._EPSILON, L.value(fld, theta, phi, hbar))
+    assert np.abs(bracket + 1j * hbar * eps_l_f).max() < 1e-13
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        assert np.abs(bracket[i, j]).max() > 0.1  # not vacuous
 
 
-@pytest.mark.parametrize("op", SPHERE_OPERATORS, ids=lambda op: op.name)
-def test_sphere_operator_image_partials_match_differences(op, field_library):
+@pytest.mark.parametrize("component", SPHERE_COMPONENTS, ids=component_id)
+def test_sphere_operator_image_partials_match_differences(component, field_library):
+    op, axis = component
     theta, phi = _random_sphere_points(n=20, seed=5, margin=0.3)
     h = 1e-6
     residuals = []
     for fld in field_library:
         image = op.apply(fld)
-        grad = image.grad(theta, phi)
-        d_theta = (image.value(theta + h, phi) - image.value(theta - h, phi)) / (2 * h)
-        d_phi = (image.value(theta, phi + h) - image.value(theta, phi - h)) / (2 * h)
+        grad = image.partials(theta, phi, 1)[1][:, axis]
+
+        def value(t, p):
+            return image.value(t, p)[axis]
+
+        d_theta = (value(theta + h, phi) - value(theta - h, phi)) / (2 * h)
+        d_phi = (value(theta, phi + h) - value(theta, phi - h)) / (2 * h)
         assert grad.shape == (2,) + theta.shape
         residuals.append(np.abs(grad - np.array([d_theta, d_phi])))
     assert np.max(residuals) < 1e-8

@@ -12,13 +12,15 @@ catch them:
 | `eigenvalue_residual`     | p_z loses its M n term                       |
 | `hermiticity`             | p loses its M n term                         |
 | `confined_sum`            | `thin_shell` drops its normal-geometric part |
+| `sphere_component_match`  | the general-chart p loses its M n term       |
+| `rotation_relation`       | `rotation_matrix` turns the other way        |
+| `angular_momentum`        | `_angular_jet` loses d_theta of its d_phi row |
 
 Dropping M n from p is invisible to `angular_momentum` and
 `rotation_relation` (their residuals stay at 6.7e-15 and 1.2e-15 with that
 fault): -i hbar r^mu d_mu is still a vector operator, so [L_i, p_j] =
 i hbar eps_ijk p_k and the rotation construction of p_x and p_y from p_z
-both still hold.
-Those two identities need other faults.
+both still hold.  Those two identities have faults of their own.
 """
 
 import dataclasses
@@ -80,8 +82,8 @@ def test_amplitude_surface_match_fails_on_one_nan_amplitude(monkeypatch):
 
 
 def test_eigenvalue_residual_fails_without_the_normal_term(monkeypatch):
-    p_z = oplib.SPHERE_MOMENTUM["z"]
-    monkeypatch.setattr(p_z, "jet", without_normal_term(p_z.jet))
+    p = oplib.SPHERE_MOMENTUM
+    monkeypatch.setattr(p, "jet", without_normal_term(p.jet))
     (check,) = checks_of("eigenvalue_residual", 1)
     assert not check.passed and check.residual > 1.0, check  # 5.3
 
@@ -106,3 +108,42 @@ def test_confined_sum_fails_without_the_normal_geometric_part(monkeypatch):
     assert not checks[0].passed and not checks[1].passed
     # the part is n (M - K q3) ..., zero on the plane, where M = K = 0
     assert checks[2].passed
+
+
+def test_sphere_component_match_fails_without_the_general_normal_term(monkeypatch):
+    # the closed form keeps -n; the general path's r^mu d_mu + M n loses M n
+    healthy = oplib._momentum
+
+    def faulty(frame, value, grad, hbar):
+        flat = dataclasses.replace(frame, mean_curvature=0.0 * frame.mean_curvature)
+        return healthy(flat, value, grad, hbar)
+
+    monkeypatch.setattr(oplib, "_momentum", faulty)
+    for check in checks_of("sphere_component_match", 19):  # every library field
+        assert not check.passed and check.residual > 0.1, check  # 0.27 to 2.8
+
+
+def test_rotation_relation_fails_when_the_rotations_turn_the_other_way(monkeypatch):
+    healthy = oplib.rotation_matrix
+    monkeypatch.setattr(oplib, "rotation_matrix", lambda axis, angle: healthy(axis, -angle))
+    for check in checks_of("rotation_relation", 3):
+        assert not check.passed and check.residual > 0.5, check  # up to 2.0
+
+
+def test_angular_momentum_fails_without_a_coefficient_partial(monkeypatch):
+    # d_theta of L's d_phi coefficient, zeroed: the nested images L (p f)
+    # and p (L f) lose a term wherever f depends on phi
+    healthy = oplib._angular_jet
+
+    def faulty(theta, phi, derivatives=True):
+        c, dc = healthy(theta, phi, derivatives)
+        if dc is not None:
+            dc = dc.copy()
+            dc[0, 1] = 0.0
+        return c, dc
+
+    monkeypatch.setattr(oplib, "_angular_jet", faulty)
+    checks = checks_of("angular_momentum", 19)
+    axial = {"Y0+0", "Y1+0", "Y2+0", "Y3+0"}  # m = 0: d_phi f = 0
+    assert {c.field for c in checks if c.passed} == axial
+    assert max(c.residual for c in checks) > 10.0  # 21
