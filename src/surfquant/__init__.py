@@ -55,7 +55,6 @@ from .spectra import (
     legendre_p,
     moments,
     overlap_kernel,
-    parseval_check,
     psi,
     sho_comparison,
     uncertainty_report,

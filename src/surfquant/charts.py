@@ -27,7 +27,7 @@ import numpy as np
 from . import _jets
 from .errors import ChartSingularityError
 
-# Degeneracy threshold relative to the tangent scale, |t1 x t2| < tol * scale.
+# Degeneracy threshold on the unit tangents, |u1 x u2| < tol.
 SINGULARITY_RTOL = 1e-10
 
 # Hard exclusion band around coordinate poles of the sphere chart.
@@ -174,12 +174,14 @@ def _cross(a, b):
 def _regular_cross(chart, q1, q2, t):
     """d1 r x d2 r from the tangents t at (q1, q2); raise where they degenerate.
 
-    Broadcasts over array points.  The test is written so that NaN fails
-    it, and the error names the first failing point in input (C) order.
+    The test is scale-free: it takes the cross product of the unit tangents,
+    normed by hypot, which neither overflows nor underflows where squaring
+    would.  Broadcasts over array points.  The test is written so that NaN
+    fails it, and the error names the first failing point in input (C) order.
     """
     cross = _cross(t[0], t[1])
-    scale = _norm(t[0]) * _norm(t[1])
-    regular = _norm(cross) >= SINGULARITY_RTOL * np.maximum(scale, 1e-300)
+    u1, u2 = (v / np.hypot(np.hypot(v[0], v[1]), v[2]) for v in t)
+    regular = _norm(_cross(u1, u2)) >= SINGULARITY_RTOL
     if not regular.all():
         q1b, q2b = np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float))
         k = int(np.argmin(regular.ravel()))
@@ -207,11 +209,11 @@ def _radical_inverse(index, base):
     return out
 
 
-def interior_points(chart, n, margin_fraction=0.05):
+def interior_points(chart, n):
     """Deterministic quasi-random interior points (Halton sequence).
 
-    Non-periodic axes are inset by margin_fraction of their span (never less
-    than the pole band on the sphere); periodic axes use the full range.
+    Non-periodic axes are inset by 5% of their span (never less than the
+    pole band on the sphere); periodic axes use the full range.
     """
     # Skip index 0, the degenerate first point (0, 0).
     index = np.arange(1, int(n) + 1)
@@ -222,7 +224,7 @@ def interior_points(chart, n, margin_fraction=0.05):
         if chart.periodic[axis]:
             a, b = lo, hi
         else:
-            pad = max(margin_fraction * (hi - lo), POLE_BAND)
+            pad = max(0.05 * (hi - lo), POLE_BAND)
             a, b = lo + pad, hi - pad
         pts[:, axis] = a + (b - a) * u[:, axis]
     return pts

@@ -86,17 +86,14 @@ def map_field(fn, label):
     return ScalarField(label, partials)
 
 
-def constant(c, label=None):
+def constant(c):
     c = complex(c)
-    if label is None:
-        label = f"const({c.real:g}{c.imag:+g}j)" if c.imag else f"const({c.real:g})"
+    label = f"const({c.real:g}{c.imag:+g}j)" if c.imag else f"const({c.real:g})"
     return map_field(lambda q1, q2: c, label)
 
 
-def product(f, g, label=None):
+def product(f, g):
     """Pointwise product with product-rule partials (exact, no differencing)."""
-    if label is None:
-        label = f"({f.label})*({g.label})"
 
     def partials(q1, q2, order):
         a, b = f.partials(q1, q2, order), g.partials(q1, q2, order)
@@ -108,7 +105,7 @@ def product(f, g, label=None):
             out.append(a[2] * b[0] + cross + np.swapaxes(cross, 0, 1) + a[0] * b[2])
         return out
 
-    return ScalarField(label, partials, min(f.order, g.order))
+    return ScalarField(f"({f.label})*({g.label})", partials, min(f.order, g.order))
 
 
 def coordinate_field(chart, axis):
@@ -119,6 +116,14 @@ def coordinate_field(chart, axis):
         raise ValueError("axis must be 0, 1 or 2")
     return map_field(lambda q1, q2: chart._map(q1, q2)[axis],
                      f"x{'xyz'[axis]}@{chart.name}")
+
+
+def _integer(value, name):
+    """value as an int; one that is not a whole number (1.5, NaN, inf) is a
+    ValueError naming it, where int() would truncate it."""
+    if not np.isfinite(value) or value != int(value):
+        raise ValueError(f"{name} must be an integer (got {value!r})")
+    return int(value)
 
 
 def associated_legendre(l, m, x, s=None):
@@ -143,7 +148,7 @@ def spherical_harmonic(l, m):
     with s = sin(theta) and Y_l,-m = (-1)^m conj(Y_lm).  Defined for
     |m| <= l <= MAX_HARMONIC_L.
     """
-    l, m = int(l), int(m)
+    l, m = _integer(l, "l"), _integer(m, "m")
     if abs(m) > l:
         raise ValueError("need |m| <= l")
     if l > MAX_HARMONIC_L:
@@ -167,18 +172,18 @@ def harmonic_library(lmax=3):
     return [spherical_harmonic(l, m) for l in range(lmax + 1) for m in range(-l, l + 1)]
 
 
-def trig_library(count=3, seed=20240501):
+def trig_library(count=3):
     """Deterministic random trigonometric polynomials in (q1, q2).
 
     Each field is a seeded combination of the basis 1, cos q1,
     sin q1 cos q2, sin 2q1 sin q2, cos q1 cos 2q2, sin q1 sin 2q2.  Built
-    once per (count, seed), for 0 <= count <= MAX_TRIG_FIELDS; each call
-    returns a fresh list of the cached fields.
+    once per count, for 0 <= count <= MAX_TRIG_FIELDS; each call returns a
+    fresh list of the cached fields.
     """
     count = int(count)
     if not 0 <= count <= MAX_TRIG_FIELDS:
         raise ValueError(f"need 0 <= trig count <= {MAX_TRIG_FIELDS} (got {count})")
-    return list(_trig_fields(count, int(seed)))
+    return list(_trig_fields(count))
 
 
 def _trig_field(coeffs, label):
@@ -194,8 +199,8 @@ def _trig_field(coeffs, label):
 
 
 @lru_cache(maxsize=None)
-def _trig_fields(count, seed):
-    rng = np.random.default_rng(seed)
+def _trig_fields(count):
+    rng = np.random.default_rng(20240501)
     return tuple(
         _trig_field(rng.uniform(-1.0, 1.0, size=6), f"trig{k}") for k in range(count)
     )
@@ -263,7 +268,7 @@ def _check_pole(theta, margin=POLE_MARGIN):
         raise PoleProximityError(t[np.argmax(near)], margin)
 
 
-def pullback_field(f, matrix, label=None):
+def pullback_field(f, matrix):
     """The field x -> f(A x) on the sphere, with exact first partials.
 
     A is an orthogonal 3x3 matrix; the pullback is evaluated by mapping the
@@ -272,8 +277,6 @@ def pullback_field(f, matrix, label=None):
     are not provided (first-order operators only act on pullbacks here).
     """
     A = np.asarray(matrix, dtype=float)
-    if label is None:
-        label = f"pullback({f.label})"
 
     def partials(theta, phi, order):
         theta, phi = _finite_angles(theta, phi)  # before the rotation hides them
@@ -297,7 +300,7 @@ def pullback_field(f, matrix, label=None):
         value, g = f.partials(tp, pp, 1)
         return [value, jac[:, 0] * g[0] + jac[:, 1] * g[1]]
 
-    return ScalarField(label, partials, 1)
+    return ScalarField(f"pullback({f.label})", partials, 1)
 
 
 def rotation_matrix(axis, angle):

@@ -75,7 +75,6 @@ def _matmul(a, b):
 class GeometryFrame:
     """First- and second-order surface data over a point shape S (last axes)."""
 
-    chart_name: str
     point: tuple  # (q1, q2), floats or arrays of shape S
     position: np.ndarray  # (3,) + S
     tangents: np.ndarray  # (2, 3) + S, rows d_mu r
@@ -101,12 +100,9 @@ class GeometryFrame:
 
 @dataclass(frozen=True)
 class ShellFrame:
-    """Shell metric at normal offset q3 above surface points."""
+    """Shell metric determinant and fold factor at offsets q3 above points."""
 
-    base: GeometryFrame
-    q3: object  # float, or an array broadcasting with the point shape
-    metric3: np.ndarray  # (3, 3) + shape
-    det: object  # determinant of metric3 from its entries
+    det: object  # determinant of the shell metric from its entries
     fold_factor: object  # 1 - 2 M q3 + K q3^2, positive; det = g * fold_factor^2
 
 
@@ -115,7 +111,9 @@ def evaluate_frame(chart, q1, q2):
 
     The chart's map is evaluated once, on jets to second order.  Raises
     ChartSingularityError where the tangents degenerate (for example the
-    poles of the sphere chart), naming the first such point.
+    poles of the sphere chart), and ValueError where sqrt(g), M, K or a
+    metric partial is not finite (a surface scale whose metric overflows
+    or underflows), each naming the first such point.
     """
     return _frame(chart, q1, q2, chart.partials(q1, q2, 2))
 
@@ -123,32 +121,42 @@ def evaluate_frame(chart, q1, q2):
 def _frame(chart, q1, q2, partials):
     """The frame from the chart's partials [r, d r, d d r, ...] at the points."""
     position, tangents, d2 = partials[:3]
-    cross = _regular_cross(chart, q1, q2, tangents)
-    t = tangents
-    g = _contract(t[:, None] * t[None], 2)
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    metric_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
-    sqrt_g = _norm(cross)
-    raised = _matmul(metric_inv, tangents)
-    normal = cross / sqrt_g
-    second_form = _contract(d2 * normal, 2)
-    weingarten = -_mm(metric_inv, second_form)
-    w = weingarten
-    mean_curvature = -0.5 * (w[0, 0] + w[1, 1])
-    gaussian_curvature = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
-    # d_mu g = d2[mu] t^T + t d2[mu]^T, then d_mu g^-1 = -g^-1 (d_mu g) g^-1
-    # and d_mu sqrt(g) = sqrt(g) tr(g^-1 d_mu g) / 2.
-    half = _contract(d2[:, :, None] * t[None, None], 3)
-    dg = half + half.swapaxes(1, 2)
-    ginv_dg = [_mm(metric_inv, dg[m]) for m in range(2)]
-    dginv = -np.array([_mm(p, metric_inv) for p in ginv_dg])
-    dsqrt = 0.5 * sqrt_g * np.array([p[0, 0] + p[1, 1] for p in ginv_dg])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
+        cross = _regular_cross(chart, q1, q2, tangents)
+        t = tangents
+        g = _contract(t[:, None] * t[None], 2)
+        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+        metric_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
+        sqrt_g = _norm(cross)
+        raised = _matmul(metric_inv, tangents)
+        normal = cross / sqrt_g
+        second_form = _contract(d2 * normal, 2)
+        weingarten = -_mm(metric_inv, second_form)
+        w = weingarten
+        mean_curvature = -0.5 * (w[0, 0] + w[1, 1])
+        gaussian_curvature = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
+        # d_mu g = d2[mu] t^T + t d2[mu]^T, then d_mu g^-1 = -g^-1 (d_mu g) g^-1
+        # and d_mu sqrt(g) = sqrt(g) tr(g^-1 d_mu g) / 2.
+        half = _contract(d2[:, :, None] * t[None, None], 3)
+        dg = half + half.swapaxes(1, 2)
+        ginv_dg = [_mm(metric_inv, dg[m]) for m in range(2)]
+        dginv = -np.array([_mm(p, metric_inv) for p in ginv_dg])
+        dsqrt = 0.5 * sqrt_g * np.array([p[0, 0] + p[1, 1] for p in ginv_dg])
+    finite = np.isfinite(dginv).all(axis=(0, 1, 2)) & np.isfinite(dsqrt).all(axis=0)
+    for x in (sqrt_g, mean_curvature, gaussian_curvature):
+        finite &= np.isfinite(x)
     if np.ndim(sqrt_g) == 0:
         point = (float(q1), float(q2))
     else:
         point = tuple(np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float)))
+    if not finite.all():
+        k = int(np.argmin(np.ravel(finite)))
+        bad = tuple(float(np.ravel(q)[k]) for q in point)
+        raise ValueError(
+            f"the {chart.name} chart's frame is not finite at {bad}: its metric or "
+            f"curvatures overflow or underflow the float range"
+        )
     return GeometryFrame(
-        chart_name=chart.name,
         point=point,
         position=position,
         tangents=tangents,
@@ -186,13 +194,14 @@ def geometric_potential(frame, hbar=1.0, mu=1.0):
 
 
 def shell_frame(frame, q3):
-    """Metric of the shell points r + q3 n built on a surface frame.
+    """Shell metric of the points r + q3 n built on a surface frame.
 
     The surface block is (I + q3 alpha) g (I + q3 alpha)^T, the normal
-    row/column vanish and G_33 = 1.  Degenerates (folds) where the fold
-    factor 1 - 2 M q3 + K q3^2 <= 0, i.e. past the focal distance, and a
-    NaN factor (a NaN q3 included) counts as a fold; an infinite q3, and an
-    offset whose fold factor or determinant overflows, is a ValueError.
+    row/column vanish and G_33 = 1, so det is the block's.  Degenerates
+    (folds) where the fold factor 1 - 2 M q3 + K q3^2 <= 0, i.e. past the
+    focal distance, and a NaN factor (a NaN q3 included) counts as a fold;
+    an infinite q3, and an offset whose fold factor or determinant
+    overflows, is a ValueError.
     q3 may be an array that broadcasts with the frame's point shape, with
     any extra axes leading (offsets (K,) on a scalar frame give shape
     (K,)); the first failing entry in C order is reported.
@@ -218,12 +227,7 @@ def shell_frame(frame, q3):
         if folded[k]:
             raise ShellFoldError(q3_k, np.ravel(factor)[k])
         raise ValueError(f"shell offset q3={q3_k} overflows the shell metric")
-    metric3 = np.zeros((3, 3) + shape)
-    metric3[:2, :2] = block
-    metric3[2, 2] = 1.0
-    return ShellFrame(
-        base=frame, q3=q3, metric3=metric3, det=_scalar(det), fold_factor=factor
-    )
+    return ShellFrame(det=_scalar(det), fold_factor=factor)
 
 
 def laplace_beltrami_jets(frame, grad, hess):

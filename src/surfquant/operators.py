@@ -14,11 +14,14 @@ verifies the constrained-quantization commutator identities
 
 pointwise, realizes the thin-shell gradient decomposition whose d -> 0
 limit produces the operator, and measures hermiticity defects by sphere
-quadrature.  The confining limit (r^mu d_mu + M n) psi is i/hbar times the
-geometric momentum _momentum computes, and the shell's fold factor and fold
-test are geometry.shell_frame's.  One array-first function, thin_shell,
-evaluates the decomposition, its Jacobian oracle and the deviation at all
-offsets q3 above a surface point; confinement_slope fits its deviations.
+quadrature.  Everything here is in units hbar = m = 1: both sides of each
+identity scale alike in hbar and m (as hbar, hbar^2 and hbar^2 / m), so
+the units drop no check.  The confining limit (r^mu d_mu + M n) psi is i
+times the geometric momentum _momentum computes, and the shell's fold
+factor and fold test are geometry.shell_frame's.  One array-first
+function, thin_shell, evaluates the decomposition, its Jacobian oracle and
+the deviation at all offsets q3 above a surface point; confinement_slope
+fits its deviations.
 Composed operators are evaluated through derived exact partials
 (product/chain rule), never through nested finite differences.
 
@@ -61,15 +64,15 @@ from .geometry import (
 )
 from .quadrature import sphere_grid
 
-def _momentum(frame, value, grad, hbar):
-    """-i hbar (r^mu d_mu f + M n f) from a field's jets on a frame: the
+def _momentum(frame, value, grad):
+    """-i (r^mu d_mu f + M n f) from a field's jets on a frame: the
     first-order image of the frame's coefficients (r^1, r^2, M n).
 
     value has shape E + S and grad (2,) + E + S, with S the frame's point
     shape and E extra axes; the result is (3,) + E + S.
     """
     c = np.concatenate([frame.raised, (frame.mean_curvature * frame.normal)[None]])
-    return _image(c, value, grad, hbar)
+    return _image(c, value, grad)
 
 
 def _coordinate_products(frame, value, grad, hess=None):
@@ -91,10 +94,10 @@ def _coordinate_products(frame, value, grad, hess=None):
     return xf, xf_grad, xf_hess
 
 
-def apply_geometric_momentum(chart, field, q1, q2, hbar=1.0):
-    """-i hbar (r^mu d_mu f + M n f), complex of shape (3,) + point shape."""
+def apply_geometric_momentum(chart, field, q1, q2):
+    """-i (r^mu d_mu f + M n f), complex of shape (3,) + point shape."""
     frame = evaluate_frame(chart, q1, q2)
-    return _momentum(frame, *field.partials(q1, q2, 1), hbar)
+    return _momentum(frame, *field.partials(q1, q2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +114,7 @@ def apply_geometric_momentum(chart, field, q1, q2, hbar=1.0):
 
 
 def _momentum_jet(theta, phi, derivatives=True):
-    """Coefficients of p / (-i hbar) = e_theta d_theta + (e_phi / sin) d_phi - n
+    """Coefficients of p / (-i) = e_theta d_theta + (e_phi / sin) d_phi - n
     (outward normal, M = -1), shape (3, 3) + S indexed [term, component] for
     the terms (d_theta, d_phi, scalar); with derivatives also their
     partials, (2, 3, 3) + S indexed [d_theta or d_phi, term, component]."""
@@ -125,7 +128,7 @@ def _momentum_jet(theta, phi, derivatives=True):
 
 
 def _angular_jet(theta, phi, derivatives=True):
-    """Coefficients of L / (-i hbar) = e_phi d_theta - (e_theta / sin) d_phi,
+    """Coefficients of L / (-i) = e_phi d_theta - (e_theta / sin) d_phi,
     laid out as in _momentum_jet."""
     st, ct, _, e_t, e_p, e_r = _sphere_basis(theta, phi)
     zero = np.zeros_like(e_p)
@@ -137,8 +140,8 @@ def _angular_jet(theta, phi, derivatives=True):
     return c, np.array([d_theta, d_phi])
 
 
-def _image(c, value, grad, hbar):
-    """-i hbar (c_1 d_1 + c_2 d_2 + c_0) f for all three components.
+def _image(c, value, grad):
+    """-i (c_1 d_1 + c_2 d_2 + c_0) f for all three components.
 
     c holds the coefficient values, (3, 3) + S indexed [term, component];
     value has shape E + S and grad (2,) + E + S, with E extra leading axes,
@@ -146,10 +149,10 @@ def _image(c, value, grad, hbar):
     shapes broadcast.
     """
     c = c[(slice(None),) * 2 + (None,) * (np.ndim(value) - np.ndim(c) + 2)]
-    return -1j * hbar * (c[0] * grad[0] + c[1] * grad[1] + c[2] * value)
+    return -1j * (c[0] * grad[0] + c[1] * grad[1] + c[2] * value)
 
 
-def _image_grad(c, dc, value, grad, hess, hbar):
+def _image_grad(c, dc, value, grad, hess):
     """Partials of _image by the product rule, shape (2, 3) + S."""
     out = (
         dc[:, 0] * grad[0]
@@ -159,11 +162,11 @@ def _image_grad(c, dc, value, grad, hess, hbar):
         + dc[:, 2] * value
         + c[2] * grad[:, None]
     )
-    return -1j * hbar * out
+    return -1j * out
 
 
 class FirstOrderOperator:
-    """A unit-sphere vector operator -i hbar (c_theta d_theta + c_phi d_phi + c_0),
+    """A unit-sphere vector operator -i (c_theta d_theta + c_phi d_phi + c_0),
     all three components at once, whose coefficients
     `jet(theta, phi, derivatives)` gives (_momentum_jet or _angular_jet)."""
 
@@ -171,11 +174,11 @@ class FirstOrderOperator:
         self.name = name
         self.jet = jet
 
-    def value(self, field, theta, phi, hbar=1.0):
+    def value(self, field, theta, phi):
         """The image at the points, (3,) + E + S for a field of value shape E + S."""
-        return self.apply(field, hbar).value(theta, phi)
+        return self.apply(field).value(theta, phi)
 
-    def apply(self, field, hbar=1.0):
+    def apply(self, field):
         """The image as a field with exact first partials: value (3,) + S and
         gradient (2, 3) + S, so a second operator's image of it is
         (3, 3) + S, indexed [outer, inner]."""
@@ -183,9 +186,9 @@ class FirstOrderOperator:
         def partials(theta, phi, order):
             c, dc = self.jet(theta, phi, derivatives=bool(order))
             jets = field.partials(theta, phi, order + 1)
-            out = [_image(c, *jets[:2], hbar)]
+            out = [_image(c, *jets[:2])]
             if order:
-                out.append(_image_grad(c, dc, *jets, hbar))
+                out.append(_image_grad(c, dc, *jets))
             return out
 
         return ScalarField(f"{self.name}({field.label})", partials, 1)
@@ -204,77 +207,79 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPSILON[_i, _k, _j] = -1.0
 
 
-def position_momentum_residuals(chart, field, q1, q2, hbar=1.0):
-    """[x_i, p_j] f - i hbar (delta_ij - n_i n_j) f for all nine pairs.
+def position_momentum_residuals(chart, field, q1, q2):
+    """[x_i, p_j] f - i (delta_ij - n_i n_j) f for all nine pairs.
 
     Complex of shape (3, 3) + point shape, indexed [i, j].  One frame, one
     set of field jets and the frame's own jets of x_i serve every pair.
     """
     frame = evaluate_frame(chart, q1, q2)
-    return _position_momentum(frame, *field.partials(q1, q2, 1), hbar)
+    return _position_momentum(frame, *field.partials(q1, q2, 1))
 
 
-def _position_momentum(frame, f_val, f_grad, hbar=1.0):
+def _position_momentum(frame, f_val, f_grad):
     """position_momentum_residuals on a frame, from the field's jets there."""
-    p_f = _momentum(frame, f_val, f_grad, hbar)  # [j]
+    p_f = _momentum(frame, f_val, f_grad)  # [j]
     xf_val, xf_grad, _ = _coordinate_products(frame, f_val, f_grad)
-    p_xf = _momentum(frame, xf_val, xf_grad, hbar).swapaxes(0, 1)  # [i, j]
+    p_xf = _momentum(frame, xf_val, xf_grad).swapaxes(0, 1)  # [i, j]
     n = frame.normal
     delta = np.eye(3).reshape((3, 3) + (1,) * np.ndim(f_val))
     projector = delta - n[:, None] * n[None, :]
     commutator = frame.position[:, None] * p_f[None, :] - p_xf
-    return commutator - 1j * hbar * projector * f_val
+    return commutator - 1j * projector * f_val
 
 
-def angular_momentum_residuals(field, theta, phi, hbar=1.0):
-    """[L_i, p_j] f - i hbar eps_ijk p_k f on the unit sphere, all nine pairs.
+def angular_momentum_residuals(field, theta, phi):
+    """[L_i, p_j] f - i eps_ijk p_k f on the unit sphere, all nine pairs.
 
     Complex of shape (3, 3) + point shape, indexed [i, j].  The field's jets
     and the coefficient jets of p and L are evaluated once for all pairs.
     """
     return _angular_momentum(
         _momentum_jet(theta, phi), _angular_jet(theta, phi),
-        *field.partials(theta, phi, 2), hbar,
+        *field.partials(theta, phi, 2),
     )
 
 
-def _angular_momentum(p_jet, l_jet, f, g, h, hbar=1.0):
+def _angular_momentum(p_jet, l_jet, f, g, h):
     """angular_momentum_residuals from the coefficient jets of p and L and
     the field's jets at the points."""
     (cp, dcp), (cl, dcl) = p_jet, l_jet
-    p_f, l_f = _image(cp, f, g, hbar), _image(cl, f, g, hbar)
-    l_p_f = _image(cl, p_f, _image_grad(cp, dcp, f, g, h, hbar), hbar)
-    p_l_f = _image(cp, l_f, _image_grad(cl, dcl, f, g, h, hbar), hbar)
+    p_f, l_f = _image(cp, f, g), _image(cl, f, g)
+    l_p_f = _image(cl, p_f, _image_grad(cp, dcp, f, g, h))
+    p_l_f = _image(cp, l_f, _image_grad(cl, dcl, f, g, h))
     eps_p_f = np.einsum("ijk,k...->ij...", _EPSILON, p_f)
     # l_p_f is indexed [i, j] and p_l_f [j, i]
-    return l_p_f - p_l_f.swapaxes(0, 1) - 1j * hbar * eps_p_f
+    return l_p_f - p_l_f.swapaxes(0, 1) - 1j * eps_p_f
 
 
-def commutator_position_kinetic(chart, field, q1, q2, hbar=1.0, mass=1.0):
-    """Componentwise residual of [r, T] f - (i hbar / mass) p f, (3,) + point shape."""
+def commutator_position_kinetic(chart, field, q1, q2):
+    """Componentwise residual of [r, T] f - i p f, (3,) + point shape."""
     frame = evaluate_frame(chart, q1, q2)
-    return _position_kinetic(frame, *field.partials(q1, q2, 2), hbar, mass)
+    return _position_kinetic(frame, *field.partials(q1, q2, 2))
 
 
-def _position_kinetic(frame, f_val, f_grad, f_hess, hbar=1.0, mass=1.0):
+def _position_kinetic(frame, f_val, f_grad, f_hess):
     """commutator_position_kinetic on a frame, from the field's jets there."""
-    scale = -(hbar * hbar) / (2.0 * mass)
-    t_f = scale * laplace_beltrami_jets(frame, f_grad, f_hess)
-    p_f = _momentum(frame, f_val, f_grad, hbar)
+    t_f = -0.5 * laplace_beltrami_jets(frame, f_grad, f_hess)
+    p_f = _momentum(frame, f_val, f_grad)
     _, xf_grad, xf_hess = _coordinate_products(frame, f_val, f_grad, f_hess)
-    t_xf = scale * laplace_beltrami_jets(frame, xf_grad, xf_hess)
+    t_xf = -0.5 * laplace_beltrami_jets(frame, xf_grad, xf_hess)
     commutator = frame.position * t_f - t_xf
-    return commutator - 1j * hbar / mass * p_f
+    return commutator - 1j * p_f
 
 
-def rotation_sample_grid(n_theta=20, n_phi=40, band=1e-3):
-    """Deterministic (theta, phi) grid avoiding pole bands and their images.
+def rotation_sample_grid():
+    """Deterministic (theta, phi) grid, 20 x 40, avoiding pole bands and
+    their images.
 
-    Points whose images under the rotations used by the relation check land
-    within the pole band are dropped, so the pullbacks stay well defined.
+    Points within a band of 1e-3 of a pole, or whose images under the
+    rotations used by the relation check land within it, are dropped, so
+    the pullbacks stay well defined.
     """
-    thetas = np.linspace(band, np.pi - band, n_theta + 2)[1:-1]
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    band = 1e-3
+    thetas = np.linspace(band, np.pi - band, 22)[1:-1]
+    phis = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
     t, p = np.meshgrid(thetas, phis, indexing="ij")
     vec = flib.sphere_point(t, p)
     ok = np.minimum(t, np.pi - t) > band
@@ -284,7 +289,7 @@ def rotation_sample_grid(n_theta=20, n_phi=40, band=1e-3):
     return list(zip(t[ok], p[ok]))
 
 
-def rotation_relation_check(field, sample_points=None, hbar=1.0):
+def rotation_relation_check(field, sample_points=None):
     """Max residual of building p_x and p_y from p_z by rotation.
 
     The identities checked, with rotations acting on fields by active
@@ -302,12 +307,12 @@ def rotation_relation_check(field, sample_points=None, hbar=1.0):
     if len(points) == 0:
         raise ValueError("rotation relation needs at least one sample point")
     theta, phi = points[:, 0], points[:, 1]
-    p_f = SPHERE_MOMENTUM.value(field, theta, phi, hbar)  # once, for both constructions
+    p_f = SPHERE_MOMENTUM.value(field, theta, phi)  # once, for both constructions
     worst = []
     for component, rot in ((0, rotation_matrix("y", np.pi / 2.0)),
                            (1, rotation_matrix("x", -np.pi / 2.0))):
         inner = flib._sphere_angles(np.tensordot(rot.T, flib.sphere_point(theta, phi), axes=1))
-        p_z = SPHERE_MOMENTUM.value(pullback_field(field, rot), *inner, hbar)[2]
+        p_z = SPHERE_MOMENTUM.value(pullback_field(field, rot), *inner)[2]
         worst.append(np.abs(p_f[component] - p_z).max())
     return float(np.max(worst))
 
@@ -359,7 +364,6 @@ class ConfinedGradient:
     tangential: np.ndarray  # r^mu d_mu psi part (shell-raised tangents)
     normal_geometric: np.ndarray  # n (M - K q3) f^{-3/2} chi phi part
     normal_derivative: np.ndarray  # n f^{-1/2} chi dphi/dq3 part
-    point: tuple  # (q1, q2, q3)
 
     def total(self):
         return self.tangential + self.normal_geometric + self.normal_derivative
@@ -407,13 +411,12 @@ def thin_shell(chart, chi, profile, q1, q2, q3):
         tangential=r[0] * ((b11 * d0 - b01 * d1) / f) + r[1] * ((b00 * d1 - b10 * d0) / f),
         normal_geometric=n * shift * f32 * chi_val * phi_val,
         normal_derivative=n * finv * chi_val * phi_der,
-        point=(float(q1), float(q2), q3),
     )
     # the oracle solves J^T grad = (d1 psi, d2 psi, d3 psi), J = [R_1 | R_2 | n]
     jac_t = np.concatenate([B @ frame.tangents, np.broadcast_to(n.T, (len(q3), 1, 3))], 1)
     rhs = np.stack([d0, d1, dpsi_q3], axis=-1)[..., None]
     direct = np.linalg.solve(jac_t, rhs)[..., 0].T
-    limit = 1j * _momentum(frame, psi_val, dpsi_mu, 1.0)
+    limit = 1j * _momentum(frame, psi_val, dpsi_mu)
     gap = parts.tangential + parts.normal_geometric - limit
     return parts, direct, np.sqrt(_contract(gap.real**2 + gap.imag**2, 0))
 
@@ -438,7 +441,7 @@ def confinement_slope(chart, chi, profile, q1, q2, q3_values):
     return float(slope), list(zip(q3.tolist(), deviation.tolist()))
 
 
-def hermiticity_defects(fields, order=64, hbar=1.0):
+def hermiticity_defects(fields, order=64):
     """<f, p_a g> - <p_a f, g> for every axis a and pair (f, g) of `fields`,
     complex of shape (3, F, F) indexed [a, f, g], on the unit sphere.
 
@@ -456,7 +459,7 @@ def hermiticity_defects(fields, order=64, hbar=1.0):
     inner_pf_g = np.empty_like(inner_f_pg)
     for j, (g_val, g_grad) in enumerate(jets):
         for a in range(3):
-            p_g = _image(c[:, a:a + 1], g_val, g_grad, hbar)[0]
+            p_g = _image(c[:, a:a + 1], g_val, g_grad)[0]
             for i, f_val in enumerate(vals):
                 inner_f_pg[a, i, j] = np.sum(w * np.conj(f_val) * p_g)
                 inner_pf_g[a, j, i] = np.sum(w * np.conj(p_g) * f_val)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_PANEL_WIDTH = 2.0
+PANEL_WIDTH = 2.0
 DEFAULT_PANEL_NODES = 32
 
 
@@ -29,10 +29,10 @@ def _leggauss(n):
     return x, w
 
 
-def panel_rule(lo, hi, panel_width=DEFAULT_PANEL_WIDTH, nodes=DEFAULT_PANEL_NODES):
+def panel_rule(lo, hi, nodes=DEFAULT_PANEL_NODES):
     """Nodes and weights of composite Gauss-Legendre panels on [lo, hi].
 
-    The interval is split into ceil((hi-lo)/panel_width) equal panels, each
+    The interval is split into ceil((hi-lo)/PANEL_WIDTH) equal panels, each
     carrying an `nodes`-point Gauss-Legendre rule.  Returns (x, w) as flat
     arrays ordered left to right (deterministic).
     """
@@ -40,7 +40,7 @@ def panel_rule(lo, hi, panel_width=DEFAULT_PANEL_WIDTH, nodes=DEFAULT_PANEL_NODE
     hi = float(hi)
     if hi <= lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    n_panels = max(1, int(np.ceil((hi - lo) / float(panel_width))))
+    n_panels = max(1, int(np.ceil((hi - lo) / PANEL_WIDTH)))
     return _map_panels(np.linspace(lo, hi, n_panels + 1), nodes)
 
 

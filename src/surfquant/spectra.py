@@ -24,7 +24,8 @@ The amplitudes are analytic.  With G_0 = pi sech(pi p/2) and G_1 = p G_0,
 where G_l / G_0 are Meixner-Pollaczek (continuous-Hahn type) polynomials
 (Koekoek, Lesky & Swarttouw, Hypergeometric Orthogonal Polynomials, 2010,
 ch. 9).  amplitude_recurrence evaluates this for 0 <= l <= 64; it is the
-default distribution path and feeds parseval_check and moments.
+default distribution path and feeds moments, whose zeroth is the Parseval
+sum.  Everything here is in units hbar = m = 1.
 
 amplitude_quadrature is the cross-check: composite Gauss-Legendre in q,
 with a direct surface-overlap path (amplitude_surface_overlap) behind it.
@@ -179,7 +180,7 @@ def dirichlet_kernel(dp, L):
 
 
 def _check_order(l):
-    l = int(l)
+    l = flib._integer(l, "l")
     if l < 0 or l > LEGENDRE_MAX_ORDER:
         raise ValueError(f"order {l} outside supported range 0..{LEGENDRE_MAX_ORDER}")
     return l
@@ -223,7 +224,7 @@ def _q_rule(Q, nodes, p_max, l):
     per_panel = max(requested, int(np.ceil(p_max)) + 2)
     if l > 2:
         per_panel += (l + 1) // 2
-    q, w = panel_rule(-Q, Q, panel_width=2.0, nodes=per_panel)
+    q, w = panel_rule(-Q, Q, nodes=per_panel)
     return q.reshape(n_panels, per_panel), w.reshape(n_panels, per_panel)
 
 
@@ -319,36 +320,31 @@ def amplitude_quadrature(l, p, Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8)
     return out.reshape(p_arr.shape)
 
 
-def amplitude_surface_overlap(l, p, Q=20.0, nodes=32):
+def amplitude_surface_overlap(l, p):
     """phi_l(p) as a direct (theta, phi) surface overlap of Y_l0 and psi_p^*.
 
     Cross-check path for amplitude_quadrature: integrates in theta over
     panels graded like the stretched coordinate (constant phase change per
     panel) with psi evaluated through its theta form, and carries the
-    trivial phi circle explicitly.  Truncation at theta = 2 atan(e^{-Q}).
-    A panel spans Q / ceil(Q) <= 1 of q, so the phase turns by up to |p|
-    radians across it; as in _q_rule, a panel takes
-    max(nodes, ceil(|p| Q / (2 ceil(Q))) + 2) nodes for the largest |p|
-    of the call, so an array's rule follows its largest |p| (at the
-    defaults nothing changes for |p| <= 60).  Accepts scalar p (a complex
-    comes back) or array p (an array of its shape, on one theta rule and
-    one set of Y_l0 values).  p is taken in chunks of at most
-    _CHUNK_ELEMENTS phases, so the temporaries stay a few MB however many
-    p there are; a p's sum has the same bits in any chunk.  A non-finite p
-    or |p| above MAX_ABS_P is refused, as by the quadrature, and
-    PoleProximityError is raised when Q puts a theta node within
-    PSI_POLE_MARGIN of a pole.
+    trivial phi circle explicitly, on 40 panels over q in [-20, 20]: its
+    theta nodes stay above 2 atan(e^{-20}) = 4.1e-9, far from
+    PSI_POLE_MARGIN.  A panel spans 1/2 of q, so the phase turns by up to
+    |p| / 2 radians across it; as in _q_rule, a panel takes
+    max(32, ceil(|p| / 2) + 2) nodes for the largest |p| of the call, so
+    an array's rule follows its largest |p| (nothing changes for |p| <= 60).
+    Accepts scalar p (a complex comes back) or array p (an array of its
+    shape, on one theta rule and one set of Y_l0 values).  p is taken in
+    chunks of at most _CHUNK_ELEMENTS phases, so the temporaries stay a few
+    MB however many p there are; a p's sum has the same bits in any chunk.
+    A non-finite p or |p| above MAX_ABS_P is refused, as by the quadrature.
     """
     l = _check_order(l)
     p = np.asarray(p, dtype=float)
     if not np.all(np.abs(p) <= MAX_ABS_P):
         raise ValueError(f"need finite |p| <= {MAX_ABS_P:g} for the quadrature")
-    n_panels = 2 * max(1, int(np.ceil(Q)))
-    per_panel = max(nodes, int(np.ceil(np.abs(p).max(initial=0.0) * Q / n_panels)) + 2)
-    q_edges = np.linspace(-float(Q), float(Q), n_panels + 1)
-    theta_edges = 2.0 * np.arctan(np.exp(q_edges))
+    per_panel = max(32, int(np.ceil(np.abs(p).max(initial=0.0) * 20.0 / 40)) + 2)
+    theta_edges = 2.0 * np.arctan(np.exp(np.linspace(-20.0, 20.0, 41)))
     theta_nodes, w = graded_panel_rule(theta_edges, nodes=per_panel)
-    flib._check_pole(theta_nodes, PSI_POLE_MARGIN)
     weighted = w * flib.spherical_harmonic(l, 0).value(theta_nodes, 0.0)
     sin_theta = np.sin(theta_nodes)
     flat = p.ravel()
@@ -387,31 +383,16 @@ def amplitude_closed(l, p):
     return out
 
 
-def _momentum_rule(p_max, dp):
-    if p_max < 10.0:
-        raise ValueError("need p_max >= 10")
-    if dp > 0.05:
-        raise ValueError("need dp <= 0.05")
-    per_panel = max(32, int(np.ceil(2.0 / dp)))
-    return panel_rule(-p_max, p_max, panel_width=2.0, nodes=per_panel)
-
-
-def parseval_check(l, p_max=16.0, dp=0.05):
-    """Int |phi_l(p)|^2 dp over [-p_max, p_max] from amplitude_recurrence;
-    exactly 1 for a unitary transform of a normalized Y_l0, up to
-    truncation."""
-    p_nodes, w = _momentum_rule(p_max, dp)
-    return float(np.sum(w * np.abs(amplitude_recurrence(l, p_nodes)) ** 2))
-
-
-def moments(l, max_order=2, p_max=16.0, dp=0.05):
+def moments(l, max_order=2):
     """Moments <p^k> of the density |phi_l|^2 (from amplitude_recurrence)
-    for k = 0..max_order.
+    for k = 0..max_order, over |p| <= 16 on width-2 panels of 40 nodes.
 
-    Odd moments vanish by the parity of the density.  For Y_00 the second
-    moment is the zero-point momentum fluctuation 1/3 (hbar = 1).
+    The zeroth is the Parseval sum, exactly 1 for a unitary transform of a
+    normalized Y_l0, up to truncation.  Odd moments vanish by the parity of
+    the density.  For Y_00 the second moment is the zero-point momentum
+    fluctuation 1/3.
     """
-    p_nodes, w = _momentum_rule(p_max, dp)
+    p_nodes, w = panel_rule(-16.0, 16.0, nodes=40)
     density = np.abs(amplitude_recurrence(l, p_nodes)) ** 2
     return [float(np.sum(w * p_nodes**k * density)) for k in range(max_order + 1)]
 
@@ -505,21 +486,23 @@ class UncertaintyReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def uncertainty_report(l, m=0, order=96, p_max=16.0, dp=0.05):
-    l = int(l)
+def uncertainty_report(l, m=0):
+    """Spreads of Y_lm on a 96-point sphere grid and of |phi_l|^2 (see
+    moments); for l <= 8 and m = 0 only."""
+    l, m = flib._integer(l, "l"), flib._integer(m, "m")
     if l > 8:
         raise ValueError("supported for l <= 8")
     if m != 0:
         # the momentum moments are those of phi_l, the amplitudes of Y_l0
         raise ValueError(f"momentum amplitudes exist for m = 0 only (got m = {m})")
     ylm = flib.spherical_harmonic(l, m)
-    theta, phi, w = sphere_grid(order)
+    theta, phi, w = sphere_grid(96)
     weight = w * np.abs(ylm.value(theta, phi)) ** 2
     st = np.sin(theta)
     xyz = (st * np.cos(phi), st * np.sin(phi), np.cos(theta) * np.ones_like(phi))
     pos_mean = tuple(float(np.sum(weight * c)) for c in xyz)
     pos_second = tuple(float(np.sum(weight * c * c)) for c in xyz)
-    mom = moments(l, max_order=2, p_max=p_max, dp=dp)
+    mom = moments(l, max_order=2)
     dp_z = np.sqrt(mom[2] - mom[1] ** 2)
     products = {}
     axes = ("x", "y", "z") if l == 0 else ("z",)
@@ -529,7 +512,7 @@ def uncertainty_report(l, m=0, order=96, p_max=16.0, dp=0.05):
         products[axis] = float(dx * dp_z)
     return UncertaintyReport(
         l=l,
-        m=int(m),
+        m=m,
         position_mean=pos_mean,
         position_second=pos_second,
         momentum_mean=mom[1],

@@ -269,8 +269,8 @@ def commutator_suite(options):
                 res = oplib._angular_momentum(p_jet, l_jet, f_val, f_grad, f_hess)
                 checks.append((sphere_out, "angular_momentum", np.abs(res).max(axis=(0, 1))))
             if chart.name == "sphere" and options.wants("sphere_component_match"):
-                closed = oplib._image(p_jet[0], f_val, f_grad, 1.0)
-                res = closed - oplib._momentum(frame, f_val, f_grad, 1.0)
+                closed = oplib._image(p_jet[0], f_val, f_grad)
+                res = closed - oplib._momentum(frame, f_val, f_grad)
                 checks.append((sphere_out, "sphere_component_match", np.abs(res).max(axis=0)))
             for row, fld in enumerate(block):
                 for entries, name, res in checks:
@@ -307,7 +307,7 @@ def hermiticity_suite(options):
         flib.spherical_harmonic(2, 0),
     ]
     pairs = [(f.label, g.label) for f in pool for g in pool]
-    defects = np.abs(oplib.hermiticity_defects(pool, options.hermiticity_order, 1.0))
+    defects = np.abs(oplib.hermiticity_defects(pool, options.hermiticity_order))
     for axis, defect in zip(("x", "y", "z"), defects):
         r, (f, g) = _worst(defect, pairs)
         label = f"p_{axis}:{f},{g}"
@@ -456,7 +456,7 @@ def spectra_suite(options):
                     None,
                     f"l={l}",
                     None,
-                    abs(splib.parseval_check(l) - 1.0),
+                    abs(splib.moments(l, 0)[0] - 1.0),
                 )
             )
     if options.wants("moment_second"):

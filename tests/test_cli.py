@@ -728,6 +728,26 @@ def test_an_overflowing_geometric_potential_is_a_config_error(option, value, cap
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, point", [
+    # was seven RuntimeWarnings, then a shell-fold error with factor nan, exit 4
+    (["confine", "--surface", "sphere", "--radius", "1e200"], (1.0, 0.5)),
+    # was three RuntimeWarnings, then "the geometric potential overflows"
+    (["geom", "--surface", "sphere", "--radius", "1e100", "--point", "1,1"], (1.0, 1.0)),
+    # was a tangent degeneracy at a regular point: the cross product underflowed
+    (["geom", "--surface", "sphere", "--radius", "1e-100", "--point", "1,1"], (1.0, 1.0)),
+    (["geom", "--surface", "sphere", "--radius", "1e-200", "--point", "1,1"], (1.0, 1.0)),
+])
+def test_a_frame_past_the_float_range_is_a_config_error(command, point, capsys):
+    code = run(command)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: config: the sphere chart's frame is not finite at {point}: its "
+        "metric or curvatures overflow or underflow the float range\n"
+    )
+
+
 def test_confine_past_the_float_range_of_the_profile_is_silent(capsys):
     # q3^2 overflows in the Gaussian profile, which is 0.0 there
     assert run(["confine", "--surface", "plane", "--q3", "1e300,1e301"]) == 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -41,6 +43,22 @@ def test_spherical_harmonic_values_match_scipy():
             ours = ylm.value(theta, phi)
             ref = complex(sph_harm_y(l, m, theta, phi))
             assert abs(ours - ref) < 1e-12
+
+
+@pytest.mark.parametrize("l, m, name, bad", [
+    (1.9, 0.2, "l", 1.9),  # was Y1+0, truncated
+    (2, 0.5, "m", 0.5),
+    (1.5, 1, "l", 1.5),
+    (np.nan, 0, "l", np.nan),  # was numpy's "cannot convert float NaN to integer"
+    (2, np.inf, "m", np.inf),
+])
+def test_spherical_harmonic_refuses_non_integer_orders(l, m, name, bad):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer (got {bad!r})")):
+        flib.spherical_harmonic(l, m)
+
+
+def test_spherical_harmonic_takes_whole_floats():
+    assert flib.spherical_harmonic(2.0, -1.0).label == "Y2-1"
 
 
 def test_y11_explicit_form():

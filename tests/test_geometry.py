@@ -5,7 +5,7 @@ import pytest
 
 from surfquant import charts as chlib
 from surfquant import fields as flib
-from surfquant.errors import ShellFoldError
+from surfquant.errors import ChartSingularityError, ShellFoldError
 from surfquant.geometry import (
     curvature_gradients,
     evaluate_frame,
@@ -136,10 +136,9 @@ def test_shell_frame_zero_offset(builtin_charts):
         q1, q2 = chart_points(chart, 3)[1]
         fr = evaluate_frame(chart, q1, q2)
         sf = shell_frame(fr, 0.0)
-        assert np.abs(sf.metric3[:2, :2] - fr.metric).max() == 0.0
-        assert sf.metric3[2, 2] == 1.0
-        assert np.abs(sf.metric3[2, :2]).max() == 0.0
-        assert np.abs(sf.metric3[:2, 2]).max() == 0.0
+        assert sf.fold_factor == 1.0
+        g = fr.metric
+        assert sf.det == g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
         assert abs(sf.det - fr.sqrt_g**2) < 1e-12 * max(1.0, fr.sqrt_g**2)
 
 
@@ -165,7 +164,7 @@ def test_shell_plane_is_offset_invariant():
     fr = evaluate_frame(chlib.plane(), 0.2, -0.4)
     for q3 in (0.0, 0.5, 5.0):
         sf = shell_frame(fr, q3)
-        assert np.abs(sf.metric3[:2, :2] - fr.metric).max() == 0.0
+        assert sf.det == fr.sqrt_g**2 == 1.0 and sf.fold_factor == 1.0
 
 
 @pytest.mark.parametrize("q3, error", [(np.nan, ShellFoldError), (np.inf, ValueError),
@@ -198,6 +197,32 @@ def test_shell_frame_keeps_a_far_plane_offset():
     fr = evaluate_frame(chlib.plane(), 0.2, -0.4)
     sf = shell_frame(fr, np.array([1e300, -1e300]))
     assert sf.fold_factor.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_from_map_frame_that_overflows_is_refused():
+    # a finite map whose tangents are finite but whose metric overflows at
+    # the second point: refused there, with no RuntimeWarning
+    steep = chlib.from_map(lambda u, v: [u, v, np.exp(u)], ((0.0, 800.0), (0.0, 1.0)),
+                           name="steep")
+    assert evaluate_frame(steep, 1.0, 0.5).sqrt_g > 0.0
+    q1, q2 = np.array([1.0, 500.0, 600.0]), np.array([0.5, 0.25, 0.5])
+    with pytest.raises(ValueError, match=re.escape(
+            "the steep chart's frame is not finite at (500.0, 0.25)")):
+        evaluate_frame(steep, q1, q2)
+    with pytest.raises(ValueError, match="steep chart's frame is not finite"):
+        curvature_gradients(steep, 500.0, 0.25)
+
+
+@pytest.mark.parametrize("scale", [1e-60, 1e-20, 1e20, 1e60])
+def test_the_degeneracy_test_is_scale_free(scale):
+    # a plane scaled by any factor whose frame is finite is regular, and
+    # its pole-like collapse is a degeneracy at every scale
+    plane = chlib.from_map(lambda u, v: [scale * u, scale * u * v, 0.0],
+                           ((-1.0, 1.0), (-1.0, 1.0)), name="fan")
+    assert evaluate_frame(plane, 0.5, 0.3).normal.tolist() == [0.0, 0.0, 1.0]
+    with pytest.raises(ChartSingularityError, match="tangent degeneracy"):
+        evaluate_frame(plane, 0.0, 0.3)
 
 
 def test_geometric_potential_refuses_an_overflow():
@@ -325,12 +350,11 @@ def test_shell_frame_offset_axes_match_single_offsets():
     single = [shell_frame(fr, q) for q in q3]
     assert np.array_equal(sf.det, [s.det for s in single])
     assert np.array_equal(sf.fold_factor, [s.fold_factor for s in single])
-    assert np.array_equal(sf.metric3, np.stack([s.metric3 for s in single], axis=-1))
     q1, q2 = np.array([0.8, 1.3]), np.array([2.0, 0.4])
     sf = shell_frame(evaluate_frame(torus, q1, q2), q3[:, None])
-    assert sf.det.shape == (3, 2) and sf.metric3.shape == (3, 3, 3, 2)
+    assert sf.det.shape == sf.fold_factor.shape == (3, 2)
     for k, q in enumerate(q3):
         for m in range(2):
             one = shell_frame(evaluate_frame(torus, q1[m], q2[m]), q)
             assert sf.det[k, m] == one.det
-            assert np.array_equal(sf.metric3[:, :, k, m], one.metric3)
+            assert sf.fold_factor[k, m] == one.fold_factor

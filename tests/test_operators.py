@@ -22,15 +22,15 @@ def cos_theta_field():
 
 
 def test_momentum_of_constant_on_sphere():
-    # tangential part vanishes; -i hbar M n with M = -1 gives +i hbar n
+    # tangential part vanishes; -i M n with M = -1 gives +i n
     sphere = chlib.sphere()
     one = flib.constant(1.0)
     theta, phi = 1.2, 0.4
-    p = oplib.apply_geometric_momentum(sphere, one, theta, phi, hbar=2.0)
+    p = oplib.apply_geometric_momentum(sphere, one, theta, phi)
     n = np.array(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
     )
-    assert np.abs(p - 2.0j * n).max() < 1e-14
+    assert np.abs(p - 1j * n).max() < 1e-14
 
 
 def test_momentum_of_plane_wave_on_plane():
@@ -92,14 +92,6 @@ def test_momentum_chart_singularity_error():
 def test_angular_commutator_pole_error():
     with pytest.raises(PoleProximityError):
         oplib.angular_momentum_residuals(flib.constant(1.0), 1e-10, 0.0)
-
-
-def test_momentum_scales_with_hbar():
-    sphere = chlib.sphere()
-    fld = flib.spherical_harmonic(1, 0)
-    a = oplib.apply_geometric_momentum(sphere, fld, 1.0, 0.5, hbar=1.0)
-    b = oplib.apply_geometric_momentum(sphere, fld, 1.0, 0.5, hbar=3.0)
-    assert np.abs(b - 3.0 * a).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +377,6 @@ def test_thin_shell_offsets_match_single_offsets(name, builtin_charts):
         one, one_direct, one_deviation = oplib.thin_shell(chart, chi, profile, q1, q2, [q3])
         for part in ("tangential", "normal_geometric", "normal_derivative"):
             assert np.array_equal(getattr(one, part)[:, 0], getattr(parts, part)[:, k])
-        assert one.point[:2] == (q1, q2) and one.point[2].tolist() == [q3]
         assert np.array_equal(one_direct[:, 0], direct[:, k])
         assert one_deviation.tolist() == [deviation[k]]
 
@@ -452,10 +443,11 @@ def test_hermiticity_defect_constant_antisymmetry():
 # ---------------------------------------------------------------------------
 
 
-def _loop_rotation_sample_grid(n_theta=20, n_phi=40, band=1e-3):
+def _loop_rotation_sample_grid():
     """Point-by-point reference for rotation_sample_grid."""
-    thetas = np.linspace(band, np.pi - band, n_theta + 2)[1:-1]
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    band = 1e-3
+    thetas = np.linspace(band, np.pi - band, 22)[1:-1]
+    phis = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
     rotations = [
         flib.rotation_matrix("y", -np.pi / 2.0),
         flib.rotation_matrix("x", np.pi / 2.0),
@@ -473,10 +465,9 @@ def _loop_rotation_sample_grid(n_theta=20, n_phi=40, band=1e-3):
     return points
 
 
-@pytest.mark.parametrize("args", [(), (7, 13, 0.2), (50, 80, 1e-3)])
-def test_rotation_grid_matches_point_loop(args):
-    grid = oplib.rotation_sample_grid(*args)
-    reference = _loop_rotation_sample_grid(*args)
+def test_rotation_grid_matches_point_loop():
+    grid = oplib.rotation_sample_grid()
+    reference = _loop_rotation_sample_grid()
     assert len(grid) == len(reference)
     assert np.array_equal(np.array(grid), np.array(reference))
 
@@ -515,17 +506,16 @@ def _random_sphere_points(n=50, seed=11, margin=0.05):
 
 @pytest.mark.parametrize("lm", [(2, 1), (3, -2)])
 def test_sphere_momentum_dirac_bracket(lm):
-    # [p_i, p_j] f = -i hbar eps_ijk L_k f from one nested image, the whole
+    # [p_i, p_j] f = -i eps_ijk L_k f from one nested image, the whole
     # tensor p_i (p_j f) of shape (3, 3) + S indexed [i, j]
     fld = flib.spherical_harmonic(*lm)
     theta, phi = _random_sphere_points()
-    hbar = 1.0
     p, L = oplib.SPHERE_MOMENTUM, oplib.SPHERE_ANGULAR
-    p_p_f = p.value(p.apply(fld, hbar), theta, phi, hbar)
+    p_p_f = p.value(p.apply(fld), theta, phi)
     assert p_p_f.shape == (3, 3) + theta.shape
     bracket = p_p_f - p_p_f.swapaxes(0, 1)
-    eps_l_f = np.einsum("ijk,k...->ij...", oplib._EPSILON, L.value(fld, theta, phi, hbar))
-    assert np.abs(bracket + 1j * hbar * eps_l_f).max() < 1e-13
+    eps_l_f = np.einsum("ijk,k...->ij...", oplib._EPSILON, L.value(fld, theta, phi))
+    assert np.abs(bracket + 1j * eps_l_f).max() < 1e-13
     for i, j in ((0, 1), (1, 2), (2, 0)):
         assert np.abs(bracket[i, j]).max() > 0.1  # not vacuous
 

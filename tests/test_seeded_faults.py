@@ -15,12 +15,18 @@ catch them:
 | `sphere_component_match`  | the general-chart p loses its M n term       |
 | `rotation_relation`       | `rotation_matrix` turns the other way        |
 | `angular_momentum`        | `_angular_jet` loses d_theta of its d_phi row |
+| `parseval`                | `amplitude_recurrence` times sqrt((2l+1)/4pi) |
+| `moment_second`           | the same                                     |
+| `uncertainty_product`     | the same                                     |
+| `position_kinetic`        | `laplace_beltrami_jets` doubled              |
 
 Dropping M n from p is invisible to `angular_momentum` and
 `rotation_relation` (their residuals stay at 6.7e-15 and 1.2e-15 with that
 fault): -i hbar r^mu d_mu is still a vector operator, so [L_i, p_j] =
 i hbar eps_ijk p_k and the rotation construction of p_x and p_y from p_z
-both still hold.  Those two identities have faults of their own.
+both still hold.  Those two identities have faults of their own.  Nor
+does shifting the amplitudes from l to l + 1 make a `parseval` fault:
+every l has norm 1.
 """
 
 import dataclasses
@@ -114,9 +120,9 @@ def test_sphere_component_match_fails_without_the_general_normal_term(monkeypatc
     # the closed form keeps -n; the general path's r^mu d_mu + M n loses M n
     healthy = oplib._momentum
 
-    def faulty(frame, value, grad, hbar):
+    def faulty(frame, value, grad):
         flat = dataclasses.replace(frame, mean_curvature=0.0 * frame.mean_curvature)
-        return healthy(flat, value, grad, hbar)
+        return healthy(flat, value, grad)
 
     monkeypatch.setattr(oplib, "_momentum", faulty)
     for check in checks_of("sphere_component_match", 19):  # every library field
@@ -147,3 +153,30 @@ def test_angular_momentum_fails_without_a_coefficient_partial(monkeypatch):
     axial = {"Y0+0", "Y1+0", "Y2+0", "Y3+0"}  # m = 0: d_phi f = 0
     assert {c.field for c in checks if c.passed} == axial
     assert max(c.residual for c in checks) > 10.0  # 21
+
+
+def test_the_momentum_moments_fail_on_an_unnormalised_amplitude(monkeypatch):
+    # phi_l times sqrt((2l+1)/4 pi), the Y_l0 normalisation applied twice
+    healthy = splib.amplitude_recurrence
+
+    def faulty(l, p):
+        return np.sqrt((2 * l + 1) / (4.0 * np.pi)) * healthy(l, p)
+
+    monkeypatch.setattr(splib, "amplitude_recurrence", faulty)
+    for check in checks_of("parseval", 9):  # l = 0..8
+        assert not check.passed and check.residual > 0.03, check  # 0.0345 to 0.92
+    (check,) = checks_of("moment_second", 1)
+    assert not check.passed and check.residual > 0.3, check  # 0.307
+    (check,) = checks_of("uncertainty_product", 1)
+    assert not check.passed and check.residual > 0.2, check  # 0.239
+
+
+def test_position_kinetic_fails_on_a_doubled_laplacian(monkeypatch):
+    # T = -Lap / 2 twice over; only Y_00 on the plane, where p f and both
+    # Laplacians vanish, still passes
+    healthy = oplib.laplace_beltrami_jets
+    monkeypatch.setattr(oplib, "laplace_beltrami_jets",
+                        lambda frame, grad, hess: 2.0 * healthy(frame, grad, hess))
+    checks = checks_of("position_kinetic", 76)  # 19 library fields on 4 charts
+    assert [(c.chart, c.field) for c in checks if c.passed] == [("plane", "Y0+0")]
+    assert min(c.residual for c in checks if not c.passed) > 0.1  # 0.141

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -93,12 +94,6 @@ def test_eigenvalue_relation_random_samples():
     assert np.max(residuals) < 1e-10
 
 
-def test_eigenvalue_relation_scales_with_hbar():
-    eig = splib.eigenfunction_field(2.0)
-    applied = oplib.SPHERE_MOMENTUM.value(eig, 1.1, 0.0, hbar=3.0)[2]
-    assert abs(applied - 3.0 * 2.0 * splib.psi(2.0, 1.1)) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # delta normalization (Dirichlet kernel)
 # ---------------------------------------------------------------------------
@@ -190,6 +185,36 @@ def test_legendre_order_range():
         splib.legendre_p(65, 0.5)
     with pytest.raises(ValueError):
         splib.legendre_p(-1, 0.5)
+
+
+L_ENTRIES = {
+    "amplitude_recurrence": lambda l: splib.amplitude_recurrence(l, 0.3),
+    "amplitude_quadrature": lambda l: splib.amplitude_quadrature(l, 0.3),
+    "amplitude_surface_overlap": lambda l: splib.amplitude_surface_overlap(l, 0.3),
+    "legendre_p": lambda l: splib.legendre_p(l, 0.4),
+    "moments": lambda l: splib.moments(l, 0),
+    "uncertainty_report": lambda l: splib.uncertainty_report(l),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(L_ENTRIES))
+@pytest.mark.parametrize("l", [1.5, 2.7, -0.5, np.nan, np.inf])
+def test_a_non_integer_l_is_refused_not_truncated(entry, l):
+    # 1.5 and 2.7 were truncated to 1 and 2, and NaN raised numpy's
+    # "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=re.escape(f"l must be an integer (got {l!r})")):
+        L_ENTRIES[entry](l)
+
+
+@pytest.mark.parametrize("entry", sorted(L_ENTRIES))
+def test_a_whole_float_l_is_its_integer(entry):
+    assert np.array_equal(L_ENTRIES[entry](2.0), L_ENTRIES[entry](2))
+
+
+@pytest.mark.parametrize("m", [0.5, -0.2, np.nan])
+def test_uncertainty_report_refuses_a_non_integer_m(m):
+    with pytest.raises(ValueError, match=re.escape(f"m must be an integer (got {m!r})")):
+        splib.uncertainty_report(1, m)
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +314,6 @@ def test_amplitude_surface_overlap_memory_does_not_grow_with_the_p_count():
     finally:
         tracemalloc.stop()
     assert peak <= 12e6
-
-
-def test_amplitude_surface_overlap_keeps_the_pole_check():
-    # Q = 30 puts the outermost theta nodes within PSI_POLE_MARGIN of a pole
-    for p in (0.5, np.linspace(-4.0, 4.0, 9)):
-        with pytest.raises(PoleProximityError):
-            splib.amplitude_surface_overlap(0, p, Q=30.0)
 
 
 def test_amplitude_surface_overlap_rejects_unresolvable_p():
@@ -527,33 +545,22 @@ def test_recurrence_shapes_parity_and_refusals():
 
 
 def test_parseval_low_l_tight():
-    # analytic check for l = 0: integral of (pi/4) sech^2(pi p/2) is 1
-    assert abs(splib.parseval_check(0) - 1.0) < 1e-6
-    assert abs(splib.parseval_check(1) - 1.0) < 1e-6
+    # analytic check for l = 0: integral of (pi/4) sech^2(pi p/2) is 1; the
+    # Parseval sum is the zeroth moment
+    assert abs(splib.moments(0, 0)[0] - 1.0) < 1e-6
+    assert abs(splib.moments(1, 0)[0] - 1.0) < 1e-6
 
 
 @pytest.mark.parametrize("l", list(range(9)))
 def test_parseval_all_l(l):
-    assert abs(splib.parseval_check(l) - 1.0) < 1e-5
-
-
-def test_parseval_preconditions():
-    with pytest.raises(ValueError):
-        splib.parseval_check(0, p_max=5.0)
-    with pytest.raises(ValueError):
-        splib.parseval_check(0, dp=0.2)
+    assert abs(splib.moments(l, 0)[0] - 1.0) < 1e-5
 
 
 def test_moments_ground_state():
     mom = splib.moments(0, max_order=2)
     assert abs(mom[0] - 1.0) < 1e-6  # zeroth moment is the Parseval sum
     assert abs(mom[1]) < 1e-12  # odd moment vanishes by parity
-    assert abs(mom[2] - 1.0 / 3.0) < 1e-8  # zero-point fluctuation hbar^2/3
-
-
-def test_moments_l1_zeroth_equals_parseval():
-    mom = splib.moments(1, max_order=0)
-    assert abs(mom[0] - splib.parseval_check(1)) < 1e-12
+    assert abs(mom[2] - 1.0 / 3.0) < 1e-8  # zero-point fluctuation 1/3
 
 
 def test_uncertainty_report_ground_state():
