@@ -20,9 +20,11 @@ same layout the charts and geometry frames use.  A scalar point gives a
 Python complex value and (2,) / (2, 2) arrays.  A field may carry extra
 value axes E before the point axes: the value is then E + S and the
 gradient (2,) + E + S.  The unit-sphere operator images of `operators`
-are such fields, with E = (3,) for the vector component.
+are such fields, with E = (3,) for the vector component, and so is a
+block of F library fields (library_blocks), with E = (F,).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -126,49 +128,109 @@ def _integer(value, name):
     return int(value)
 
 
-def associated_legendre(l, m, x, s=None):
-    """P_l^m(x) with the Condon-Shortley phase, 0 <= m <= l, stable on [-1, 1].
+def _legendre_ladder(m, x, s):
+    """P_m^m, P_{m+1}^m, P_{m+2}^m, ... with the Condon-Shortley phase.
 
     Upward in l (Abramowitz & Stegun 8.5.3), (k - m + 1) P_{k+1}^m =
     (2k+1) x P_k^m - (k+m) P_{k-1}^m, from P_{m-1}^m = 0 and P_m^m =
     (-1)^m (2m-1)!! s^m with s = sqrt(1 - x^2) passed in (read for m > 0
-    only).  Elementwise, so x and s may be Taylor jets.
+    only); each rung is computed when it is asked for.  Elementwise, so x
+    and s may be Taylor jets.
     """
     p_prev, p = 0.0, (-1) ** m * math.prod(range(1, 2 * m, 2)) * s ** m if m else x ** 0
-    for k in range(m, l):
+    for k in itertools.count(m):
+        yield p
         p_prev, p = p, ((2 * k + 1) * x * p - (k + m) * p_prev) / (k - m + 1)
-    return p
+
+
+def associated_legendre(l, m, x, s=None):
+    """P_l^m(x) with the Condon-Shortley phase, 0 <= m <= l, stable on [-1, 1]:
+    rung l of _legendre_ladder(m, x, s)."""
+    return next(itertools.islice(_legendre_ladder(m, x, s), l - m, None))
+
+
+def _ylm_norm(l, m):
+    """N_l|m|, negated for odd m < 0, so that Y_lm = norm P_l^|m| e^{i m phi}."""
+    a = abs(m)
+    norm = math.sqrt((2 * l + 1) / (4.0 * math.pi)
+                     * math.factorial(l - a) / math.factorial(l + a))
+    return -norm if m < 0 and a % 2 else norm
+
+
+def _library_values(rows, q1, q2):
+    """[the value of each row's field] at (q1, q2), for library rows: (l, m)
+    for Y_lm at theta = q1, phi = q2, or the six coefficients of a trig field.
+
+    cos q1 and sin q1, each exp(i m q2) and the trig basis are taken once,
+    and each |m| ladder's recurrence runs once, up to the highest l it
+    serves; one rung serves Y_l,+m and Y_l,-m.  A row's arithmetic does not
+    depend on the other rows, so a field evaluated alone and in a block
+    agree bit for bit.
+    """
+    ladders, trig = {}, []  # |m| -> {l: [(row index, m)]}; [(row index, coefficients)]
+    for i, row in enumerate(rows):
+        if len(row) == 2:
+            l, m = row
+            ladders.setdefault(abs(m), {}).setdefault(l, []).append((i, m))
+        else:
+            trig.append((i, row))
+    out = [None] * len(rows)
+    x = np.cos(q1)
+    s = np.sin(q1) if trig or any(ladders) else None
+    phases = {}
+    for a, rungs in ladders.items():
+        for l, p in zip(range(a, max(rungs) + 1), _legendre_ladder(a, x, s)):
+            for i, m in rungs.get(l, ()):
+                y = _ylm_norm(l, m) * p
+                if m and m not in phases:
+                    phases[m] = np.exp(1j * m * q2)
+                out[i] = y * phases[m] if m else y
+    if trig:
+        st, ct, cp = s, x, np.cos(q2)
+        s2t, sp, c2p, s2p = np.sin(2 * q1), np.sin(q2), np.cos(2 * q2), np.sin(2 * q2)
+        for i, (c0, c1, c2, c3, c4, c5) in trig:
+            out[i] = (c0 + c1 * ct + c2 * st * cp + c3 * s2t * sp
+                      + c4 * ct * c2p + c5 * st * s2p)
+    return out
+
+
+def _row_field(row, label):
+    """The field of one library row (see _library_values)."""
+    return map_field(lambda q1, q2: _library_values([row], q1, q2)[0], label)
 
 
 @lru_cache(maxsize=None)
 def spherical_harmonic(l, m):
     """Orthonormal Y_lm(theta, phi) with the Condon-Shortley phase.
 
-    Y_lm = N_lm P_l^|m|(cos theta) e^{i m phi} from associated_legendre,
-    with s = sin(theta) and Y_l,-m = (-1)^m conj(Y_lm).  Defined for
-    |m| <= l <= MAX_HARMONIC_L.
+    Y_lm = N_lm P_l^|m|(cos theta) e^{i m phi} from associated_legendre's
+    recurrence, with s = sin(theta) and Y_l,-m = (-1)^m conj(Y_lm).
+    Defined for |m| <= l <= MAX_HARMONIC_L.
     """
     l, m = _integer(l, "l"), _integer(m, "m")
     if abs(m) > l:
         raise ValueError("need |m| <= l")
     if l > MAX_HARMONIC_L:
         raise ValueError(f"Y_lm is limited to l <= {MAX_HARMONIC_L} (got l = {l})")
-    a = abs(m)
-    norm = math.sqrt((2 * l + 1) / (4.0 * math.pi)
-                     * math.factorial(l - a) / math.factorial(l + a))
-    if m < 0 and a % 2:
-        norm = -norm
+    return _row_field((l, m), f"Y{l}{m:+d}")
 
-    def ylm(theta, phi):
-        out = norm * associated_legendre(l, a, np.cos(theta), np.sin(theta) if a else None)
-        return out * np.exp(1j * m * phi) if m else out
 
-    return map_field(ylm, f"Y{l}{m:+d}")
+def _lmax(lmax):
+    lmax = _integer(lmax, "lmax")
+    if lmax > MAX_HARMONIC_L:  # refused before any field is built
+        raise ValueError(f"Y_lm is limited to l <= {MAX_HARMONIC_L} (got lmax = {lmax})")
+    return lmax
+
+
+def _trig_count(count):
+    count = _integer(count, "trig count")
+    if not 0 <= count <= MAX_TRIG_FIELDS:
+        raise ValueError(f"need 0 <= trig count <= {MAX_TRIG_FIELDS} (got {count})")
+    return count
 
 
 def harmonic_library(lmax=3):
-    if int(lmax) > MAX_HARMONIC_L:  # refused before any field is built
-        raise ValueError(f"Y_lm is limited to l <= {MAX_HARMONIC_L} (got lmax = {lmax})")
+    lmax = _lmax(lmax)
     return [spherical_harmonic(l, m) for l in range(lmax + 1) for m in range(-l, l + 1)]
 
 
@@ -180,35 +242,57 @@ def trig_library(count=3):
     once per count, for 0 <= count <= MAX_TRIG_FIELDS; each call returns a
     fresh list of the cached fields.
     """
-    count = int(count)
-    if not 0 <= count <= MAX_TRIG_FIELDS:
-        raise ValueError(f"need 0 <= trig count <= {MAX_TRIG_FIELDS} (got {count})")
-    return list(_trig_fields(count))
+    return list(_trig_fields(_trig_count(count)))
 
 
-def _trig_field(coeffs, label):
-    """sum_k coeffs[k] * basis_k for the trig_library basis."""
-    c0, c1, c2, c3, c4, c5 = (float(c) for c in coeffs)
-
-    def trig(q1, q2):
-        st, ct, cp = np.sin(q1), np.cos(q1), np.cos(q2)
-        return (c0 + c1 * ct + c2 * st * cp + c3 * np.sin(2 * q1) * np.sin(q2)
-                + c4 * ct * np.cos(2 * q2) + c5 * st * np.sin(2 * q2))
-
-    return map_field(trig, label)
+def _trig_coefficients(count):
+    """The six basis coefficients of each of trig_library(count)'s fields."""
+    rng = np.random.default_rng(20240501)
+    return [tuple(float(c) for c in rng.uniform(-1.0, 1.0, size=6)) for _ in range(count)]
 
 
 @lru_cache(maxsize=None)
 def _trig_fields(count):
-    rng = np.random.default_rng(20240501)
-    return tuple(
-        _trig_field(rng.uniform(-1.0, 1.0, size=6), f"trig{k}") for k in range(count)
-    )
+    return tuple(_row_field(c, f"trig{k}") for k, c in enumerate(_trig_coefficients(count)))
 
 
 def field_library(lmax=3, trig_count=3):
     """The standard test-field battery: Y_lm for l <= lmax plus trig noise."""
     return harmonic_library(lmax) + trig_library(trig_count)
+
+
+def library_blocks(lmax, trig_count, size):
+    """field_library(lmax, trig_count) in blocks of at most `size` fields,
+    each evaluated by one map: an iterator of (rows, field).
+
+    The blocks are cut from the library in m-major order: the Y_lm ladder
+    by ladder (|m| = 0, 1, ..., lmax; l upward, +m before -m), then the
+    trig fields, so a block runs each ladder it holds once (see
+    _library_values).  `rows` are the block's indices into the library, and
+    `field` stacks those fields on one extra value axis E = (F,): over a
+    point shape S its value is (F,) + S, its gradient (2, F) + S and its
+    Hessian (2, 2, F) + S.  Each row equals its library field's partials
+    bit for bit.
+    """
+    lmax, trig_count, size = _lmax(lmax), _trig_count(trig_count), _integer(size, "size")
+    if size < 1:
+        raise ValueError(f"need a block size of at least 1 (got {size})")
+    library = [(l, m) for l in range(lmax + 1) for m in range(-l, l + 1)]
+    m_major = [l * l + l + m for a in range(lmax + 1) for l in range(a, lmax + 1)
+               for m in ((a, -a) if a else (0,))]
+    m_major += range(len(library), len(library) + trig_count)
+    library += _trig_coefficients(trig_count)
+
+    def block(rows):
+        specs = [library[r] for r in rows]
+
+        def partials(q1, q2, order):
+            jets = _jets.partials(lambda a, b: _library_values(specs, a, b), q1, q2, order)
+            return [np.asarray(d, dtype=complex) for d in jets]
+
+        return rows, ScalarField(f"library({lmax}, {trig_count})[{len(rows)} rows]", partials)
+
+    return (block(m_major[k:k + size]) for k in range(0, len(m_major), size))
 
 
 def plane_wave(k, axis=0):

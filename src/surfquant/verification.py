@@ -11,8 +11,8 @@ reduced with max, so reports are byte-stable across runs.  Each chart is
 evaluated in one call over all its points (point axis last, as in the rest
 of the package); the library identities stack the field library's jets on
 a field axis before the point axis, so each of their residuals runs once
-per chart (and block of fields), and every (chart, field) row is reduced
-with a first-occurrence argmax.
+per chart (and block of fields), and each block's (field, point) residuals
+are reduced with one first-occurrence argmax over the point axis.
 """
 
 import functools
@@ -76,7 +76,9 @@ MAX_HERMITICITY_ORDER = 1024
 # commutator_suite stacks the jets of at most this many field-points
 # (fields x points of a chart) into one operator evaluation: all 19 default
 # fields at the default 25 points, and one field at a time from 2049 points
-# on, so a large point set costs the memory of one field.
+# on, so a large point set costs the memory of one field.  The blocks are
+# consecutive runs of the library's m-major order, so a block runs each
+# ladder it holds part of once, from P_m^m up to its highest l.
 _STACK_POINTS = 4096
 
 # The identities checked once per field of the field library.
@@ -159,10 +161,17 @@ def _worst(residuals, points):
     its check.  An empty point set raises instead of passing vacuously.
     """
     residuals = np.ravel(residuals)
-    if residuals.size == 0:
-        raise ValueError("no evaluation points: an empty check cannot pass")
-    k = int(np.argmax(residuals))
+    k = int(_argworst(residuals))
     return float(residuals[k]), tuple(points[k])
+
+
+def _argworst(residuals):
+    """The index of the largest residual along the last (point) axis, by
+    _worst's rules: ties go to the first point, a NaN wins, and an empty
+    point set raises."""
+    if residuals.shape[-1] == 0:
+        raise ValueError("no evaluation points: an empty check cannot pass")
+    return np.argmax(residuals, axis=-1)
 
 
 def geometry_suite(options):
@@ -233,12 +242,13 @@ def commutator_suite(options):
     on each built-in chart, then [L_i, p_j] and the closed-form p against
     the general one on the sphere.  Each chart's frame (and the sphere's
     coefficient jets of p and L) is evaluated once on the point shape
-    (1, N); each field's jets once on the N points.  The jets of a block
-    of fields are stacked on a field axis, shape (F, N), so each residual
-    runs once per chart and block, and its rows are read back field by
-    field.  A block holds at most _STACK_POINTS field-points, so a large N
-    costs the memory of one field.  The sphere's entries follow every
-    chart's."""
+    (1, N).  The library comes in blocks cut in m-major order, and each
+    block's jets from one stacked map on the N points
+    (fields.library_blocks), shape (F, N), so each residual runs once per
+    chart and block, and each field's worst point comes from one argmax
+    over the block.  A block holds at most _STACK_POINTS field-points, so
+    a large N costs the memory of one field.  The entries follow the
+    library's order, and the sphere's follow every chart's."""
     if not any(options.wants(name) for name in LIBRARY_IDENTITIES):
         return []
     out, sphere_out = [], []
@@ -251,13 +261,10 @@ def commutator_suite(options):
         if chart.name == "sphere":
             p_jet = oplib._momentum_jet(q1[None], q2[None])
             l_jet = oplib._angular_jet(q1[None], q2[None])
+        checked = [[] for _ in library]  # per field: (the list its entry joins, entry)
         size = max(1, _STACK_POINTS // len(pts))
-        for start in range(0, len(library), size):
-            block = library[start:start + size]
-            f_val, f_grad, f_hess = (
-                np.stack(jet, axis=-2)
-                for jet in zip(*(fld.partials(q1, q2, 2) for fld in block))
-            )
+        for rows, block in flib.library_blocks(options.lmax, options.trig_count, size):
+            f_val, f_grad, f_hess = block.partials(q1, q2, 2)
             checks = []  # (the list its entries join, identity, residuals (F, N))
             if options.wants("position_momentum"):
                 res = oplib._position_momentum(frame, f_val, f_grad)
@@ -272,10 +279,14 @@ def commutator_suite(options):
                 closed = oplib._image(p_jet[0], f_val, f_grad)
                 res = closed - oplib._momentum(frame, f_val, f_grad)
                 checks.append((sphere_out, "sphere_component_match", np.abs(res).max(axis=0)))
-            for row, fld in enumerate(block):
-                for entries, name, res in checks:
-                    r, p = _worst(res[row], pts)
-                    entries.append(_result(options, name, chart.name, fld.label, p, r))
+            for entries, name, res in checks:
+                k = _argworst(res)
+                for row, r, p in zip(rows, res[np.arange(len(k)), k], pts[k]):
+                    result = _result(options, name, chart.name, library[row].label, p, r)
+                    checked[row].append((entries, result))
+        for field_checks in checked:
+            for entries, result in field_checks:
+                entries.append(result)
     return out + sphere_out
 
 

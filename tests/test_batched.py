@@ -205,6 +205,11 @@ def test_worst_reduction():
     assert np.isnan(r) and p == (0.2, 0.3)  # NaN wins, so the check fails
     with pytest.raises(ValueError):
         ver._worst([], [])
+    # the same rules row by row, as commutator_suite reduces a block of fields
+    rows = np.array([[1.0, 3.0, 3.0], [1.0, np.nan, 3.0], [np.nan, 0.0, np.nan]])
+    assert ver._argworst(rows).tolist() == [1, 1, 0]
+    with pytest.raises(ValueError):
+        ver._argworst(np.zeros((2, 0)))
     with pytest.raises(ValueError):
         oplib.rotation_relation_check(flib.constant(1.0), [])
 

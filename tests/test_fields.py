@@ -61,6 +61,57 @@ def test_spherical_harmonic_takes_whole_floats():
     assert flib.spherical_harmonic(2.0, -1.0).label == "Y2-1"
 
 
+@pytest.mark.parametrize("build, name, bad", [
+    (flib.trig_library, "trig count", 2.7),  # was 2 fields, truncated
+    (flib.trig_library, "trig count", np.nan),  # was numpy's NaN-to-integer error
+    (flib.harmonic_library, "lmax", 2.5),  # was a bare TypeError from range
+])
+def test_libraries_refuse_non_integer_counts(build, name, bad):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer (got {bad!r})")):
+        build(bad)
+
+
+@pytest.mark.parametrize("lmax, trig_count", [(0, 0), (0, 1), (3, 3), (12, 5)])
+@pytest.mark.parametrize("q1, q2", [
+    (0.8, 0.4),
+    (np.array([[0.3, 1.1, 2.9]]), np.array([[0.2], [4.0]])),
+])
+def test_library_block_rows_equal_their_fields_bit_for_bit(lmax, trig_count, q1, q2):
+    # blocks of 2 and 5 split ladders, and put Y_lm and trig rows together
+    library = flib.field_library(lmax, trig_count)
+    for size in (1, 2, 5, len(library)):
+        for rows, block in flib.library_blocks(lmax, trig_count, size):
+            for order in (0, 1, 2):
+                jets = block.partials(q1, q2, order)
+                alone = [library[r].partials(q1, q2, order) for r in rows]
+                assert len(jets) == order + 1
+                for n, jet in enumerate(jets):
+                    expected = np.stack([a[n] for a in alone], axis=n)
+                    assert jet.shape == expected.shape and jet.dtype == expected.dtype
+                    assert jet.tobytes() == expected.tobytes(), (rows, order, n)
+
+
+def test_library_blocks_are_m_major():
+    library = flib.field_library(2, 1)
+    blocks = list(flib.library_blocks(2, 1, 4))
+    assert [[library[r].label for r in rows] for rows, _ in blocks] == [
+        ["Y0+0", "Y1+0", "Y2+0", "Y1+1"], ["Y1-1", "Y2+1", "Y2-1", "Y2+2"], ["Y2-2", "trig0"],
+    ]
+    for size in (0, 1.5):
+        with pytest.raises(ValueError, match="size"):
+            flib.library_blocks(2, 1, size)
+
+
+def test_library_block_matches_scipy_up_to_the_bound():
+    # every |m| <= l <= MAX_HARMONIC_L in one block, within the per-field bound
+    lmax = flib.MAX_HARMONIC_L
+    theta, phi = chlib.interior_points(chlib.sphere(), 5).T
+    library = [(l, m) for l in range(lmax + 1) for m in range(-l, l + 1)]
+    (rows, block), = flib.library_blocks(lmax, 0, len(library))
+    l, m = np.array(library)[rows].T[..., None]
+    assert np.max(np.abs(block.value(theta, phi) - sph_harm_y(l, m, theta, phi))) <= 1e-13
+
+
 def test_y11_explicit_form():
     ylm = flib.spherical_harmonic(1, 1)
     theta, phi = 0.9, 0.4

@@ -122,13 +122,13 @@ def test_results_are_deterministic():
 def test_commutator_suite_evaluates_each_field_once_per_point_set(
     only, charts, per_field, jet_orders, kinetic_calls
 ):
-    # one frame per chart, and one jet evaluation per library field on each
-    # chart's points, whose sphere jets also serve the sphere-only identities;
-    # the stacked fields share one [r, T] evaluation per chart
+    # one frame per chart, and one stacked jet evaluation of the 11 library
+    # fields (one block) on each chart's points, whose sphere jets also serve
+    # the sphere-only identities; the block shares one [r, T] evaluation
     options = ver.VerifyOptions(points_per_chart=3, lmax=2, trig_count=2, only=only)
     fields = len(flib.field_library(2, 2))
     assert len(ver.commutator_suite(options)) == per_field * fields
-    assert len(jet_orders) == charts * (1 + fields)
+    assert len(jet_orders) == charts * (1 + 1)
     assert len(kinetic_calls) == (charts if options.wants("position_kinetic") else 0)
 
 
@@ -186,16 +186,22 @@ def test_a_faulty_field_fails_only_its_own_entries(pinned_entries, monkeypatch):
     # by 1.001 passes all four).
     library = flib.field_library(PIN.lmax, PIN.trig_count)
     k = [fld.label for fld in library].index("Y2+1")
-    healthy = library[k]
+    library_blocks = flib.library_blocks
 
-    def partials(q1, q2, order):
-        jets = healthy.partials(q1, q2, order)
-        grad = jets[1].copy()
-        grad[0, 2] = np.nan  # d/dq1 at the third point
-        return [jets[0], grad] + jets[2:]
+    def with_fault(healthy, row):
+        def partials(q1, q2, order):
+            jets = healthy.partials(q1, q2, order)
+            grad = jets[1].copy()
+            grad[0, row, 2] = np.nan  # d/dq1 at the third point
+            return [jets[0], grad] + jets[2:]
 
-    faulty = library[:k] + [flib.ScalarField(healthy.label, partials)] + library[k + 1:]
-    monkeypatch.setattr(flib, "field_library", lambda lmax, trig_count: faulty)
+        return flib.ScalarField(healthy.label, partials)
+
+    def faulty_blocks(lmax, trig_count, size):
+        for rows, block in library_blocks(lmax, trig_count, size):
+            yield rows, with_fault(block, rows.index(k)) if k in rows else block
+
+    monkeypatch.setattr(flib, "library_blocks", faulty_blocks)
     entries = ver.commutator_suite(PIN)
     assert len(entries) == len(pinned_entries)
     failed = set()
