@@ -146,25 +146,68 @@ def _csv(columns):
 
 def _json(payload, table):
     """json.dumps(payload, indent=2) + "\\n", where payload[table] is a
-    mapping of columns, as _csv takes, of at least one row, written as the
-    list of one object per row: the cells come from _cells (json.dumps'
-    floats), filled into one row template, repeated per row, in one %.
-    Keys, strings and the other values of payload go through json.dumps."""
-    rows, cells = _cells(payload[table], signed_zero=True)
+    mapping of columns, written as the list of one object per row.  A
+    column is a float column or a str for every row, as _csv takes, or an
+    object array of one value per row: None, a bool, a str or a tuple of
+    floats (one length in every row that has one).  Every float, a tuple's
+    too, takes its text from one _cells table (json.dumps' floats), and
+    each distinct other value is json.dumps'd once; the cells fill one row
+    template, repeated per row, in one %.  Keys and the other values of
+    payload go through json.dumps."""
+    columns = payload[table]
+    rows, cells = _json_cells(columns)
     row = ",\n".join(
         f"      {json.dumps(key)}: ".replace("%", "%%")
         + (json.dumps(col).replace("%", "%%") if isinstance(col, str) else "%s")
-        for key, col in payload[table].items()
+        for key, col in columns.items()
     )
-    body = "[\n" + ",\n".join(["    {\n" + row + "\n    }"] * rows) + "\n  ]"
-    entries = (
-        f"  {json.dumps(key)}: ".replace("%", "%%") + (
-            body if key == table
-            else json.dumps(value, indent=2).replace("\n", "\n  ").replace("%", "%%")
-        )
-        for key, value in payload.items()
-    )
-    return ("{\n" + ",\n".join(entries) + "\n}\n") % cells
+    body = ["[\n", *(["    {\n" + row + "\n    }", ",\n"] * rows)[:-1], "\n  ]"]
+    parts = ["{\n"]  # one join: the template is built once, not copied per level
+    for key, value in payload.items():
+        parts.append(f"  {json.dumps(key)}: ".replace("%", "%%"))
+        if key != table:
+            parts.append(json.dumps(value, indent=2).replace("\n", "\n  ").replace("%", "%%"))
+        else:
+            parts.extend(body if rows else ["[]"])
+        parts.append(",\n")
+    parts[-1] = "\n}\n"
+    return "".join(parts) % cells
+
+
+def _json_cells(columns):
+    """(row count, the texts of the cells of _json's table `columns` that
+    are not a str for every row, row by row).  The floats of an object
+    column's tuples join the float columns, one per entry (0.0 in the rows
+    without a tuple), and a tuple prints as an indented JSON list."""
+    varying = {key: col for key, col in columns.items() if not isinstance(col, str)}
+    rows = len(next(iter(varying.values()), ()))
+    floats, spans = [], {}  # float columns; key -> (first, width, rows with a tuple)
+    for key, col in varying.items():
+        if getattr(col, "dtype", None) == object:
+            listed = np.array([isinstance(v, tuple) for v in col], dtype=bool)
+            width = len(col[listed.argmax()]) if listed.any() else 0
+            spans[key] = (len(floats), width, listed)
+            floats.extend([v[j] if is_tuple else 0.0 for v, is_tuple in zip(col, listed)]
+                          for j in range(width))
+        else:
+            spans[key] = (len(floats), 1, None)
+            floats.append(col)
+    cells = np.empty((rows, len(floats)), dtype=object)
+    if floats:
+        cells.flat = _cells(dict(enumerate(floats)), signed_zero=True)[1]
+    texts = np.empty((rows, len(varying)), dtype=object)
+    for j, (key, col) in enumerate(varying.items()):
+        first, width, listed = spans[key]
+        if listed is None:
+            texts[:, j] = cells[:, first]
+            continue
+        dumped = {v: json.dumps(v) for v in set(col) if not isinstance(v, tuple)}
+        texts[:, j] = [None if is_tuple else dumped[v] for v, is_tuple in zip(col, listed)]
+        if width:
+            items = functools.reduce(lambda a, b: a + ",\n        " + b,
+                                     cells[listed, first:first + width].T)
+            texts[listed, j] = "[\n        " + items + "\n      ]"
+    return rows, tuple(texts.ravel().tolist())
 
 
 def _parse_point(text):

@@ -25,7 +25,10 @@ where G_l / G_0 are Meixner-Pollaczek (continuous-Hahn type) polynomials
 (Koekoek, Lesky & Swarttouw, Hypergeometric Orthogonal Polynomials, 2010,
 ch. 9).  amplitude_recurrence evaluates this for 0 <= l <= 64; it is the
 default distribution path and feeds moments, whose zeroth is the Parseval
-sum.  Everything here is in units hbar = m = 1.
+sum.  The three amplitude paths and moments take l as an int or as a 1-D
+sequence of ints, a leading l axis whose rows equal the one-l calls bit
+for bit, so a caller that wants many l shares one recurrence, rule and
+set of phases.  Everything here is in units hbar = m = 1.
 
 amplitude_quadrature is the cross-check: composite Gauss-Legendre in q,
 with a direct surface-overlap path (amplitude_surface_overlap) behind it.
@@ -49,6 +52,7 @@ CLOSED_FORM_COMPARISON_SIGN and asserted constant across p by the tests.
 Densities are convention-free.
 """
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -186,6 +190,33 @@ def _check_order(l):
     return l
 
 
+def _orders(l):
+    """(the orders of l as a tuple, whether l is one order): l is an int, or
+    a 1-D sequence of ints in any order, repeats allowed, for a leading l
+    axis.  Each order is checked as by _check_order."""
+    if np.ndim(l) == 0:
+        return (_check_order(l),), True
+    if np.ndim(l) != 1:
+        raise ValueError(f"l must be an int or a 1-D sequence of ints (got {np.ndim(l)}-D)")
+    return tuple(_check_order(k) for k in l), False
+
+
+def _rungs(ladder, orders):
+    """{l: rung l of ladder} for each l of orders, from one pass of the
+    ladder up to the largest of them."""
+    wanted = set(orders)
+    return {k: rung for k, rung in zip(range(max(orders, default=-1) + 1), ladder)
+            if k in wanted}
+
+
+def _by_l(rows, one):
+    """The rows of an l axis as the entry returns them: for one order its
+    row, a Python complex for a scalar p; for a sequence the whole array."""
+    if not one:
+        return rows
+    return complex(rows[0]) if rows[0].ndim == 0 else rows[0]
+
+
 def legendre_p(l, x):
     """Legendre polynomial P_l(x): the m = 0 case of fields.associated_legendre.
 
@@ -203,10 +234,10 @@ def _check_truncation(Q, tolerance):
         raise QuadratureTruncationError(bound, tolerance)
 
 
-def _q_rule(Q, nodes, p_max, l):
-    # Width-2 panels over [-Q, Q], returned as (panels, nodes per panel); a
-    # panel turns the phase by 2|p| radians, which ceil(|p|) + 2
-    # Gauss-Legendre nodes resolve to machine precision.
+def _q_shape(Q, nodes, p_max, l):
+    # Width-2 panels over [-Q, Q], as (panels, nodes per panel); a panel
+    # turns the phase by 2|p| radians, which ceil(|p|) + 2 Gauss-Legendre
+    # nodes resolve to machine precision.
     # P_l(tanh q) oscillates about l + 1/2 times per unit q near q = 0, and
     # (l + 1) // 2 more nodes per panel are the fewest that hold 1e-13
     # against amplitude_recurrence for every 2 < l <= 64 and |p| <= 30 at
@@ -224,8 +255,25 @@ def _q_rule(Q, nodes, p_max, l):
     per_panel = max(requested, int(np.ceil(p_max)) + 2)
     if l > 2:
         per_panel += (l + 1) // 2
-    q, w = panel_rule(-Q, Q, nodes=per_panel)
-    return q.reshape(n_panels, per_panel), w.reshape(n_panels, per_panel)
+    return n_panels, per_panel
+
+
+def _q_rule(Q, nodes, p_max, l):
+    """The q-rule of _q_shape, nodes and weights shaped (panels, nodes per panel)."""
+    shape = _q_shape(Q, nodes, p_max, l)
+    q, w = panel_rule(-float(Q), float(Q), nodes=shape[1])
+    return q.reshape(shape), w.reshape(shape)
+
+
+def _amplitude_ladder(p):
+    """G_0, G_1, G_2, ... of amplitude_recurrence at p, each computed when it
+    is asked for."""
+    # sech x = 2a / (1 + a^2) with a = e^{-|x|}: cosh would overflow past |p| ~ 450
+    decay = np.exp(-0.5 * np.pi * np.abs(p))
+    g_prev, g = 0.0, 2.0 * np.pi * decay / (1.0 + decay * decay)
+    for k in itertools.count():
+        yield g
+        g_prev, g = g, ((2 * k + 1) * p * g - k * k * g_prev) / (k + 1) ** 2
 
 
 def amplitude_recurrence(l, p):
@@ -237,23 +285,22 @@ def amplitude_recurrence(l, p):
     the phase matches amplitude_quadrature for every l.  Even l are real,
     odd l imaginary, and |phi_l(-p)| == |phi_l(p)| exactly.  Accepts scalar
     or array p; |p| above MAX_ABS_P is refused, as by the quadrature.
+
+    l is an int (an array of p's shape comes back, a complex for a scalar
+    p) or a 1-D sequence of ints, in any order and with repeats, for a
+    leading l axis: shape (len(l),) + p.shape.  The recurrence runs once,
+    up to the largest l, and each row equals the one-l call bit for bit.
     """
-    l = _check_order(l)
+    orders, one = _orders(l)
     p_arr = np.asarray(p, dtype=float)
     if not np.all(np.abs(p_arr) <= MAX_ABS_P):
         raise ValueError(f"need finite |p| <= {MAX_ABS_P:g} for the amplitudes")
-    # sech x = 2a / (1 + a^2) with a = e^{-|x|}: cosh would overflow past |p| ~ 450
-    decay = np.exp(-0.5 * np.pi * np.abs(p_arr))
-    g_prev, g = 0.0, 2.0 * np.pi * decay / (1.0 + decay * decay)
-    for k in range(l):
-        g_prev, g = g, ((2 * k + 1) * p_arr * g - k * k * g_prev) / (k + 1) ** 2
-    values = (1.0, -1.0, -1.0, 1.0)[l % 4] * np.sqrt((2 * l + 1) / (4.0 * np.pi)) * g
-    out = np.zeros(p_arr.shape, dtype=complex)
-    if l % 2:
-        out.imag = values + 0.0  # no -0.0
-    else:
-        out.real = values + 0.0
-    return complex(out) if out.ndim == 0 else out
+    rungs = _rungs(_amplitude_ladder(p_arr), orders)
+    out = np.zeros((len(orders),) + p_arr.shape, dtype=complex)
+    for i, k in enumerate(orders):
+        values = (1.0, -1.0, -1.0, 1.0)[k % 4] * np.sqrt((2 * k + 1) / (4.0 * np.pi)) * rungs[k]
+        (out.imag if k % 2 else out.real)[i] = values + 0.0  # no -0.0
+    return _by_l(out, one)
 
 
 def amplitude_quadrature(l, p, Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8):
@@ -265,7 +312,8 @@ def amplitude_quadrature(l, p, Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8)
     e^{-i p q} dq on composite Gauss-Legendre panels.  Equals the surface
     overlap of Y_l0 with psi_p^* (see amplitude_surface_overlap).  Raises
     QuadratureTruncationError when the tail bound 2 e^{-Q} exceeds the
-    tolerance.  Accepts scalar or array p.
+    tolerance.  Accepts scalar or array p, and l as an int or a 1-D
+    sequence of ints (a leading l axis), as amplitude_recurrence does.
 
     The kernel P_l(tanh q) sech(q) has parity (-1)^l, so the integral is
     Int kernel cos(p q) dq for even l and -i Int kernel sin(p q) dq for
@@ -279,45 +327,58 @@ def amplitude_quadrature(l, p, Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8)
     |phi_l(-p)| == |phi_l(p)| exactly.  The nodes per panel grow with
     max |p| and l (see _q_rule); |p| above MAX_ABS_P, a Q outside
     (0, MAX_PANELS] and more than MAX_PANEL_NODES nodes per panel are
-    refused.
+    refused.  The orders that share a rule share its phases and one
+    Legendre recurrence, and only their kernel matmuls run per l, so each
+    row equals the one-l call bit for bit.
     """
-    l = _check_order(l)
+    orders, one = _orders(l)
     p_arr = np.asarray(p, dtype=float)
     magnitude = np.abs(p_arr).ravel()
     if not np.all(magnitude <= MAX_ABS_P):
         raise ValueError(f"need finite |p| <= {MAX_ABS_P:g} for the quadrature")
-    q, w = _q_rule(Q, nodes, magnitude.max(initial=0.0), l)
+    p_max = magnitude.max(initial=0.0)
+    groups = {}  # rule shape -> the rows of its orders
+    for i, k in enumerate(orders):
+        groups.setdefault(_q_shape(Q, nodes, p_max, k), []).append(i)
     _check_truncation(Q, tolerance)
-    kernel = w * legendre_p(l, np.tanh(q)) / np.cosh(q)
-    # q = mid + offset + delta: the panel centres (Gauss-Legendre nodes sit
-    # symmetrically in a panel), one panel's nodes about its centre, and each
-    # node's rounding, which enters to first order through kernel * delta.
-    mid = 0.5 * (q[:, 0] + q[:, -1])
-    offset = q[0] - mid[0]
-    slope = kernel * (q - mid[:, None] - offset)
     distinct, index = np.unique(magnitude, return_inverse=True)
-    sums = np.empty(distinct.size)
-    rows = max(1, _CHUNK_ELEMENTS // sum(q.shape))
-    for k in range(0, distinct.size, rows):
-        p_k = distinct[k:k + rows, None]
-        cos_b, sin_b = np.cos(p_k * offset), np.sin(p_k * offset)
-        # per panel: Sum kernel cos(p (offset + delta)) and Sum kernel sin(...)
-        c = cos_b @ kernel.T - p_k * (sin_b @ slope.T)
-        s = sin_b @ kernel.T + p_k * (cos_b @ slope.T)
-        cos_a, sin_a = np.cos(p_k * mid), np.sin(p_k * mid)
-        if l % 2:  # sin(a + b) = sin a cos b + cos a sin b
-            sums[k:k + rows] = np.sum(sin_a * c + cos_a * s, axis=1)
-        else:  # cos(a + b) = cos a cos b - sin a sin b
-            sums[k:k + rows] = np.sum(cos_a * c - sin_a * s, axis=1)
-    values = np.sqrt((2 * l + 1) / (4.0 * np.pi)) * sums[index]
-    out = np.zeros(magnitude.shape, dtype=complex)
-    if l % 2:
-        out.imag = np.where(p_arr.ravel() < 0.0, values, -values) + 0.0  # no -0.0
-    else:
-        out.real = values
-    if p_arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(p_arr.shape)
+    sums = np.empty((len(orders), distinct.size))
+    for rows_l in groups.values():
+        q, w = _q_rule(Q, nodes, p_max, orders[rows_l[0]])
+        group = [orders[i] for i in rows_l]
+        legendre = _rungs(flib._legendre_ladder(0, np.tanh(q), None), group)
+        cosh = np.cosh(q)
+        # q = mid + offset + delta: the panel centres (Gauss-Legendre nodes
+        # sit symmetrically in a panel), one panel's nodes about its centre,
+        # and each node's rounding, which enters to first order through
+        # kernel * delta.
+        mid = 0.5 * (q[:, 0] + q[:, -1])
+        offset = q[0] - mid[0]
+        delta = q - mid[:, None] - offset
+        kernels = [w * legendre[k] / cosh for k in group]
+        slopes = [kernel * delta for kernel in kernels]
+        rows = max(1, _CHUNK_ELEMENTS // sum(q.shape))
+        for j in range(0, distinct.size, rows):
+            p_j = distinct[j:j + rows, None]
+            cos_b, sin_b = np.cos(p_j * offset), np.sin(p_j * offset)
+            cos_a, sin_a = np.cos(p_j * mid), np.sin(p_j * mid)
+            for i, k, kernel, slope in zip(rows_l, group, kernels, slopes):
+                # per panel: Sum kernel cos(p (offset + delta)) and Sum kernel sin(...)
+                c = cos_b @ kernel.T - p_j * (sin_b @ slope.T)
+                s = sin_b @ kernel.T + p_j * (cos_b @ slope.T)
+                if k % 2:  # sin(a + b) = sin a cos b + cos a sin b
+                    sums[i, j:j + rows] = np.sum(sin_a * c + cos_a * s, axis=1)
+                else:  # cos(a + b) = cos a cos b - sin a sin b
+                    sums[i, j:j + rows] = np.sum(cos_a * c - sin_a * s, axis=1)
+    negative = p_arr.ravel() < 0.0
+    out = np.zeros((len(orders), magnitude.size), dtype=complex)
+    for i, k in enumerate(orders):
+        values = np.sqrt((2 * k + 1) / (4.0 * np.pi)) * sums[i, index]
+        if k % 2:
+            out.imag[i] = np.where(negative, values, -values) + 0.0  # no -0.0
+        else:
+            out.real[i] = values
+    return _by_l(out.reshape((len(orders),) + p_arr.shape), one)
 
 
 def amplitude_surface_overlap(l, p):
@@ -333,28 +394,36 @@ def amplitude_surface_overlap(l, p):
     max(32, ceil(|p| / 2) + 2) nodes for the largest |p| of the call, so
     an array's rule follows its largest |p| (nothing changes for |p| <= 60).
     Accepts scalar p (a complex comes back) or array p (an array of its
-    shape, on one theta rule and one set of Y_l0 values).  p is taken in
-    chunks of at most _CHUNK_ELEMENTS phases, so the temporaries stay a few
-    MB however many p there are; a p's sum has the same bits in any chunk.
-    A non-finite p or |p| above MAX_ABS_P is refused, as by the quadrature.
+    shape, on one theta rule and one set of Y_l0 values), and l as an int
+    or a 1-D sequence of ints (a leading l axis), as amplitude_recurrence
+    does: the theta rule, psi and the Y_l0 rows (one Legendre recurrence)
+    are built once for every l.  p is taken in chunks of at most
+    _CHUNK_ELEMENTS phases, so the temporaries stay a few MB however many
+    p there are; a p's sum has the same bits in any chunk and for any l
+    sequence.  A non-finite p or |p| above MAX_ABS_P is refused, as by the
+    quadrature.
     """
-    l = _check_order(l)
+    orders, one = _orders(l)
     p = np.asarray(p, dtype=float)
     if not np.all(np.abs(p) <= MAX_ABS_P):
         raise ValueError(f"need finite |p| <= {MAX_ABS_P:g} for the quadrature")
     per_panel = max(32, int(np.ceil(np.abs(p).max(initial=0.0) * 20.0 / 40)) + 2)
     theta_edges = 2.0 * np.arctan(np.exp(np.linspace(-20.0, 20.0, 41)))
     theta_nodes, w = graded_panel_rule(theta_edges, nodes=per_panel)
-    weighted = w * flib.spherical_harmonic(l, 0).value(theta_nodes, 0.0)
+    legendre = _rungs(flib._legendre_ladder(0, np.cos(theta_nodes), None), orders)
+    y_l0 = {k: np.asarray(flib._ylm_norm(k, 0) * rung, dtype=complex)
+            for k, rung in legendre.items()}
+    weighted = [w * y_l0[k] for k in orders]
     sin_theta = np.sin(theta_nodes)
     flat = p.ravel()
-    sums = np.empty(flat.size, dtype=complex)
+    sums = np.empty((len(orders), flat.size), dtype=complex)
     rows = max(1, _CHUNK_ELEMENTS // theta_nodes.size)
-    for k in range(0, flat.size, rows):
-        psi_conj = np.conj(_psi_map(flat[k:k + rows, None], theta_nodes))
-        sums[k:k + rows] = np.sum(weighted * psi_conj * sin_theta, axis=-1)
-    out = 2.0 * np.pi * sums.reshape(p.shape)
-    return complex(out) if out.ndim == 0 else out
+    for j in range(0, flat.size, rows):
+        psi_conj = np.conj(_psi_map(flat[j:j + rows, None], theta_nodes))
+        for row_sums, weighted_l in zip(sums, weighted):
+            row_sums[j:j + rows] = np.sum(weighted_l * psi_conj * sin_theta, axis=-1)
+    out = 2.0 * np.pi * sums.reshape((len(orders),) + p.shape)
+    return _by_l(out, one)
 
 
 def amplitude_closed(l, p):
@@ -383,18 +452,47 @@ def amplitude_closed(l, p):
     return out
 
 
+def _moment_window(l):
+    """Half width W of the |p| <= W window the moments of phi_l integrate
+    over: 16 up to l = 3, then 2 ceil(0.6 l + 9) (24 at l = 4, 96 at l = 64).
+
+    The density falls like p^{2l} e^{-pi |p|}, so its tail past W grows with
+    l.  Each W is even and at least 2 above the smallest even W at which the
+    Parseval sum holds 1e-14 of its |p| <= 200 value (measured for every
+    l <= 64), so every window is a run of whole width-2 panels of one grid.
+    """
+    return 16 if l <= 3 else 2 * ((3 * l + 49) // 5)
+
+
 def moments(l, max_order=2):
     """Moments <p^k> of the density |phi_l|^2 (from amplitude_recurrence)
-    for k = 0..max_order, over |p| <= 16 on width-2 panels of 40 nodes.
+    for k = 0..max_order, over |p| <= _moment_window(l) on width-2 panels
+    of 40 nodes.
 
     The zeroth is the Parseval sum, exactly 1 for a unitary transform of a
-    normalized Y_l0, up to truncation.  Odd moments vanish by the parity of
-    the density.  For Y_00 the second moment is the zero-point momentum
-    fluctuation 1/3.
+    normalized Y_l0, up to truncation; the window that grows with l keeps
+    it within 1e-13 of 1 for every l <= 64.  Odd moments vanish by the
+    parity of the density.  For Y_00 the second moment is the zero-point
+    momentum fluctuation 1/3.
+
+    l is an int (a list of max_order + 1 floats comes back) or a 1-D
+    sequence of ints, in any order and with repeats (an array of shape
+    (len(l), max_order + 1)).  The amplitudes come from one recurrence on
+    the widest window's grid; each l sums its own window, a run of that
+    grid's panels whose nodes and weights equal panel_rule(-W, W)'s bit for
+    bit, so each row equals the one-l call.
     """
-    p_nodes, w = panel_rule(-16.0, 16.0, nodes=40)
-    density = np.abs(amplitude_recurrence(l, p_nodes)) ** 2
-    return [float(np.sum(w * p_nodes**k * density)) for k in range(max_order + 1)]
+    orders, one = _orders(l)
+    windows = [_moment_window(k) for k in orders]
+    widest = max(windows, default=16)
+    p_nodes, w = panel_rule(-widest, widest, nodes=40)
+    amps = amplitude_recurrence(orders, p_nodes)
+    out = np.empty((len(orders), max_order + 1))
+    for row, amp, window in zip(out, amps, windows):
+        run = slice(20 * (widest - window), 20 * (widest + window))  # 40 nodes per 2 of p
+        p_run, w_run, density = p_nodes[run], w[run], np.abs(amp[run]) ** 2
+        row[:] = [np.sum(w_run * p_run**k * density) for k in range(max_order + 1)]
+    return [float(x) for x in out[0]] if one else out
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ per chart (and block of fields), and each block's (field, point) residuals
 are reduced with one first-occurrence argmax over the point axis.
 """
 
-import functools
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -387,6 +385,15 @@ def eigenvalue_suite(options):
 
 
 def spectra_suite(options):
+    """The momentum-spectrum identities.  Each amplitude family takes its
+    orders as one l sequence, a leading l axis (see
+    spectra.amplitude_quadrature): one quadrature call over l = 0..8 on
+    p_grid serves the closed forms (l <= 2) and density_parity (l <=
+    min(parseval_lmax, 8)), one surface overlap and one quadrature call
+    over l = 0..4 serve amplitude_surface_match, and one moments call over
+    l = 0..parseval_lmax serves parseval, each l on the |p| window its
+    tail needs.  The entries keep the order of the identities and, within
+    one, of l."""
     out = []
     if options.wants("dirichlet_kernel"):
         dp = np.linspace(0.0, 5.0, 21)
@@ -405,15 +412,19 @@ def spectra_suite(options):
                     worst,
                 )
             )
+    # the closed-form (l <= 2) and parity (l <= 8) checks share the
+    # quadrature amplitudes on p_grid: one call, one row per l
     p_grid = splib.symmetric_grid(6.0, 0.05)
-    # the closed-form and parity checks share each l's amplitudes on p_grid
-    quadrature = functools.cache(lambda l: splib.amplitude_quadrature(l, p_grid))
-    if options.wants("amplitude_closed_density") or options.wants(
+    closed = options.wants("amplitude_closed_density") or options.wants(
         "amplitude_closed_signed"
-    ):
+    )
+    parity = range(min(options.parseval_lmax, 8) + 1 if options.wants("density_parity") else 0)
+    grid_orders = range(max(3 if closed else 0, len(parity)))
+    quadrature = splib.amplitude_quadrature(grid_orders, p_grid) if grid_orders else None
+    if closed:
         for l in (0, 1, 2):
-            quad = quadrature(l)
-            closed = splib.amplitude_closed(l, p_grid)
+            quad = quadrature[l]
+            closed_form = splib.amplitude_closed(l, p_grid)
             sign = splib.CLOSED_FORM_COMPARISON_SIGN[l]
             if options.wants("amplitude_closed_density"):
                 out.append(
@@ -423,7 +434,7 @@ def spectra_suite(options):
                         None,
                         f"l={l}",
                         None,
-                        float(np.max(np.abs(np.abs(quad) ** 2 - np.abs(closed) ** 2))),
+                        float(np.max(np.abs(np.abs(quad) ** 2 - np.abs(closed_form) ** 2))),
                     )
                 )
             if options.wants("amplitude_closed_signed"):
@@ -434,41 +445,36 @@ def spectra_suite(options):
                         None,
                         f"l={l}",
                         None,
-                        float(np.max(np.abs(quad - sign * closed))),
+                        float(np.max(np.abs(quad - sign * closed_form))),
                     )
                 )
     if options.wants("amplitude_surface_match"):
         p = np.linspace(-4.0, 4.0, 9)
-        for l in range(5):
-            surf = splib.amplitude_surface_overlap(l, p)
-            worst = np.max(np.abs(surf - splib.amplitude_quadrature(l, p)))
+        orders = range(5)
+        surf = splib.amplitude_surface_overlap(orders, p)
+        worst = np.max(np.abs(surf - splib.amplitude_quadrature(orders, p)), axis=1)
+        for l in orders:
             out.append(
-                _result(options, "amplitude_surface_match", None, f"l={l}", None, worst)
+                _result(options, "amplitude_surface_match", None, f"l={l}", None, worst[l])
             )
-    if options.wants("density_parity"):
-        for l in range(min(options.parseval_lmax, 8) + 1):
-            dens = np.abs(quadrature(l)) ** 2
-            out.append(
-                _result(
-                    options,
-                    "density_parity",
-                    None,
-                    f"l={l}",
-                    None,
-                    float(np.max(np.abs(dens - dens[::-1]))),
-                )
+    for l in parity:
+        dens = np.abs(quadrature[l]) ** 2
+        out.append(
+            _result(
+                options,
+                "density_parity",
+                None,
+                f"l={l}",
+                None,
+                float(np.max(np.abs(dens - dens[::-1]))),
             )
+        )
     if options.wants("parseval"):
-        for l in range(options.parseval_lmax + 1):
+        orders = range(options.parseval_lmax + 1)
+        parseval = splib.moments(orders, 0)[:, 0]
+        for l in orders:
             out.append(
-                _result(
-                    options,
-                    "parseval",
-                    None,
-                    f"l={l}",
-                    None,
-                    abs(splib.moments(l, 0)[0] - 1.0),
-                )
+                _result(options, "parseval", None, f"l={l}", None, abs(parseval[l] - 1.0))
             )
     if options.wants("moment_second"):
         mom = splib.moments(0, max_order=2)
@@ -523,7 +529,28 @@ class VerificationReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """json.dumps(self.to_dict(), indent=2) + "\\n", written as one table
+        by the CLI's JSON writer: the checks' floats are formatted once per
+        distinct magnitude, and no per-check dict is built."""
+        from .cli import _json  # imported here: cli imports this module
+
+        checks = self.checks
+
+        def objects(values):
+            return np.fromiter(values, dtype=object, count=len(checks))
+
+        table = {  # the keys of CheckResult.to_dict
+            "identity_name": objects(c.identity_name for c in checks),
+            "chart": objects(c.chart for c in checks),
+            "field": objects(c.field for c in checks),
+            "point": objects(None if c.point is None else tuple(c.point) for c in checks),
+            "residual": [c.residual for c in checks],
+            "tolerance": [c.tolerance for c in checks],
+            "pass": objects(c.passed for c in checks),
+        }
+        payload = {"checks": table, "total": self.total, "failed": self.failed,
+                   "all_pass": self.all_pass}
+        return _json(payload, "checks")
 
 
 def run_verification(options=None):
@@ -552,6 +579,12 @@ def run_verification(options=None):
     if options.parseval_lmax < 0:
         raise ValueError(
             f"parseval lmax must be at least 0 (got {options.parseval_lmax})"
+        )
+    if options.parseval_lmax > splib.LEGENDRE_MAX_ORDER:
+        raise ValueError(
+            f"parseval lmax (--parseval-lmax) must be at most "
+            f"{splib.LEGENDRE_MAX_ORDER}, the highest order of the amplitudes "
+            f"(got {options.parseval_lmax})"
         )
     if options.only:
         unknown = set(options.only) - set(IDENTITY_NAMES)

@@ -499,11 +499,19 @@ def test_csv_matches_the_per_cell_reference(columns):
 
 def _reference_json(payload, table):
     """The JSON text of the dict form: one dict of Python floats and strs
-    per row of payload[table], through json.dumps."""
+    (and an object column's values, a tuple as a list of floats) per row of
+    payload[table], through json.dumps."""
     columns = payload[table]
+
+    def cell(col, k):
+        if isinstance(col, str):
+            return col
+        if getattr(col, "dtype", None) == object:
+            return [float(x) for x in col[k]] if isinstance(col[k], tuple) else col[k]
+        return float(col[k])
+
     rows = len(next(c for c in columns.values() if not isinstance(c, str)))
-    dicts = [{key: col if isinstance(col, str) else float(col[k])
-              for key, col in columns.items()} for k in range(rows)]
+    dicts = [{key: cell(col, k) for key, col in columns.items()} for k in range(rows)]
     return json.dumps({**payload, table: dicts}, indent=2) + "\n"
 
 
@@ -534,6 +542,44 @@ def json_payloads(draw):
 def test_json_matches_the_per_row_reference(case):
     payload, table = case
     assert _json(payload, table) == _reference_json(payload, table)
+
+
+def objects(values):
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+@st.composite
+def object_tables(draw):
+    """Tables of float, str and object columns, the object columns' rows
+    None, bools, strs json.dumps escapes, or tuples of one drawn width."""
+    rows = draw(st.integers(0, 8))
+    columns = {}
+    for j in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["float", "str", "objects", "tuples"]))
+        if kind == "float":
+            columns[f"f{j}"] = draw(st.lists(CELLS, min_size=rows, max_size=rows))
+        elif kind == "str":
+            columns[f"s%{j}"] = draw(JSON_TEXT)
+        elif kind == "objects":
+            values = st.one_of(st.none(), st.booleans(), JSON_TEXT)
+            columns[f"o{j}"] = objects(draw(st.lists(values, min_size=rows, max_size=rows)))
+        else:
+            width = draw(st.integers(1, 3))
+            values = st.one_of(st.none(), st.tuples(*[CELLS] * width))
+            columns[f"t{j}"] = objects(draw(st.lists(values, min_size=rows, max_size=rows)))
+    if not any(not isinstance(col, str) for col in columns.values()):
+        columns["f"] = draw(st.lists(CELLS, min_size=rows, max_size=rows))
+    return {"head": 1, "rows": columns, "tail": [0.5, None]}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(object_tables())
+@example({"rows": {"point": objects([(-0.0, 0.5), None]), "pass": objects([True, False]),
+                   "field": objects([None, 'f"%s\\']), "residual": [np.nan, -np.inf]}})
+@example({"rows": {"point": objects([None, None]), "name": "x"}})  # no tuple at all
+@example({"rows": {"point": objects([]), "r": []}, "total": 0})  # no row
+def test_json_object_columns_match_the_per_row_reference(payload):
+    assert _json(payload, "rows") == _reference_json(payload, "rows")
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,6 +19,16 @@ catch them:
 | `moment_second`           | the same                                     |
 | `uncertainty_product`     | the same                                     |
 | `position_kinetic`        | `laplace_beltrami_jets` doubled              |
+| `amplitude_closed_*`      | two l rows of the quadrature batch swapped   |
+| `amplitude_surface_match` | the same                                     |
+| `parseval`                | the fixed |p| <= 16 window, at l <= 64       |
+| `density_parity`          | a p grid symmetric only to rounding          |
+
+No fault in the amplitudes themselves can fail `density_parity`: the
+quadrature sums a cos transform (even l) or a sin transform (odd l) of its
+kernel, even or odd in p whatever the kernel is, and mirrors each |p|, so
+|phi_l(-p)|^2 == |phi_l(p)|^2 holds exactly by construction.  What it
+does catch is a p grid whose -p is not the negative of its p.
 
 Dropping M n from p is invisible to `angular_momentum` and
 `rotation_relation` (their residuals stay at 6.7e-15 and 1.2e-15 with that
@@ -159,8 +169,9 @@ def test_the_momentum_moments_fail_on_an_unnormalised_amplitude(monkeypatch):
     # phi_l times sqrt((2l+1)/4 pi), the Y_l0 normalisation applied twice
     healthy = splib.amplitude_recurrence
 
-    def faulty(l, p):
-        return np.sqrt((2 * l + 1) / (4.0 * np.pi)) * healthy(l, p)
+    def faulty(l, p):  # l an int or a sequence: one factor per row of the l axis
+        norm = np.sqrt((2 * np.asarray(l) + 1) / (4.0 * np.pi))
+        return np.reshape(norm, np.shape(l) + np.ndim(p) * (1,)) * healthy(l, p)
 
     monkeypatch.setattr(splib, "amplitude_recurrence", faulty)
     for check in checks_of("parseval", 9):  # l = 0..8
@@ -180,3 +191,41 @@ def test_position_kinetic_fails_on_a_doubled_laplacian(monkeypatch):
     checks = checks_of("position_kinetic", 76)  # 19 library fields on 4 charts
     assert [(c.chart, c.field) for c in checks if c.passed] == [("plane", "Y0+0")]
     assert min(c.residual for c in checks if not c.passed) > 0.1  # 0.141
+
+
+def test_the_amplitude_checks_fail_when_two_l_rows_swap(monkeypatch):
+    # the suite reads each l's row of one quadrature batch by its place
+    healthy = splib.amplitude_quadrature
+
+    def faulty(l, p, **rule):
+        rows = healthy(l, p, **rule)
+        return rows[[0, 2, 1, *range(3, len(rows))]]
+
+    monkeypatch.setattr(splib, "amplitude_quadrature", faulty)
+    for name in ("amplitude_closed_density", "amplitude_closed_signed"):
+        checks = checks_of(name, 3)  # l = 0, 1, 2
+        assert [c.passed for c in checks] == [True, False, False], name
+        assert min(c.residual for c in checks[1:]) > 0.3, name  # 0.40 and 0.73
+    checks = checks_of("amplitude_surface_match", 5)  # l = 0..4
+    assert [c.passed for c in checks] == [True, False, False, True, True]
+    assert min(c.residual for c in checks[1:3]) > 0.5  # 0.73
+
+
+def test_parseval_fails_at_high_l_on_the_fixed_window(monkeypatch):
+    # |p| <= 16 for every l, the window moments had before it grew with l
+    monkeypatch.setattr(splib, "_moment_window", lambda l: 16)
+    options = VerifyOptions(only=("parseval",), parseval_lmax=64)
+    checks = run_verification(options).checks
+    assert [c.field for c in checks if not c.passed] == [f"l={l}" for l in range(10, 65)]
+    assert max(c.residual for c in checks) > 0.8  # 0.84 at l = 64
+
+
+def test_density_parity_fails_on_a_grid_symmetric_only_to_rounding(monkeypatch):
+    # linspace's -p and p differ in the last bit at 158 of the 241 samples
+    def rounded(p_max, dp):
+        half = int(round(p_max / dp))
+        return np.linspace(-p_max, p_max, 2 * half + 1)
+
+    monkeypatch.setattr(splib, "symmetric_grid", rounded)
+    for check in checks_of("density_parity", 9):  # l = 0..8
+        assert not check.passed and check.residual > 0.0, check

@@ -194,6 +194,11 @@ L_ENTRIES = {
     "legendre_p": lambda l: splib.legendre_p(l, 0.4),
     "moments": lambda l: splib.moments(l, 0),
     "uncertainty_report": lambda l: splib.uncertainty_report(l),
+    # an order inside an l sequence
+    "amplitude_recurrence[]": lambda l: splib.amplitude_recurrence([3, l], 0.3),
+    "amplitude_quadrature[]": lambda l: splib.amplitude_quadrature((3, l), 0.3),
+    "amplitude_surface_overlap[]": lambda l: splib.amplitude_surface_overlap([l], [0.3]),
+    "moments[]": lambda l: splib.moments([0, l, 1], 0),
 }
 
 
@@ -540,6 +545,108 @@ def test_recurrence_shapes_parity_and_refusals():
 
 
 # ---------------------------------------------------------------------------
+# An l sequence: one leading l axis, each row the one-l call bit for bit
+# ---------------------------------------------------------------------------
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# unsorted and repeated l, across the quadrature's rule groups (l <= 2,
+# then (l + 1) // 2 more nodes per panel) and up to the top order
+L_SEQUENCES = [list(range(9)), [8, 3, 0, 3, 1, 8, 2], [64, 0, 17, 64, 5, 40, 63, 2]]
+P_SETS = {
+    "scalar": 0.7,
+    "negative-scalar": -2.5,
+    "zero": 0.0,
+    "grid": splib.symmetric_grid(6.0, 0.05),
+    "2-D": np.array([[-3.0, -0.0, 0.0], [1.25, 30.0, -29.5]]),
+}
+L_FAMILIES = {
+    "amplitude_recurrence": splib.amplitude_recurrence,
+    "amplitude_quadrature": splib.amplitude_quadrature,
+    "amplitude_surface_overlap": splib.amplitude_surface_overlap,
+}
+
+
+@pytest.mark.parametrize("family", sorted(L_FAMILIES))
+@pytest.mark.parametrize("p", sorted(P_SETS))
+@pytest.mark.parametrize("orders", L_SEQUENCES, ids=["0..8", "unsorted", "to-64"])
+def test_an_l_sequence_gives_the_one_l_rows(family, p, orders):
+    entry, p = L_FAMILIES[family], P_SETS[p]
+    rows = entry(orders, p)
+    assert isinstance(rows, np.ndarray) and rows.shape == (len(orders),) + np.shape(p)
+    for l, row in zip(orders, rows):
+        one = entry(l, p)
+        assert type(one) is (complex if np.ndim(p) == 0 else np.ndarray)
+        assert same_bits(row, one), (l, row, one)
+
+
+def test_an_l_sequence_gives_the_one_l_rows_of_the_chunked_overlap(monkeypatch):
+    # 80 p up to |p| = 100 make 3 chunks of the 2,080-node theta rule
+    p = np.linspace(-100.0, 100.0, 80).reshape(8, 10)
+    orders = (5, 0, 12, 5)
+    singles = {l: splib.amplitude_surface_overlap(l, p) for l in set(orders)}
+    for elements in (splib._CHUNK_ELEMENTS, 10**9, 1):
+        monkeypatch.setattr(splib, "_CHUNK_ELEMENTS", elements)
+        rows = splib.amplitude_surface_overlap(orders, p)
+        assert all(same_bits(row, singles[l]) for l, row in zip(orders, rows)), elements
+
+
+def test_an_l_sequence_gives_the_one_l_rows_of_the_chunked_quadrature(monkeypatch):
+    # several chunks per rule; the one-l calls take the same chunks, since
+    # a chunk's matmul shapes may change the rounding of its sums
+    monkeypatch.setattr(splib, "_CHUNK_ELEMENTS", 500)
+    p = np.random.default_rng(7).uniform(-40.0, 40.0, 3001)
+    orders = [2, 9, 0, 9, 33]
+    singles = {l: splib.amplitude_quadrature(l, p) for l in set(orders)}
+    rows = splib.amplitude_quadrature(orders, p)
+    assert all(same_bits(row, singles[l]) for l, row in zip(orders, rows))
+
+
+@pytest.mark.parametrize("max_order", [0, 2, 4])
+@pytest.mark.parametrize("orders", L_SEQUENCES, ids=["0..8", "unsorted", "to-64"])
+def test_an_l_sequence_gives_the_one_l_moments(orders, max_order):
+    rows = splib.moments(orders, max_order)
+    assert isinstance(rows, np.ndarray) and rows.shape == (len(orders), max_order + 1)
+    for l, row in zip(orders, rows):
+        one = splib.moments(l, max_order)
+        assert type(one) is list and all(type(x) is float for x in one)
+        assert same_bits(row, one), l
+
+
+def test_an_empty_l_sequence_gives_an_empty_l_axis():
+    p = np.linspace(-1.0, 1.0, 5)
+    for entry in L_FAMILIES.values():
+        assert entry([], p).shape == (0, 5)
+    assert splib.moments([], 2).shape == (0, 3)
+
+
+@pytest.mark.parametrize("entry", sorted(L_FAMILIES) + ["moments"])
+def test_an_l_of_more_than_one_axis_is_refused(entry):
+    call = getattr(splib, entry)
+    with pytest.raises(ValueError, match="l must be an int or a 1-D sequence of ints"):
+        call([[0, 1]], *(() if entry == "moments" else (0.3,)))
+
+
+def test_the_quadrature_builds_each_rule_shape_once(monkeypatch):
+    # l = 0..8 on the parity grid need 4 rules: l <= 2, then 2, 3 and 4 more
+    # nodes per panel for l in {3, 4}, {5, 6} and {7, 8}
+    built = []
+    panel = splib.panel_rule
+
+    def counting(lo, hi, nodes):
+        built.append(nodes)
+        return panel(lo, hi, nodes=nodes)
+
+    monkeypatch.setattr(splib, "panel_rule", counting)
+    splib.amplitude_quadrature(range(9), splib.symmetric_grid(6.0, 0.05))
+    assert built == [32, 34, 35, 36]
+
+
+# ---------------------------------------------------------------------------
 # Parseval, moments, uncertainty
 # ---------------------------------------------------------------------------
 
@@ -554,6 +661,25 @@ def test_parseval_low_l_tight():
 @pytest.mark.parametrize("l", list(range(9)))
 def test_parseval_all_l(l):
     assert abs(splib.moments(l, 0)[0] - 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("l", range(splib.LEGENDRE_MAX_ORDER + 1))
+def test_parseval_holds_at_every_l(l):
+    # a fixed |p| <= 16 window was 0.10 off at l = 16 and 0.84 at l = 64
+    assert abs(splib.moments(l, 0)[0] - 1.0) <= 1e-13
+
+
+def test_the_moment_window_keeps_the_low_l_bits():
+    # l <= 3 keep the |p| <= 16 window of 40-node width-2 panels, bit for bit
+    p, w = panel_rule(-16.0, 16.0, nodes=40)
+    for l in range(4):
+        assert splib._moment_window(l) == 16
+        density = np.abs(splib.amplitude_recurrence(l, p)) ** 2
+        fixed = [float(np.sum(w * p**k * density)) for k in range(3)]
+        assert same_bits(splib.moments(l, 2), fixed), l
+    windows = [splib._moment_window(l) for l in range(splib.LEGENDRE_MAX_ORDER + 1)]
+    assert all(w % 2 == 0 for w in windows) and windows == sorted(windows)
+    assert windows[8] == 28 and windows[-1] == 96
 
 
 def test_moments_ground_state():

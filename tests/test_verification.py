@@ -235,12 +235,12 @@ def test_stacking_keeps_the_memory_of_one_field():
 
 def test_spectra_suite_computes_each_grid_amplitude_once(monkeypatch):
     # the closed-form checks (l <= 2) and density_parity (l <= 8) share the
-    # quadrature amplitudes on their p grid
+    # quadrature amplitudes on their p grid: one call over l = 0..8
     orders = []
     quadrature = splib.amplitude_quadrature
 
     def counting(l, p, *args, **kwargs):
-        orders.append(l)
+        orders.append(list(l))
         return quadrature(l, p, *args, **kwargs)
 
     monkeypatch.setattr(splib, "amplitude_quadrature", counting)
@@ -248,7 +248,85 @@ def test_spectra_suite_computes_each_grid_amplitude_once(monkeypatch):
         only=("amplitude_closed_density", "amplitude_closed_signed", "density_parity")
     )
     assert len(ver.spectra_suite(options)) == 3 + 3 + 9
-    assert orders == list(range(9))
+    assert orders == [list(range(9))]
+
+
+@pytest.mark.parametrize("only, parseval_lmax, grid_orders", [
+    (("amplitude_closed_signed",), 8, 3),
+    (("density_parity",), 1, 2),
+    (("density_parity",), 5, 6),
+    (("amplitude_closed_density", "density_parity"), 0, 3),
+])
+def test_spectra_suite_asks_the_grid_for_the_orders_it_checks(
+    only, parseval_lmax, grid_orders, monkeypatch
+):
+    orders = []
+    quadrature = splib.amplitude_quadrature
+
+    def counting(l, p, *args, **kwargs):
+        orders.append(list(l))
+        return quadrature(l, p, *args, **kwargs)
+
+    monkeypatch.setattr(splib, "amplitude_quadrature", counting)
+    ver.spectra_suite(ver.VerifyOptions(only=only, parseval_lmax=parseval_lmax))
+    assert orders == [list(range(grid_orders))]
+
+
+def test_spectra_suite_makes_one_call_per_family(monkeypatch):
+    calls = []
+    for name in ("amplitude_quadrature", "amplitude_surface_overlap", "moments"):
+        entry = getattr(splib, name)
+        monkeypatch.setattr(splib, name, lambda *a, _e=entry, _n=name, **k:
+                            calls.append(_n) or _e(*a, **k))
+    only = ("amplitude_surface_match", "density_parity", "parseval")
+    report = ver.run_verification(ver.VerifyOptions(only=only))
+    assert report.total == 5 + 9 + 9 and report.all_pass
+    # the p grid, then the surface match's quadrature and overlap
+    assert sorted(calls) == ["amplitude_quadrature"] * 2 + [
+        "amplitude_surface_overlap", "moments"]
+
+
+def test_parseval_passes_at_every_accepted_lmax():
+    # a fixed |p| <= 16 window failed every l >= 10 (0.10 off at l = 16,
+    # 0.84 at l = 64)
+    options = ver.VerifyOptions(only=("parseval",), parseval_lmax=splib.LEGENDRE_MAX_ORDER)
+    report = ver.run_verification(options)
+    assert report.total == 65 and report.all_pass
+    assert max(c.residual for c in report.checks) <= 1e-13
+
+
+@pytest.mark.parametrize("only", [("parseval",), ("density_parity",), ("geometric_potential",)])
+def test_a_parseval_lmax_past_the_amplitudes_is_refused_before_any_suite(only, monkeypatch):
+    def no_suite(options):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(ver, "geometry_suite", no_suite)
+    options = ver.VerifyOptions(only=only, parseval_lmax=splib.LEGENDRE_MAX_ORDER + 1)
+    with pytest.raises(ValueError, match=r"parseval lmax \(--parseval-lmax\) must be at most 64"):
+        ver.run_verification(options)
+
+
+def _report_of_every_cell_kind():
+    checks = [
+        ver.CheckResult("a", None, None, None, float("nan"), 1e-10, False),
+        ver.CheckResult("b", "sphere", 'f"%s\\', (-0.0, 0.5), -0.0, float("inf"), True),
+        ver.CheckResult("a", "plane", None, (1e300, -1e-300), 5e-324, 1e-10, True),
+        ver.CheckResult("c%", None, "x", (0.5, float("-inf")), 2.5, 0.0, False),
+    ]
+    return ver.VerificationReport(tuple(checks))
+
+
+@pytest.mark.parametrize("report", [
+    ver.VerificationReport(()),
+    _report_of_every_cell_kind(),
+    ver.VerificationReport(_report_of_every_cell_kind().checks[:1]),
+], ids=["empty", "every-kind", "one-null-row"])
+def test_report_json_is_the_dict_form(report):
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+def test_default_report_json_is_the_dict_form(small_report):
+    assert small_report.to_json() == json.dumps(small_report.to_dict(), indent=2) + "\n"
 
 
 def test_confined_sum_builds_each_surface_once(jet_orders):
