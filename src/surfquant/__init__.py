@@ -50,9 +50,7 @@ from .spectra import (
     amplitude_quadrature,
     amplitude_recurrence,
     amplitude_surface_overlap,
-    distribution_amplitudes,
     eigenfunction_field,
-    legendre_p,
     moments,
     overlap_kernel,
     psi,

@@ -338,15 +338,12 @@ def cmd_distribution(args):
     extra_closed = bool(args.compare_closed)
     if extra_closed and args.l > 2:
         raise ValueError("--compare-closed requires l <= 2")
-    grid, amps = splib.distribution_amplitudes(
-        args.l,
-        p_max=args.pmax,
-        dp=args.dp,
-        method=args.method,
-        Q=args.Q,
-        nodes=args.nodes,
-        tolerance=args.tolerance,
-    )
+    grid = splib.symmetric_grid(args.pmax, args.dp)
+    if args.method == "quadrature":
+        amps = splib.amplitude_quadrature(args.l, grid, Q=args.Q, nodes=args.nodes,
+                                          tolerance=args.tolerance)
+    else:
+        amps = splib.amplitude_recurrence(args.l, grid)
     density = np.abs(amps) ** 2
     columns = {
         "p": grid,

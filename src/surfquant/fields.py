@@ -5,13 +5,13 @@ A field is one callable `partials(q1, q2, order)` that returns
 `value` reads its order-0 jet, and a caller indexes `partials` for the
 others.
 Operators in this package never use nested finite differences.  Every
-closed-form field (Y_lm from associated_legendre, the trig library, plane
-waves, constants, the coordinate functions of a chart, spectra's
-eigenfunctions) is a bare elementwise-numpy map of (q1, q2), differentiated
-exactly by the Taylor jets that differentiate the charts (`_jets`);
-`map_field` wraps any such map.  Composite fields (products, rotated
-pullbacks, operator images) derive their partials from their factors' by
-the product and chain rules.  The package needs only numpy at run time.
+closed-form field (Y_lm from associated_legendre, the trig library,
+constants, the coordinate functions of a chart, spectra's eigenfunctions)
+is a bare elementwise-numpy map of (q1, q2), differentiated exactly by the
+Taylor jets that differentiate the charts (`_jets`); `map_field` wraps any
+such map.  Composite fields (products, rotated pullbacks, operator images)
+derive their partials from their factors' by the product and chain rules.
+The package needs only numpy at run time.
 
 Point-axis convention: all callables broadcast over array points, and the
 point axes go last.  Over a point shape S the value has shape S, the
@@ -293,14 +293,6 @@ def library_blocks(lmax, trig_count, size):
         return rows, ScalarField(f"library({lmax}, {trig_count})[{len(rows)} rows]", partials)
 
     return (block(m_major[k:k + size]) for k in range(0, len(m_major), size))
-
-
-def plane_wave(k, axis=0):
-    """exp(i k q_axis), the flat-chart momentum eigenfunction."""
-    k = float(k)
-    axis = int(axis)
-    return map_field(lambda q1, q2: np.exp(1j * k * (q1, q2)[axis]),
-                     f"exp(i{k:g}q{axis + 1})")
 
 
 def sphere_point(theta, phi):

@@ -4,8 +4,8 @@ Everything here is a pure function of a chart and its parameter points.  The
 central object is the GeometryFrame: tangents, metric, normal, second
 fundamental form, Weingarten map and the curvature invariants.  A frame
 comes from one evaluation of the chart's map on jets to second order; the
-curvature gradients (d_mu M, d_mu K) add the third partials of that same
-evaluation, so they are exact on every chart.
+curvature gradients (d_mu M, d_mu K) that thin_shell needs add the third
+partials of that same evaluation, so they are exact on every chart.
 
 Sign conventions (fixed once, relied on by every operator downstream):
 
@@ -267,8 +267,9 @@ def laplace_beltrami(chart, field, q1, q2):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def curvature_gradients(chart, q1, q2):
-    """Surface gradients (d_mu M, d_mu K), each of shape (2,) + point shape.
+def _frame_with_gradients(chart, q1, q2):
+    """(frame, dM, dK) at the points: the frame and the surface gradients
+    d_mu M and d_mu K, each of shape (2,) + point shape, for thin_shell.
 
     Exact to rounding on every chart, from-map charts included: one jet
     evaluation of the map to third order gives the frame and the third
@@ -278,11 +279,6 @@ def curvature_gradients(chart, q1, q2):
         d_l alpha = -(d_l g^-1 h + g^-1 d_l h),
     so d_l M = -tr(d_l alpha)/2 and d_l K = d_l det(alpha).
     """
-    return _frame_with_gradients(chart, q1, q2)[1:]
-
-
-def _frame_with_gradients(chart, q1, q2):
-    """(frame, dM, dK) at the points from one order-3 evaluation of the map."""
     partials = chart.partials(q1, q2, 3)
     frame = _frame(chart, q1, q2, partials)
     h, r, ginv = frame.second_form, frame.raised, frame.metric_inv

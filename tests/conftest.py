@@ -26,6 +26,12 @@ def sphere_points():
     return chlib.interior_points(chlib.sphere(), 50)
 
 
+def plane_wave(k, axis=0):
+    """exp(i k q_axis), the flat chart's momentum eigenfunction, as a field."""
+    return flib.map_field(lambda q1, q2: np.exp(1j * k * (q1, q2)[axis]),
+                          f"exp(i{k:g}q{axis + 1})")
+
+
 def chart_points(chart, n=50):
     return chlib.interior_points(chart, n)
 

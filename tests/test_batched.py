@@ -8,13 +8,15 @@ point in input order.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfquant import charts as chlib
 from surfquant import fields as flib
 from surfquant import operators as oplib
 from surfquant import spectra as splib
 from surfquant import verification as ver
-from surfquant.cli import main
+from surfquant.cli import _cells, main
 from surfquant.errors import ChartSingularityError, PoleProximityError
 from surfquant.geometry import evaluate_frame, laplace_beltrami, shell_frame
 
@@ -303,3 +305,82 @@ def test_closed_form_sphere_paths_refuse_a_nan_angle(path, theta, phi, error):
     # these returned NaN without an error (psi with a RuntimeWarning too)
     with pytest.raises(error):
         SPHERE_PATHS[path](theta, phi)
+
+
+# ---------------------------------------------------------------------------
+# Batch invariance: an entry's result for one item has the same bits
+# whatever other items share its call.
+# ---------------------------------------------------------------------------
+
+
+def _frame_rows(chart):
+    def rows(q):
+        frame = evaluate_frame(chart, q[:, 0], q[:, 1])
+        return np.concatenate([np.reshape(getattr(frame, name), (-1, len(q)))
+                               for name in FRAME_ARRAYS + FRAME_SCALARS])
+    return rows
+
+
+def _library_rows(q):
+    # every field of field_library(3, 2) to second order, in three blocks
+    return np.concatenate([np.reshape(jet, (-1, len(q)))
+                           for _, block in flib.library_blocks(3, 2, 7)
+                           for jet in block.partials(q[:, 0], q[:, 1], 2)])
+
+
+def _cell_rows(signed_zero):
+    def rows(table):
+        columns = {"a": table[:, 0], "s": "x", "b": table[:, 1], "c": table[:, 2]}
+        count, cells = _cells(columns, signed_zero)
+        return np.array(cells, dtype=object).reshape(count, 3).T
+    return rows
+
+
+TWO_PI = 2.0 * np.pi
+ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.5, -1.5, np.nan]))
+BATCH_ENTRIES = {
+    "evaluate_frame torus": (st.tuples(st.floats(0.0, TWO_PI), st.floats(0.0, TWO_PI)),
+                             _frame_rows(chlib.torus())),
+    "evaluate_frame cylinder": (st.tuples(st.floats(0.0, TWO_PI), st.floats(-1.0, 1.0)),
+                                _frame_rows(chlib.cylinder())),
+    "library_blocks": (st.tuples(st.floats(0.01, np.pi - 0.01), st.floats(0.0, TWO_PI)),
+                       _library_rows),
+    "amplitude_recurrence": (st.floats(-splib.MAX_ABS_P, splib.MAX_ABS_P),
+                             lambda p: splib.amplitude_recurrence([0, 1, 5, 64], p)),
+    # the theta rule is the same for every |p| <= 60
+    "amplitude_surface_overlap": (st.floats(-60.0, 60.0),
+                                  lambda p: splib.amplitude_surface_overlap([0, 3], p)),
+    "cli._cells": (st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT), _cell_rows(False)),
+    "cli._cells signed zero": (st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT), _cell_rows(True)),
+}
+
+
+def _same_bits(a, b):
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    return a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("entry", sorted(BATCH_ENTRIES))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_an_items_bits_do_not_depend_on_its_batch(entry, data):
+    items, evaluate = BATCH_ENTRIES[entry]
+    batch = np.array(data.draw(st.lists(items, min_size=1, max_size=6)))
+    n = len(batch)
+    full = evaluate(batch)
+    subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                unique=True).map(sorted))
+    permutation = data.draw(st.permutations(range(n)))
+    single = [data.draw(st.integers(0, n - 1))]
+    for selection in (subset, permutation, single):
+        assert _same_bits(evaluate(batch[selection]), full[..., selection]), selection
+
+
+@pytest.mark.xfail(strict=True, reason="BLAS rounds the quadrature's per-panel matmuls "
+                   "by the chunk's row count (ROADMAP item 5)")
+def test_amplitude_quadrature_bits_do_not_depend_on_its_batch():
+    # 199 of the 241 values differ from one-p calls, by at most 3.3e-16
+    grid = splib.symmetric_grid(6.0, 0.05)
+    single = np.array([splib.amplitude_quadrature(0, p) for p in grid])
+    assert _same_bits(splib.amplitude_quadrature(0, grid), single)

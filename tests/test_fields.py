@@ -10,7 +10,7 @@ from surfquant import fields as flib
 from surfquant.errors import PoleProximityError
 from surfquant.spectra import eigenfunction_field, psi
 
-from conftest import fd_gradient, fd_hessian
+from conftest import fd_gradient, fd_hessian, plane_wave
 from sympy_oracle import PHI, THETA, from_expr
 
 
@@ -151,7 +151,7 @@ def test_constant_field():
 
 def test_plane_wave_partials():
     k = 2.5
-    wave = flib.plane_wave(k)
+    wave = plane_wave(k)
     g = wave.partials(0.3, -0.2, 1)[1]
     assert abs(g[0] - 1j * k * wave.value(0.3, -0.2)) < 1e-14
     assert abs(g[1]) == 0.0

@@ -7,7 +7,7 @@ from surfquant import charts as chlib
 from surfquant import fields as flib
 from surfquant.errors import ChartSingularityError, ShellFoldError
 from surfquant.geometry import (
-    curvature_gradients,
+    _frame_with_gradients,
     evaluate_frame,
     geometric_potential,
     laplace_beltrami,
@@ -211,7 +211,7 @@ def test_a_from_map_frame_that_overflows_is_refused():
             "the steep chart's frame is not finite at (500.0, 0.25)")):
         evaluate_frame(steep, q1, q2)
     with pytest.raises(ValueError, match="steep chart's frame is not finite"):
-        curvature_gradients(steep, 500.0, 0.25)
+        _frame_with_gradients(steep, 500.0, 0.25)
 
 
 @pytest.mark.parametrize("scale", [1e-60, 1e-20, 1e20, 1e60])
@@ -270,7 +270,7 @@ def test_curvature_gradients_match_finite_differences(builtin_charts):
     chart = builtin_charts["torus"]
     h = 1e-6
     for u, v in chart_points(chart, 10):
-        dM, dK = curvature_gradients(chart, u, v)
+        dM, dK = _frame_with_gradients(chart, u, v)[1:]
 
         def mk(a, b):
             fr = evaluate_frame(chart, a, b)
@@ -295,7 +295,7 @@ def _torus_gradients(a, b, v):
 def test_curvature_gradients_match_the_torus_closed_forms(a, b):
     torus = chlib.torus(a, b)
     for u, v in chart_points(torus, 50):
-        dM, dK = curvature_gradients(torus, u, v)
+        dM, dK = _frame_with_gradients(torus, u, v)[1:]
         exact_dM, exact_dK = _torus_gradients(a, b, v)
         assert np.abs(dM - exact_dM).max() < 1e-14
         assert np.abs(dK - exact_dK).max() < 1e-14
@@ -305,7 +305,7 @@ def test_curvature_gradients_match_the_torus_closed_forms(a, b):
 def test_constant_curvature_gradients_vanish(name, builtin_charts):
     chart = builtin_charts[name]
     pts = chart_points(chart, 50)
-    dM, dK = curvature_gradients(chart, pts[:, 0], pts[:, 1])
+    dM, dK = _frame_with_gradients(chart, pts[:, 0], pts[:, 1])[1:]
     assert np.abs(dM).max() < 1e-14 and np.abs(dK).max() < 1e-14
 
 
@@ -321,7 +321,7 @@ def test_curvature_gradients_exact_on_a_mapped_torus():
 
     mapped = chlib.from_map(torus_map, torus.domain, torus.periodic, name="mapped")
     for u, v in chart_points(torus, 20):
-        dM, dK = curvature_gradients(mapped, u, v)
+        dM, dK = _frame_with_gradients(mapped, u, v)[1:]
         exact_dM, exact_dK = _torus_gradients(a, b, v)
         assert np.abs(dM - exact_dM).max() < 1e-13
         assert np.abs(dK - exact_dK).max() < 1e-13
@@ -331,11 +331,11 @@ def test_curvature_gradients_on_array_points():
     torus = chlib.torus()
     q1 = np.linspace(0.1, 6.0, 4)[:, None]
     q2 = np.linspace(0.2, 5.0, 3)[None, :]
-    dM, dK = curvature_gradients(torus, q1, q2)
+    dM, dK = _frame_with_gradients(torus, q1, q2)[1:]
     assert dM.shape == dK.shape == (2, 4, 3)
     for i in range(4):
         for j in range(3):
-            one_dM, one_dK = curvature_gradients(torus, q1[i, 0], q2[0, j])
+            one_dM, one_dK = _frame_with_gradients(torus, q1[i, 0], q2[0, j])[1:]
             assert np.allclose(dM[:, i, j], one_dM, rtol=1e-14, atol=1e-15)
             assert np.allclose(dK[:, i, j], one_dK, rtol=1e-14, atol=1e-15)
 

@@ -25,6 +25,7 @@ from surfquant import verification as ver
 from surfquant.cli import main
 from surfquant.geometry import laplace_beltrami
 
+from conftest import plane_wave
 from sympy_oracle import PHI, THETA, from_expr
 
 SRC = str(Path(surfquant.__file__).resolve().parent.parent)
@@ -146,7 +147,7 @@ def test_trig_library_matches_the_sympy_oracle():
 @pytest.mark.parametrize("k", [2.5, -1.3, 0.0])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_plane_wave_matches_the_sympy_oracle(k, axis):
-    assert_matches_oracle(flib.plane_wave(k, axis), oracle("wave", k, axis))
+    assert_matches_oracle(plane_wave(k, axis), oracle("wave", k, axis))
 
 
 def chart_oracle(name):

@@ -8,7 +8,7 @@ from surfquant import operators as oplib
 from surfquant.errors import PoleProximityError, ShellFoldError
 from surfquant.geometry import evaluate_frame
 
-from conftest import chart_points
+from conftest import chart_points, plane_wave
 from sympy_oracle import THETA, from_expr
 
 
@@ -36,7 +36,7 @@ def test_momentum_of_constant_on_sphere():
 def test_momentum_of_plane_wave_on_plane():
     plane = chlib.plane()
     k = 3.0
-    wave = flib.plane_wave(k)
+    wave = plane_wave(k)
     u, v = 0.3, -0.1
     p = oplib.apply_geometric_momentum(plane, wave, u, v)
     expected = k * wave.value(u, v) * np.array([1.0, 0.0, 0.0])
@@ -124,7 +124,7 @@ def test_position_momentum_examples(builtin_charts):
     assert abs(commutator + 1j * fr.normal[0] * fr.normal[1]) < 1e-14
     # flat chart: canonical relation [x, p_x] = i hbar f exactly
     plane = builtin_charts["plane"]
-    wave = flib.plane_wave(2.0)
+    wave = plane_wave(2.0)
     residual = oplib.position_momentum_residuals(plane, wave, 0.2, 0.1)[0, 0]
     assert abs(residual) < 1e-14
 
@@ -146,7 +146,7 @@ def test_position_kinetic_constant_reduces_to_curvature_identity():
 
 def test_position_kinetic_plane_wave():
     plane = chlib.plane()
-    res = oplib.commutator_position_kinetic(plane, flib.plane_wave(1.5), 0.1, 0.4)
+    res = oplib.commutator_position_kinetic(plane, plane_wave(1.5), 0.1, 0.4)
     assert np.abs(res).max() < 1e-13
 
 

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from surfquant import fields as flib
 from surfquant import operators as oplib
 from surfquant import spectra as splib
 from surfquant.errors import PoleProximityError, QuadratureTruncationError
@@ -162,36 +163,27 @@ def test_overlap_kernel_rejects_non_finite_p():
 
 def test_legendre_base_cases():
     xs = np.linspace(-1.0, 1.0, 11)
-    assert np.abs(splib.legendre_p(0, xs) - 1.0).max() == 0.0
-    assert abs(splib.legendre_p(2, 0.0) + 0.5) == 0.0
-    assert abs(splib.legendre_p(5, 1.0) - 1.0) < 1e-15
+    assert np.abs(flib.associated_legendre(0, 0, xs) - 1.0).max() == 0.0
+    assert abs(flib.associated_legendre(2, 0, 0.0) + 0.5) == 0.0
+    assert abs(flib.associated_legendre(5, 0, 1.0) - 1.0) < 1e-15
 
 
 def test_legendre_frozen_series_value():
     # series oracle at x = 0.3: P_5(0.3) = (63*0.3^5 - 70*0.3^3 + 15*0.3)/8
-    assert abs(splib.legendre_p(5, 0.3) - 0.34538625) < 1e-15
+    assert abs(flib.associated_legendre(5, 0, 0.3) - 0.34538625) < 1e-15
     assert abs(legendre_series_oracle(5, 0.3) - 0.34538625) < 1e-12
 
 
 @pytest.mark.parametrize("l", [1, 3, 7, 12, 20])
 def test_legendre_matches_series_oracle(l):
     for x in np.linspace(-1.0, 1.0, 9):
-        assert abs(splib.legendre_p(l, x) - legendre_series_oracle(l, x)) < 1e-9
-
-
-def test_legendre_order_range():
-    splib.legendre_p(64, 0.5)
-    with pytest.raises(ValueError):
-        splib.legendre_p(65, 0.5)
-    with pytest.raises(ValueError):
-        splib.legendre_p(-1, 0.5)
+        assert abs(flib.associated_legendre(l, 0, x) - legendre_series_oracle(l, x)) < 1e-9
 
 
 L_ENTRIES = {
     "amplitude_recurrence": lambda l: splib.amplitude_recurrence(l, 0.3),
     "amplitude_quadrature": lambda l: splib.amplitude_quadrature(l, 0.3),
     "amplitude_surface_overlap": lambda l: splib.amplitude_surface_overlap(l, 0.3),
-    "legendre_p": lambda l: splib.legendre_p(l, 0.4),
     "moments": lambda l: splib.moments(l, 0),
     "uncertainty_report": lambda l: splib.uncertainty_report(l),
     # an order inside an l sequence
@@ -336,12 +328,21 @@ def test_amplitude_truncation_flag():
     assert abs(value - np.sqrt(np.pi) / 2.0) < 1e-4
 
 
+@pytest.mark.parametrize("tolerance", [np.nan, np.inf, 0.0, -1e-8])
+def test_a_tolerance_that_is_not_finite_and_positive_is_refused(tolerance):
+    # A NaN tolerance passed the tail-bound test: 0.4196 came back, though
+    # the bound is 0.74 and the recurrence gives 0.3532.  A negative one was
+    # reported as a truncation.
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        splib.amplitude_quadrature(0, 1.0, Q=1.0, nodes=32, tolerance=tolerance)
+
+
 def unfolded_amplitude(l, p, Q, nodes):
     """Reference: the complex exponential of p q at every node of the
     q-rule, with no parity or angle-addition split, 1024 p at a time."""
     p = np.asarray(p, dtype=float)
     q, w = (x.ravel() for x in splib._q_rule(Q, nodes, np.max(np.abs(p)), l))
-    kernel = w * splib.legendre_p(l, np.tanh(q)) / np.cosh(q)
+    kernel = w * flib.associated_legendre(l, 0, np.tanh(q)) / np.cosh(q)
     sums = [np.exp(-1j * p[k:k + 1024, None] * q) @ kernel for k in range(0, p.size, 1024)]
     return np.sqrt((2 * l + 1) / (4.0 * np.pi)) * np.concatenate(sums)
 
@@ -718,25 +719,14 @@ def test_uncertainty_report_range():
             splib.uncertainty_report(1, m)
 
 
-def test_uncertainty_report_json():
-    import json
-
-    rep = splib.uncertainty_report(1, 0)
-    payload = json.loads(rep.to_json())
-    assert list(payload) == [
-        "l", "m", "position_mean", "position_second",
-        "momentum_mean", "momentum_second", "products",
-    ]
-    assert payload["l"] == 1 and list(payload["products"]) == ["z"]
-
-
 # ---------------------------------------------------------------------------
 # distribution amplitudes and oscillator comparison
 # ---------------------------------------------------------------------------
 
 
 def test_distribution_amplitudes_riemann_sum_near_one():
-    grid, amps = splib.distribution_amplitudes(0, p_max=12.0, dp=0.05)
+    grid = splib.symmetric_grid(12.0, 0.05)
+    amps = splib.amplitude_recurrence(0, grid)
     total = float(np.sum(np.abs(amps) ** 2)) * 0.05
     assert abs(total - 1.0) < 1e-3
     assert grid.size == amps.size == 481
