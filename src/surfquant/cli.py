@@ -20,12 +20,12 @@ machine-parseable line `error: <tag>: <message>` on stderr and exit
 nonzero (2 chart/config errors, 3 quadrature truncation, 4 shell fold,
 1 failed verification).
 
-An optional `--config FILE` supplies `key = value` defaults (same names as
-the long flags, hyphens and underscores interchangeable); explicit flags
-override the file.  The repeatable flags (LIST_OPTIONS) take a
-whitespace-separated list there.  A key the command does not take, a value
-outside its CHOICES, and a config or `--out` path that cannot be opened,
-are config errors.
+An optional `--config FILE` holds `key = value` lines (same names as the
+long flags, hyphens and underscores interchangeable), read as `--key=value`
+flags before argv's own: argparse checks them as argv, an explicit flag
+wins, a repeatable flag (LIST_OPTIONS) takes a whitespace-separated list and
+an on/off flag true or false.  A key the command does not take, a bad value
+(named with the file) and a path that cannot be opened are config errors.
 """
 
 import argparse
@@ -49,14 +49,6 @@ from .errors import (
 from .geometry import evaluate_frame, geometric_potential, shell_frame
 
 GAUSSIAN_REFERENCE_LABEL = "sho_density"
-
-# The options with a fixed set of values; a --config value is checked here
-# too, since argparse checks choices only of the text it reads from argv.
-CHOICES = {
-    "format": ("csv", "json"),
-    "method": ("quadrature", "closed_form"),
-    "profile": ("gaussian", "flat"),
-}
 
 # `confine` evaluates here without --point; other charts use their domain
 # centre, which lies inside the domain whatever the surface parameters.
@@ -315,19 +307,32 @@ def cmd_geom(args):
     q3_values = _parse_float_list(args.q3) if args.q3 else []
     points = _geom_points(args, chart, 9 + len(q3_values))
     q1, q2 = (np.array(axis) for axis in zip(*points))
+
+    def columns(rows):
+        return _geom_columns(chart, q1[rows], q2[rows], q3_values, args.hbar, args.mu)
+
+    failures = (ChartSingularityError, ShellFoldError, ValueError)
     try:
-        columns = _geom_columns(chart, q1, q2, q3_values, args.hbar, args.mu)
-    except (ChartSingularityError, ShellFoldError, ValueError):
+        table = columns(slice(None))
+    except failures:
         # Name the first failing point in input order, as a row-by-row
-        # evaluation would, whatever kind of error the batch hit first.
-        for k in range(len(points)):
-            one = slice(k, k + 1)
-            _geom_columns(chart, q1[one], q2[one], q3_values, args.hbar, args.mu)
+        # evaluation would, whatever kind of error the batch hit first.  A
+        # batch fails when one of its rows does, so bisect for the longest
+        # passing prefix (points[:good]), then evaluate the next point alone.
+        good, bad = 0, len(points)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                columns(slice(good, mid))
+                good = mid
+            except failures:
+                bad = mid
+        columns(slice(good, good + 1))
         raise
     if args.format == "csv":
-        _write_text(args.out, _csv(columns))
+        _write_text(args.out, _csv(table))
     else:
-        payload = {"surface": chart.name, "params": chart.params, "rows": columns}
+        payload = {"surface": chart.name, "params": chart.params, "rows": table}
         _write_text(args.out, _json(payload, "rows"))
     return 0
 
@@ -447,12 +452,13 @@ def cmd_verify(args):
     return 0 if report.all_pass else 1
 
 
-def _add_common(parser):
+def _add_common(parser, with_format=True):
     parser.add_argument("--config", help="key=value config file with defaults")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument(
-        "--format", choices=CHOICES["format"], default="csv", help="output format"
-    )
+    if with_format:
+        parser.add_argument(
+            "--format", choices=("csv", "json"), default="csv", help="output format"
+        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -497,7 +503,7 @@ def build_parser():
     p_dist.add_argument("--Q", type=float, default=splib.DEFAULT_Q)
     p_dist.add_argument("--nodes", type=int, default=splib.DEFAULT_NODES)
     p_dist.add_argument(
-        "--method", choices=CHOICES["method"], default="closed_form"
+        "--method", choices=("quadrature", "closed_form"), default="closed_form"
     )
     p_dist.add_argument(
         "--compare-closed",
@@ -522,7 +528,7 @@ def build_parser():
     p_conf.add_argument(
         "--chi", default="1,0", help="surface factor: 'l,m' harmonic, trigN or const"
     )
-    p_conf.add_argument("--profile", choices=CHOICES["profile"], default="gaussian")
+    p_conf.add_argument("--profile", choices=("gaussian", "flat"), default="gaussian")
     p_conf.add_argument("--width", type=float, default=1.0)
     p_conf.add_argument(
         "--point",
@@ -533,8 +539,7 @@ def build_parser():
     p_conf.set_defaults(func=cmd_confine)
 
     p_ver = sub.add_parser("verify", help="run identity suites, emit JSON report")
-    _add_common(p_ver)
-    p_ver.set_defaults(format="json")
+    _add_common(p_ver, with_format=False)
     p_ver.add_argument("--points", type=int, default=25, help="points per chart")
     p_ver.add_argument("--lmax", type=int, default=3, help="harmonic library depth")
     p_ver.add_argument("--trig", type=int, default=3, help="random trig fields")
@@ -560,15 +565,6 @@ def build_parser():
 LIST_OPTIONS = {"geom": ("param", "point"), "confine": ("param",), "verify": ("only",)}
 
 
-def _coerce(text):
-    """true/false for the on/off flags; any other value stays a string, which
-    the parser converts as it converts the flag's own text."""
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    return text
-
-
 def _load_config(path):
     values = {}
     with _open(path) as fh:
@@ -579,7 +575,7 @@ def _load_config(path):
             if "=" not in line:
                 raise ValueError(f"config line without '=': {raw.strip()!r}")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = _coerce(value.strip())
+            values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -638,26 +634,27 @@ def _shared_parser():
 
 
 def _parse_args(argv):
-    """Parse argv; a --config file's values become the command's defaults.
+    """Parse argv; a --config file's lines are read as flags before argv's.
 
     A `geom` argv's --point flags are lifted out first (_lift_points) and
-    set as `point` after each parse.  Without --config argv is parsed once.
-    With it, every key must be an option of the invoked command and every
-    value one of its CHOICES, and argv is parsed again over the new
-    defaults, on a fresh parser since set_defaults mutates it, so explicit
-    flags still win; for a LIST_OPTIONS key a flag replaces the file's
-    whole list.
+    set as `point` after the parse.  Without --config argv is parsed once.
+    With it, every key must be an option of the invoked command, and argv
+    is parsed again with the file's lines as `--key=value` flags after the
+    command, so argparse checks them as it checks argv and a later explicit
+    flag wins.  A LIST_OPTIONS key gives one flag per item, none when argv
+    gives that flag; an on/off flag is `--key` for true, absent for false.
+    An error of the second parse names the file.
     """
     parser, spellings = _shared_parser()
-    argv, points = _lift_points(argv, spellings)
 
-    def parse(parser):
-        args = parser.parse_args(argv)
+    def parse(argv):
+        rest, points = _lift_points(argv, spellings)
+        args = parser.parse_args(rest)
         if points:
             args.point = points
         return args
 
-    args = parse(parser)
+    args = parse(argv)
     if args.config is None:
         return args
     values = _load_config(args.config)
@@ -666,19 +663,21 @@ def _parse_args(argv):
         raise ValueError(
             f"{args.config}: {args.command} takes no option {', '.join(unknown)}"
         )
+    flags = []
     for key, value in values.items():
-        if key in CHOICES and value not in CHOICES[key]:
-            raise ValueError(
-                f"{args.config}: invalid {key} {value!r} "
-                f"(choose from {', '.join(map(repr, CHOICES[key]))})"
-            )
-    for key in LIST_OPTIONS.get(args.command, ()):
-        if key in values:
+        flag = "--" + key.replace("_", "-")
+        if key in LIST_OPTIONS.get(args.command, ()):
             # an append flag would add to the file's list, not replace it
-            values[key] = None if getattr(args, key) else str(values[key]).split()
-    parser, commands = build_parser()
-    commands[args.command].set_defaults(**values)
-    return parse(parser)
+            flags += [] if getattr(args, key) else [f"{flag}={v}" for v in value.split()]
+        elif isinstance(getattr(args, key), bool):  # on/off: argparse refuses --key=text
+            flags += {"true": [flag], "false": []}.get(value.lower(), [f"{flag}={value}"])
+        else:
+            flags.append(f"{flag}={value}")
+    start = argv.index(args.command) + 1
+    try:
+        return parse(argv[:start] + flags + argv[start:])
+    except ValueError as err:
+        raise ValueError(f"{args.config}: {err}") from None
 
 
 _ERROR_TAGS = (

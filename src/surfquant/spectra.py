@@ -430,19 +430,20 @@ def amplitude_closed(l, p):
     phi_2 = (sqrt(5 pi)/8) (3 p^2 - 1) sech(pi p / 2)
 
     The overlap integral computed by amplitude_quadrature reproduces these
-    up to the recorded global sign CLOSED_FORM_COMPARISON_SIGN[l].
+    up to the recorded global sign CLOSED_FORM_COMPARISON_SIGN[l].  A
+    non-finite p or |p| above MAX_ABS_P is refused, as by the quadrature.
     """
-    p = np.asarray(p, dtype=float)
+    if l not in (0, 1, 2):
+        raise ValueError("closed forms available for l in {0, 1, 2} only")
+    p = _amplitude_p(p)
     with np.errstate(over="ignore"):  # cosh overflows past |p| ~ 452; sech is 0 there
         envelope = 1.0 / np.cosh(0.5 * np.pi * p)
     if l == 0:
         out = (np.sqrt(np.pi) / 2.0) * envelope + 0j
     elif l == 1:
         out = 1j * (np.sqrt(3.0 * np.pi) / 2.0) * p * envelope
-    elif l == 2:
-        out = (np.sqrt(5.0 * np.pi) / 8.0) * (3.0 * p * p - 1.0) * envelope + 0j
     else:
-        raise ValueError("closed forms available for l in {0, 1, 2} only")
+        out = (np.sqrt(5.0 * np.pi) / 8.0) * (3.0 * p * p - 1.0) * envelope + 0j
     if out.ndim == 0:
         return complex(out)
     return out

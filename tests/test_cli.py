@@ -308,6 +308,7 @@ def test_config_file_with_an_equals_sign_flag(tmp_path):
     (["distribution", "--method", "spline"], "argument --method: invalid choice"),
     (["geom", "--point", "1,1"], "the following arguments are required: --surface"),
     ([], "the following arguments are required: command"),
+    (["verify", "--format", "csv"], "unrecognized arguments: --format csv"),
 ])
 def test_usage_errors_print_one_config_line(argv, message, capsys):
     assert run(argv) == 2
@@ -900,6 +901,56 @@ def test_geom_reads_many_points_in_linear_time(tmp_path):
     assert len((tmp_path / "g.csv").read_text().splitlines()) == 20001
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
+def test_geom_bisects_for_the_first_failing_point(n, capsys, monkeypatch):
+    calls = []
+    geom_columns = cli._geom_columns
+
+    def counting(chart, q1, q2, *args):
+        calls.append(len(q1))
+        return geom_columns(chart, q1, q2, *args)
+
+    monkeypatch.setattr(cli, "_geom_columns", counting)
+    argv = ["geom", "--surface", "sphere"]
+    for q2 in np.linspace(0.0, 6.0, n - 1).tolist():
+        argv += ["--point", f"1.0,{q2!r}"]
+    code, out, err = outcome(argv + ["--point", "0.0,1.0"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: chart-singularity: sphere chart singular at (0.0, 1.0)")
+    assert len(calls) <= int(np.ceil(np.log2(n))) + 2  # a per-point search makes n + 1
+    assert calls[-1] == 1
+
+
+# Per surface: the geom flags and its good, singular, outside-domain and
+# folding points (the torus has no bounded axis, the sphere no point-wise fold).
+GEOM_MIXES = {
+    "sphere": (["--q3", "0.1"], ["1.0,0.5", "2.0,3.0", "3.0,6.0", "0.5,0.1"],
+               ["0.0,1.0", "1.0,nan"], ["4.0,1.0", "-1.0,2.0", "nan,1.0"], []),
+    "torus": (["--q3", "0.1,1.6"], ["0.0,0.0", "1.0,2.0", "2.0,1.0", "5.0,5.5"],
+              ["0.0,nan", "nan,1.0"], [], ["0.0,3.14159", "1.0,3.0", "4.0,3.3"]),
+}
+
+
+@pytest.mark.parametrize("surface", sorted(GEOM_MIXES))
+@pytest.mark.parametrize("seed", range(6))
+def test_geom_names_the_first_failing_point_of_a_mix(surface, seed, capsys):
+    flags, *kinds = GEOM_MIXES[surface]
+    rng = np.random.default_rng(seed)
+    pool = [point for kind in kinds for point in kind]
+    weights = np.concatenate([np.full(len(kind), 1.0 if j == 0 else 0.1)
+                              for j, kind in enumerate(kinds)])
+    points = rng.choice(pool, size=int(rng.integers(1, 24)), p=weights / weights.sum())
+    base = ["geom", "--surface", surface] + flags
+    reference = (0, "")
+    for point in points:  # the first point that fails alone, in input order
+        code, _, err = outcome(base + [f"--point={point}"], capsys)
+        if code:
+            reference = (code, err)
+            break
+    code, _, err = outcome(base + [f"--point={point}" for point in points], capsys)
+    assert (code, err) == reference
+
+
 def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
     cfg = tmp_path / "json.cfg"
     cfg.write_text("format = json\n")
@@ -922,8 +973,63 @@ def test_config_values_must_be_choices(command, line, tmp_path, capsys):
     code, out, err = outcome([command, "--config", str(cfg)], capsys)
     key, value = (tok.strip() for tok in line.split("="))
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: config: {cfg}: invalid {key} '{value}' (choose from ")
+    assert err.startswith(f"error: config: {cfg}: argument --{key}: invalid choice: '{value}'")
     assert err.count("\n") == 1
+
+
+# Per command: a config file and the flags that give the same options.
+CONFIG_AS_FLAGS = {
+    "distribution": (
+        "l = 2\npmax = 1.5\ndp=0.25\nmethod = quadrature\n"
+        "compare_closed = true\nsho-overlay = false\n",
+        ["--l", "2", "--pmax", "1.5", "--dp", "0.25", "--method", "quadrature",
+         "--compare-closed"],
+    ),
+    "geom": (
+        "surface = torus\nparam = major_radius=3 minor_radius=1\n"
+        "point = 1,2 -0.5,0.5\nq3 = 0.1\nhbar = 2\nformat = json\n",
+        ["--surface", "torus", "--param", "major_radius=3", "--param", "minor_radius=1",
+         "--point", "1,2", "--point=-0.5,0.5", "--q3", "0.1", "--hbar", "2",
+         "--format", "json"],
+    ),
+    "confine": (
+        "surface = torus\nparam = major_radius=3\nprofile = flat\nwidth = 2\n"
+        "point = 1,0.5\n",
+        ["--surface", "torus", "--param", "major_radius=3", "--profile", "flat",
+         "--width", "2", "--point", "1,0.5"],
+    ),
+    "verify": (
+        "only = parseval moment_second\nparseval-lmax = 16\npoints = 3\n"
+        "tolerance = 1e-9\n",
+        ["--only", "parseval", "--only", "moment_second", "--parseval-lmax", "16",
+         "--points", "3", "--tolerance", "1e-9"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_AS_FLAGS))
+def test_config_values_parse_as_their_flags(command, tmp_path):
+    text, flags = CONFIG_AS_FLAGS[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    from_file = vars(cli._parse_args([command, "--config", str(cfg)]))
+    from_flags = vars(cli._parse_args([command] + flags))
+    assert from_file.pop("config") == str(cfg) and from_flags.pop("config") is None
+    assert from_file == from_flags
+
+
+@pytest.mark.parametrize("line, message", [
+    ("dp = true", "argument --dp: invalid float value: 'true'"),
+    ("l = false", "argument --l: invalid int value: 'false'"),
+    ("compare_closed = no", "argument --compare-closed: ignored explicit argument 'no'"),
+    ("compare_closed = 0", "argument --compare-closed: ignored explicit argument '0'"),
+    ("sho_overlay = off", "argument --sho-overlay: ignored explicit argument 'off'"),
+])
+def test_config_values_are_checked_as_flags(line, message, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"pmax = 1\n{line}\n")
+    code, out, err = outcome(["distribution", "--config", str(cfg)], capsys)
+    assert (code, out, err) == (2, "", f"error: config: {cfg}: {message}\n")
 
 
 @pytest.mark.filterwarnings("error")

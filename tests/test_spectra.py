@@ -413,10 +413,11 @@ def test_quadrature_resolution_follows_p(l):
 
 
 def test_amplitude_rejects_unresolvable_p():
-    for p in (np.nan, np.inf, -np.inf, 1.5 * splib.MAX_ABS_P, [0.0, np.nan]):
-        with pytest.raises(ValueError):
-            splib.amplitude_quadrature(0, p)
-    assert abs(splib.amplitude_quadrature(0, splib.MAX_ABS_P)) < 1e-14
+    for amplitude in (splib.amplitude_quadrature, splib.amplitude_closed):
+        for p in (np.nan, np.inf, -np.inf, 1.5 * splib.MAX_ABS_P, [0.0, np.nan]):
+            with pytest.raises(ValueError):
+                amplitude(0, p)
+        assert abs(amplitude(0, splib.MAX_ABS_P)) < 1e-14
 
 
 def test_symmetric_grid_rejects_bad_spacing():
