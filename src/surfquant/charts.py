@@ -185,10 +185,7 @@ def _regular_cross(chart, q1, q2, t):
     if not regular.all():
         q1b, q2b = np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float))
         k = int(np.argmin(regular.ravel()))
-        point = (q1b.ravel()[k], q2b.ravel()[k])
-        finite = np.all(np.isfinite(point))
-        detail = "tangent degeneracy" if finite else "non-finite point"
-        raise ChartSingularityError(chart.name, point, detail)
+        raise ChartSingularityError(chart.name, (q1b.ravel()[k], q2b.ravel()[k]))
     return cross
 
 

@@ -9,9 +9,11 @@ closed-form field (Y_lm from associated_legendre, the trig library,
 constants, the coordinate functions of a chart, spectra's eigenfunctions)
 is a bare elementwise-numpy map of (q1, q2), differentiated exactly by the
 Taylor jets that differentiate the charts (`_jets`); `map_field` wraps any
-such map.  Composite fields (products, rotated pullbacks, operator images)
-derive their partials from their factors' by the product and chain rules.
-The package needs only numpy at run time.
+such map; they also differentiate the coefficients of the sphere operators
+of `operators`, a map of `_sphere_basis`.  Composite fields (products,
+rotated pullbacks, operator images) derive their partials from their
+factors' by the product (`_product_jets`) and chain rules.  The package
+needs only numpy at run time.
 
 Point-axis convention: all callables broadcast over array points, and the
 point axes go last.  Over a point shape S the value has shape S, the
@@ -98,16 +100,21 @@ def product(f, g):
     """Pointwise product with product-rule partials (exact, no differencing)."""
 
     def partials(q1, q2, order):
-        a, b = f.partials(q1, q2, order), g.partials(q1, q2, order)
-        out = [a[0] * b[0]]
-        if order >= 1:
-            out.append(a[1] * b[0] + a[0] * b[1])
-        if order >= 2:
-            cross = a[1][:, None] * b[1][None, :]
-            out.append(a[2] * b[0] + cross + np.swapaxes(cross, 0, 1) + a[0] * b[2])
-        return out
+        return _product_jets(f.partials(q1, q2, order), g.partials(q1, q2, order))
 
     return ScalarField(f"({f.label})*({g.label})", partials, min(f.order, g.order))
+
+
+def _product_jets(a, b):
+    """The product rule: the jets [value, grad, hess] of a b, to the order of
+    the jets a and b of its factors (derivative axes first)."""
+    out = [a[0] * b[0]]
+    if len(a) > 1:
+        out.append(a[1] * b[0] + a[0] * b[1])
+    if len(a) > 2:
+        cross = a[1][:, None] * b[1][None, :]
+        out.append(a[2] * b[0] + cross + np.swapaxes(cross, 0, 1) + a[0] * b[2])
+    return out
 
 
 def coordinate_field(chart, axis):
@@ -296,23 +303,17 @@ def library_blocks(lmax, trig_count, size):
 
 
 def sphere_point(theta, phi):
-    st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+    return np.array(np.broadcast_arrays(*_sphere_basis(theta, phi)[1]))
 
 
 def _sphere_basis(theta, phi):
-    """sin(theta), cos(theta) and the unit vectors n, e_theta, e_phi, e_rho,
-    each (3,) + S; a theta within POLE_MARGIN of a pole (or NaN) raises
-    PoleProximityError and a non-finite phi ChartSingularityError."""
-    _check_pole(theta)
-    theta, phi = _finite_angles(theta, phi)
+    """sin(theta) and the unit vectors n, e_theta, e_phi of the unit sphere,
+    each a list of three components, from sin and cos alone.  An elementwise
+    map, so it runs on arrays and on Taylor jets: the closed-form operators
+    of `operators` differentiate their coefficients through it.  It checks
+    no angle; e_phi's last component is the number 0.0."""
     st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    zero = np.zeros_like(sp)
-    n = np.array([st * cp, st * sp, ct])
-    e_theta = np.array([ct * cp, ct * sp, -st])
-    e_phi = np.array([-sp, cp, zero])
-    e_rho = np.array([cp, sp, zero])
-    return st, ct, n, e_theta, e_phi, e_rho
+    return st, [st * cp, st * sp, ct], [ct * cp, ct * sp, -st], [-sp, cp, 0.0]
 
 
 def _finite_angles(theta, phi):
@@ -361,9 +362,10 @@ def pullback_field(f, matrix):
         _check_pole(tp)
         if not order:
             return f.partials(tp, pp, 0)
-        st, _, _, e_theta, e_phi, _ = _sphere_basis(theta, phi)
+        _check_pole(theta)
+        st, _, e_theta, e_phi = _sphere_basis(theta, phi)
         dp_dtheta = np.tensordot(A, e_theta, axes=1)
-        dp_dphi = np.tensordot(A, st * e_phi, axes=1)
+        dp_dphi = np.tensordot(A, [st * e for e in e_phi], axes=1)
         stp = np.sin(tp)
         rho2 = p[0] * p[0] + p[1] * p[1]
         # jac[mu, nu] = d(theta', phi')_nu / d(theta, phi)_mu

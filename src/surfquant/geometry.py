@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import _norm, _regular_cross
-from .errors import ShellFoldError
+from .errors import ChartSingularityError, ShellFoldError
 
 
 def _scalar(x):
@@ -110,16 +110,25 @@ def evaluate_frame(chart, q1, q2):
     """Evaluate the full geometric frame of `chart` at the points (q1, q2).
 
     The chart's map is evaluated once, on jets to second order.  Raises
-    ChartSingularityError where the tangents degenerate (for example the
-    poles of the sphere chart), and ValueError where sqrt(g), M, K or a
-    metric partial is not finite (a surface scale whose metric overflows
-    or underflows), each naming the first such point.
+    ChartSingularityError at a non-finite point, before the map runs, and
+    where the tangents degenerate (for example the poles of the sphere
+    chart), and ValueError where sqrt(g), M, K or a metric partial is not
+    finite (a surface scale whose metric overflows or underflows), each
+    naming the first such point.
     """
-    return _frame(chart, q1, q2, chart.partials(q1, q2, 2))
+    return _frame(chart, q1, q2, 2)[0]
 
 
-def _frame(chart, q1, q2, partials):
-    """The frame from the chart's partials [r, d r, d d r, ...] at the points."""
+def _frame(chart, q1, q2, order):
+    """(frame, the chart's partials [r, d r, d d r, ...][:order + 1]) at the
+    points, from one evaluation of the map; a non-finite point is refused
+    before it."""
+    q1b, q2b = np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float))
+    finite_point = np.ravel(np.isfinite(q1b) & np.isfinite(q2b))
+    if not finite_point.all():
+        k = int(np.argmin(finite_point))
+        raise ChartSingularityError(chart.name, (q1b.flat[k], q2b.flat[k]), "non-finite point")
+    partials = chart.partials(q1, q2, order)
     position, tangents, d2 = partials[:3]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
         cross = _regular_cross(chart, q1, q2, tangents)
@@ -145,10 +154,7 @@ def _frame(chart, q1, q2, partials):
     finite = np.isfinite(dginv).all(axis=(0, 1, 2)) & np.isfinite(dsqrt).all(axis=0)
     for x in (sqrt_g, mean_curvature, gaussian_curvature):
         finite &= np.isfinite(x)
-    if np.ndim(sqrt_g) == 0:
-        point = (float(q1), float(q2))
-    else:
-        point = tuple(np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float)))
+    point = (q1b, q2b) if q1b.ndim else (float(q1b), float(q2b))
     if not finite.all():
         k = int(np.argmin(np.ravel(finite)))
         bad = tuple(float(np.ravel(q)[k]) for q in point)
@@ -172,7 +178,7 @@ def _frame(chart, q1, q2, partials):
         second_partials=d2,
         dginv=dginv,
         dsqrt=dsqrt,
-    )
+    ), partials
 
 
 def geometric_potential(frame, hbar=1.0, mu=1.0):
@@ -279,8 +285,7 @@ def _frame_with_gradients(chart, q1, q2):
         d_l alpha = -(d_l g^-1 h + g^-1 d_l h),
     so d_l M = -tr(d_l alpha)/2 and d_l K = d_l det(alpha).
     """
-    partials = chart.partials(q1, q2, 3)
-    frame = _frame(chart, q1, q2, partials)
+    frame, partials = _frame(chart, q1, q2, 3)
     h, r, ginv = frame.second_form, frame.raised, frame.metric_inv
     dn = -(h[:, 0, None] * r[0] + h[:, 1, None] * r[1])  # [l, component]
     d3 = partials[3]

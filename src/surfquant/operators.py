@@ -31,13 +31,17 @@ the orthonormal basis (n, e_theta, e_phi):
     p_j = -i hbar (e_theta_j d_theta + (e_phi_j / sin theta) d_phi - n_j)
     L_j = -i hbar (e_phi_j d_theta - (e_theta_j / sin theta) d_phi)
 
-and every partial of their coefficients follows from the derivatives of
-the basis vectors, so an operator image carries exact first partials and
-a second operator can act on it.  Every first-order operator here, the
-general p with the frame's coefficients (r^1, r^2, M n) included, is one
-kernel, _image.  SPHERE_MOMENTUM and SPHERE_ANGULAR give all three
-components, (3,) + S, and a nested image such as p.value(p.apply(f)) is
-the whole tensor p_i (p_j f), (3, 3) + S indexed [outer, inner].
+Their coefficients are one elementwise map of the sphere basis
+(fields._sphere_basis) each, differentiated by the Taylor jets that
+differentiate charts and fields, and come as a field's jets do:
+`jet(theta, phi, order)` gives [c, dc][:order + 1].  SPHERE_MOMENTUM and
+SPHERE_ANGULAR are the one entry to p and L.  An operator image carries
+exact first partials, so a second operator can act on it.  Every
+first-order operator here, the general p with the frame's coefficients
+(r^1, r^2, M n) included, is one kernel, _image.  SPHERE_MOMENTUM and
+SPHERE_ANGULAR give all three components, (3,) + S, and a nested image
+such as p.value(p.apply(f)) is the whole tensor p_i (p_j f), (3, 3) + S
+indexed [outer, inner].
 
 Point-axis convention: the operators and residuals take scalar or array
 points (q1, q2) and put the point axes last, as charts, frames and fields
@@ -53,8 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _jets
 from . import fields as flib
-from .fields import ScalarField, _sphere_basis, pullback_field, rotation_matrix
+from .fields import ScalarField, _product_jets, _sphere_basis, pullback_field, rotation_matrix
 from .geometry import (
     _contract,
     _frame_with_gradients,
@@ -75,69 +80,19 @@ def _momentum(frame, value, grad):
     return _image(c, value, grad)
 
 
-def _coordinate_products(frame, value, grad, hess=None):
-    """Jets of the three products x_i f, built from the frame's jets of r.
-
-    Product-rule partials with the product index i as an extra axis after
-    the derivative axes: value (3,) + S, grad (2, 3) + S, hess (2, 2, 3) + S
-    (None when the field carries no Hessian).
-    """
-    x, t = frame.position, frame.tangents
-    xf = x * value
-    xf_grad = t * value + x * grad[:, None]
-    if hess is None:
-        return xf, xf_grad, None
-    cross = t[:, None] * grad[None, :, None]  # cross[m, n, i] = d_m x_i d_n f
-    xf_hess = (
-        frame.second_partials * value + cross + cross.swapaxes(0, 1) + x * hess[:, :, None]
-    )
-    return xf, xf_grad, xf_hess
+def _coordinate_products(frame, jets):
+    """Jets of the three products x_i f from the frame's jets of r and the
+    field's jets [value, grad, hess][:n + 1], by fields' product rule, with
+    the product index i as an extra axis after the derivative axes: value
+    (3,) + S, grad (2, 3) + S, hess (2, 2, 3) + S."""
+    x = [frame.position, frame.tangents, frame.second_partials][:len(jets)]
+    return _product_jets(x, [d[(slice(None),) * n + (None,)] for n, d in enumerate(jets)])
 
 
 def apply_geometric_momentum(chart, field, q1, q2):
     """-i (r^mu d_mu f + M n f), complex of shape (3,) + point shape."""
     frame = evaluate_frame(chart, q1, q2)
     return _momentum(frame, *field.partials(q1, q2, 1))
-
-
-# ---------------------------------------------------------------------------
-# Closed-form first-order operators on the unit sphere.  Every coefficient
-# partial follows from the basis identities
-#     d_theta n = e_theta           d_phi n = sin(theta) e_phi
-#     d_theta e_theta = -n          d_phi e_theta = cos(theta) e_phi
-#     d_theta e_phi = 0             d_phi e_phi = -e_rho
-# with e_rho = sin(theta) n + cos(theta) e_theta = (cos phi, sin phi, 0).
-# The basis (fields._sphere_basis) is built from sin and cos alone, never
-# from the sphere chart or its frame, so it stays an independent oracle for
-# the general path.
-# ---------------------------------------------------------------------------
-
-
-def _momentum_jet(theta, phi, derivatives=True):
-    """Coefficients of p / (-i) = e_theta d_theta + (e_phi / sin) d_phi - n
-    (outward normal, M = -1), shape (3, 3) + S indexed [term, component] for
-    the terms (d_theta, d_phi, scalar); with derivatives also their
-    partials, (2, 3, 3) + S indexed [d_theta or d_phi, term, component]."""
-    st, ct, n, e_t, e_p, e_r = _sphere_basis(theta, phi)
-    c = np.array([e_t, e_p / st, -n])
-    if not derivatives:
-        return c, None
-    d_theta = [-n, -ct * e_p / st**2, -e_t]
-    d_phi = [ct * e_p, -e_r / st, -st * e_p]
-    return c, np.array([d_theta, d_phi])
-
-
-def _angular_jet(theta, phi, derivatives=True):
-    """Coefficients of L / (-i) = e_phi d_theta - (e_theta / sin) d_phi,
-    laid out as in _momentum_jet."""
-    st, ct, _, e_t, e_p, e_r = _sphere_basis(theta, phi)
-    zero = np.zeros_like(e_p)
-    c = np.array([e_p, -e_t / st, zero])
-    if not derivatives:
-        return c, None
-    d_theta = [zero, e_r / st**2, zero]
-    d_phi = [-e_r, -ct * e_p / st, zero]
-    return c, np.array([d_theta, d_phi])
 
 
 def _image(c, value, grad):
@@ -167,8 +122,9 @@ def _image_grad(c, dc, value, grad, hess):
 
 class FirstOrderOperator:
     """A unit-sphere vector operator -i (c_theta d_theta + c_phi d_phi + c_0),
-    all three components at once, whose coefficients
-    `jet(theta, phi, derivatives)` gives (_momentum_jet or _angular_jet)."""
+    all three components at once, whose coefficient jet `jet(theta, phi,
+    order)` gives [c, dc][:order + 1]: c (3, 3) + S indexed [term, component]
+    and dc (2, 3, 3) + S indexed [d_theta or d_phi, term, component]."""
 
     def __init__(self, name, jet):
         self.name = name
@@ -184,21 +140,44 @@ class FirstOrderOperator:
         (3, 3) + S, indexed [outer, inner]."""
 
         def partials(theta, phi, order):
-            c, dc = self.jet(theta, phi, derivatives=bool(order))
+            c = self.jet(theta, phi, order)
             jets = field.partials(theta, phi, order + 1)
-            out = [_image(c, *jets[:2])]
+            out = [_image(c[0], *jets[:2])]
             if order:
-                out.append(_image_grad(c, dc, *jets))
+                out.append(_image_grad(*c, *jets))
             return out
 
         return ScalarField(f"{self.name}({field.label})", partials, 1)
 
 
+def _sphere_coefficients(terms):
+    """The coefficient jet of the operator whose coefficient vectors are
+    terms(1 / sin theta, n, e_theta, e_phi): a map of the sphere basis, never
+    of the sphere chart or its frame, so the closed forms stay an independent
+    oracle for the general path.  A theta within POLE_MARGIN of a pole (or
+    NaN) raises PoleProximityError and a non-finite phi
+    ChartSingularityError, before the map runs."""
+
+    def coefficients(theta, phi):
+        st, n, e_theta, e_phi = _sphere_basis(theta, phi)
+        return [c for vector in terms(st ** -1, n, e_theta, e_phi) for c in vector]
+
+    def jet(theta, phi, order):
+        flib._check_pole(theta)
+        theta, phi = flib._finite_angles(theta, phi)
+        return [d.reshape(d.shape[:n] + (3, 3) + d.shape[n + 1:])
+                for n, d in enumerate(_jets.partials(coefficients, theta, phi, order))]
+
+    return jet
+
+
 # The geometric momentum on the unit sphere (outward normal, M = -1).
-SPHERE_MOMENTUM = FirstOrderOperator("p", _momentum_jet)
+SPHERE_MOMENTUM = FirstOrderOperator("p", _sphere_coefficients(
+    lambda csc, n, e_t, e_p: [e_t, [e * csc for e in e_p], [-e for e in n]]))
 
 # Standard angular momentum realization (imported textbook machinery).
-SPHERE_ANGULAR = FirstOrderOperator("L", _angular_jet)
+SPHERE_ANGULAR = FirstOrderOperator("L", _sphere_coefficients(
+    lambda csc, n, e_t, e_p: [e_p, [-e * csc for e in e_t], [0.0] * 3]))
 
 
 _EPSILON = np.zeros((3, 3, 3))
@@ -220,7 +199,7 @@ def position_momentum_residuals(chart, field, q1, q2):
 def _position_momentum(frame, f_val, f_grad):
     """position_momentum_residuals on a frame, from the field's jets there."""
     p_f = _momentum(frame, f_val, f_grad)  # [j]
-    xf_val, xf_grad, _ = _coordinate_products(frame, f_val, f_grad)
+    xf_val, xf_grad = _coordinate_products(frame, [f_val, f_grad])
     p_xf = _momentum(frame, xf_val, xf_grad).swapaxes(0, 1)  # [i, j]
     n = frame.normal
     delta = np.eye(3).reshape((3, 3) + (1,) * np.ndim(f_val))
@@ -232,11 +211,12 @@ def _position_momentum(frame, f_val, f_grad):
 def angular_momentum_residuals(field, theta, phi):
     """[L_i, p_j] f - i eps_ijk p_k f on the unit sphere, all nine pairs.
 
-    Complex of shape (3, 3) + point shape, indexed [i, j].  The field's jets
-    and the coefficient jets of p and L are evaluated once for all pairs.
+    Complex of shape (3, 3) + point shape, indexed [i, j].  The coefficient
+    jets of p and L (SPHERE_MOMENTUM, SPHERE_ANGULAR) and the field's jets
+    are evaluated once for all pairs.
     """
     return _angular_momentum(
-        _momentum_jet(theta, phi), _angular_jet(theta, phi),
+        SPHERE_MOMENTUM.jet(theta, phi, 1), SPHERE_ANGULAR.jet(theta, phi, 1),
         *field.partials(theta, phi, 2),
     )
 
@@ -263,7 +243,7 @@ def _position_kinetic(frame, f_val, f_grad, f_hess):
     """commutator_position_kinetic on a frame, from the field's jets there."""
     t_f = -0.5 * laplace_beltrami_jets(frame, f_grad, f_hess)
     p_f = _momentum(frame, f_val, f_grad)
-    _, xf_grad, xf_hess = _coordinate_products(frame, f_val, f_grad, f_hess)
+    _, xf_grad, xf_hess = _coordinate_products(frame, [f_val, f_grad, f_hess])
     t_xf = -0.5 * laplace_beltrami_jets(frame, xf_grad, xf_hess)
     commutator = frame.position * t_f - t_xf
     return commutator - 1j * p_f
@@ -452,7 +432,7 @@ def hermiticity_defects(fields, order=64):
     once; one image component is kept at a time, which bounds the memory at
     high order."""
     theta, phi, w = sphere_grid(order)
-    c, _ = _momentum_jet(theta, phi, derivatives=False)
+    (c,) = SPHERE_MOMENTUM.jet(theta, phi, 0)
     jets = [f.partials(theta, phi, 1) for f in fields]
     vals = [value for value, _ in jets]
     inner_f_pg = np.empty((3, len(fields), len(fields)), dtype=complex)

@@ -564,8 +564,7 @@ def uncertainty_report(l, m=0):
     ylm = flib.spherical_harmonic(l, m)
     theta, phi, w = sphere_grid(96)
     weight = w * np.abs(ylm.value(theta, phi)) ** 2
-    st = np.sin(theta)
-    xyz = (st * np.cos(phi), st * np.sin(phi), np.cos(theta) * np.ones_like(phi))
+    xyz = flib.sphere_point(theta, phi)
     pos_mean = tuple(float(np.sum(weight * c)) for c in xyz)
     pos_second = tuple(float(np.sum(weight * c * c)) for c in xyz)
     mom = moments(l, max_order=2)

@@ -257,8 +257,8 @@ def commutator_suite(options):
         q1, q2 = pts[:, 0], pts[:, 1]
         frame = geolib.evaluate_frame(chart, q1[None], q2[None])
         if chart.name == "sphere":
-            p_jet = oplib._momentum_jet(q1[None], q2[None])
-            l_jet = oplib._angular_jet(q1[None], q2[None])
+            p_jet = oplib.SPHERE_MOMENTUM.jet(q1[None], q2[None], 1)
+            l_jet = oplib.SPHERE_ANGULAR.jet(q1[None], q2[None], 1)
         checked = [[] for _ in library]  # per field: (the list its entry joins, entry)
         size = max(1, _STACK_POINTS // len(pts))
         for rows, block in flib.library_blocks(options.lmax, options.trig_count, size):

@@ -18,7 +18,12 @@ from surfquant import spectra as splib
 from surfquant import verification as ver
 from surfquant.cli import _cells, main
 from surfquant.errors import ChartSingularityError, PoleProximityError
-from surfquant.geometry import evaluate_frame, laplace_beltrami, shell_frame
+from surfquant.geometry import (
+    _frame_with_gradients,
+    evaluate_frame,
+    laplace_beltrami,
+    shell_frame,
+)
 
 # Batched and scalar paths run the same elementwise arithmetic; only
 # reductions and array-vs-scalar libm calls may round differently.
@@ -235,6 +240,9 @@ def test_worst_reduction():
          "shell-fold", "q3=-1.0"),
         (["--surface", "sphere", "--q3", "-1", "--point", "0,0", "--point", "1,0.5"],
          "chart-singularity", "(0.0, 0.0)"),
+        # an infinite coordinate on a periodic axis: one line, no numpy warning
+        (["--surface", "sphere", "--point", "1,inf"], "chart-singularity", "(1.0, inf)"),
+        (["--surface", "torus", "--point", "inf,1"], "chart-singularity", "(inf, 1.0)"),
     ],
 )
 def test_geom_rejects_bad_points(args, tag, where, capsys):
@@ -245,11 +253,25 @@ def test_geom_rejects_bad_points(args, tag, where, capsys):
     assert err[0].startswith(f"error: {tag}:") and where in err[0]
 
 
-@pytest.mark.parametrize("point, tag", [("4,0.5", "config"), ("nan,0.5", "config")])
+@pytest.mark.parametrize("point, tag", [("4,0.5", "config"), ("nan,0.5", "config"),
+                                        ("1,inf", "chart-singularity")])
 def test_confine_rejects_bad_points(point, tag, capsys):
     code, _, err = cli(["confine", "--surface", "sphere", "--point", point], capsys)
     assert code == 2
     assert len(err) == 1 and err[0].startswith(f"error: {tag}:")
+
+
+@pytest.mark.parametrize("evaluate", [evaluate_frame, _frame_with_gradients])
+@pytest.mark.parametrize("chart, q1, q2, point", [
+    (chlib.sphere(), 1.0, np.inf, (1.0, np.inf)),
+    (chlib.torus(), np.inf, 1.0, (np.inf, 1.0)),
+    (chlib.torus(), np.array([1.0, -np.inf, np.nan]), 2.0, (-np.inf, 2.0)),
+])
+def test_a_non_finite_point_is_refused_before_the_map_runs(evaluate, chart, q1, q2, point):
+    # the map's cos and sin would warn first (pytest makes the warning an error)
+    with pytest.raises(ChartSingularityError, match="non-finite point") as err:
+        evaluate(chart, q1, q2)
+    assert err.value.point == point
 
 
 def test_batched_errors_name_the_first_failing_point():
@@ -274,6 +296,7 @@ def test_batched_errors_name_the_first_failing_point():
 
 
 _Y11 = flib.spherical_harmonic(1, 1)
+_Y21 = flib.spherical_harmonic(2, 1)
 _ROT = flib.rotation_matrix("y", np.pi / 2.0)
 SPHERE_PATHS = {
     "p_z": lambda t, p: oplib.SPHERE_MOMENTUM.value(_Y11, t, p)[2],
@@ -336,15 +359,32 @@ def _cell_rows(signed_zero):
     return rows
 
 
+def _at_points(fn, *lead):
+    def rows(q):
+        return fn(*lead, q[:, 0], q[:, 1])
+    return rows
+
+
 TWO_PI = 2.0 * np.pi
 ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.5, -1.5, np.nan]))
+TORUS_POINTS = st.tuples(st.floats(0.0, TWO_PI), st.floats(0.0, TWO_PI))
+SPHERE_POINTS = st.tuples(st.floats(0.01, np.pi - 0.01), st.floats(0.0, TWO_PI))
 BATCH_ENTRIES = {
-    "evaluate_frame torus": (st.tuples(st.floats(0.0, TWO_PI), st.floats(0.0, TWO_PI)),
-                             _frame_rows(chlib.torus())),
+    "evaluate_frame torus": (TORUS_POINTS, _frame_rows(chlib.torus())),
     "evaluate_frame cylinder": (st.tuples(st.floats(0.0, TWO_PI), st.floats(-1.0, 1.0)),
                                 _frame_rows(chlib.cylinder())),
-    "library_blocks": (st.tuples(st.floats(0.01, np.pi - 0.01), st.floats(0.0, TWO_PI)),
-                       _library_rows),
+    "library_blocks": (SPHERE_POINTS, _library_rows),
+    "position_momentum_residuals torus": (
+        TORUS_POINTS, _at_points(oplib.position_momentum_residuals, chlib.torus(), _Y21)),
+    "commutator_position_kinetic torus": (
+        TORUS_POINTS, _at_points(oplib.commutator_position_kinetic, chlib.torus(), _Y21)),
+    "angular_momentum_residuals": (
+        SPHERE_POINTS, _at_points(oplib.angular_momentum_residuals, _Y21)),
+    # p's coefficients to order 0 and L's to order 1, on a nested image
+    "SPHERE_MOMENTUM.value": (SPHERE_POINTS, _at_points(
+        oplib.SPHERE_MOMENTUM.value, oplib.SPHERE_ANGULAR.apply(_Y21))),
+    "amplitude_closed": (st.floats(-splib.MAX_ABS_P, splib.MAX_ABS_P),
+                         lambda p: np.array([splib.amplitude_closed(l, p) for l in (0, 1, 2)])),
     "amplitude_recurrence": (st.floats(-splib.MAX_ABS_P, splib.MAX_ABS_P),
                              lambda p: splib.amplitude_recurrence([0, 1, 5, 64], p)),
     # the theta rule is the same for every |p| <= 60

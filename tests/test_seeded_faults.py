@@ -5,24 +5,42 @@ Each test monkeypatches one fault into the code behind an identity, runs
 the fault reaches fail.  Together they are the table of faults against the identities that
 catch them:
 
-| identity                  | seeded fault                                 |
-| ------------------------- | -------------------------------------------- |
-| `dirichlet_kernel`        | `overlap_kernel` returns NaN                 |
-| `amplitude_surface_match` | `amplitude_surface_overlap` NaN at p = 0     |
-| `eigenvalue_residual`     | p_z loses its M n term                       |
-| `hermiticity`             | p loses its M n term                         |
-| `confined_sum`            | `thin_shell` drops its normal-geometric part |
-| `sphere_component_match`  | the general-chart p loses its M n term       |
-| `rotation_relation`       | `rotation_matrix` turns the other way        |
-| `angular_momentum`        | `_angular_jet` loses d_theta of its d_phi row |
-| `parseval`                | `amplitude_recurrence` times sqrt((2l+1)/4pi) |
-| `moment_second`           | the same                                     |
-| `uncertainty_product`     | the same                                     |
-| `position_kinetic`        | `laplace_beltrami_jets` doubled              |
-| `amplitude_closed_*`      | two l rows of the quadrature batch swapped   |
-| `amplitude_surface_match` | the same                                     |
-| `parseval`                | the fixed |p| <= 16 window, at l <= 64       |
-| `density_parity`          | a p grid symmetric only to rounding          |
+| identity                       | seeded fault                                      |
+| ------------------------------ | ------------------------------------------------- |
+| `dirichlet_kernel`             | `overlap_kernel` returns NaN                      |
+| `amplitude_surface_match`      | `amplitude_surface_overlap` NaN at p = 0          |
+| `eigenvalue_residual`          | `SPHERE_MOMENTUM` loses its M n term              |
+| `hermiticity`                  | the same                                          |
+| `confined_sum`                 | `thin_shell` drops its normal-geometric part      |
+| `sphere_component_match`       | the general-chart p loses its M n term            |
+| `rotation_relation`            | `rotation_matrix` turns the other way             |
+| `angular_momentum`             | `SPHERE_ANGULAR` loses d_theta of its d_phi coefficient |
+| `parseval`                     | `amplitude_recurrence` times sqrt((2l+1)/4pi)     |
+| `moment_second`                | the same                                          |
+| `uncertainty_product`          | the same                                          |
+| `position_kinetic`             | `laplace_beltrami_jets` doubled                   |
+| `amplitude_closed_*`           | two l rows of the quadrature batch swapped        |
+| `amplitude_surface_match`      | the same                                          |
+| `parseval`                     | the fixed |p| <= 16 window, at l <= 64            |
+| `density_parity`               | a p grid symmetric only to rounding               |
+| `frame_completeness`           | frames raise with no g^-1 (raised = tangents)     |
+| `position_momentum`            | the same                                          |
+| `laplace_beltrami_coordinates` | frames with d_mu sqrt(g) = 0                      |
+| `shell_determinant`            | frames with the Weingarten map's sign flipped     |
+| `geometric_potential`          | frames with K's sign flipped                      |
+| `confinement_slope`            | frames with M doubled                             |
+| `sho_shape_match`              | `MATCHED_GAUSSIAN_RATE` times 1.5                 |
+
+Each sphere operator fault is one monkeypatch on the operator object, and
+every path to its coefficients (the operator's images, the library suite,
+`angular_momentum_residuals`, `hermiticity_defects`) reads them through it.
+
+No frame fault reaches the plane's exact zeros: its metric is the identity
+and its curvatures are 0, so raising with the tangents, a zero d_mu
+sqrt(g), a flipped Weingarten map and a flipped K change nothing there, and
+its entries of the faulted identities pass.  Nor does a frame fault on a
+cylinder of radius 1 reach `frame_completeness` or `position_momentum`,
+whose metric is the identity too.
 
 No fault in the amplitudes themselves can fail `density_parity`: the
 quadrature sums a cos transform (even l) or a sin transform (odd l) of its
@@ -43,6 +61,8 @@ import dataclasses
 
 import numpy as np
 
+from surfquant import fields as flib
+from surfquant import geometry as geolib
 from surfquant import operators as oplib
 from surfquant import spectra as splib
 from surfquant.verification import VerifyOptions, run_verification
@@ -60,19 +80,32 @@ def assert_every_check_fails(name, count):
 
 
 def without_normal_term(jet):
-    """A coefficient jet of p / (-i hbar) without its scalar row -n, so that
+    """A coefficient jet of p / (-i hbar) without its scalar term -n, so that
     the operator is r^mu d_mu alone, without M n."""
 
-    def faulty(theta, phi, derivatives=True):
-        c, dc = jet(theta, phi, derivatives)
-        c = c.copy()
-        c[2] = 0.0
-        if dc is not None:
-            dc = dc.copy()
-            dc[:, 2] = 0.0
-        return c, dc
+    def faulty(theta, phi, order):
+        c = [d.copy() for d in jet(theta, phi, order)]
+        c[0][2] = 0.0
+        if order:
+            c[1][:, 2] = 0.0
+        return c
 
     return faulty
+
+
+def with_frame_fault(monkeypatch, change):
+    """Every frame geometry builds, with the entries change(frame) gives."""
+    healthy = geolib._frame
+
+    def faulty(*args):
+        frame, partials = healthy(*args)
+        return dataclasses.replace(frame, **change(frame)), partials
+
+    monkeypatch.setattr(geolib, "_frame", faulty)
+
+
+def failing_charts(checks):
+    return [c.chart for c in checks if not c.passed]
 
 
 def test_dirichlet_kernel_fails_on_a_nan_overlap(monkeypatch):
@@ -105,7 +138,8 @@ def test_eigenvalue_residual_fails_without_the_normal_term(monkeypatch):
 
 
 def test_hermiticity_fails_without_the_normal_term(monkeypatch):
-    monkeypatch.setattr(oplib, "_momentum_jet", without_normal_term(oplib._momentum_jet))
+    p = oplib.SPHERE_MOMENTUM
+    monkeypatch.setattr(p, "jet", without_normal_term(p.jet))
     for check in checks_of("hermiticity", 3):  # one per axis
         assert not check.passed and check.residual > 0.5, check  # 0.82 to 1.15
 
@@ -149,20 +183,28 @@ def test_rotation_relation_fails_when_the_rotations_turn_the_other_way(monkeypat
 def test_angular_momentum_fails_without_a_coefficient_partial(monkeypatch):
     # d_theta of L's d_phi coefficient, zeroed: the nested images L (p f)
     # and p (L f) lose a term wherever f depends on phi
-    healthy = oplib._angular_jet
+    L, p = oplib.SPHERE_ANGULAR, oplib.SPHERE_MOMENTUM
+    healthy = L.jet
 
-    def faulty(theta, phi, derivatives=True):
-        c, dc = healthy(theta, phi, derivatives)
-        if dc is not None:
-            dc = dc.copy()
-            dc[0, 1] = 0.0
-        return c, dc
+    def faulty(theta, phi, order):
+        c = healthy(theta, phi, order)
+        if order:
+            c[1] = c[1].copy()
+            c[1][0, 1] = 0.0
+        return c
 
-    monkeypatch.setattr(oplib, "_angular_jet", faulty)
+    monkeypatch.setattr(L, "jet", faulty)
     checks = checks_of("angular_momentum", 19)
     axial = {"Y0+0", "Y1+0", "Y2+0", "Y3+0"}  # m = 0: d_phi f = 0
     assert {c.field for c in checks if c.passed} == axial
     assert max(c.residual for c in checks) > 10.0  # 21
+    # the same identity built from the nested operator objects fails too
+    f, theta, phi = flib.spherical_harmonic(2, 1), 1.0, 0.5
+    l_p_f = L.value(p.apply(f), theta, phi)  # [i, j]
+    p_l_f = p.value(L.apply(f), theta, phi)  # [j, i]
+    eps_p_f = np.einsum("ijk,k->ij", oplib._EPSILON, p.value(f, theta, phi))
+    residual = np.abs(l_p_f - p_l_f.T - 1j * eps_p_f).max()
+    assert residual > 0.1, residual  # 0.37
 
 
 def test_the_momentum_moments_fail_on_an_unnormalised_amplitude(monkeypatch):
@@ -229,3 +271,53 @@ def test_density_parity_fails_on_a_grid_symmetric_only_to_rounding(monkeypatch):
     monkeypatch.setattr(splib, "symmetric_grid", rounded)
     for check in checks_of("density_parity", 9):  # l = 0..8
         assert not check.passed and check.residual > 0.0, check
+
+
+def test_frame_completeness_fails_without_the_inverse_metric(monkeypatch):
+    with_frame_fault(monkeypatch, lambda frame: {"raised": frame.tangents})
+    checks = checks_of("frame_completeness", 4)
+    assert failing_charts(checks) == ["sphere", "torus"]
+    assert min(c.residual for c in checks if not c.passed) > 0.5  # 0.89
+
+
+def test_position_momentum_fails_without_the_inverse_metric(monkeypatch):
+    with_frame_fault(monkeypatch, lambda frame: {"raised": frame.tangents})
+    checks = checks_of("position_momentum", 76)  # 19 library fields on 4 charts
+    assert failing_charts(checks) == ["sphere"] * 19 + ["torus"] * 19
+    assert min(c.residual for c in checks if not c.passed) > 0.05  # 0.068
+
+
+def test_laplace_beltrami_coordinates_fails_without_the_volume_gradient(monkeypatch):
+    with_frame_fault(monkeypatch, lambda frame: {"dsqrt": 0.0 * frame.dsqrt})
+    checks = checks_of("laplace_beltrami_coordinates", 4)
+    assert failing_charts(checks) == ["sphere", "torus"]
+    assert min(c.residual for c in checks if not c.passed) > 0.4  # 0.47
+
+
+def test_shell_determinant_fails_on_a_flipped_weingarten_map(monkeypatch):
+    with_frame_fault(monkeypatch, lambda frame: {"weingarten": -frame.weingarten})
+    checks = checks_of("shell_determinant", 4)
+    assert failing_charts(checks) == ["sphere", "cylinder", "torus"]
+    assert min(c.residual for c in checks if not c.passed) > 0.5  # 0.80
+
+
+def test_geometric_potential_fails_on_a_flipped_gaussian_curvature(monkeypatch):
+    # the cylinder's K is 0, so only the sphere's check sees the sign
+    with_frame_fault(monkeypatch, lambda frame: {"gaussian_curvature": -frame.gaussian_curvature})
+    checks = checks_of("geometric_potential", 2)
+    assert failing_charts(checks) == ["sphere"]
+    assert checks[0].residual > 0.5  # 1.0
+
+
+def test_confinement_slope_fails_on_a_doubled_mean_curvature(monkeypatch):
+    # the limit operator and the shell's normal part both read the doubled
+    # M, but the fold factor's dM and dK do not; 1.05 times the tolerance
+    with_frame_fault(monkeypatch, lambda frame: {"mean_curvature": 2.0 * frame.mean_curvature})
+    (check,) = checks_of("confinement_slope", 1)
+    assert not check.passed, check  # 0.0524 against 0.05
+
+
+def test_sho_shape_match_fails_on_a_mismatched_gaussian(monkeypatch):
+    monkeypatch.setattr(splib, "MATCHED_GAUSSIAN_RATE", 1.5 * splib.MATCHED_GAUSSIAN_RATE)
+    (check,) = checks_of("sho_shape_match", 1)
+    assert not check.passed and check.residual > 0.1, check  # 0.122 against 0.05

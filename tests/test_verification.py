@@ -124,11 +124,12 @@ def test_commutator_suite_evaluates_each_field_once_per_point_set(
 ):
     # one frame per chart, and one stacked jet evaluation of the 11 library
     # fields (one block) on each chart's points, whose sphere jets also serve
-    # the sphere-only identities; the block shares one [r, T] evaluation
+    # the sphere-only identities; the block shares one [r, T] evaluation.
+    # On the sphere, the coefficient jets of p and L are one evaluation each.
     options = ver.VerifyOptions(points_per_chart=3, lmax=2, trig_count=2, only=only)
     fields = len(flib.field_library(2, 2))
     assert len(ver.commutator_suite(options)) == per_field * fields
-    assert len(jet_orders) == charts * (1 + 1)
+    assert len(jet_orders) == charts * (1 + 1) + 2
     assert len(kinetic_calls) == (charts if options.wants("position_kinetic") else 0)
 
 
