@@ -22,8 +22,10 @@ same layout the charts and geometry frames use.  A scalar point gives a
 Python complex value and (2,) / (2, 2) arrays.  A field may carry extra
 value axes E before the point axes: the value is then E + S and the
 gradient (2,) + E + S.  The unit-sphere operator images of `operators`
-are such fields, with E = (3,) for the vector component, and so is a
-block of F library fields (library_blocks), with E = (F,).
+are such fields, with E = (3,) for the vector component; so are a block of
+F library fields (library_blocks) and a stack of F fields (stack), with
+E = (F,), and the pullback of any such field (pullback_field), with the
+E of the field it pulls back.
 """
 
 import itertools
@@ -115,6 +117,23 @@ def _product_jets(a, b):
         cross = a[1][:, None] * b[1][None, :]
         out.append(a[2] * b[0] + cross + np.swapaxes(cross, 0, 1) + a[0] * b[2])
     return out
+
+
+def stack(fields):
+    """The fields on one extra value axis E = (F,), in their order: over a
+    point shape S the value is (F,) + S, the gradient (2, F) + S and the
+    Hessian (2, 2, F) + S.  Each row is a copy of its field's partials, so
+    it equals them bit for bit."""
+    fields = tuple(fields)
+    if not fields:
+        raise ValueError("need at least one field to stack")
+
+    def partials(q1, q2, order):
+        jets = zip(*(f.partials(q1, q2, order) for f in fields))
+        return [np.stack(rows, axis=n) for n, rows in enumerate(jets)]
+
+    label = f"stack({', '.join(f.label for f in fields)})"
+    return ScalarField(label, partials, min(f.order for f in fields))
 
 
 def coordinate_field(chart, axis):
@@ -352,6 +371,8 @@ def pullback_field(f, matrix):
     chart point to its unit vector, applying A, and chaining the gradient
     through the Jacobian of the induced (theta, phi) map.  Second partials
     are not provided (first-order operators only act on pullbacks here).
+    For a field with extra value axes E the Jacobian is padded for them, so
+    each row of the gradient, (2,) + E + S, equals its own field's pullback.
     """
     A = np.asarray(matrix, dtype=float)
 
@@ -376,6 +397,7 @@ def pullback_field(f, matrix):
             ]
         )
         value, g = f.partials(tp, pp, 1)
+        jac = jac[(slice(None),) * 2 + (None,) * (np.ndim(value) - np.ndim(tp))]  # pad for E
         return [value, jac[:, 0] * g[0] + jac[:, 1] * g[1]]
 
     return ScalarField(f"pullback({f.label})", partials, 1)

@@ -100,11 +100,17 @@ def _image(c, value, grad):
 
     c holds the coefficient values, (3, 3) + S indexed [term, component];
     value has shape E + S and grad (2,) + E + S, with E extra leading axes,
-    for which c is padded, and the result is (3,) + E + S.  Any other
-    shapes broadcast.
+    for which c is padded, and the result is (3,) + E + S, complex.  Any
+    other shapes broadcast, as long as the terms c_2 d_2 f and c_0 f fit
+    the shape of c_1 d_1 f, into which they are summed in place: at most
+    two image-sized arrays live at a time.
     """
     c = c[(slice(None),) * 2 + (None,) * (np.ndim(value) - np.ndim(c) + 2)]
-    return -1j * (c[0] * grad[0] + c[1] * grad[1] + c[2] * value)
+    out = np.multiply(c[0], grad[0], dtype=complex)
+    out += c[1] * grad[1]
+    out += c[2] * value
+    out *= -1j
+    return out
 
 
 def _image_grad(c, dc, value, grad, hess):
@@ -279,7 +285,11 @@ def rotation_relation_check(field, sample_points=None):
         p_y = R_x(-pi/2) p_z  R_x(pi/2)
 
     evaluated pointwise on the sample grid; returns the maximum absolute
-    residual over points and both constructions.
+    residual over points and both constructions.  A field with extra value
+    axes E (a fields.stack of F fields, E = (F,)) gets one residual per
+    row, an array of shape E, from one evaluation of p's coefficients and
+    of each pullback's geometry for all its rows; each row's residual
+    equals its field's alone bit for bit.  E = () gives a float.
     """
     if sample_points is None:
         sample_points = rotation_sample_grid()
@@ -293,8 +303,9 @@ def rotation_relation_check(field, sample_points=None):
                            (1, rotation_matrix("x", -np.pi / 2.0))):
         inner = flib._sphere_angles(np.tensordot(rot.T, flib.sphere_point(theta, phi), axes=1))
         p_z = SPHERE_MOMENTUM.value(pullback_field(field, rot), *inner)[2]
-        worst.append(np.abs(p_f[component] - p_z).max())
-    return float(np.max(worst))
+        worst.append(np.abs(p_f[component] - p_z).max(axis=-1))
+    worst = np.max(worst, axis=0)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +438,25 @@ def hermiticity_defects(fields, order=64):
 
     Gauss-Legendre in cos(theta) crossed with a trapezoid rule in phi; the
     defects vanish for smooth fields because the M n term makes the
-    geometric momentum symmetric under the surface measure.  Each field's
-    jets come from one evaluation on the grid and each p image is built
-    once; one image component is kept at a time, which bounds the memory at
-    high order."""
+    geometric momentum symmetric under the surface measure.  With
+    A[a, i, j] = <f_i, p_a f_j> the defect is A - A^dagger over (i, j).
+    Each field's jets come from one evaluation on the grid, its value is
+    written into one (F,) + grid array of the pool's values, and each
+    component of its p image is built once and met by all F values in one
+    contraction (np.vecdot, which reduces each value row by itself, so an
+    entry's bits do not depend on the rest of the pool).  Only one image
+    component lives at a time, which bounds the memory at high order."""
     theta, phi, w = sphere_grid(order)
     (c,) = SPHERE_MOMENTUM.jet(theta, phi, 0)
-    jets = [f.partials(theta, phi, 1) for f in fields]
-    vals = [value for value, _ in jets]
-    inner_f_pg = np.empty((3, len(fields), len(fields)), dtype=complex)
-    inner_pf_g = np.empty_like(inner_f_pg)
-    for j, (g_val, g_grad) in enumerate(jets):
-        for a in range(3):
-            p_g = _image(c[:, a:a + 1], g_val, g_grad)[0]
-            for i, f_val in enumerate(vals):
-                inner_f_pg[a, i, j] = np.sum(w * np.conj(f_val) * p_g)
-                inner_pf_g[a, j, i] = np.sum(w * np.conj(p_g) * f_val)
-    return inner_f_pg - inner_pf_g
+    vals = np.empty((len(fields),) + np.broadcast_shapes(theta.shape, phi.shape), dtype=complex)
+    grads = []
+    for k, f in enumerate(fields):
+        vals[k], grad = f.partials(theta, phi, 1)
+        grads.append(grad)
+    inner = np.empty((3, len(fields), len(fields)), dtype=complex)  # A
+    rows = vals.reshape(len(fields), -1)
+    for j, grad in enumerate(grads):
+        # one weighted image component at a time, met by every value row
+        inner[:, :, j] = [np.vecdot(rows, (w * _image(c[:, a:a + 1], vals[j], grad)[0]).ravel())
+                          for a in range(3)]
+    return inner - np.conj(inner.swapaxes(1, 2))

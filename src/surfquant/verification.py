@@ -12,7 +12,9 @@ evaluated in one call over all its points (point axis last, as in the rest
 of the package); the library identities stack the field library's jets on
 a field axis before the point axis, so each of their residuals runs once
 per chart (and block of fields), and each block's (field, point) residuals
-are reduced with one first-occurrence argmax over the point axis.
+are reduced with one first-occurrence argmax over the point axis.  The
+rotation relation runs once on its three fields stacked the same way, and
+the hermiticity pool is met by each p image in one contraction.
 """
 
 from dataclasses import dataclass
@@ -66,8 +68,11 @@ MAX_POINTS_PER_CHART = 400_000
 # The hermiticity pool's integrands have degree <= 5 in cos(theta), which
 # Gauss-Legendre in cos(theta) integrates exactly from 3 nodes (degree
 # 2n - 1); fewer give false failures.  The order-n grid has 2 n^2 points
-# and its memory grows with them (75 MB at n = 256, 200 MB at 512), so the
-# largest order keeps it below 1 GB.
+# and its memory grows with them: the peak RSS of `verify --only
+# hermiticity` is 72 MB at n = 256 and 192 MB at 512, about 30 MB of
+# interpreter and numpy plus 19 complex arrays of the grid's size (the
+# coefficients of p, the pool's values and gradients, and the jets of the
+# field being evaluated), so the largest order keeps it near 0.7 GB.
 MIN_HERMITICITY_ORDER = 3
 MAX_HERMITICITY_ORDER = 1024
 
@@ -289,20 +294,14 @@ def commutator_suite(options):
 
 
 def rotation_suite(options):
+    """rotation_relation for three fields, stacked on one field axis, so p's
+    coefficients and each pullback's geometry are evaluated once."""
     if not options.wants("rotation_relation"):
         return []
-    out = []
-    grid = oplib.rotation_sample_grid()
-    for fld in (
-        flib.constant(1.0),
-        flib.spherical_harmonic(1, 0),
-        flib.spherical_harmonic(2, 2),
-    ):
-        residual = oplib.rotation_relation_check(fld, grid)
-        out.append(
-            _result(options, "rotation_relation", "sphere", fld.label, None, residual)
-        )
-    return out
+    fields = [flib.constant(1.0), flib.spherical_harmonic(1, 0), flib.spherical_harmonic(2, 2)]
+    residuals = oplib.rotation_relation_check(flib.stack(fields), oplib.rotation_sample_grid())
+    return [_result(options, "rotation_relation", "sphere", f.label, None, r)
+            for f, r in zip(fields, residuals)]
 
 
 def hermiticity_suite(options):

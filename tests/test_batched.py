@@ -359,6 +359,23 @@ def _cell_rows(signed_zero):
     return rows
 
 
+# fields for the field-axis entries, by index: a batch of items is a stack
+# of fields, or a pool, and each item's residual or pair's defect is read
+# from its place
+_FIELDS = (flib.constant(1.0), flib.spherical_harmonic(1, 0), flib.spherical_harmonic(2, 2),
+           flib.spherical_harmonic(3, -1), flib.spherical_harmonic(1, 1), flib.trig_library(2)[1])
+_ROTATION_POINTS = oplib.rotation_sample_grid()[::5]
+
+
+def _rotation_residuals(rows):
+    return oplib.rotation_relation_check(flib.stack(_FIELDS[k] for k in rows), _ROTATION_POINTS)
+
+
+def _hermiticity_defects(rows):
+    # the order verify runs at by default
+    return oplib.hermiticity_defects([_FIELDS[k] for k in rows], order=64)
+
+
 def _at_points(fn, *lead):
     def rows(q):
         return fn(*lead, q[:, 0], q[:, 1])
@@ -390,9 +407,13 @@ BATCH_ENTRIES = {
     # the theta rule is the same for every |p| <= 60
     "amplitude_surface_overlap": (st.floats(-60.0, 60.0),
                                   lambda p: splib.amplitude_surface_overlap([0, 3], p)),
+    "rotation_relation_check stack": (st.integers(0, len(_FIELDS) - 1), _rotation_residuals),
+    "hermiticity_defects pool": (st.integers(0, len(_FIELDS) - 1), _hermiticity_defects),
     "cli._cells": (st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT), _cell_rows(False)),
     "cli._cells signed zero": (st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT), _cell_rows(True)),
 }
+# entries whose last two axes both run over the items: one result per pair
+PAIR_ENTRIES = {"hermiticity_defects pool"}
 
 
 def _same_bits(a, b):
@@ -414,7 +435,10 @@ def test_an_items_bits_do_not_depend_on_its_batch(entry, data):
     permutation = data.draw(st.permutations(range(n)))
     single = [data.draw(st.integers(0, n - 1))]
     for selection in (subset, permutation, single):
-        assert _same_bits(evaluate(batch[selection]), full[..., selection]), selection
+        expected = full[..., selection]
+        if entry in PAIR_ENTRIES:
+            expected = expected[..., selection, :]
+        assert _same_bits(evaluate(batch[selection]), expected), selection
 
 
 @pytest.mark.xfail(strict=True, reason="BLAS rounds the quadrature's per-panel matmuls "

@@ -192,6 +192,35 @@ def test_pullback_value_and_gradient():
     assert pulled.order == 1
 
 
+def test_stack_rows_are_their_fields_partials():
+    fields = [flib.constant(1.0), flib.spherical_harmonic(2, -1), flib.trig_library(1)[0]]
+    stacked = flib.stack(fields)
+    assert stacked.label == "stack(const(1), Y2-1, trig0)" and stacked.order == 2
+    theta, phi = np.linspace(0.3, 2.8, 5)[:, None], np.linspace(0.0, 6.0, 4)
+    jets = stacked.partials(theta, phi, 2)
+    assert [j.shape for j in jets] == [(3, 5, 4), (2, 3, 5, 4), (2, 2, 3, 5, 4)]
+    for k, f in enumerate(fields):
+        for n, one in enumerate(f.partials(theta, phi, 2)):
+            assert jets[n][(slice(None),) * n + (k,)].tobytes() == one.tobytes()
+    with pytest.raises(ValueError, match="at least one field"):
+        flib.stack([])
+
+
+@pytest.mark.parametrize("lms", [[(2, 1), (1, -1)], [(0, 0), (2, 2), (3, -1)]])
+def test_a_stacked_pullback_is_its_rows_pullbacks(lms):
+    # E = (2,) and E = (3,): the Jacobian is padded for the field axis, so
+    # each row is its own field's pullback bit for bit
+    fields = [flib.spherical_harmonic(*lm) for lm in lms]
+    rot = flib.rotation_matrix("y", 0.7)
+    theta, phi = np.linspace(0.3, 2.8, 5)[:, None], np.linspace(0.0, 6.0, 4)
+    value, grad = flib.pullback_field(flib.stack(fields), rot).partials(theta, phi, 1)
+    assert value.shape == (len(fields), 5, 4) and grad.shape == (2, len(fields), 5, 4)
+    for k, f in enumerate(fields):
+        one_value, one_grad = flib.pullback_field(f, rot).partials(theta, phi, 1)
+        assert value[k].tobytes() == one_value.tobytes()
+        assert grad[:, k].tobytes() == one_grad.tobytes()
+
+
 def test_pullback_pole_proximity():
     one = flib.spherical_harmonic(1, 1)
     rot = flib.rotation_matrix("y", np.pi / 2.0)

@@ -14,6 +14,8 @@ catch them:
 | `confined_sum`                 | `thin_shell` drops its normal-geometric part      |
 | `sphere_component_match`       | the general-chart p loses its M n term            |
 | `rotation_relation`            | `rotation_matrix` turns the other way             |
+| `rotation_relation`            | `Y_22` in its stack times e^{i phi / 2}           |
+| `hermiticity`                  | `Y_10`'s gradient in its pool times 1.5           |
 | `angular_momentum`             | `SPHERE_ANGULAR` loses d_theta of its d_phi coefficient |
 | `parseval`                     | `amplitude_recurrence` times sqrt((2l+1)/4pi)     |
 | `moment_second`                | the same                                          |
@@ -32,8 +34,18 @@ catch them:
 | `sho_shape_match`              | `MATCHED_GAUSSIAN_RATE` times 1.5                 |
 
 Each sphere operator fault is one monkeypatch on the operator object, and
-every path to its coefficients (the operator's images, the library suite,
-`angular_momentum_residuals`, `hermiticity_defects`) reads them through it.
+every path to its coefficients reads them through it: the operator's
+images (and so `rotation_relation_check`, once for its whole stack of
+fields), the library suite, `angular_momentum_residuals` and
+`hermiticity_defects` (once for its whole pool).
+
+The rotation and hermiticity suites evaluate their fields on one stacked
+field axis and read each field's result back by its place, so a fault in
+one field of a stack must fail that field's entry and no other.  A field
+fault that rotation_relation can see is one that is not single-valued on
+the sphere: the direct p_x f reads f at phi in [0, 2 pi), the pullback at
+phi in (-pi, pi].  Scaling a field's gradient cannot fail it, since both
+constructions are the same linear map of f and its gradient at each point.
 
 No frame fault reaches the plane's exact zeros: its metric is the identity
 and its curvatures are 0, so raising with the tangents, a zero d_mu
@@ -102,6 +114,18 @@ def with_frame_fault(monkeypatch, change):
         return dataclasses.replace(frame, **change(frame)), partials
 
     monkeypatch.setattr(geolib, "_frame", faulty)
+
+
+def with_field_fault(monkeypatch, lm, fault):
+    """spherical_harmonic(*lm) becomes the field fault(itself), under its own
+    label; every other harmonic stays healthy."""
+    healthy = flib.spherical_harmonic
+
+    def faulty(l, m):
+        f = healthy(l, m)
+        return flib.ScalarField(f.label, fault(f).partials, f.order) if (l, m) == lm else f
+
+    monkeypatch.setattr(flib, "spherical_harmonic", faulty)
 
 
 def failing_charts(checks):
@@ -178,6 +202,35 @@ def test_rotation_relation_fails_when_the_rotations_turn_the_other_way(monkeypat
     monkeypatch.setattr(oplib, "rotation_matrix", lambda axis, angle: healthy(axis, -angle))
     for check in checks_of("rotation_relation", 3):
         assert not check.passed and check.residual > 0.5, check  # up to 2.0
+
+
+def test_rotation_relation_fails_only_for_a_multivalued_field_in_its_stack(monkeypatch):
+    # Y_22 times e^{i phi / 2}, which changes sign across phi = pi
+    half_phase = flib.map_field(lambda theta, phi: np.exp(0.5j * phi), "half phase")
+    with_field_fault(monkeypatch, (2, 2), lambda f: flib.product(f, half_phase))
+    checks = checks_of("rotation_relation", 3)
+    assert [(c.field, c.passed) for c in checks] == [
+        ("const(1)", True), ("Y1+0", True), ("Y2+2", False)]
+    assert checks[2].residual > 1.0  # 1.93
+
+
+def test_hermiticity_fails_only_for_the_pairs_of_a_faulted_pool_field(monkeypatch):
+    # Y_10's gradient times 1.5 changes p_z Y_10's mix of Y_00 and Y_20,
+    # both in the pool, while p_x Y_10 and p_y Y_10 only scale and stay in
+    # l = 2, |m| = 1, where the pool has no field
+    def scaled_gradient(f):
+        def partials(q1, q2, order):
+            return [d * (1.5 if n == 1 else 1.0) for n, d in enumerate(f.partials(q1, q2, order))]
+        return flib.ScalarField(f.label, partials, f.order)
+
+    with_field_fault(monkeypatch, (1, 0), scaled_gradient)
+    checks = checks_of("hermiticity", 3)
+    assert [c.passed for c in checks] == [True, True, False]
+    assert "Y1+0" in checks[2].field.split(":")[1].split(","), checks[2]
+    assert checks[2].residual > 0.5  # 0.58
+    pool = [flib.spherical_harmonic(l, m) for l, m in ((0, 0), (1, 0), (1, 1), (2, 0))]
+    failing = np.abs(oplib.hermiticity_defects(pool)[2]) > 1e-10
+    assert failing.any() and not np.delete(np.delete(failing, 1, 0), 1, 1).any()
 
 
 def test_angular_momentum_fails_without_a_coefficient_partial(monkeypatch):
