@@ -289,7 +289,7 @@ def rotation_relation_check(field, sample_points=None):
     axes E (a fields.stack of F fields, E = (F,)) gets one residual per
     row, an array of shape E, from one evaluation of p's coefficients and
     of each pullback's geometry for all its rows; each row's residual
-    equals its field's alone bit for bit.  E = () gives a float.
+    equals its field's alone bit for bit.  E = () gives a 0-d array.
     """
     if sample_points is None:
         sample_points = rotation_sample_grid()
@@ -304,8 +304,7 @@ def rotation_relation_check(field, sample_points=None):
         inner = flib._sphere_angles(np.tensordot(rot.T, flib.sphere_point(theta, phi), axes=1))
         p_z = SPHERE_MOMENTUM.value(pullback_field(field, rot), *inner)[2]
         worst.append(np.abs(p_f[component] - p_z).max(axis=-1))
-    worst = np.max(worst, axis=0)
-    return float(worst) if worst.ndim == 0 else worst
+    return np.max(worst, axis=0)
 
 
 # ---------------------------------------------------------------------------

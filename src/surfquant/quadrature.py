@@ -68,15 +68,14 @@ def sphere_grid(order=64):
     Gauss-Legendre of the given order in x = cos(theta) and a periodic
     trapezoid rule of n_phi = 2*order points in phi.  Returns
     (theta, phi, w) broadcastable arrays: theta with shape (order, 1),
-    phi with shape (1, n_phi) and w with shape (order, 1), the trapezoid
-    weight being the same at every phi, such that sum(w * F(theta, phi))
-    approximates the surface integral of F over the sphere with the
-    sin(theta) measure already absorbed.
+    phi with shape (1, n_phi) and w with shape (order, n_phi) such that
+    sum(w * F(theta, phi)) approximates the surface integral of F over
+    the sphere with the sin(theta) measure already absorbed.
     """
     order = int(order)
     n_phi = 2 * order
     x, wx = _leggauss(order)
     theta = np.arccos(x)[:, None]
     phi = (2.0 * np.pi / n_phi) * np.arange(n_phi)[None, :]
-    w = wx[:, None] * (2.0 * np.pi / n_phi)
+    w = np.broadcast_to(wx[:, None] * (2.0 * np.pi / n_phi), (order, n_phi))
     return theta, phi, w
