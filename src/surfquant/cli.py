@@ -275,8 +275,9 @@ def _require_inside(chart, q1, q2):
         )
 
 
-def _geom_columns(chart, q1, q2, q3_values, hbar, mu):
-    """Report columns for the points (q1, q2), evaluated in one batch."""
+def _geom_columns(chart, q1, q2, offsets, hbar, mu):
+    """Report columns for the points (q1, q2), evaluated in one batch, with
+    one shell determinant column per entry of `offsets` (name -> q3)."""
     _require_inside(chart, q1, q2)
     # Points on the first axis, shell offsets on a second one, so a fold is
     # reported for the first point (then offset) in input order.
@@ -292,10 +293,9 @@ def _geom_columns(chart, q1, q2, q3_values, hbar, mu):
         "n_z": frame.normal[2],
         "sqrt_g": frame.sqrt_g,
     }
-    if q3_values:
-        dets = shell_frame(frame, np.array(q3_values)).det
-        for j, q3 in enumerate(q3_values):
-            columns[f"shell_det_q3_{q3:g}"] = dets[:, j]
+    if offsets:
+        dets = shell_frame(frame, np.array(list(offsets.values()))).det
+        columns.update(zip(offsets, dets.T))
     return {key: np.ravel(col) for key, col in columns.items()}
 
 
@@ -304,12 +304,17 @@ def cmd_geom(args):
         # not required by the parser, so that a --config file can supply it
         raise ValueError("the following arguments are required: --surface")
     chart = _make_surface(args)
-    q3_values = _parse_float_list(args.q3) if args.q3 else []
-    points = _geom_points(args, chart, 9 + len(q3_values))
+    offsets = {}  # each --q3 offset by the name of its column
+    for q3 in _parse_float_list(args.q3) if args.q3 else []:
+        name = f"shell_det_q3_{q3:g}"
+        if name in offsets:
+            raise ValueError(f"--q3 offsets {offsets[name]!r} and {q3!r} share the column {name}")
+        offsets[name] = q3
+    points = _geom_points(args, chart, 9 + len(offsets))
     q1, q2 = (np.array(axis) for axis in zip(*points))
 
     def columns(rows):
-        return _geom_columns(chart, q1[rows], q2[rows], q3_values, args.hbar, args.mu)
+        return _geom_columns(chart, q1[rows], q2[rows], offsets, args.hbar, args.mu)
 
     failures = (ChartSingularityError, ShellFoldError, ValueError)
     try:

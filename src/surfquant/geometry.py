@@ -73,7 +73,8 @@ def _matmul(a, b):
 
 @dataclass(frozen=True)
 class GeometryFrame:
-    """First- and second-order surface data over a point shape S (last axes)."""
+    """First- and second-order surface data over a point shape S (last axes);
+    no metric derivative, since Gamma^l_{mu nu} = r^l . r_{mu nu}."""
 
     point: tuple  # (q1, q2), floats or arrays of shape S
     position: np.ndarray  # (3,) + S
@@ -88,8 +89,6 @@ class GeometryFrame:
     mean_curvature: object  # float or S
     gaussian_curvature: object  # float or S
     second_partials: np.ndarray  # (2, 2, 3) + S, d_mu d_nu r
-    dginv: np.ndarray  # (2, 2, 2) + S, dginv[mu] = d_mu g^{alpha beta}
-    dsqrt: np.ndarray  # (2,) + S, d_mu sqrt(g)
 
     def completeness_residual(self):
         """Entrywise residual of sum_mu r^mu (x) r_mu + n (x) n - I, (3, 3) + S."""
@@ -112,9 +111,9 @@ def evaluate_frame(chart, q1, q2):
     The chart's map is evaluated once, on jets to second order.  Raises
     ChartSingularityError at a non-finite point, before the map runs, and
     where the tangents degenerate (for example the poles of the sphere
-    chart), and ValueError where sqrt(g), M, K or a metric partial is not
-    finite (a surface scale whose metric overflows or underflows), each
-    naming the first such point.
+    chart), and ValueError where sqrt(g), g^-1, M or K is not finite (a
+    surface scale whose metric overflows or underflows), each naming the
+    first such point.
     """
     return _frame(chart, q1, q2, 2)[0]
 
@@ -144,24 +143,8 @@ def _frame(chart, q1, q2, order):
         w = weingarten
         mean_curvature = -0.5 * (w[0, 0] + w[1, 1])
         gaussian_curvature = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
-        # d_mu g = d2[mu] t^T + t d2[mu]^T, then d_mu g^-1 = -g^-1 (d_mu g) g^-1
-        # and d_mu sqrt(g) = sqrt(g) tr(g^-1 d_mu g) / 2.
-        half = _contract(d2[:, :, None] * t[None, None], 3)
-        dg = half + half.swapaxes(1, 2)
-        ginv_dg = [_mm(metric_inv, dg[m]) for m in range(2)]
-        dginv = -np.array([_mm(p, metric_inv) for p in ginv_dg])
-        dsqrt = 0.5 * sqrt_g * np.array([p[0, 0] + p[1, 1] for p in ginv_dg])
-    finite = np.isfinite(dginv).all(axis=(0, 1, 2)) & np.isfinite(dsqrt).all(axis=0)
-    for x in (sqrt_g, mean_curvature, gaussian_curvature):
-        finite &= np.isfinite(x)
     point = (q1b, q2b) if q1b.ndim else (float(q1b), float(q2b))
-    if not finite.all():
-        k = int(np.argmin(np.ravel(finite)))
-        bad = tuple(float(np.ravel(q)[k]) for q in point)
-        raise ValueError(
-            f"the {chart.name} chart's frame is not finite at {bad}: its metric or "
-            f"curvatures overflow or underflow the float range"
-        )
+    _require_finite(chart, point, sqrt_g, metric_inv, mean_curvature, gaussian_curvature)
     return GeometryFrame(
         point=point,
         position=position,
@@ -176,9 +159,21 @@ def _frame(chart, q1, q2, order):
         mean_curvature=_scalar(mean_curvature),
         gaussian_curvature=_scalar(gaussian_curvature),
         second_partials=d2,
-        dginv=dginv,
-        dsqrt=dsqrt,
     ), partials
+
+
+def _require_finite(chart, point, *entries):
+    """ValueError naming the first point at which an entry, of shape
+    (...) + the point shape, is not finite."""
+    shape = (-1,) + np.shape(point[0])
+    finite = np.ravel(np.all([np.isfinite(x).reshape(shape).all(0) for x in entries], 0))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        bad = tuple(float(np.ravel(q)[k]) for q in point)
+        raise ValueError(
+            f"the {chart.name} chart's frame is not finite at {bad}: its metric or "
+            f"curvatures overflow or underflow the float range"
+        )
 
 
 def geometric_potential(frame, hbar=1.0, mu=1.0):
@@ -237,36 +232,35 @@ def shell_frame(frame, q3):
 
 
 def laplace_beltrami_jets(frame, grad, hess):
-    """Intrinsic Laplacian from a field's first and second partials.
+    """Intrinsic Laplacian from a field's first and second partials, in
+    Christoffel form: g^{mu nu} (d_mu d_nu f - Gamma^l_{mu nu} d_l f) with
+    Gamma^l_{mu nu} = r^l . r_{mu nu}, so the frame's g^-1, raised tangents
+    and second partials are all it reads.
 
     grad has shape (2,) + E + S and hess (2, 2) + E + S, where S is the
     frame's point shape and E any extra leading axes (for example the three
     coordinate products of one field); the result has shape E + S.
     """
-    ginv = frame.metric_inv
-    div_part = 0.0 + 0.0j
-    for mu in range(2):
-        for nu in range(2):
-            drift = ginv[mu, nu] * frame.dsqrt[mu] / frame.sqrt_g
-            coeff = frame.dginv[mu, mu, nu] + drift
-            div_part = div_part + coeff * grad[nu]
+    ginv, d2 = frame.metric_inv, frame.second_partials
+    traced = _contract(_contract(ginv[:, :, None] * d2, 1), 0)  # g^{mu nu} r_{mu nu}
+    c = _contract(frame.raised * traced, 1)  # c_l = g^{mu nu} Gamma^l_{mu nu}
     trace = (
         ginv[0, 0] * hess[0, 0]
         + ginv[0, 1] * hess[0, 1]
         + ginv[1, 0] * hess[1, 0]
         + ginv[1, 1] * hess[1, 1]
     )
-    return div_part + trace
+    return trace - (c[0] * grad[0] + c[1] * grad[1])
 
 
 def laplace_beltrami(chart, field, q1, q2):
-    """Intrinsic Laplacian (1/sqrt g) d_mu (g^{mu nu} sqrt g  d_nu f).
+    """Intrinsic Laplacian (1/sqrt g) d_mu (g^{mu nu} sqrt g  d_nu f), in
+    the Christoffel form of laplace_beltrami_jets.
 
-    The field must supply exact partials to second order at the points;
-    metric derivatives come from the chart's second partials, so for
-    analytic charts and fields the result is accurate to machine precision.
-    Returns a complex for a single point, an array of the point shape
-    otherwise.
+    The field must supply exact partials to second order at the points; the
+    connection comes from the chart's second partials, so for analytic
+    charts and fields the result is accurate to machine precision.  Returns
+    a complex for a single point, an array of the point shape otherwise.
     """
     frame = evaluate_frame(chart, q1, q2)
     out = laplace_beltrami_jets(frame, *field.partials(q1, q2, 2)[1:])
@@ -280,19 +274,26 @@ def _frame_with_gradients(chart, q1, q2):
     Exact to rounding on every chart, from-map charts included: one jet
     evaluation of the map to third order gives the frame and the third
     partials r_{mu nu l}, and
+        d_l g = r_{l mu} r_nu + r_mu r_{l nu},  d_l g^-1 = -g^-1 d_l g g^-1,
         d_l n = -h_{l nu} r^nu,
         d_l h_{mu nu} = d_l n . r_{mu nu} + n . r_{mu nu l},
         d_l alpha = -(d_l g^-1 h + g^-1 d_l h),
-    so d_l M = -tr(d_l alpha)/2 and d_l K = d_l det(alpha).
+    so d_l M = -tr(d_l alpha)/2 and d_l K = d_l det(alpha).  A dM or dK
+    that is not finite is a ValueError naming its first point.
     """
     frame, partials = _frame(chart, q1, q2, 3)
     h, r, ginv = frame.second_form, frame.raised, frame.metric_inv
-    dn = -(h[:, 0, None] * r[0] + h[:, 1, None] * r[1])  # [l, component]
-    d3 = partials[3]
-    dh = _contract(dn[:, None, None] * frame.second_partials + frame.normal * d3, 3)
-    da = -np.array([_mm(frame.dginv[l], h) + _mm(ginv, dh[l]) for l in range(2)])
-    a = frame.weingarten
-    dM = -0.5 * (da[:, 0, 0] + da[:, 1, 1])
-    dK = (a[0, 0] * da[:, 1, 1] + da[:, 0, 0] * a[1, 1]
-          - a[0, 1] * da[:, 1, 0] - da[:, 0, 1] * a[1, 0])
+    d2, d3 = frame.second_partials, partials[3]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        half = _contract(d2[:, :, None] * frame.tangents[None, None], 3)
+        dg = half + half.swapaxes(1, 2)
+        dginv = [-_mm(_mm(ginv, dg[l]), ginv) for l in range(2)]
+        dn = -(h[:, 0, None] * r[0] + h[:, 1, None] * r[1])  # [l, component]
+        dh = _contract(dn[:, None, None] * d2 + frame.normal * d3, 3)
+        da = -np.array([_mm(dginv[l], h) + _mm(ginv, dh[l]) for l in range(2)])
+        a = frame.weingarten
+        dM = -0.5 * (da[:, 0, 0] + da[:, 1, 1])
+        dK = (a[0, 0] * da[:, 1, 1] + da[:, 0, 0] * a[1, 1]
+              - a[0, 1] * da[:, 1, 0] - da[:, 0, 1] * a[1, 0])
+    _require_finite(chart, frame.point, dM, dK)
     return frame, dM, dK

@@ -543,14 +543,6 @@ class UncertaintyReport:
     momentum_second: float  # <p_z^2>
     products: dict = field(compare=False)  # axis -> Delta x_i * Delta p_i
 
-    def position_variance(self, axis):
-        i = {"x": 0, "y": 1, "z": 2}[axis]
-        return self.position_second[i] - self.position_mean[i] ** 2
-
-    @property
-    def momentum_variance(self):
-        return self.momentum_second - self.momentum_mean**2
-
 
 def uncertainty_report(l, m=0):
     """Spreads of Y_lm on a 96-point sphere grid and of |phi_l|^2 (see

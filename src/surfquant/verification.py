@@ -442,9 +442,7 @@ def eigenvalue_suite(options):
     if not options.wants("eigenvalue_residual"):
         return []
     rng = np.random.default_rng(20240502)
-    p, theta = np.array(
-        [(rng.uniform(-10.0, 10.0), rng.uniform(0.01, np.pi - 0.01)) for _ in range(100)]
-    ).T
+    p, theta = rng.uniform([-10.0, 0.01], [10.0, np.pi - 0.01], size=(100, 2)).T
     eigen = flib.map_field(lambda th, ph: splib._psi_map(p, th), "psi")
     value = oplib.SPHERE_MOMENTUM.value(eigen, theta, 0.0)[2]
     residual = np.abs(value - p * splib._psi_map(p, theta))

@@ -193,6 +193,19 @@ def test_confine_plane_zero_deviation(tmp_path):
     assert all(float(r["deviation"]) == 0.0 for r in rows)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("radius", ["1e-80", "1e77"])
+def test_confine_on_a_sphere_near_the_ends_of_the_float_range(radius, capsys):
+    # the shell's fold factor and d_mu M, d_mu K at |M| = 1e80 and 1e-77:
+    # every row and the slope finite, with no RuntimeWarning
+    assert run(["confine", "--surface", "sphere", "--radius", radius]) == 0
+    header, *lines, comment, slope_line = capsys.readouterr().out.splitlines()
+    assert header == "q3,deviation" and len(lines) == 13
+    assert comment.startswith("# loglog_slope=") and slope_line == comment[2:]
+    rows = np.array([line.split(",") for line in lines], dtype=float)
+    assert np.isfinite(rows).all() and np.isfinite(float(slope_line.split("=")[1]))
+
+
 def test_confine_fold_exit_code(tmp_path, capsys):
     code = run(["confine", "--surface", "sphere", "--q3", "-1.0",
                 "--out", str(tmp_path / "c.csv")])
@@ -708,6 +721,19 @@ def test_non_finite_shell_offsets_are_rejected(command, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: config: values must be finite")
+
+
+@pytest.mark.parametrize("q3, first, second", [
+    ("0.1,0.1000001", 0.1, 0.1000001),  # both print as 0.1
+    ("0.2,0.1,2e-1", 0.2, 0.2),
+])
+def test_shell_offsets_that_share_a_column_name_are_rejected(q3, first, second, capsys):
+    # was one shell_det_q3_0.1 column holding the last offset's determinant, exit 0
+    code = run(["geom", "--surface", "torus", "--point", "1,1", "--q3", q3])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: config: --q3 offsets {first!r} and {second!r} "
+                            f"share the column shell_det_q3_{first:g}\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -214,6 +214,19 @@ def test_a_from_map_frame_that_overflows_is_refused():
         _frame_with_gradients(steep, 500.0, 0.25)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_curvature_gradients_that_overflow_on_a_finite_frame_are_refused():
+    # r = (u^3, v, 0) at u = 1e-62: g^-1 ~ 1e247 is finite but d_u g^-1 ~
+    # 1e309 is not, so the frame is kept, but dM (inf * h, with h = 0) is NaN
+    cubic = chlib.from_map(lambda u, v: [u**3, v, 0.0], ((-1.0, 1.0), (-1.0, 1.0)),
+                           name="cubic")
+    frame = evaluate_frame(cubic, 1e-62, 0.5)
+    assert np.isfinite(frame.metric_inv).all() and frame.mean_curvature == 0.0
+    with pytest.raises(ValueError, match=re.escape(
+            "the cubic chart's frame is not finite at (1e-62, 0.5)")):
+        _frame_with_gradients(cubic, np.array([0.5, 1e-62]), np.array([0.5, 0.5]))
+
+
 @pytest.mark.parametrize("scale", [1e-60, 1e-20, 1e20, 1e60])
 def test_the_degeneracy_test_is_scale_free(scale):
     # a plane scaled by any factor whose frame is finite is regular, and
@@ -325,6 +338,26 @@ def test_curvature_gradients_exact_on_a_mapped_torus():
         exact_dM, exact_dK = _torus_gradients(a, b, v)
         assert np.abs(dM - exact_dM).max() < 1e-13
         assert np.abs(dK - exact_dK).max() < 1e-13
+
+
+def test_curvature_gradients_on_a_twisted_torus():
+    # r(u + v, v) has g_12 = (a + b cos v)^2, up to 6.25 here, so the
+    # off-diagonal terms of d_l g^-1 enter; by the chain rule its gradients
+    # are the torus's (d_u + d_v, d_v), that is (0, d_v M) and (0, d_v K)
+    torus = chlib.torus()
+    a, b = torus.params["major_radius"], torus.params["minor_radius"]
+
+    def twisted_map(u, v):
+        w = a + b * np.cos(v)
+        return [w * np.cos(u + v), w * np.sin(u + v), b * np.sin(v)]
+
+    twisted = chlib.from_map(twisted_map, torus.domain, torus.periodic, name="twisted")
+    pts = chart_points(torus, 50)
+    frame, dM, dK = _frame_with_gradients(twisted, pts[:, 0], pts[:, 1])
+    assert np.abs(frame.metric[0, 1]).max() > 6.0
+    exact_dM, exact_dK = _torus_gradients(a, b, pts[:, 1])
+    assert np.abs(dM - exact_dM).max() < 1e-13
+    assert np.abs(dK - exact_dK).max() < 1e-13
 
 
 def test_curvature_gradients_on_array_points():

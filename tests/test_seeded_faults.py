@@ -21,13 +21,14 @@ catch them:
 | `moment_second`                | the same                                          |
 | `uncertainty_product`          | the same                                          |
 | `position_kinetic`             | `laplace_beltrami_jets` doubled                   |
+| `laplace_beltrami_coordinates` | `laplace_beltrami_jets` without its Christoffel term |
+| `position_kinetic`             | the same                                          |
 | `amplitude_closed_*`           | two l rows of the quadrature batch swapped        |
 | `amplitude_surface_match`      | the same                                          |
 | `parseval`                     | the fixed |p| <= 16 window, at l <= 64            |
 | `density_parity`               | a p grid symmetric only to rounding               |
 | `frame_completeness`           | frames raise with no g^-1 (raised = tangents)     |
 | `position_momentum`            | the same                                          |
-| `laplace_beltrami_coordinates` | frames with d_mu sqrt(g) = 0                      |
 | `shell_determinant`            | frames with the Weingarten map's sign flipped     |
 | `geometric_potential`          | frames with K's sign flipped                      |
 | `confinement_slope`            | frames with M doubled                             |
@@ -48,11 +49,13 @@ phi in (-pi, pi].  Scaling a field's gradient cannot fail it, since both
 constructions are the same linear map of f and its gradient at each point.
 
 No frame fault reaches the plane's exact zeros: its metric is the identity
-and its curvatures are 0, so raising with the tangents, a zero d_mu
-sqrt(g), a flipped Weingarten map and a flipped K change nothing there, and
-its entries of the faulted identities pass.  Nor does a frame fault on a
-cylinder of radius 1 reach `frame_completeness` or `position_momentum`,
-whose metric is the identity too.
+and its curvatures are 0, so raising with the tangents, a flipped Weingarten
+map and a flipped K change nothing there, and its entries of the faulted
+identities pass.  Nor does dropping the Christoffel term of the Laplacian
+reach the plane or the cylinder, whose second partials are normal to the
+surface, so that every Gamma^l_{mu nu} = r^l . r_{mu nu} there is 0.  Nor
+does a frame fault on a cylinder of radius 1 reach `frame_completeness` or
+`position_momentum`, whose metric is the identity too.
 
 No fault in the amplitudes themselves can fail `density_parity`: the
 quadrature sums a cos transform (even l) or a sin transform (odd l) of its
@@ -340,11 +343,22 @@ def test_position_momentum_fails_without_the_inverse_metric(monkeypatch):
     assert min(c.residual for c in checks if not c.passed) > 0.05  # 0.068
 
 
-def test_laplace_beltrami_coordinates_fails_without_the_volume_gradient(monkeypatch):
-    with_frame_fault(monkeypatch, lambda frame: {"dsqrt": 0.0 * frame.dsqrt})
+def test_laplace_beltrami_coordinates_fails_without_the_christoffel_term(monkeypatch):
+    # g^{mu nu} d_mu d_nu f alone: the connection term c_l d_l f, with
+    # c_l = r^l . (g^{mu nu} r_{mu nu}), is 0 when the raised tangents are
+    healthy = geolib.laplace_beltrami_jets
+
+    def faulty(frame, grad, hess):
+        return healthy(dataclasses.replace(frame, raised=0.0 * frame.raised), grad, hess)
+
+    monkeypatch.setattr(geolib, "laplace_beltrami_jets", faulty)
+    monkeypatch.setattr(oplib, "laplace_beltrami_jets", faulty)
     checks = checks_of("laplace_beltrami_coordinates", 4)
     assert failing_charts(checks) == ["sphere", "torus"]
-    assert min(c.residual for c in checks if not c.passed) > 0.4  # 0.47
+    assert min(c.residual for c in checks if not c.passed) > 0.4  # 3.2 and 0.47
+    checks = checks_of("position_kinetic", 76)  # 19 library fields on 4 charts
+    assert failing_charts(checks) == ["sphere"] * 19 + ["torus"] * 19
+    assert min(c.residual for c in checks if not c.passed) > 0.05  # 0.066
 
 
 def test_shell_determinant_fails_on_a_flipped_weingarten_map(monkeypatch):

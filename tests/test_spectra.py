@@ -693,19 +693,21 @@ def test_moments_ground_state():
 
 def test_uncertainty_report_ground_state():
     rep = splib.uncertainty_report(0, 0)
+    z_variance = rep.position_second[2] - rep.position_mean[2] ** 2
+    p_variance = rep.momentum_second - rep.momentum_mean**2
     # <z^2> over the uniform sphere density is 1/3
-    assert abs(rep.position_variance("z") - 1.0 / 3.0) < 1e-10
-    assert abs(rep.momentum_variance - 1.0 / 3.0) < 1e-8
+    assert abs(z_variance - 1.0 / 3.0) < 1e-10
+    assert abs(p_variance - 1.0 / 3.0) < 1e-8
     assert set(rep.products) == {"x", "y", "z"}
     for product in rep.products.values():
         assert abs(product - 1.0 / 3.0) < 1e-8
-    assert rep.momentum_variance >= 0.0
+    assert p_variance >= 0.0
 
 
 def test_uncertainty_report_y10():
     rep = splib.uncertainty_report(1, 0)
     # oracle: <z^2> = Int cos^2 |Y10|^2 dOmega = 3/5, <z> = 0
-    assert abs(rep.position_variance("z") - 0.6) < 1e-10
+    assert abs(rep.position_second[2] - rep.position_mean[2] ** 2 - 0.6) < 1e-10
     assert abs(rep.position_mean[2]) < 1e-12
     assert set(rep.products) == {"z"}
     assert rep.products["z"] > 0.0
