@@ -59,7 +59,7 @@ import numpy as np
 
 from . import fields as flib
 from .errors import QuadratureTruncationError
-from .quadrature import graded_panel_rule, panel_rule, sphere_grid
+from .quadrature import _leggauss, graded_panel_rule, panel_rule, sphere_grid
 
 # Evaluating psi closer to a pole than this raises; the eigenfunction is a
 # pure evaluation (no derivative amplification), so the band is tiny.
@@ -225,11 +225,17 @@ def _by_l(rows, one):
 
 
 def _check_truncation(Q, tolerance):
+    """Q as a float, once it lies in (0, MAX_PANELS] and its tail bound
+    2 e^{-Q} is within a finite, positive tolerance."""
+    Q = float(Q)
+    if not 0.0 < Q <= MAX_PANELS:  # NaN fails too
+        raise ValueError(f"need a finite Q in (0, {MAX_PANELS}] (got {Q})")
     if not 0.0 < tolerance < np.inf:  # NaN fails too
         raise ValueError(f"tolerance must be finite and positive (got {tolerance})")
-    bound = 2.0 * np.exp(-float(Q))
+    bound = 2.0 * np.exp(-Q)
     if bound > tolerance:
         raise QuadratureTruncationError(bound, tolerance)
+    return Q
 
 
 def _q_shape(Q, nodes, p_max, l):
@@ -240,9 +246,6 @@ def _q_shape(Q, nodes, p_max, l):
     # (l + 1) // 2 more nodes per panel are the fewest that hold 1e-13
     # against amplitude_recurrence for every 2 < l <= 64 and |p| <= 30 at
     # the default nodes (measured; l <= 2 keeps the rule it had).
-    Q = float(Q)
-    if not 0.0 < Q <= MAX_PANELS:  # NaN fails too
-        raise ValueError(f"need a finite Q in (0, {MAX_PANELS}] (got {Q})")
     n_panels = max(1, int(np.ceil(Q)))
     if not 1 <= nodes <= n_panels * MAX_PANEL_NODES:
         raise ValueError(
@@ -257,10 +260,16 @@ def _q_shape(Q, nodes, p_max, l):
 
 
 def _q_rule(Q, nodes, p_max, l):
-    """The q-rule of _q_shape, nodes and weights shaped (panels, nodes per panel)."""
+    """The q-rule of _q_shape for a checked float Q: its nodes and weights,
+    shaped (panels, nodes per panel), then the panel centres and one
+    panel's Gauss-Legendre nodes about its centre.  Node (i, j) is the
+    rounding of the exact Gauss node mid[i] + offset[j]."""
     shape = _q_shape(Q, nodes, p_max, l)
-    q, w = panel_rule(-float(Q), float(Q), nodes=shape[1])
-    return q.reshape(shape), w.reshape(shape)
+    q, w = panel_rule(-Q, Q, nodes=shape[1])
+    edges = np.linspace(-Q, Q, shape[0] + 1)  # panel_rule's panels
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    offset = (Q / shape[0]) * _leggauss(shape[1])[0]
+    return q.reshape(shape), w.reshape(shape), mid, offset
 
 
 def _amplitude_ladder(p):
@@ -314,58 +323,47 @@ def amplitude_quadrature(l, p, Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8)
 
     The kernel P_l(tanh q) sech(q) has parity (-1)^l, so the integral is
     Int kernel cos(p q) dq for even l and -i Int kernel sin(p q) dq for
-    odd l: real work.  A node sits at q = mid + offset + delta (its panel's
-    centre, its place in the panel, its rounding), so the angle-addition
-    formulas need cos and sin of p mid (panels) and p offset (nodes per
-    panel) alone; the per-panel sums are matmuls against the kernel, and
-    delta enters to first order through the kernel times delta.  Each
-    distinct |p| is evaluated once, in chunks of p that keep the
-    temporaries to a few MB, and mirrored (cos even, sin odd), so
-    |phi_l(-p)| == |phi_l(p)| exactly.  The nodes per panel grow with
-    max |p| and l (see _q_rule); |p| above MAX_ABS_P, a Q outside
-    (0, MAX_PANELS] and more than MAX_PANEL_NODES nodes per panel are
-    refused.  The orders that share a rule share its phases and one
-    Legendre recurrence, and only their kernel matmuls run per l, so each
-    row equals the one-l call bit for bit.
-
-    A p's last bits can depend on the other p of the call: the per-panel
-    sums are matmuls over a chunk of p, and BLAS rounds a matmul by its
-    row count.  On symmetric_grid(6, 0.05) at l = 0, 199 of the 241 values
-    differ from one-p calls, by at most 3.3e-16.
+    odd l: real work.  Its phases are taken at the exact Gauss nodes
+    q = mid + offset (a panel's centre, a node's place in its panel; the
+    kernel keeps panel_rule's rounded nodes), so the angle-addition
+    formulas need cos and sin of p mid and p offset alone, and each
+    panel's sums are per-row np.vecdot reductions: a p's bits do not
+    depend on the other p of the call while its max |p| keeps the rule
+    (every |p| <= 30 at the default nodes).  Each distinct |p| is
+    evaluated once, in chunks of p that keep the temporaries to a few MB,
+    and mirrored (cos even, sin odd), so |phi_l(-p)| == |phi_l(p)|
+    exactly.  The nodes per panel grow with max |p| and l (see _q_rule).
+    Refused, in this order: |p| above MAX_ABS_P, a Q outside
+    (0, MAX_PANELS], a tail bound past the tolerance, more than
+    MAX_PANEL_NODES nodes per panel.  The orders that share a rule share
+    its phases and one Legendre recurrence, so each row equals the one-l
+    call bit for bit.
     """
     orders, one = _orders(l)
     p_arr = _amplitude_p(p)
     magnitude = np.abs(p_arr).ravel()
     p_max = magnitude.max(initial=0.0)
+    Q = _check_truncation(Q, tolerance)
     groups = {}  # rule shape -> the rows of its orders
     for i, k in enumerate(orders):
         groups.setdefault(_q_shape(Q, nodes, p_max, k), []).append(i)
-    _check_truncation(Q, tolerance)
     distinct, index = np.unique(magnitude, return_inverse=True)
     sums = np.empty((len(orders), distinct.size))
     for rows_l in groups.values():
-        q, w = _q_rule(Q, nodes, p_max, orders[rows_l[0]])
+        q, w, mid, offset = _q_rule(Q, nodes, p_max, orders[rows_l[0]])
         group = [orders[i] for i in rows_l]
         legendre = _rungs(flib._legendre_ladder(0, np.tanh(q), None), group)
         cosh = np.cosh(q)
-        # q = mid + offset + delta: the panel centres (Gauss-Legendre nodes
-        # sit symmetrically in a panel), one panel's nodes about its centre,
-        # and each node's rounding, which enters to first order through
-        # kernel * delta.
-        mid = 0.5 * (q[:, 0] + q[:, -1])
-        offset = q[0] - mid[0]
-        delta = q - mid[:, None] - offset
         kernels = [w * legendre[k] / cosh for k in group]
-        slopes = [kernel * delta for kernel in kernels]
         rows = max(1, _CHUNK_ELEMENTS // sum(q.shape))
         for j in range(0, distinct.size, rows):
             p_j = distinct[j:j + rows, None]
-            cos_b, sin_b = np.cos(p_j * offset), np.sin(p_j * offset)
+            # (rows, 1, nodes per panel), to meet the (panels, nodes per panel) kernel
+            cos_b, sin_b = np.cos(p_j * offset)[:, None], np.sin(p_j * offset)[:, None]
             cos_a, sin_a = np.cos(p_j * mid), np.sin(p_j * mid)
-            for i, k, kernel, slope in zip(rows_l, group, kernels, slopes):
-                # per panel: Sum kernel cos(p (offset + delta)) and Sum kernel sin(...)
-                c = cos_b @ kernel.T - p_j * (sin_b @ slope.T)
-                s = sin_b @ kernel.T + p_j * (cos_b @ slope.T)
+            for i, k, kernel in zip(rows_l, group, kernels):
+                # per panel: Sum kernel cos(p offset) and Sum kernel sin(p offset)
+                c, s = np.vecdot(cos_b, kernel), np.vecdot(sin_b, kernel)
                 if k % 2:  # sin(a + b) = sin a cos b + cos a sin b
                     sums[i, j:j + rows] = np.sum(sin_a * c + cos_a * s, axis=1)
                 else:  # cos(a + b) = cos a cos b - sin a sin b

@@ -463,12 +463,12 @@ def spectra_suite(options):
     """The momentum-spectrum identities.  Each amplitude family takes its
     orders as one l sequence, a leading l axis (see
     spectra.amplitude_quadrature): one quadrature call over l = 0..8 on
-    p_grid serves the closed forms (l <= 2) and density_parity (l <=
-    min(parseval_lmax, 8)), one surface overlap and one quadrature call
-    over l = 0..4 serve amplitude_surface_match, and one moments call over
-    l = 0..parseval_lmax serves parseval, each l on the |p| window its
-    tail needs.  The entries keep the order of the identities and, within
-    one, of l."""
+    p_grid serves the closed forms (l <= 2), amplitude_surface_match
+    (l <= 4, at the nine integer p of p_grid in [-4, 4], against one
+    surface overlap call) and density_parity (l <= min(parseval_lmax,
+    8)), and one moments call over l = 0..parseval_lmax serves parseval,
+    each l on the |p| window its tail needs.  The entries keep the order
+    of the identities and, within one, of l."""
     out = []
     if options.wants("dirichlet_kernel"):
         dp = np.linspace(0.0, 5.0, 21)
@@ -487,14 +487,15 @@ def spectra_suite(options):
                     worst,
                 )
             )
-    # the closed-form (l <= 2) and parity (l <= 8) checks share the
-    # quadrature amplitudes on p_grid: one call, one row per l
+    # the closed-form (l <= 2), surface-match (l <= 4) and parity (l <= 8)
+    # checks share the quadrature amplitudes on p_grid: one call, one row per l
     p_grid = splib.symmetric_grid(6.0, 0.05)
     closed = options.wants("amplitude_closed_density") or options.wants(
         "amplitude_closed_signed"
     )
+    surface = range(5 if options.wants("amplitude_surface_match") else 0)
     parity = range(min(options.parseval_lmax, 8) + 1 if options.wants("density_parity") else 0)
-    grid_orders = range(max(3 if closed else 0, len(parity)))
+    grid_orders = range(max(3 if closed else 0, len(surface), len(parity)))
     quadrature = splib.amplitude_quadrature(grid_orders, p_grid) if grid_orders else None
     if closed:
         for l in (0, 1, 2):
@@ -523,12 +524,11 @@ def spectra_suite(options):
                         float(np.max(np.abs(quad - sign * closed_form))),
                     )
                 )
-    if options.wants("amplitude_surface_match"):
-        p = np.linspace(-4.0, 4.0, 9)
-        orders = range(5)
-        surf = splib.amplitude_surface_overlap(orders, p)
-        worst = np.max(np.abs(surf - splib.amplitude_quadrature(orders, p)), axis=1)
-        for l in orders:
+    if surface:
+        at = np.isin(p_grid, np.arange(-4.0, 5.0))  # p = -4, -3, ..., 4
+        surf = splib.amplitude_surface_overlap(surface, p_grid[at])
+        worst = np.max(np.abs(surf - quadrature[:len(surface), at]), axis=1)
+        for l in surface:
             out.append(
                 _result(options, "amplitude_surface_match", None, f"l={l}", None, worst[l])
             )

@@ -427,6 +427,9 @@ BATCH_ENTRIES = {
                          lambda p: np.array([splib.amplitude_closed(l, p) for l in (0, 1, 2)])),
     "amplitude_recurrence": (st.floats(-splib.MAX_ABS_P, splib.MAX_ABS_P),
                              lambda p: splib.amplitude_recurrence([0, 1, 5, 64], p)),
+    # the q-rule keeps its 32 nodes per panel (plus 3 at l = 5) for every |p| <= 30
+    "amplitude_quadrature": (st.floats(-30.0, 30.0),
+                             lambda p: splib.amplitude_quadrature([0, 1, 5], p)),
     # the theta rule is the same for every |p| <= 60
     "amplitude_surface_overlap": (st.floats(-60.0, 60.0),
                                   lambda p: splib.amplitude_surface_overlap([0, 3], p)),
@@ -464,10 +467,9 @@ def test_an_items_bits_do_not_depend_on_its_batch(entry, data):
         assert _same_bits(evaluate(batch[selection]), expected), selection
 
 
-@pytest.mark.xfail(strict=True, reason="BLAS rounds the quadrature's per-panel matmuls "
-                   "by the chunk's row count (ROADMAP item 5)")
 def test_amplitude_quadrature_bits_do_not_depend_on_its_batch():
-    # 199 of the 241 values differ from one-p calls, by at most 3.3e-16
+    # 199 of the 241 values differed from one-p calls, by at most 3.3e-16,
+    # while BLAS matmuls over a chunk of p took the per-panel sums
     grid = splib.symmetric_grid(6.0, 0.05)
     single = np.array([splib.amplitude_quadrature(0, p) for p in grid])
     assert _same_bits(splib.amplitude_quadrature(0, grid), single)

@@ -160,10 +160,13 @@ def test_distribution_sho_overlay(tmp_path):
 
 
 def test_distribution_truncation_exit_code(tmp_path, capsys):
-    code = run(["distribution", "--l", "0", "--Q", "8", "--pmax", "1",
-                "--dp", "0.5", "--method", "quadrature", "--out", str(tmp_path / "d.csv")])
-    assert code == 3
-    assert "error: quadrature-truncation:" in capsys.readouterr().err
+    # Q <= 1 at the default --nodes was a config error about the nodes the
+    # user never gave: "need 1 <= nodes <= 1024 at Q = 1 ... got 1280"
+    for Q in ("8", "1.5", "1", "0.5"):
+        code = run(["distribution", "--l", "0", "--Q", Q, "--pmax", "1",
+                    "--dp", "0.5", "--method", "quadrature", "--out", str(tmp_path / "d.csv")])
+        assert code == 3, Q
+        assert "error: quadrature-truncation:" in capsys.readouterr().err
 
 
 def test_distribution_compare_closed_requires_low_l(capsys):

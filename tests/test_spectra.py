@@ -341,7 +341,7 @@ def unfolded_amplitude(l, p, Q, nodes):
     """Reference: the complex exponential of p q at every node of the
     q-rule, with no parity or angle-addition split, 1024 p at a time."""
     p = np.asarray(p, dtype=float)
-    q, w = (x.ravel() for x in splib._q_rule(Q, nodes, np.max(np.abs(p)), l))
+    q, w = (x.ravel() for x in splib._q_rule(Q, nodes, np.max(np.abs(p)), l)[:2])
     kernel = w * flib.associated_legendre(l, 0, np.tanh(q)) / np.cosh(q)
     sums = [np.exp(-1j * p[k:k + 1024, None] * q) @ kernel for k in range(0, p.size, 1024)]
     return np.sqrt((2 * l + 1) / (4.0 * np.pi)) * np.concatenate(sums)
@@ -363,7 +363,7 @@ def test_folded_amplitude_matches_unfolded_formula(Q, nodes):
 
 @pytest.mark.parametrize("offset", [None, -1, 0, 1, "3C+7"])
 def test_amplitude_chunk_boundaries(offset):
-    q, _ = splib._q_rule(40.0, 1280, 6.0, 2)  # the rule of every call below
+    q = splib._q_rule(40.0, 1280, 6.0, 2)[0]  # the rule of every call below
     chunk = splib._CHUNK_ELEMENTS // (q.shape[0] + q.shape[1])  # rows per chunk
     distinct = {None: 1, -1: chunk - 1, 0: chunk, 1: chunk + 1, "3C+7": 3 * chunk + 7}
     magnitudes = np.linspace(0.0, 6.0, distinct[offset])
@@ -598,8 +598,7 @@ def test_an_l_sequence_gives_the_one_l_rows_of_the_chunked_overlap(monkeypatch):
 
 
 def test_an_l_sequence_gives_the_one_l_rows_of_the_chunked_quadrature(monkeypatch):
-    # several chunks per rule; the one-l calls take the same chunks, since
-    # a chunk's matmul shapes may change the rounding of its sums
+    # several chunks per rule, and three rule shapes
     monkeypatch.setattr(splib, "_CHUNK_ELEMENTS", 500)
     p = np.random.default_rng(7).uniform(-40.0, 40.0, 3001)
     orders = [2, 9, 0, 9, 33]

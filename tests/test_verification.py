@@ -310,6 +310,10 @@ def test_spectra_suite_computes_each_grid_amplitude_once(monkeypatch):
     (("density_parity",), 1, 2),
     (("density_parity",), 5, 6),
     (("amplitude_closed_density", "density_parity"), 0, 3),
+    (("amplitude_surface_match",), 8, 5),
+    (("amplitude_closed_signed", "amplitude_surface_match"), 0, 5),
+    (("amplitude_surface_match", "density_parity"), 2, 5),
+    (("amplitude_surface_match", "density_parity"), 6, 7),
 ])
 def test_spectra_suite_asks_the_grid_for_the_orders_it_checks(
     only, parseval_lmax, grid_orders, monkeypatch
@@ -335,9 +339,9 @@ def test_spectra_suite_makes_one_call_per_family(monkeypatch):
     only = ("amplitude_surface_match", "density_parity", "parseval")
     report = ver.run_verification(ver.VerifyOptions(only=only))
     assert report.total == 5 + 9 + 9 and report.all_pass
-    # the p grid, then the surface match's quadrature and overlap
-    assert sorted(calls) == ["amplitude_quadrature"] * 2 + [
-        "amplitude_surface_overlap", "moments"]
+    # the p grid's quadrature also serves the surface match, whose nine p
+    # are points of the grid
+    assert sorted(calls) == ["amplitude_quadrature", "amplitude_surface_overlap", "moments"]
 
 
 def test_parseval_passes_at_every_accepted_lmax():
