@@ -48,8 +48,6 @@ from .errors import (
 )
 from .geometry import evaluate_frame, geometric_potential, shell_frame
 
-GAUSSIAN_REFERENCE_LABEL = "sho_density"
-
 # `confine` evaluates here without --point; other charts use their domain
 # centre, which lies inside the domain whatever the surface parameters.
 CONFINE_DEFAULT_POINTS = {"sphere": (1.0, 0.5), "torus": (0.8, 2.0)}
@@ -369,7 +367,7 @@ def cmd_distribution(args):
         columns["density_closed"] = np.abs(closed) ** 2
         max_density_dev = float(np.max(np.abs(density - columns["density_closed"])))
     if args.sho_overlay:
-        columns[GAUSSIAN_REFERENCE_LABEL] = np.exp(-grid * grid) / np.sqrt(np.pi)
+        columns[splib.SHO_DENSITY_COLUMN] = splib.sho_density(grid)
     if args.format == "csv":
         _write_text(args.out, _csv(columns))
     else:
@@ -545,11 +543,14 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="run identity suites, emit JSON report")
     _add_common(p_ver, with_format=False)
-    p_ver.add_argument("--points", type=int, default=25, help="points per chart")
-    p_ver.add_argument("--lmax", type=int, default=3, help="harmonic library depth")
-    p_ver.add_argument("--trig", type=int, default=3, help="random trig fields")
-    p_ver.add_argument("--order", type=int, default=64, help="hermiticity order")
-    p_ver.add_argument("--parseval-lmax", type=int, default=8)
+    defaults = ver.VerifyOptions
+    p_ver.add_argument("--points", type=int, default=defaults.points_per_chart,
+                       help="points per chart")
+    p_ver.add_argument("--lmax", type=int, default=defaults.lmax, help="harmonic library depth")
+    p_ver.add_argument("--trig", type=int, default=defaults.trig_count, help="random trig fields")
+    p_ver.add_argument("--order", type=int, default=defaults.hermiticity_order,
+                       help="hermiticity order")
+    p_ver.add_argument("--parseval-lmax", type=int, default=defaults.parseval_lmax)
     p_ver.add_argument(
         "--tolerance", type=float, default=None, help="override every tolerance"
     )

@@ -59,6 +59,7 @@ import numpy as np
 
 from . import _jets
 from . import fields as flib
+from .charts import POLE_BAND
 from .fields import ScalarField, _product_jets, _sphere_basis, pullback_field, rotation_matrix
 from .geometry import (
     _contract,
@@ -259,19 +260,18 @@ def rotation_sample_grid():
     """Deterministic (theta, phi) grid, 20 x 40, avoiding pole bands and
     their images.
 
-    Points within a band of 1e-3 of a pole, or whose images under the
-    rotations used by the relation check land within it, are dropped, so
-    the pullbacks stay well defined.
+    Points within charts.POLE_BAND (1e-3) of a pole, or whose images under
+    the rotations used by the relation check land within it, are dropped,
+    so the pullbacks stay well defined.
     """
-    band = 1e-3
-    thetas = np.linspace(band, np.pi - band, 22)[1:-1]
+    thetas = np.linspace(POLE_BAND, np.pi - POLE_BAND, 22)[1:-1]
     phis = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
     t, p = np.meshgrid(thetas, phis, indexing="ij")
     vec = flib.sphere_point(t, p)
-    ok = np.minimum(t, np.pi - t) > band
+    ok = np.minimum(t, np.pi - t) > POLE_BAND
     for rot in (rotation_matrix("y", -np.pi / 2.0), rotation_matrix("x", np.pi / 2.0)):
         z = rot[2, 0] * vec[0] + rot[2, 1] * vec[1] + rot[2, 2] * vec[2]
-        ok &= ~(np.abs(z) > np.cos(band))
+        ok &= ~(np.abs(z) > np.cos(POLE_BAND))
     return list(zip(t[ok], p[ok]))
 
 
@@ -377,6 +377,11 @@ def thin_shell(chart, chi, profile, q1, q2, q3):
     The frame with (dM, dK), chi's jets, f and the profile are each
     evaluated once; shell_frame raises on a fold or an overflowing offset.
     """
+    return _thin_shell(chart, chi, profile, q1, q2, q3)[1:]
+
+
+def _thin_shell(chart, chi, profile, q1, q2, q3):
+    # the surface frame, then thin_shell's three results
     q3 = np.asarray(q3, dtype=float)
     if q3.ndim != 1:
         raise ValueError(f"q3 must be a 1-D array of offsets (got shape {q3.shape})")
@@ -408,24 +413,31 @@ def thin_shell(chart, chi, profile, q1, q2, q3):
     direct = np.linalg.solve(jac_t, rhs)[..., 0].T
     limit = 1j * _momentum(frame, psi_val, dpsi_mu)
     gap = parts.tangential + parts.normal_geometric - limit
-    return parts, direct, np.sqrt(_contract(gap.real**2 + gap.imag**2, 0))
+    return frame, parts, direct, np.sqrt(_contract(gap.real**2 + gap.imag**2, 0))
 
 
 def confinement_slope(chart, chi, profile, q1, q2, q3_values):
     """Log-log slope of the deviation against q3 plus the sampled rows.
 
-    The fit needs at least two distinct q3, all finite and positive.  A
-    non-finite q3 is refused before any row is built; otherwise a shell
-    fold at any q3 is reported first.
+    The fit needs at least two distinct q3, all finite, positive and inside
+    the curvature length 1 / max(|M|, sqrt|K|), past which the deviations
+    say nothing about q3 -> 0.  A non-finite q3 is refused before any row
+    is built; otherwise a shell fold or overflow at any q3 is reported first.
     """
     q3 = np.array(sorted(float(q) for q in q3_values))
     finite = bool(np.isfinite(q3).all())
     if finite and q3.size:
-        deviation = thin_shell(chart, chi, profile, q1, q2, q3)[2]
+        frame, _, _, deviation = _thin_shell(chart, chi, profile, q1, q2, q3)
     if not (finite and q3.size and 0.0 < q3[0] < q3[-1]):  # q3 is sorted
         raise ValueError(
             f"the log-log slope needs at least two distinct, finite, positive "
             f"q3 (got {q3.tolist()})"
+        )
+    curvature = max(abs(frame.mean_curvature), np.sqrt(abs(frame.gaussian_curvature)))
+    if q3[-1] * curvature >= 1.0:
+        raise ValueError(
+            f"the offset q3={q3[-1]:g} reaches the curvature length 1/max(|M|, "
+            f"sqrt|K|) = {1.0 / curvature:g}; the slope needs offsets well inside it"
         )
     slope = np.polyfit(np.log(q3), np.log(np.maximum(deviation, 1e-300)), 1)[0]
     return float(slope), list(zip(q3.tolist(), deviation.tolist()))

@@ -2,14 +2,12 @@
 
 Two schemes cover every integral in the library:
 
-* composite Gauss-Legendre panels on an interval, used for the stretched
-  coordinate q = ln tan(theta/2) and for momentum-space integrals.  The
-  default is 32-point panels of width 2, which is exact to machine
-  precision for the smooth integrands that appear here.  The quadrature
-  amplitudes oscillate by 2|p| radians per panel, plus about l from
-  P_l(tanh q), so their rule takes max(requested, ceil(max |p|) + 2) nodes
-  per panel, and (l + 1) // 2 more past l = 2 (spectra._q_rule); at the
-  default 32 and l <= 2 that is the default rule for |p| <= 30.
+* composite Gauss-Legendre panels between given edges (panel_rule), used
+  for the stretched coordinate q = ln tan(theta/2), for theta and for
+  momentum-space integrals.  panel_edges gives equal panels of width at
+  most 2 on an interval; with 32 nodes each they are exact to machine
+  precision for the smooth integrands that appear here.  Each caller
+  sizes its nodes per panel to its integrand's oscillation.
 * a product rule on the unit sphere: Gauss-Legendre in x = cos(theta)
   crossed with a uniform (trapezoid) rule in phi.  For trigonometric
   polynomials on the sphere the rule is exact once the orders suffice.
@@ -25,41 +23,31 @@ DEFAULT_PANEL_NODES = 32
 
 @lru_cache(maxsize=64)
 def _leggauss(n):
-    x, w = np.polynomial.legendre.leggauss(int(n))
-    return x, w
+    return np.polynomial.legendre.leggauss(int(n))
 
 
-def panel_rule(lo, hi, nodes=DEFAULT_PANEL_NODES):
-    """Nodes and weights of composite Gauss-Legendre panels on [lo, hi].
-
-    The interval is split into ceil((hi-lo)/PANEL_WIDTH) equal panels, each
-    carrying an `nodes`-point Gauss-Legendre rule.  Returns (x, w) as flat
-    arrays ordered left to right (deterministic).
-    """
-    lo = float(lo)
-    hi = float(hi)
-    if hi <= lo:
+def panel_edges(lo, hi):
+    """Edges of ceil((hi - lo) / PANEL_WIDTH) equal panels on [lo, hi]."""
+    lo, hi = float(lo), float(hi)
+    if not hi > lo:  # NaN fails too
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    n_panels = max(1, int(np.ceil((hi - lo) / PANEL_WIDTH)))
-    return _map_panels(np.linspace(lo, hi, n_panels + 1), nodes)
+    return np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / PANEL_WIDTH))) + 1)
 
 
-def graded_panel_rule(edges, nodes=DEFAULT_PANEL_NODES):
-    """Composite Gauss-Legendre rule with caller-supplied panel edges."""
+def panel_rule(edges, nodes=DEFAULT_PANEL_NODES):
+    """Composite Gauss-Legendre rule on the panels between `edges`.
+
+    Maps the `nodes`-point Gauss-Legendre rule onto each panel.  Returns
+    (x, w, mid): the nodes and weights, shaped (panels, nodes) and ordered
+    left to right, and the panel centres (panels,).
+    """
     edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
         raise ValueError("edges must be strictly increasing with >= 2 entries")
-    return _map_panels(edges, nodes)
-
-
-def _map_panels(edges, nodes):
-    """The `nodes`-point Gauss-Legendre rule mapped onto each panel of `edges`."""
     xr, wr = _leggauss(nodes)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * xr[None, :]).ravel()
-    w = (half[:, None] * wr[None, :]).ravel()
-    return x, w
+    return mid[:, None] + half[:, None] * xr[None, :], half[:, None] * wr[None, :], mid
 
 
 def sphere_grid(order=64):

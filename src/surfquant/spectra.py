@@ -59,7 +59,7 @@ import numpy as np
 
 from . import fields as flib
 from .errors import QuadratureTruncationError
-from .quadrature import _leggauss, graded_panel_rule, panel_rule, sphere_grid
+from .quadrature import _leggauss, panel_edges, panel_rule, sphere_grid
 
 # Evaluating psi closer to a pole than this raises; the eigenfunction is a
 # pure evaluation (no derivative amplification), so the band is tiny.
@@ -89,7 +89,7 @@ MAX_DISTRIBUTION_SAMPLES = 400_000
 
 # Caps on the q-rule, which has one width-2 panel per unit of Q: the nodes
 # per panel that --nodes may request cover the ceil(MAX_ABS_P) + 2 that |p|
-# can ask for (the l term of _q_rule adds at most 32 on top), and the panel
+# can ask for (the l term of _q_shape adds at most 32 on top), and the panel
 # count keeps cosh(q) finite and the rule below 2^19 nodes.
 MAX_PANEL_NODES = 1024
 MAX_PANELS = 512
@@ -104,6 +104,9 @@ CLOSED_FORM_COMPARISON_SIGN = {0: 1.0, 1: -1.0, 2: -1.0}
 # same peak height pi/4 as |phi_0|^2 has variance 8/pi^3, i.e. frequency
 # m hbar omega = 16/pi^3; its density is (pi/4) exp(-pi^3 p^2 / 16).
 MATCHED_GAUSSIAN_RATE = np.pi**3 / 16.0
+
+# sho_density's column in sho_comparison and `distribution --sho-overlay`
+SHO_DENSITY_COLUMN = "sho_density"
 
 
 def psi(p, theta):
@@ -167,7 +170,7 @@ def overlap_kernel(p_prime, p, theta_min):
     if not (np.all(np.isfinite(p_prime)) and np.all(np.isfinite(p))):
         raise ValueError("need finite p and p_prime for the overlap kernel")
     L = -np.log(np.tan(0.5 * theta_min))
-    z, w = panel_rule(-L, L)
+    z, w = (x.ravel() for x in panel_rule(panel_edges(-L, L))[:2])
     values = (
         np.conj(_psi_stretched(p_prime[..., None], z))
         * _psi_stretched(p[..., None], z)
@@ -239,14 +242,14 @@ def _check_truncation(Q, tolerance):
 
 
 def _q_shape(Q, nodes, p_max, l):
-    # Width-2 panels over [-Q, Q], as (panels, nodes per panel); a panel
-    # turns the phase by 2|p| radians, which ceil(|p|) + 2 Gauss-Legendre
-    # nodes resolve to machine precision.
+    # panel_edges(-Q, Q)'s width-2 panels, as (panels, nodes per panel); a
+    # panel turns the phase by 2|p| radians, which ceil(|p|) + 2 Gauss-Legendre
+    # nodes resolve to machine precision (the default 32 up to |p| = 30).
     # P_l(tanh q) oscillates about l + 1/2 times per unit q near q = 0, and
     # (l + 1) // 2 more nodes per panel are the fewest that hold 1e-13
     # against amplitude_recurrence for every 2 < l <= 64 and |p| <= 30 at
     # the default nodes (measured; l <= 2 keeps the rule it had).
-    n_panels = max(1, int(np.ceil(Q)))
+    n_panels = panel_edges(-Q, Q).size - 1
     if not 1 <= nodes <= n_panels * MAX_PANEL_NODES:
         raise ValueError(
             f"need 1 <= nodes <= {n_panels * MAX_PANEL_NODES} at Q = {Q:g} "
@@ -257,19 +260,6 @@ def _q_shape(Q, nodes, p_max, l):
     if l > 2:
         per_panel += (l + 1) // 2
     return n_panels, per_panel
-
-
-def _q_rule(Q, nodes, p_max, l):
-    """The q-rule of _q_shape for a checked float Q: its nodes and weights,
-    shaped (panels, nodes per panel), then the panel centres and one
-    panel's Gauss-Legendre nodes about its centre.  Node (i, j) is the
-    rounding of the exact Gauss node mid[i] + offset[j]."""
-    shape = _q_shape(Q, nodes, p_max, l)
-    q, w = panel_rule(-Q, Q, nodes=shape[1])
-    edges = np.linspace(-Q, Q, shape[0] + 1)  # panel_rule's panels
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    offset = (Q / shape[0]) * _leggauss(shape[1])[0]
-    return q.reshape(shape), w.reshape(shape), mid, offset
 
 
 def _amplitude_ladder(p):
@@ -324,15 +314,15 @@ def amplitude_quadrature(l, p, Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8)
     The kernel P_l(tanh q) sech(q) has parity (-1)^l, so the integral is
     Int kernel cos(p q) dq for even l and -i Int kernel sin(p q) dq for
     odd l: real work.  Its phases are taken at the exact Gauss nodes
-    q = mid + offset (a panel's centre, a node's place in its panel; the
-    kernel keeps panel_rule's rounded nodes), so the angle-addition
+    q = mid + offset (panel_rule's panel centre, a node's place in its
+    panel; the kernel keeps panel_rule's rounded nodes), so the angle-addition
     formulas need cos and sin of p mid and p offset alone, and each
     panel's sums are per-row np.vecdot reductions: a p's bits do not
     depend on the other p of the call while its max |p| keeps the rule
     (every |p| <= 30 at the default nodes).  Each distinct |p| is
     evaluated once, in chunks of p that keep the temporaries to a few MB,
     and mirrored (cos even, sin odd), so |phi_l(-p)| == |phi_l(p)|
-    exactly.  The nodes per panel grow with max |p| and l (see _q_rule).
+    exactly.  The nodes per panel grow with max |p| and l (see _q_shape).
     Refused, in this order: |p| above MAX_ABS_P, a Q outside
     (0, MAX_PANELS], a tail bound past the tolerance, more than
     MAX_PANEL_NODES nodes per panel.  The orders that share a rule share
@@ -349,8 +339,10 @@ def amplitude_quadrature(l, p, Q=DEFAULT_Q, nodes=DEFAULT_NODES, tolerance=1e-8)
         groups.setdefault(_q_shape(Q, nodes, p_max, k), []).append(i)
     distinct, index = np.unique(magnitude, return_inverse=True)
     sums = np.empty((len(orders), distinct.size))
-    for rows_l in groups.values():
-        q, w, mid, offset = _q_rule(Q, nodes, p_max, orders[rows_l[0]])
+    edges = panel_edges(-Q, Q)
+    for (n_panels, per_panel), rows_l in groups.items():
+        q, w, mid = panel_rule(edges, per_panel)
+        offset = (Q / n_panels) * _leggauss(per_panel)[0]  # q[i, j] rounds mid[i] + offset[j]
         group = [orders[i] for i in rows_l]
         legendre = _rungs(flib._legendre_ladder(0, np.tanh(q), None), group)
         cosh = np.cosh(q)
@@ -388,7 +380,7 @@ def amplitude_surface_overlap(l, p):
     trivial phi circle explicitly, on 40 panels over q in [-20, 20]: its
     theta nodes stay above 2 atan(e^{-20}) = 4.1e-9, far from
     PSI_POLE_MARGIN.  A panel spans 1/2 of q, so the phase turns by up to
-    |p| / 2 radians across it; as in _q_rule, a panel takes
+    |p| / 2 radians across it; as in _q_shape, a panel takes
     max(32, ceil(|p| / 2) + 2) nodes for the largest |p| of the call, so
     an array's rule follows its largest |p| (nothing changes for |p| <= 60).
     Accepts scalar p (a complex comes back) or array p (an array of its
@@ -405,7 +397,7 @@ def amplitude_surface_overlap(l, p):
     p = _amplitude_p(p)
     per_panel = max(32, int(np.ceil(np.abs(p).max(initial=0.0) * 20.0 / 40)) + 2)
     theta_edges = 2.0 * np.arctan(np.exp(np.linspace(-20.0, 20.0, 41)))
-    theta_nodes, w = graded_panel_rule(theta_edges, nodes=per_panel)
+    theta_nodes, w = (x.ravel() for x in panel_rule(theta_edges, per_panel)[:2])
     y_l0 = flib._library_values([(k, 0) for k in orders], theta_nodes, 0.0)
     weighted = [w * np.asarray(y, dtype=complex) for y in y_l0]
     sin_theta = np.sin(theta_nodes)
@@ -474,17 +466,18 @@ def moments(l, max_order=2):
     sequence of ints, in any order and with repeats (an array of shape
     (len(l), max_order + 1)).  The amplitudes come from one recurrence on
     the widest window's grid; each l sums its own window, a run of that
-    grid's panels whose nodes and weights equal panel_rule(-W, W)'s bit for
-    bit, so each row equals the one-l call.
+    grid's panels whose nodes and weights equal panel_rule(panel_edges(-W,
+    W), 40)'s bit for bit, so each row equals the one-l call.
     """
     orders, one = _orders(l)
     windows = [_moment_window(k) for k in orders]
     widest = max(windows, default=16)
-    p_nodes, w = panel_rule(-widest, widest, nodes=40)
+    edges = panel_edges(-widest, widest)
+    p_nodes, w, _ = panel_rule(edges, 40)
     amps = amplitude_recurrence(orders, p_nodes)
     out = np.empty((len(orders), max_order + 1))
     for row, amp, window in zip(out, amps, windows):
-        run = slice(20 * (widest - window), 20 * (widest + window))  # 40 nodes per 2 of p
+        run = (edges[:-1] >= -window) & (edges[1:] <= window)  # the window's panels
         p_run, w_run, density = p_nodes[run], w[run], np.abs(amp[run]) ** 2
         row[:] = [np.sum(w_run * p_run**k * density) for k in range(max_order + 1)]
     return [float(x) for x in out[0]] if one else out
@@ -600,8 +593,8 @@ class ShoComparison:
     max_diff_shape_matched: float
 
     CSV_HEADER = (
-        "p,density,sho_density,density_unit_peak,"
-        "sho_density_unit_peak,sho_matched_unit_peak"
+        f"p,density,{SHO_DENSITY_COLUMN},density_unit_peak,"
+        f"{SHO_DENSITY_COLUMN}_unit_peak,sho_matched_unit_peak"
     )
 
     def to_csv(self):
@@ -612,10 +605,15 @@ class ShoComparison:
         return _csv(dict(zip(self.CSV_HEADER.split(","), columns)))
 
 
+def sho_density(p):
+    """pi^{-1/2} e^{-p^2}, the unit-frequency oscillator's momentum density."""
+    return np.exp(-p * p) / np.sqrt(np.pi)
+
+
 def sho_comparison(p_grid):
     p = np.asarray(p_grid, dtype=float)
     density = np.abs(amplitude_closed(0, p)) ** 2
-    gaussian = np.exp(-p * p) / np.sqrt(np.pi)
+    gaussian = sho_density(p)
     density_peak = density / (np.pi / 4.0)
     gaussian_peak = np.exp(-p * p)
     matched_peak = np.exp(-MATCHED_GAUSSIAN_RATE * p * p)

@@ -200,13 +200,28 @@ def test_confine_plane_zero_deviation(tmp_path):
 @pytest.mark.parametrize("radius", ["1e-80", "1e77"])
 def test_confine_on_a_sphere_near_the_ends_of_the_float_range(radius, capsys):
     # the shell's fold factor and d_mu M, d_mu K at |M| = 1e80 and 1e-77:
-    # every row and the slope finite, with no RuntimeWarning
-    assert run(["confine", "--surface", "sphere", "--radius", radius]) == 0
+    # every row and the slope finite, with no RuntimeWarning; the small
+    # sphere on offsets inside its radius, where the slope tends to 1
+    offsets = {"1e-80": ["--q3", "1e-84,1e-81"], "1e77": []}[radius]
+    assert run(["confine", "--surface", "sphere", "--radius", radius] + offsets) == 0
     header, *lines, comment, slope_line = capsys.readouterr().out.splitlines()
-    assert header == "q3,deviation" and len(lines) == 13
+    assert header == "q3,deviation" and len(lines) == (2 if offsets else 13)
     assert comment.startswith("# loglog_slope=") and slope_line == comment[2:]
     rows = np.array([line.split(",") for line in lines], dtype=float)
-    assert np.isfinite(rows).all() and np.isfinite(float(slope_line.split("=")[1]))
+    slope = float(slope_line.split("=")[1])
+    assert np.isfinite(rows).all() and np.isfinite(slope)
+    if offsets:
+        assert 0.95 <= slope <= 1.05
+
+
+def test_confine_refuses_offsets_past_the_curvature_length(capsys):
+    # the default offsets 1e-4..1e-1 lie about 1e76 radii out on this
+    # sphere, where the fit said nothing about q3 -> 0 (slope -1.0004)
+    assert run(["confine", "--surface", "sphere", "--radius", "1e-80"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: config: the offset q3=0.1 reaches the curvature length")
 
 
 def test_confine_fold_exit_code(tmp_path, capsys):

@@ -291,6 +291,20 @@ def test_confinement_slope_needs_two_distinct_positive_offsets(q3s):
                                 oplib.gaussian_profile(), 1.0, 0.5, q3s)
 
 
+def test_confinement_slope_needs_offsets_inside_the_curvature_length():
+    # the unit sphere's length 1/max(|M|, sqrt|K|) is 1; a fold is still
+    # reported first, and the plane, with no curvature, takes any offset
+    chi, profile = flib.spherical_harmonic(1, 0), oplib.gaussian_profile()
+    sphere = chlib.sphere()
+    with pytest.raises(ValueError, match="offset q3=1 reaches the curvature length"):
+        oplib.confinement_slope(sphere, chi, profile, 1.0, 0.5, [0.5, 1.0])
+    with pytest.raises(ShellFoldError):
+        oplib.confinement_slope(sphere, chi, profile, 1.0, 0.5, [-1.0, 2.0])
+    assert np.isfinite(oplib.confinement_slope(sphere, chi, profile, 1.0, 0.5, [0.5, 0.9])[0])
+    trig = flib.trig_library(1)[0]
+    oplib.confinement_slope(chlib.plane(), trig, oplib.flat_profile(), 0.1, 0.2, [1.0, 100.0])
+
+
 def test_confinement_deviation_vanishes_at_zero_and_on_plane():
     chi = flib.spherical_harmonic(1, 0)
     profile = oplib.gaussian_profile()

@@ -11,7 +11,7 @@ from surfquant import fields as flib
 from surfquant import operators as oplib
 from surfquant import spectra as splib
 from surfquant.errors import PoleProximityError, QuadratureTruncationError
-from surfquant.quadrature import panel_rule
+from surfquant.quadrature import panel_edges, panel_rule
 
 
 def legendre_series_oracle(l, x):
@@ -341,7 +341,8 @@ def unfolded_amplitude(l, p, Q, nodes):
     """Reference: the complex exponential of p q at every node of the
     q-rule, with no parity or angle-addition split, 1024 p at a time."""
     p = np.asarray(p, dtype=float)
-    q, w = (x.ravel() for x in splib._q_rule(Q, nodes, np.max(np.abs(p)), l)[:2])
+    per_panel = splib._q_shape(Q, nodes, np.max(np.abs(p)), l)[1]
+    q, w = (x.ravel() for x in panel_rule(panel_edges(-Q, Q), per_panel)[:2])
     kernel = w * flib.associated_legendre(l, 0, np.tanh(q)) / np.cosh(q)
     sums = [np.exp(-1j * p[k:k + 1024, None] * q) @ kernel for k in range(0, p.size, 1024)]
     return np.sqrt((2 * l + 1) / (4.0 * np.pi)) * np.concatenate(sums)
@@ -363,7 +364,8 @@ def test_folded_amplitude_matches_unfolded_formula(Q, nodes):
 
 @pytest.mark.parametrize("offset", [None, -1, 0, 1, "3C+7"])
 def test_amplitude_chunk_boundaries(offset):
-    q = splib._q_rule(40.0, 1280, 6.0, 2)[0]  # the rule of every call below
+    # the rule of every call below
+    q = panel_rule(panel_edges(-40.0, 40.0), splib._q_shape(40.0, 1280, 6.0, 2)[1])[0]
     chunk = splib._CHUNK_ELEMENTS // (q.shape[0] + q.shape[1])  # rows per chunk
     distinct = {None: 1, -1: chunk - 1, 0: chunk, 1: chunk + 1, "3C+7": 3 * chunk + 7}
     magnitudes = np.linspace(0.0, 6.0, distinct[offset])
@@ -513,7 +515,7 @@ def test_recurrence_is_the_signed_closed_table_for_low_l():
 
 
 def test_recurrence_amplitudes_are_orthonormal():
-    p, w = panel_rule(-60.0, 60.0, nodes=64)
+    p, w = (x.ravel() for x in panel_rule(panel_edges(-60.0, 60.0), 64)[:2])
     amps = np.array([splib.amplitude_recurrence(l, p) for l in range(17)])
     gram = (amps * w) @ amps.conj().T
     assert np.max(np.abs(gram - np.eye(17))) <= 1e-10
@@ -638,9 +640,9 @@ def test_the_quadrature_builds_each_rule_shape_once(monkeypatch):
     built = []
     panel = splib.panel_rule
 
-    def counting(lo, hi, nodes):
+    def counting(edges, nodes):
         built.append(nodes)
-        return panel(lo, hi, nodes=nodes)
+        return panel(edges, nodes)
 
     monkeypatch.setattr(splib, "panel_rule", counting)
     splib.amplitude_quadrature(range(9), splib.symmetric_grid(6.0, 0.05))
@@ -671,14 +673,20 @@ def test_parseval_holds_at_every_l(l):
 
 
 def test_the_moment_window_keeps_the_low_l_bits():
-    # l <= 3 keep the |p| <= 16 window of 40-node width-2 panels, bit for bit
-    p, w = panel_rule(-16.0, 16.0, nodes=40)
-    for l in range(4):
-        assert splib._moment_window(l) == 16
+    # every l sums its own |p| <= W window of 40-node width-2 panels: alone
+    # and as a row of one call over every l, the moments are those of a
+    # standalone rule on [-W, W], bit for bit (l <= 3 keep W = 16)
+    orders = range(splib.LEGENDRE_MAX_ORDER + 1)
+    rows = splib.moments(orders, 2)
+    for l in orders:
+        window = splib._moment_window(l)
+        p, w, _ = panel_rule(panel_edges(-window, window), 40)
         density = np.abs(splib.amplitude_recurrence(l, p)) ** 2
         fixed = [float(np.sum(w * p**k * density)) for k in range(3)]
         assert same_bits(splib.moments(l, 2), fixed), l
-    windows = [splib._moment_window(l) for l in range(splib.LEGENDRE_MAX_ORDER + 1)]
+        assert same_bits(rows[l], fixed), l
+    assert [splib._moment_window(l) for l in range(4)] == [16] * 4
+    windows = [splib._moment_window(l) for l in orders]
     assert all(w % 2 == 0 for w in windows) and windows == sorted(windows)
     assert windows[8] == 28 and windows[-1] == 96
 
