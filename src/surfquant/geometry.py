@@ -4,8 +4,9 @@ Everything here is a pure function of a chart and its parameter points.  The
 central object is the GeometryFrame: tangents, metric, normal, second
 fundamental form, Weingarten map and the curvature invariants.  A frame
 comes from one evaluation of the chart's map on jets to second order; the
-curvature gradients (d_mu M, d_mu K) that thin_shell needs add the third
-partials of that same evaluation, so they are exact on every chart.
+curvature gradients (d_mu M, d_mu K) that thin_shell needs are the partials
+of M and K evaluated on order-1 jets of that evaluation's partials, the
+third included, so they are exact on every chart.
 
 Sign conventions (fixed once, relied on by every operator downstream):
 
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import _norm, _regular_cross
+from ._jets import Jet
+from .charts import _cross, _norm, _regular_cross
 from .errors import ChartSingularityError, ShellFoldError
 
 
@@ -268,32 +270,32 @@ def laplace_beltrami(chart, field, q1, q2):
 
 
 def _frame_with_gradients(chart, q1, q2):
-    """(frame, dM, dK) at the points: the frame and the surface gradients
-    d_mu M and d_mu K, each of shape (2,) + point shape, for thin_shell.
-
-    Exact to rounding on every chart, from-map charts included: one jet
-    evaluation of the map to third order gives the frame and the third
-    partials r_{mu nu l}, and
-        d_l g = r_{l mu} r_nu + r_mu r_{l nu},  d_l g^-1 = -g^-1 d_l g g^-1,
-        d_l n = -h_{l nu} r^nu,
-        d_l h_{mu nu} = d_l n . r_{mu nu} + n . r_{mu nu l},
-        d_l alpha = -(d_l g^-1 h + g^-1 d_l h),
-    so d_l M = -tr(d_l alpha)/2 and d_l K = d_l det(alpha).  A dM or dK
-    that is not finite is a ValueError naming its first point.
-    """
+    """(frame, dM, dK) at the points: dM and dK, of shape (2,) + point shape,
+    are the d_mu M and d_mu K of thin_shell, read off order-1 jets of
+    M = (g11 h00 - 2 g01 h01 + g00 h11) / (2 det g) and K = det h / det g
+    built on the map's partials to third order from the frame's evaluation.
+    Each point's partials are first scaled by 2^-e, e the binary exponent of
+    its largest tangent entry, so det g stays in the float range; that is
+    exact and undone on dM and dK.  A dM or dK that is not finite is a
+    ValueError naming its first point."""
     frame, partials = _frame(chart, q1, q2, 3)
-    h, r, ginv = frame.second_form, frame.raised, frame.metric_inv
-    d2, d3 = frame.second_partials, partials[3]
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        half = _contract(d2[:, :, None] * frame.tangents[None, None], 3)
-        dg = half + half.swapaxes(1, 2)
-        dginv = [-_mm(_mm(ginv, dg[l]), ginv) for l in range(2)]
-        dn = -(h[:, 0, None] * r[0] + h[:, 1, None] * r[1])  # [l, component]
-        dh = _contract(dn[:, None, None] * d2 + frame.normal * d3, 3)
-        da = -np.array([_mm(dginv[l], h) + _mm(ginv, dh[l]) for l in range(2)])
-        a = frame.weingarten
-        dM = -0.5 * (da[:, 0, 0] + da[:, 1, 1])
-        dK = (a[0, 0] * da[:, 1, 1] + da[:, 0, 0] * a[1, 1]
-              - a[0, 1] * da[:, 1, 0] - da[:, 0, 1] * a[1, 0])
+    e = np.frexp(np.abs(partials[1]).max((0, 1)))[1]
+    t, d2, d3 = (np.ldexp(x, -e) for x in partials[1:])
+
+    def jet(x, dx):  # the components x[c] as order-1 jets with partials dx[l, c]
+        return [Jet({(): x[c], (0,): dx[0, c], (1,): dx[1, c]}, 1) for c in range(3)]
+
+    r0, r1 = jet(t[0], d2[:, 0]), jet(t[1], d2[:, 1])
+    dot = lambda a, b: a[0] * b[0] + a[1] * b[1] + a[2] * b[2]  # noqa: E731
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
+        cross = _cross(r0, r1)  # the frame's d1 r x d2 r, so n keeps its orientation
+        inv = _norm(cross) ** -1  # h_{mu nu} = n . r_{mu nu} with n = cross / |cross|
+        h00, h01, h11 = (dot(cross, jet(d2[m, k], d3[:, m, k])) * inv
+                         for m, k in ((0, 0), (0, 1), (1, 1)))
+        g00, g01, g11 = dot(r0, r0), dot(r0, r1), dot(r1, r1)
+        det = g00 * g11 - g01 * g01
+        M = (g11 * h00 - 2.0 * g01 * h01 + g00 * h11) / (2.0 * det)
+        K = (h00 * h11 - h01 * h01) / det
+        dM, dK = (np.ldexp([J.d[(0,)], J.d[(1,)]], -p * e) for J, p in ((M, 1), (K, 2)))
     _require_finite(chart, frame.point, dM, dK)
     return frame, dM, dK

@@ -416,13 +416,25 @@ def _thin_shell(chart, chi, profile, q1, q2, q3):
     return frame, parts, direct, np.sqrt(_contract(gap.real**2 + gap.imag**2, 0))
 
 
+# confinement_slope's smallest offset as a fraction of the curvature length
+# 1/k_max.  The deviation is about q3 k_max of the kept part, so below this it
+# is within a few hundred eps of rounding.  In a radius sweep of the sphere,
+# cylinder and torus (13 offsets over 3 decades, 5 over 1, 11 over 5, and
+# the pair 1e-3, 2e-3, all within 0.01 of the length), every fit at or above
+# it kept |slope - 1| <= 0.012; at 3e-15 the pair's slope was off by 0.105.
+_ROUNDING_FLOOR = 1e-13
+
+
 def confinement_slope(chart, chi, profile, q1, q2, q3_values):
     """Log-log slope of the deviation against q3 plus the sampled rows.
 
     The fit needs at least two distinct q3, all finite, positive and inside
-    the curvature length 1 / max(|M|, sqrt|K|), past which the deviations
-    say nothing about q3 -> 0.  A non-finite q3 is refused before any row
-    is built; otherwise a shell fold or overflow at any q3 is reported first.
+    the curvature length 1/k_max, k_max = |M| + sqrt(M^2 - K) the largest
+    principal curvature, past which the deviations say nothing about
+    q3 -> 0; on a curved surface the smallest q3 must also be at least
+    _ROUNDING_FLOOR of that length, below which they are rounding.  A
+    non-finite q3 is refused before any row is built; otherwise a shell
+    fold or overflow at any q3 is reported first.
     """
     q3 = np.array(sorted(float(q) for q in q3_values))
     finite = bool(np.isfinite(q3).all())
@@ -433,11 +445,20 @@ def confinement_slope(chart, chi, profile, q1, q2, q3_values):
             f"the log-log slope needs at least two distinct, finite, positive "
             f"q3 (got {q3.tolist()})"
         )
-    curvature = max(abs(frame.mean_curvature), np.sqrt(abs(frame.gaussian_curvature)))
-    if q3[-1] * curvature >= 1.0:
+    M, K = frame.mean_curvature, frame.gaussian_curvature
+    k_max = abs(M) + np.sqrt(max(M * M - K, 0.0))
+    if q3[-1] * k_max >= 1.0:
         raise ValueError(
-            f"the offset q3={q3[-1]:g} reaches the curvature length 1/max(|M|, "
-            f"sqrt|K|) = {1.0 / curvature:g}; the slope needs offsets well inside it"
+            f"the offset q3={q3[-1]:g} reaches the curvature length 1/k_max = "
+            f"{1.0 / k_max:g} (k_max = |M| + sqrt(M^2 - K)); the slope needs "
+            f"offsets well inside it"
+        )
+    if k_max > 0.0 and q3[0] * k_max < _ROUNDING_FLOOR:
+        raise ValueError(
+            f"the offset q3={q3[0]:g} is less than {_ROUNDING_FLOOR:g} of the "
+            f"curvature length 1/k_max = {1.0 / k_max:g} (q3 k_max = "
+            f"{float(q3[0] * k_max)!r}), where the deviations are rounding; the "
+            f"slope needs larger offsets"
         )
     slope = np.polyfit(np.log(q3), np.log(np.maximum(deviation, 1e-300)), 1)[0]
     return float(slope), list(zip(q3.tolist(), deviation.tolist()))

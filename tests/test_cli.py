@@ -200,28 +200,48 @@ def test_confine_plane_zero_deviation(tmp_path):
 @pytest.mark.parametrize("radius", ["1e-80", "1e77"])
 def test_confine_on_a_sphere_near_the_ends_of_the_float_range(radius, capsys):
     # the shell's fold factor and d_mu M, d_mu K at |M| = 1e80 and 1e-77:
-    # every row and the slope finite, with no RuntimeWarning; the small
-    # sphere on offsets inside its radius, where the slope tends to 1
-    offsets = {"1e-80": ["--q3", "1e-84,1e-81"], "1e77": []}[radius]
+    # every row and the slope finite, with no RuntimeWarning, on offsets
+    # 1e-4 and 1e-1 radii out, where the slope tends to 1; the large
+    # sphere's profile width is its radius, as the unit sphere's is
+    offsets = {"1e-80": ["--q3", "1e-84,1e-81"],
+               "1e77": ["--q3", "1e73,1e76", "--width", "1e77"]}[radius]
     assert run(["confine", "--surface", "sphere", "--radius", radius] + offsets) == 0
     header, *lines, comment, slope_line = capsys.readouterr().out.splitlines()
-    assert header == "q3,deviation" and len(lines) == (2 if offsets else 13)
+    assert header == "q3,deviation" and len(lines) == 2
     assert comment.startswith("# loglog_slope=") and slope_line == comment[2:]
     rows = np.array([line.split(",") for line in lines], dtype=float)
     slope = float(slope_line.split("=")[1])
     assert np.isfinite(rows).all() and np.isfinite(slope)
-    if offsets:
-        assert 0.95 <= slope <= 1.05
+    assert 0.95 <= slope <= 1.05
 
 
 def test_confine_refuses_offsets_past_the_curvature_length(capsys):
     # the default offsets 1e-4..1e-1 lie about 1e76 radii out on this
-    # sphere, where the fit said nothing about q3 -> 0 (slope -1.0004)
-    assert run(["confine", "--surface", "sphere", "--radius", "1e-80"]) == 2
+    # sphere, where the fit says nothing about q3 -> 0 (slope -1.0004);
+    # the cylinder's length is its radius, 1/k_max with k_max = 1/r, not
+    # 1/|M| = 2r, and these offsets reach it (slope -0.916)
+    for argv, largest in ([["--surface", "sphere", "--radius", "1e-80"], "0.1"],
+                          [["--surface", "cylinder", "--q3", "0.5,1.0,1.5,1.9"], "1.9"]):
+        assert run(["confine"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(
+            f"error: config: the offset q3={largest} reaches the curvature length")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("radius, length", [("1e13", "1e+13"), ("1e77", "1e+77")])
+def test_confine_refuses_offsets_whose_deviations_are_rounding(radius, length, capsys):
+    # the default offsets are 1e-17 and 1e-81 radii at the least, where the
+    # deviations are rounding (slopes 36.4 and 0.0232)
+    assert run(["confine", "--surface", "sphere", "--radius", radius]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line.startswith("error: config: the offset q3=0.1 reaches the curvature length")
+    assert line.startswith(
+        f"error: config: the offset q3=0.0001 is less than 1e-13 of the curvature "
+        f"length 1/k_max = {length} (q3 k_max = ")
 
 
 def test_confine_fold_exit_code(tmp_path, capsys):

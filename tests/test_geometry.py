@@ -279,20 +279,33 @@ def test_laplace_beltrami_coordinate_oracle(name, builtin_charts):
         assert np.abs(lap - 2.0 * fr.mean_curvature * fr.normal).max() < 1e-10
 
 
+def _ellipsoid_map(u, v):
+    # semi-axes 1, 1.5, 2: no symmetry, so every partial of M and K enters
+    return [np.sin(u) * np.cos(v), 1.5 * np.sin(u) * np.sin(v), 2.0 * np.cos(u)]
+
+
+def _twisted_sphere_map(u, v):
+    # the unit sphere at (theta, phi + 0.7 theta): g_12 != 0, M and K constant
+    return [np.sin(u) * np.cos(v + 0.7 * u), np.sin(u) * np.sin(v + 0.7 * u), np.cos(u)]
+
+
 def test_curvature_gradients_match_finite_differences(builtin_charts):
-    chart = builtin_charts["torus"]
+    sphere = builtin_charts["sphere"]
+    charts = [builtin_charts["torus"]] + [
+        chlib.from_map(fn, sphere.domain, sphere.periodic, name=name)
+        for fn, name in ((_ellipsoid_map, "ellipsoid"), (_twisted_sphere_map, "twisted"))]
     h = 1e-6
-    for u, v in chart_points(chart, 10):
-        dM, dK = _frame_with_gradients(chart, u, v)[1:]
+    for chart in charts:
+        for u, v in chart_points(chart, 10):
+            dM, dK = _frame_with_gradients(chart, u, v)[1:]
 
-        def mk(a, b):
-            fr = evaluate_frame(chart, a, b)
-            return np.array([fr.mean_curvature, fr.gaussian_curvature])
+            def mk(a, b):
+                fr = evaluate_frame(chart, a, b)
+                return np.array([fr.mean_curvature, fr.gaussian_curvature])
 
-        fd = np.array(
-            [(mk(u + h, v) - mk(u - h, v)) / (2 * h), (mk(u, v + h) - mk(u, v - h)) / (2 * h)]
-        )
-        assert np.abs(np.stack([dM, dK], axis=1) - fd).max() < 1e-6
+            fd = np.array([(mk(u + h, v) - mk(u - h, v)) / (2 * h),
+                           (mk(u, v + h) - mk(u, v - h)) / (2 * h)])
+            assert np.abs(np.stack([dM, dK], axis=1) - fd).max() < 1e-6, chart.name
 
 
 def _torus_gradients(a, b, v):
@@ -340,9 +353,42 @@ def test_curvature_gradients_exact_on_a_mapped_torus():
         assert np.abs(dK - exact_dK).max() < 1e-13
 
 
+def test_curvature_gradients_need_the_third_partials(monkeypatch):
+    # negative control: with the third partials the frame hands over zeroed,
+    # the torus's closed-form check fails
+    from surfquant import geometry
+
+    frame_of = geometry._frame
+
+    def without_third(chart, q1, q2, order):
+        frame, partials = frame_of(chart, q1, q2, order)
+        return frame, partials[:3] + [np.zeros_like(partials[3])]
+
+    monkeypatch.setattr(geometry, "_frame", without_third)
+    torus = chlib.torus()
+    pts = chart_points(torus, 50)
+    dM, dK = _frame_with_gradients(torus, pts[:, 0], pts[:, 1])[1:]
+    exact_dM, exact_dK = _torus_gradients(2.0, 0.5, pts[:, 1])
+    assert np.abs(dM - exact_dM).max() > 1e-2 and np.abs(dK - exact_dK).max() > 1e-2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("radius", [1e-80, 1e77])
+def test_curvature_gradients_vanish_on_a_sphere_near_the_ends_of_the_float_range(radius):
+    # det g is about 1e-320 and 1e308 here: the gradients are taken on
+    # partials scaled near 1, so they stay finite and zero to rounding
+    # (8e-3 / radius at 1e-80 on unscaled partials)
+    sphere = chlib.sphere(radius)
+    pts = chart_points(sphere, 50)
+    dM, dK = _frame_with_gradients(sphere, pts[:, 0], pts[:, 1])[1:]
+    assert np.isfinite(dM).all() and np.isfinite(dK).all()
+    assert np.abs(dM).max() * radius < 1e-14
+    assert np.abs(dK).max() * radius * radius < 1e-14
+
+
 def test_curvature_gradients_on_a_twisted_torus():
     # r(u + v, v) has g_12 = (a + b cos v)^2, up to 6.25 here, so the
-    # off-diagonal terms of d_l g^-1 enter; by the chain rule its gradients
+    # off-diagonal terms of g and its partials enter; by the chain rule its gradients
     # are the torus's (d_u + d_v, d_v), that is (0, d_v M) and (0, d_v K)
     torus = chlib.torus()
     a, b = torus.params["major_radius"], torus.params["minor_radius"]

@@ -292,17 +292,40 @@ def test_confinement_slope_needs_two_distinct_positive_offsets(q3s):
 
 
 def test_confinement_slope_needs_offsets_inside_the_curvature_length():
-    # the unit sphere's length 1/max(|M|, sqrt|K|) is 1; a fold is still
-    # reported first, and the plane, with no curvature, takes any offset
+    # the unit sphere's and the unit cylinder's length 1/k_max is 1, k_max
+    # = |M| + sqrt(M^2 - K) the largest principal curvature (the cylinder's
+    # |M| is 1/2); a fold is still reported first, and the plane, with no
+    # curvature, takes any offset, with no rounding floor either
     chi, profile = flib.spherical_harmonic(1, 0), oplib.gaussian_profile()
-    sphere = chlib.sphere()
+    sphere, cylinder = chlib.sphere(), chlib.cylinder()
     with pytest.raises(ValueError, match="offset q3=1 reaches the curvature length"):
         oplib.confinement_slope(sphere, chi, profile, 1.0, 0.5, [0.5, 1.0])
+    with pytest.raises(ValueError, match=r"q3=1.5 reaches the curvature length 1/k_max = 1 \("):
+        oplib.confinement_slope(cylinder, chi, profile, 1.0, 0.0, [0.5, 1.5])
     with pytest.raises(ShellFoldError):
         oplib.confinement_slope(sphere, chi, profile, 1.0, 0.5, [-1.0, 2.0])
     assert np.isfinite(oplib.confinement_slope(sphere, chi, profile, 1.0, 0.5, [0.5, 0.9])[0])
+    assert np.isfinite(oplib.confinement_slope(cylinder, chi, profile, 1.0, 0.0, [0.5, 0.9])[0])
     trig = flib.trig_library(1)[0]
     oplib.confinement_slope(chlib.plane(), trig, oplib.flat_profile(), 0.1, 0.2, [1.0, 100.0])
+    oplib.confinement_slope(chlib.plane(), trig, oplib.flat_profile(), 0.1, 0.2, [1e-300, 1.0])
+
+
+@pytest.mark.parametrize("name", ["sphere", "cylinder", "torus"])
+def test_confinement_slope_needs_offsets_above_the_rounding_floor(name, builtin_charts):
+    # the smallest offset must be at least _ROUNDING_FLOOR curvature lengths
+    # out; just above the floor the fit is kept and its slope is near 1
+    chart = builtin_charts[name]
+    q1, q2 = chart_points(chart, 3)[1]
+    chi, profile = flib.spherical_harmonic(1, 0), oplib.gaussian_profile()
+    frame = evaluate_frame(chart, q1, q2)
+    M, K = frame.mean_curvature, frame.gaussian_curvature
+    length = 1.0 / (abs(M) + np.sqrt(max(M * M - K, 0.0)))
+    floor = oplib._ROUNDING_FLOOR * length
+    with pytest.raises(ValueError, match="curvature length .* the deviations are rounding"):
+        oplib.confinement_slope(chart, chi, profile, q1, q2, [0.5 * floor, 1e-3 * length])
+    slope, _ = oplib.confinement_slope(chart, chi, profile, q1, q2, [1.01 * floor, 1e-3 * length])
+    assert abs(slope - 1.0) <= 0.05
 
 
 def test_confinement_deviation_vanishes_at_zero_and_on_plane():
