@@ -15,10 +15,12 @@ cells print as json.dumps prints them (-0.0 kept, NaN and +-Infinity).  The
 CSV and the JSON tables take their cell texts from one table (_cells) that
 formats each distinct float magnitude once, -x taking "-" + repr(x), and
 each writer (_csv, _json) fills one row template, repeated per row, in a
-single `%`.  Failure paths, bad flags included, print a single
-machine-parseable line `error: <tag>: <message>` on stderr and exit
-nonzero (2 chart/config errors, 3 quadrature truncation, 4 shell fold,
-1 failed verification).
+single `%`.  A table with at least _KERNEL_MIN_TEXTS texts to make takes
+them from _repr.reprs, a numpy shortest-digits formatter whose texts equal
+repr's byte for byte; a smaller one, such as verify's report, from repr.
+Failure paths, bad flags included, print a single machine-parseable line
+`error: <tag>: <message>` on stderr and exit nonzero (2 chart/config
+errors, 3 quadrature truncation, 4 shell fold, 1 failed verification).
 
 An optional `--config FILE` holds `key = value` lines (same names as the
 long flags, hyphens and underscores interchangeable), read as `--key=value`
@@ -40,6 +42,7 @@ from . import fields as flib
 from . import operators as oplib
 from . import spectra as splib
 from . import verification as ver
+from ._repr import reprs
 from .errors import (
     ChartSingularityError,
     PoleProximityError,
@@ -53,11 +56,17 @@ from .geometry import evaluate_frame, geometric_potential, shell_frame
 CONFINE_DEFAULT_POINTS = {"sphere": (1.0, 0.5), "torus": (0.8, 2.0)}
 
 # geom's table has one cell per point and column, 9 surface columns plus one
-# per --q3 offset.  It holds at most about 0.25 kB per cell (JSON with the
+# per --q3 offset.  It holds at most about 0.21 kB per cell (JSON with the
 # points given as --point, 0 to 60 offsets: ru_maxrss of a child process at
 # 20,000 to 100,000 torus points, less that of one point; CSV and --grid hold
-# less), so this many cells keep any accepted geom at or under about 1 GB.
+# less), so this many cells keep any accepted geom under about 0.9 GB.
 MAX_GEOM_CELLS = 4_000_000
+
+# _cells makes its texts with _repr.reprs, not repr, from this many distinct
+# ones up.  The kernel costs about 0.2 ms a call and then 0.2-0.3 us a value,
+# against repr's 0.55-0.7 us: it broke even at about 400 values (2 vCPUs,
+# Python 3.11, numpy 2.4), and takes 0.7-0.8 of repr's time at 600.
+_KERNEL_MIN_TEXTS = 600
 
 
 def _fmt(x):
@@ -94,6 +103,8 @@ def _cells(columns, signed_zero=False):
     and only a negative without such a twin gets its own repr.  Distinct
     values are those of the bit patterns, so -0.0 stays apart from 0.0;
     every NaN is made the one unsigned NaN first, since its text has no sign.
+    From _KERNEL_MIN_TEXTS texts to make up, they come from _repr.reprs,
+    which equals repr on every float; below it, from repr itself.
     """
     floats = np.column_stack([c for c in columns.values() if not isinstance(c, str)])
     floats = floats.astype(np.float64, copy=False)
@@ -113,7 +124,11 @@ def _cells(columns, signed_zero=False):
     own = np.ones(len(distinct), dtype=bool)
     own[:negatives] = ~paired
     texts = np.empty(len(distinct), dtype=object)
-    texts[own] = np.frompyfunc(repr, 1, 1)(distinct[own].view(np.float64))
+    values = distinct[own].view(np.float64)
+    if len(values) >= _KERNEL_MIN_TEXTS:
+        texts[own] = reprs(values)
+    else:
+        texts[own] = np.frompyfunc(repr, 1, 1)(values)
     texts[:negatives][paired] = "-" + texts[twin[paired]]
     if signed_zero:
         for k in np.flatnonzero(~np.isfinite(distinct.view(np.float64))):

@@ -110,12 +110,14 @@ class ShellFrame:
 def evaluate_frame(chart, q1, q2):
     """Evaluate the full geometric frame of `chart` at the points (q1, q2).
 
-    The chart's map is evaluated once, on jets to second order.  Raises
-    ChartSingularityError at a non-finite point, before the map runs, and
-    where the tangents degenerate (for example the poles of the sphere
-    chart), and ValueError where sqrt(g), g^-1, M or K is not finite (a
-    surface scale whose metric overflows or underflows), each naming the
-    first such point.
+    The chart's map is evaluated once, on jets to second order.  The
+    tangents are scaled per point by a power of two first, which is exact,
+    so det g and |cross| cost no digits at any surface scale whose entries
+    fit the float range.  Raises ChartSingularityError at a non-finite
+    point, before the map runs, and where the tangents degenerate (for
+    example the poles of the sphere chart), and ValueError where sqrt(g),
+    g^-1, M or K is not finite (a surface scale whose metric or curvatures
+    leave the float range), each naming the first such point.
     """
     return _frame(chart, q1, q2, 2)[0]
 
@@ -131,20 +133,29 @@ def _frame(chart, q1, q2, order):
         raise ChartSingularityError(chart.name, (q1b.flat[k], q2b.flat[k]), "non-finite point")
     partials = chart.partials(q1, q2, order)
     position, tangents, d2 = partials[:3]
+    # Each point's tangents times 2^-e (exact), so that g, det g and |cross|
+    # stay in the float range; h = n . r_{mu nu} needs no scaling, and enters
+    # alpha times 2^-e too.  Every entry is scaled back below.
+    e = _scale_exponent(tangents)
+    down, up2, down2 = -e, 2 * e, -2 * e
+    t = np.ldexp(tangents, down)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
-        cross = _regular_cross(chart, q1, q2, tangents)
-        t = tangents
+        cross = _regular_cross(chart, q1, q2, t)
         g = _contract(t[:, None] * t[None], 2)
         det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
         metric_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
+        raised = _matmul(metric_inv, t)
+        del t
         sqrt_g = _norm(cross)
-        raised = _matmul(metric_inv, tangents)
         normal = cross / sqrt_g
         second_form = _contract(d2 * normal, 2)
-        weingarten = -_mm(metric_inv, second_form)
+        weingarten = -_mm(metric_inv, np.ldexp(second_form, down))
         w = weingarten
-        mean_curvature = -0.5 * (w[0, 0] + w[1, 1])
-        gaussian_curvature = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
+        mean_curvature = np.ldexp(-0.5 * (w[0, 0] + w[1, 1]), down)
+        gaussian_curvature = np.ldexp(w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0], down2)
+        sqrt_g = np.ldexp(sqrt_g, up2)
+        for x, p in ((g, up2), (metric_inv, down2), (raised, down), (weingarten, down)):
+            np.ldexp(x, p, out=x)
     point = (q1b, q2b) if q1b.ndim else (float(q1b), float(q2b))
     _require_finite(chart, point, sqrt_g, metric_inv, mean_curvature, gaussian_curvature)
     return GeometryFrame(
@@ -162,6 +173,12 @@ def _frame(chart, q1, q2, order):
         gaussian_curvature=_scalar(gaussian_curvature),
         second_partials=d2,
     ), partials
+
+
+def _scale_exponent(tangents):
+    """Per point, the binary exponent e of its largest tangent entry, so that
+    the tangents times 2^-e lie in [0.5, 1) at most."""
+    return np.frexp(np.abs(tangents).max((0, 1)))[1]
 
 
 def _require_finite(chart, point, *entries):
@@ -279,7 +296,7 @@ def _frame_with_gradients(chart, q1, q2):
     exact and undone on dM and dK.  A dM or dK that is not finite is a
     ValueError naming its first point."""
     frame, partials = _frame(chart, q1, q2, 3)
-    e = np.frexp(np.abs(partials[1]).max((0, 1)))[1]
+    e = _scale_exponent(partials[1])
     t, d2, d3 = (np.ldexp(x, -e) for x in partials[1:])
 
     def jet(x, dx):  # the components x[c] as order-1 jets with partials dx[l, c]

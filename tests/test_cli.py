@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from surfquant import charts as chlib
 from surfquant import cli
 from surfquant import spectra as splib
+from surfquant._repr import reprs
 from surfquant.cli import _csv, _fmt, _json, main
 from surfquant.errors import ShellFoldError
 from surfquant.geometry import evaluate_frame, shell_frame
@@ -549,6 +550,21 @@ def test_csv_matches_the_per_cell_reference(columns):
     assert _csv(columns) == _reference_csv(columns)
 
 
+@pytest.mark.parametrize("count", [cli._KERNEL_MIN_TEXTS - 1, cli._KERNEL_MIN_TEXTS])
+def test_csv_just_below_and_above_the_kernel_size_matches_the_reference(count, monkeypatch):
+    # _cells makes its texts with _repr.reprs from _KERNEL_MIN_TEXTS of them up
+    rng = np.random.default_rng([7, count])
+    magnitudes = np.unique(rng.random(count) * 10.0 ** rng.integers(-8, 20, count))
+    assert len(magnitudes) == count  # the texts _cells makes: one per magnitude
+    # every negative has its positive twin, so the count of texts stays put
+    columns = {"x": magnitudes, "label": "a%s", "y": -magnitudes[::-1]}
+    calls = []
+    monkeypatch.setattr(cli, "reprs", lambda x: calls.append(len(x)) or reprs(x))
+    text = _csv(columns)
+    assert calls == ([count] if count >= cli._KERNEL_MIN_TEXTS else [])
+    assert text == _reference_csv(columns)
+
+
 def _reference_json(payload, table):
     """The JSON text of the dict form: one dict of Python floats and strs
     (and an object column's values, a tuple as a list of floats) per row of
@@ -843,10 +859,11 @@ def test_an_overflowing_geometric_potential_is_a_config_error(option, value, cap
 @pytest.mark.parametrize("command, point", [
     # was seven RuntimeWarnings, then a shell-fold error with factor nan, exit 4
     (["confine", "--surface", "sphere", "--radius", "1e200"], (1.0, 0.5)),
-    # was three RuntimeWarnings, then "the geometric potential overflows"
-    (["geom", "--surface", "sphere", "--radius", "1e100", "--point", "1,1"], (1.0, 1.0)),
-    # was a tangent degeneracy at a regular point: the cross product underflowed
-    (["geom", "--surface", "sphere", "--radius", "1e-100", "--point", "1,1"], (1.0, 1.0)),
+    # sqrt g overflows: the frame is scaled per point, so it answers radii
+    # from about 1e-154 to 1e154 (1e100 and 1e-100 were refused before)
+    (["geom", "--surface", "sphere", "--radius", "1e200", "--point", "1,1"], (1.0, 1.0)),
+    # K = 1/R^2 overflows
+    (["geom", "--surface", "sphere", "--radius", "1e-155", "--point", "1,1"], (1.0, 1.0)),
     (["geom", "--surface", "sphere", "--radius", "1e-200", "--point", "1,1"], (1.0, 1.0)),
 ])
 def test_a_frame_past_the_float_range_is_a_config_error(command, point, capsys):

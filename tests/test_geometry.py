@@ -386,6 +386,24 @@ def test_curvature_gradients_vanish_on_a_sphere_near_the_ends_of_the_float_range
     assert np.abs(dK).max() * radius * radius < 1e-14
 
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("radius", [1e-80, 1e-100, 1e100, 1e-150, 1e150])
+def test_the_frame_of_a_sphere_near_the_ends_of_the_float_range_keeps_its_digits(radius):
+    # det g is about radius^4, subnormal or past the float range here: the
+    # frame is taken on tangents scaled near 1, so M = -1/R and K = 1/R^2 keep
+    # every digit (unscaled, 1e-80 read M and K 1.6e-4 and 3.3e-4 off, and
+    # 1e-100 and 1e100 were refused) and n is the unit sphere's
+    sphere = chlib.sphere(radius)
+    pts = chart_points(sphere, 50)
+    frame = evaluate_frame(sphere, pts[:, 0], pts[:, 1])
+    assert np.abs(frame.mean_curvature * radius + 1.0).max() < 1e-15
+    assert np.abs(frame.gaussian_curvature * radius * radius - 1.0).max() < 1e-15
+    unit = evaluate_frame(chlib.sphere(1.0), pts[:, 0], pts[:, 1])
+    assert np.abs(frame.normal - unit.normal).max() < 1e-15
+    assert np.abs(frame.sqrt_g / (radius * radius) - unit.sqrt_g).max() < 1e-15
+
+
 def test_curvature_gradients_on_a_twisted_torus():
     # r(u + v, v) has g_12 = (a + b cos v)^2, up to 6.25 here, so the
     # off-diagonal terms of g and its partials enter; by the chain rule its gradients

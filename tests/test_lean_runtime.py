@@ -53,6 +53,20 @@ def test_import_loads_neither_scipy_nor_sympy():
     assert loaded == []
 
 
+def test_the_float_formatter_builds_its_tables_on_the_first_large_table():
+    sizes = json.loads(run_python(
+        "import json, numpy as np, surfquant\n"
+        "from surfquant import _repr, cli\n"
+        "sizes = [_repr._tables.cache_info().currsize]\n"
+        "cli._csv({'x': np.arange(1.0, cli._KERNEL_MIN_TEXTS) / 7})\n"
+        "sizes.append(_repr._tables.cache_info().currsize)\n"
+        "cli._csv({'x': np.arange(1.0, cli._KERNEL_MIN_TEXTS + 1) / 7})\n"
+        "sizes.append(_repr._tables.cache_info().currsize)\n"
+        "print(json.dumps(sizes))\n"
+    ))
+    assert sizes == [0, 0, 1]
+
+
 def test_cli_runs_with_scipy_and_sympy_blocked(capsys):
     # None in sys.modules makes any import of the package raise ImportError.
     results = json.loads(run_python(
