@@ -16,6 +16,11 @@ np.arctan2, c ** u, abs(u), a comparison) raises TypeError with CONTRACT.
 A function of one variable computes its derivative rows only up to the
 jet's order.
 
+A jet's partials may be arrays with leading component axes: indexing and
+np.ldexp act on every partial, and each value part is the array operation's
+own, the quotient's included, so an array body (the geometry frame's) runs
+unchanged on order-1 jets and its values keep the array bits.
+
 Each parameter's jet keeps the shape it is given: on a separable grid,
 theta (n, 1) by phi (1, m), a function of theta alone runs on (n, 1) and
 only the products that mix the two reach (n, m).  `partials` broadcasts
@@ -158,9 +163,16 @@ def _mul(x, y):
 
 
 def _div(x, y):
-    if isinstance(y, Jet):
-        return _mul(x, _pow(y, -1))
-    return Jet({k: v / y for k, v in x.d.items()}, x.order)
+    if not isinstance(y, Jet):
+        return Jet({k: v / y for k, v in x.d.items()}, x.order)
+    q = _mul(x, _pow(y, -1))
+    q.d[()] = value(x) / y.d[()]  # the array quotient's bits
+    return q
+
+
+def _ldexp(x, n):
+    """x times 2^n, exact and linear: every partial is scaled alike."""
+    return Jet({k: np.ldexp(v, n) for k, v in x.d.items()}, x.order)
 
 
 def _pow(x, exponent):
@@ -187,7 +199,7 @@ def _refuse(*_):
 
 
 _UFUNCS = {np.add: _add, np.subtract: _sub, np.multiply: _mul,
-           np.true_divide: _div, np.power: _pow, np.negative: _neg}
+           np.true_divide: _div, np.power: _pow, np.negative: _neg, np.ldexp: _ldexp}
 
 
 class Jet:
@@ -197,6 +209,12 @@ class Jet:
 
     def __init__(self, d, order):
         self.d, self.order = d, order
+
+    shape = property(lambda self: np.shape(self.d[()]))
+
+    def __getitem__(self, index):
+        """The jet of the entries value[index]; each partial has the value's shape."""
+        return Jet({k: v[index] for k, v in self.d.items()}, self.order)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method == "__call__" and not kwargs:
@@ -219,6 +237,16 @@ class Jet:
     __rtruediv__ = lambda self, other: _div(other, self)  # noqa: E731
     __pow__ = _pow
     __neg__ = _neg
+
+
+def value(x):
+    """The value part of a jet; any other x is its own value."""
+    return x.d[()] if isinstance(x, Jet) else x
+
+
+def first_order(value, grad):
+    """The order-1 jet of a quantity from its value and first partials grad[0], grad[1]."""
+    return Jet({(): value, (0,): grad[0], (1,): grad[1]}, 1)
 
 
 def partials(fn, q1, q2, order):

@@ -164,28 +164,29 @@ def _norm(v):
     return np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # index arrays: no list to convert
+
+
 def _cross(a, b):
-    """Cross product over the leading (component) axis."""
-    return np.array(
-        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-    )
+    """Cross product over the leading (component) axis, of arrays or jets."""
+    return a[_NEXT] * b[_LAST] - a[_LAST] * b[_NEXT]
 
 
 def _regular_cross(chart, q1, q2, t):
-    """d1 r x d2 r from the tangents t at (q1, q2); raise where they degenerate.
+    """d1 r x d2 r from the tangents t (arrays or jets) at the broadcast
+    float points (q1, q2); raise where they degenerate.
 
-    The test is scale-free: it takes the cross product of the unit tangents,
-    normed by hypot, which neither overflows nor underflows where squaring
-    would.  Broadcasts over array points.  The test is written so that NaN
-    fails it, and the error names the first failing point in input (C) order.
+    The test is scale-free: it takes the cross product of the unit tangents'
+    values, normed by hypot, which neither overflows nor underflows where
+    squaring would.  It is written so that NaN fails it, and the error
+    names the first failing point in input (C) order.
     """
     cross = _cross(t[0], t[1])
-    u1, u2 = (v / np.hypot(np.hypot(v[0], v[1]), v[2]) for v in t)
+    u1, u2 = (v / np.hypot(np.hypot(v[0], v[1]), v[2]) for v in _jets.value(t))
     regular = _norm(_cross(u1, u2)) >= SINGULARITY_RTOL
     if not regular.all():
-        q1b, q2b = np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float))
         k = int(np.argmin(regular.ravel()))
-        raise ChartSingularityError(chart.name, (q1b.ravel()[k], q2b.ravel()[k]))
+        raise ChartSingularityError(chart.name, (q1.flat[k], q2.flat[k]))
     return cross
 
 

@@ -247,7 +247,10 @@ def _make_surface(args):
         if "=" not in entry:
             raise ValueError(f"--param expects key=value (got {entry!r})")
         key, value = entry.split("=", 1)
-        params[key.strip().replace("-", "_")] = float(value)
+        key = key.strip().replace("-", "_")
+        if key in params:
+            raise ValueError(f"surface parameter {key!r} is set twice")
+        params[key] = float(value)
     return chlib.make_chart(args.surface, **params)
 
 
@@ -418,11 +421,8 @@ def _confine_field(selector):
 def cmd_confine(args):
     chart = _make_surface(args)
     chi = _confine_field(args.chi)
-    profile = (
-        oplib.gaussian_profile(args.width)
-        if args.profile == "gaussian"
-        else oplib.flat_profile()
-    )
+    gaussian = args.profile == "gaussian"
+    profile = oplib.gaussian_profile(args.width) if gaussian else oplib.flat_profile()
     if args.point:
         q1, q2 = _parse_point(args.point)
     elif chart.name in CONFINE_DEFAULT_POINTS:
@@ -430,10 +430,7 @@ def cmd_confine(args):
     else:
         q1, q2 = (0.5 * (lo + hi) for lo, hi in chart.domain)
     _require_inside(chart, q1, q2)
-    if args.q3:
-        q3_values = _parse_float_list(args.q3)
-    else:
-        q3_values = list(np.logspace(-4, -1, 13))
+    q3_values = _parse_float_list(args.q3) if args.q3 else list(np.logspace(-4, -1, 13))
     slope, rows = oplib.confinement_slope(chart, chi, profile, q1, q2, q3_values)
     q3s, deviations = zip(*rows)
     columns = {"q3": q3s, "deviation": deviations}

@@ -3,10 +3,11 @@
 Everything here is a pure function of a chart and its parameter points.  The
 central object is the GeometryFrame: tangents, metric, normal, second
 fundamental form, Weingarten map and the curvature invariants.  A frame
-comes from one evaluation of the chart's map on jets to second order; the
-curvature gradients (d_mu M, d_mu K) that thin_shell needs are the partials
-of M and K evaluated on order-1 jets of that evaluation's partials, the
-third included, so they are exact on every chart.
+comes from one evaluation of the chart's map on jets to second order, and
+one body computes it: on arrays, or, for the curvature gradients
+(d_mu M, d_mu K) that thin_shell needs, on order-1 jets of the tangents and
+second partials from one evaluation to third order.  The gradients are
+then the first partials of the frame's own M and K, exact on every chart.
 
 Sign conventions (fixed once, relied on by every operator downstream):
 
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jets import Jet
-from .charts import _cross, _norm, _regular_cross
+from ._jets import Jet, first_order, value
+from .charts import _norm, _regular_cross
 from .errors import ChartSingularityError, ShellFoldError
 
 
@@ -123,9 +124,11 @@ def evaluate_frame(chart, q1, q2):
 
 
 def _frame(chart, q1, q2, order):
-    """(frame, the chart's partials [r, d r, d d r, ...][:order + 1]) at the
-    points, from one evaluation of the map; a non-finite point is refused
-    before it."""
+    """(frame,) at order 2, (frame, dM, dK) at order 3, from one evaluation
+    of the map; a non-finite point is refused before it.  At order 3 the body
+    runs on order-1 jets of the tangents and second partials, so dM and dK,
+    (2,) + point shape, are the partials of its M and K, refused like the
+    frame where not finite, and the frame keeps the order-2 bits."""
     q1b, q2b = np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float))
     finite_point = np.ravel(np.isfinite(q1b) & np.isfinite(q2b))
     if not finite_point.all():
@@ -138,27 +141,34 @@ def _frame(chart, q1, q2, order):
     # alpha times 2^-e too.  Every entry is scaled back below.
     e = _scale_exponent(tangents)
     down, up2, down2 = -e, 2 * e, -2 * e
-    t = np.ldexp(tangents, down)
+    t = tangents
+    if order == 3:
+        t, d2 = (first_order(x, dx) for x, dx in zip(partials[1:3], partials[2:4]))
+    t = np.ldexp(t, down)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
-        cross = _regular_cross(chart, q1, q2, t)
+        cross = _regular_cross(chart, q1b, q2b, t)
         g = _contract(t[:, None] * t[None], 2)
         det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        metric_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
-        raised = _matmul(metric_inv, t)
+        sign = np.array([[1.0, -1.0], [-1.0, 1.0]]).reshape((2, 2) + (1,) * len(det.shape))
+        metric_inv = g[::-1, ::-1] * sign / det  # the adjugate, as g01 == g10 bit for bit
+        raised = _matmul(value(metric_inv), value(t))
         del t
         sqrt_g = _norm(cross)
         normal = cross / sqrt_g
         second_form = _contract(d2 * normal, 2)
         weingarten = -_mm(metric_inv, np.ldexp(second_form, down))
         w = weingarten
-        mean_curvature = np.ldexp(-0.5 * (w[0, 0] + w[1, 1]), down)
-        gaussian_curvature = np.ldexp(w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0], down2)
+        M = np.ldexp(-0.5 * (w[0, 0] + w[1, 1]), down)
+        K = np.ldexp(w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0], down2)
+        gradients = [np.array([x.d[(0,)], x.d[(1,)]]) for x in (M, K) if isinstance(x, Jet)]
+        g, metric_inv, sqrt_g, normal, second_form, weingarten, M, K = (
+            value(x) for x in (g, metric_inv, sqrt_g, normal, second_form, weingarten, M, K))
         sqrt_g = np.ldexp(sqrt_g, up2)
         for x, p in ((g, up2), (metric_inv, down2), (raised, down), (weingarten, down)):
             np.ldexp(x, p, out=x)
     point = (q1b, q2b) if q1b.ndim else (float(q1b), float(q2b))
-    _require_finite(chart, point, sqrt_g, metric_inv, mean_curvature, gaussian_curvature)
-    return GeometryFrame(
+    _require_finite(chart, point, sqrt_g, metric_inv, M, K, *gradients)
+    frame = GeometryFrame(
         point=point,
         position=position,
         tangents=tangents,
@@ -169,10 +179,11 @@ def _frame(chart, q1, q2, order):
         normal=normal,
         second_form=second_form,
         weingarten=weingarten,
-        mean_curvature=_scalar(mean_curvature),
-        gaussian_curvature=_scalar(gaussian_curvature),
-        second_partials=d2,
-    ), partials
+        mean_curvature=_scalar(M),
+        gaussian_curvature=_scalar(K),
+        second_partials=partials[2],
+    )
+    return (frame, *gradients)
 
 
 def _scale_exponent(tangents):
@@ -284,35 +295,3 @@ def laplace_beltrami(chart, field, q1, q2):
     frame = evaluate_frame(chart, q1, q2)
     out = laplace_beltrami_jets(frame, *field.partials(q1, q2, 2)[1:])
     return complex(out) if np.ndim(out) == 0 else out
-
-
-def _frame_with_gradients(chart, q1, q2):
-    """(frame, dM, dK) at the points: dM and dK, of shape (2,) + point shape,
-    are the d_mu M and d_mu K of thin_shell, read off order-1 jets of
-    M = (g11 h00 - 2 g01 h01 + g00 h11) / (2 det g) and K = det h / det g
-    built on the map's partials to third order from the frame's evaluation.
-    Each point's partials are first scaled by 2^-e, e the binary exponent of
-    its largest tangent entry, so det g stays in the float range; that is
-    exact and undone on dM and dK.  A dM or dK that is not finite is a
-    ValueError naming its first point."""
-    frame, partials = _frame(chart, q1, q2, 3)
-    e = _scale_exponent(partials[1])
-    t, d2, d3 = (np.ldexp(x, -e) for x in partials[1:])
-
-    def jet(x, dx):  # the components x[c] as order-1 jets with partials dx[l, c]
-        return [Jet({(): x[c], (0,): dx[0, c], (1,): dx[1, c]}, 1) for c in range(3)]
-
-    r0, r1 = jet(t[0], d2[:, 0]), jet(t[1], d2[:, 1])
-    dot = lambda a, b: a[0] * b[0] + a[1] * b[1] + a[2] * b[2]  # noqa: E731
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
-        cross = _cross(r0, r1)  # the frame's d1 r x d2 r, so n keeps its orientation
-        inv = _norm(cross) ** -1  # h_{mu nu} = n . r_{mu nu} with n = cross / |cross|
-        h00, h01, h11 = (dot(cross, jet(d2[m, k], d3[:, m, k])) * inv
-                         for m, k in ((0, 0), (0, 1), (1, 1)))
-        g00, g01, g11 = dot(r0, r0), dot(r0, r1), dot(r1, r1)
-        det = g00 * g11 - g01 * g01
-        M = (g11 * h00 - 2.0 * g01 * h01 + g00 * h11) / (2.0 * det)
-        K = (h00 * h11 - h01 * h01) / det
-        dM, dK = (np.ldexp([J.d[(0,)], J.d[(1,)]], -p * e) for J, p in ((M, 1), (K, 2)))
-    _require_finite(chart, frame.point, dM, dK)
-    return frame, dM, dK

@@ -20,7 +20,8 @@ the units drop no check.  The confining limit (r^mu d_mu + M n) psi is i
 times the geometric momentum _momentum computes, and the shell's fold
 factor and fold test are geometry.shell_frame's.  One array-first
 function, thin_shell, evaluates the decomposition, its Jacobian oracle and
-the deviation at all offsets q3 above a surface point; confinement_slope
+the deviation at all offsets q3 above one surface point, with d_mu psi read
+off order-1 jets of the frame's M and K and of the field; confinement_slope
 fits its deviations.
 Composed operators are evaluated through derived exact partials
 (product/chain rule), never through nested finite differences.
@@ -61,13 +62,7 @@ from . import _jets
 from . import fields as flib
 from .charts import POLE_BAND
 from .fields import ScalarField, _product_jets, _sphere_basis, pullback_field, rotation_matrix
-from .geometry import (
-    _contract,
-    _frame_with_gradients,
-    evaluate_frame,
-    laplace_beltrami_jets,
-    shell_frame,
-)
+from .geometry import _contract, _frame, evaluate_frame, laplace_beltrami_jets, shell_frame
 from .quadrature import sphere_grid
 
 def _momentum(frame, value, grad):
@@ -375,7 +370,8 @@ def thin_shell(chart, chi, profile, q1, q2, q3):
       minus the limit operator (r^mu d_mu + M n) psi, both on one frame.
 
     The frame with (dM, dK), chi's jets, f and the profile are each
-    evaluated once; shell_frame raises on a fold or an overflowing offset.
+    evaluated once; shell_frame raises on a fold or an overflowing offset,
+    and array points are a ValueError before the map runs.
     """
     return _thin_shell(chart, chi, profile, q1, q2, q3)[1:]
 
@@ -385,15 +381,22 @@ def _thin_shell(chart, chi, profile, q1, q2, q3):
     q3 = np.asarray(q3, dtype=float)
     if q3.ndim != 1:
         raise ValueError(f"q3 must be a 1-D array of offsets (got shape {q3.shape})")
-    frame, dM, dK = _frame_with_gradients(chart, q1, q2)
+    if np.ndim(q1) or np.ndim(q2):
+        raise ValueError(f"the thin shell takes one surface point (got shapes "
+                         f"{np.shape(q1)} and {np.shape(q2)})")
+    frame, dM, dK = _frame(chart, q1, q2, 3)
     f = shell_frame(frame, q3).fold_factor
-    chi_val, chi_grad = chi.partials(q1, q2, 1)
     phi_val, phi_der = profile.value(q3), profile.derivative(q3)
     shift = frame.mean_curvature - frame.gaussian_curvature * q3
-    finv, f32 = f**-0.5, f**-1.5
-    dfinv_mu = -0.5 * f32 * (-2.0 * dM[:, None] * q3 + dK[:, None] * q3 * q3)
-    psi_val = chi_val * finv * phi_val
-    dpsi_mu = (chi_grad[:, None] * finv + chi_val * dfinv_mu) * phi_val
+    # psi = chi f^{-1/2} phi on order-1 jets of M, K and chi: its partials
+    # are d_mu psi
+    M = _jets.first_order(frame.mean_curvature, dM)
+    K = _jets.first_order(frame.gaussian_curvature, dK)
+    chi = _jets.first_order(*chi.partials(q1, q2, 1))
+    finv = (1.0 - 2.0 * M * q3 + K * q3 * q3) ** -0.5
+    psi = chi * finv * phi_val
+    chi_val, finv, f32 = chi.d[()], finv.d[()], f**-1.5
+    psi_val, dpsi_mu = psi.d[()], np.array([psi.d[(0,)], psi.d[(1,)]])
     dpsi_q3 = chi_val * (shift * f32 * phi_val + finv * phi_der)
     # The shell tangents are R_mu = B r_mu, B = I + q3 alpha with det B = f,
     # so R^mu = B^{-T} r^mu with B^{-1} = adj(B) / f: no shell metric is

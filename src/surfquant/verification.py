@@ -420,19 +420,9 @@ def confinement_suite(options):
             out.append(_result(options, "confined_sum", chart.name, chi.label, pt, worst))
     if options.wants("confinement_slope"):
         q3s = np.logspace(-4, -1, 13)
-        slope, _ = oplib.confinement_slope(
-            chlib.sphere(), chi, profile, 1.0, 0.5, q3s
-        )
-        out.append(
-            _result(
-                options,
-                "confinement_slope",
-                "sphere",
-                chi.label,
-                (1.0, 0.5),
-                abs(slope - 1.0),
-            )
-        )
+        slope, _ = oplib.confinement_slope(chlib.sphere(), chi, profile, 1.0, 0.5, q3s)
+        out.append(_result(options, "confinement_slope", "sphere", chi.label, (1.0, 0.5),
+                           abs(slope - 1.0)))
     return out
 
 

@@ -20,7 +20,7 @@ from surfquant import verification as ver
 from surfquant.cli import _cells, main
 from surfquant.errors import ChartSingularityError, PoleProximityError
 from surfquant.geometry import (
-    _frame_with_gradients,
+    _frame,
     evaluate_frame,
     laplace_beltrami,
     shell_frame,
@@ -260,7 +260,11 @@ def test_confine_rejects_bad_points(point, tag, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: {tag}:")
 
 
-@pytest.mark.parametrize("evaluate", [evaluate_frame, _frame_with_gradients])
+def _frame_at_order_3(chart, q1, q2):
+    return _frame(chart, q1, q2, 3)
+
+
+@pytest.mark.parametrize("evaluate", [evaluate_frame, _frame_at_order_3])
 @pytest.mark.parametrize("chart, q1, q2, point", [
     (chlib.sphere(), 1.0, np.inf, (1.0, np.inf)),
     (chlib.torus(), np.inf, 1.0, (np.inf, 1.0)),

@@ -5,7 +5,7 @@ import pytest
 
 from surfquant import _jets
 from surfquant import charts as chlib
-from surfquant._jets import CONTRACT
+from surfquant._jets import CONTRACT, Jet
 from surfquant.errors import ChartSingularityError
 from surfquant.geometry import evaluate_frame
 
@@ -195,6 +195,45 @@ def test_rows_stop_at_the_jet_order(name):
     CountingArray.calls = 0
     rows_of(x.view(CountingArray), 0)
     assert CountingArray.calls == 1
+
+
+def _array_jet(rng, shape):
+    return Jet({key: rng.uniform(0.5, 2.0, shape) for key in [(), (0,), (1,)]}, 1)
+
+
+def test_indexing_a_jet_gives_the_jets_of_the_entries():
+    jet = _array_jet(np.random.default_rng(1), (2, 3, 4))
+    assert jet.shape == (2, 3, 4)
+    for index in [1, (slice(None), [2, 0]), (slice(None), None), (slice(None, None, -1), 0)]:
+        entry = jet[index]
+        assert isinstance(entry, Jet) and entry.order == 1
+        assert entry.d.keys() == jet.d.keys()
+        for key, v in jet.d.items():
+            assert np.array_equal(entry.d[key], v[index])
+        assert entry.shape == jet.d[()][index].shape
+
+
+def test_ldexp_of_a_jet_scales_every_partial():
+    jet = _array_jet(np.random.default_rng(2), (3, 4))
+    n = np.array([-3, 0, 5, -1070])
+    scaled = np.ldexp(jet, n)
+    assert isinstance(scaled, Jet) and scaled.order == 1
+    for key, v in jet.d.items():
+        assert np.array_equal(scaled.d[key], np.ldexp(v, n))
+
+
+def test_a_jet_quotient_keeps_the_bits_of_the_array_quotient():
+    rng = np.random.default_rng(3)
+    x, y = _array_jet(rng, 1000), _array_jet(rng, 1000)
+    a, b = x.d[()], y.d[()]
+    assert not np.array_equal(a * b**-1, a / b)  # the product form rounds differently
+    for q, value in [(x / y, a / b), (0.7 / y, 0.7 / b), (np.float64(0.7) / y, 0.7 / b)]:
+        assert np.array_equal(q.d[()], value)
+    # the partials are the quotient rule's, to rounding
+    q = x / y
+    for key in [(0,), (1,)]:
+        exact = (x.d[key] * b - a * y.d[key]) / (b * b)
+        assert np.abs(q.d[key] - exact).max() < 1e-14  # entries are O(1)
 
 
 def test_maps_outside_the_elementwise_contract_raise():

@@ -92,6 +92,22 @@ def test_geom_wrong_parameter_rejected(capsys):
     assert "does not take parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["geom", "--surface", "sphere", "--radius", "3", "--param", "radius=2", "--point", "1,1"],
+     "radius"),
+    (["geom", "--surface", "torus", "--param", "minor_radius=0.3", "--param",
+      "minor_radius=0.4", "--point", "1,1"], "minor_radius"),
+    (["confine", "--surface", "torus", "--param", "minor_radius=0.3", "--param",
+      "minor-radius=0.4"], "minor_radius"),
+])
+def test_a_surface_parameter_set_twice_is_refused(argv, key, capsys):
+    # the last value used to win silently
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: config: surface parameter {key!r} is set twice\n"
+
+
 def test_geom_json_format(tmp_path):
     out = tmp_path / "geom.json"
     assert run(["geom", "--surface", "torus", "--point", "0.5,1.0",

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from surfquant import charts as chlib
 from surfquant import fields as flib
 from surfquant.errors import ChartSingularityError, ShellFoldError
 from surfquant.geometry import (
-    _frame_with_gradients,
+    _frame,
     evaluate_frame,
     geometric_potential,
     laplace_beltrami,
@@ -211,7 +212,7 @@ def test_a_from_map_frame_that_overflows_is_refused():
             "the steep chart's frame is not finite at (500.0, 0.25)")):
         evaluate_frame(steep, q1, q2)
     with pytest.raises(ValueError, match="steep chart's frame is not finite"):
-        _frame_with_gradients(steep, 500.0, 0.25)
+        _frame(steep, 500.0, 0.25, 3)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -224,7 +225,7 @@ def test_curvature_gradients_that_overflow_on_a_finite_frame_are_refused():
     assert np.isfinite(frame.metric_inv).all() and frame.mean_curvature == 0.0
     with pytest.raises(ValueError, match=re.escape(
             "the cubic chart's frame is not finite at (1e-62, 0.5)")):
-        _frame_with_gradients(cubic, np.array([0.5, 1e-62]), np.array([0.5, 0.5]))
+        _frame(cubic, np.array([0.5, 1e-62]), np.array([0.5, 0.5]), 3)
 
 
 @pytest.mark.parametrize("scale", [1e-60, 1e-20, 1e20, 1e60])
@@ -297,7 +298,7 @@ def test_curvature_gradients_match_finite_differences(builtin_charts):
     h = 1e-6
     for chart in charts:
         for u, v in chart_points(chart, 10):
-            dM, dK = _frame_with_gradients(chart, u, v)[1:]
+            dM, dK = _frame(chart, u, v, 3)[1:]
 
             def mk(a, b):
                 fr = evaluate_frame(chart, a, b)
@@ -321,7 +322,7 @@ def _torus_gradients(a, b, v):
 def test_curvature_gradients_match_the_torus_closed_forms(a, b):
     torus = chlib.torus(a, b)
     for u, v in chart_points(torus, 50):
-        dM, dK = _frame_with_gradients(torus, u, v)[1:]
+        dM, dK = _frame(torus, u, v, 3)[1:]
         exact_dM, exact_dK = _torus_gradients(a, b, v)
         assert np.abs(dM - exact_dM).max() < 1e-14
         assert np.abs(dK - exact_dK).max() < 1e-14
@@ -331,7 +332,7 @@ def test_curvature_gradients_match_the_torus_closed_forms(a, b):
 def test_constant_curvature_gradients_vanish(name, builtin_charts):
     chart = builtin_charts[name]
     pts = chart_points(chart, 50)
-    dM, dK = _frame_with_gradients(chart, pts[:, 0], pts[:, 1])[1:]
+    dM, dK = _frame(chart, pts[:, 0], pts[:, 1], 3)[1:]
     assert np.abs(dM).max() < 1e-14 and np.abs(dK).max() < 1e-14
 
 
@@ -347,27 +348,25 @@ def test_curvature_gradients_exact_on_a_mapped_torus():
 
     mapped = chlib.from_map(torus_map, torus.domain, torus.periodic, name="mapped")
     for u, v in chart_points(torus, 20):
-        dM, dK = _frame_with_gradients(mapped, u, v)[1:]
+        dM, dK = _frame(mapped, u, v, 3)[1:]
         exact_dM, exact_dK = _torus_gradients(a, b, v)
         assert np.abs(dM - exact_dM).max() < 1e-13
         assert np.abs(dK - exact_dK).max() < 1e-13
 
 
 def test_curvature_gradients_need_the_third_partials(monkeypatch):
-    # negative control: with the third partials the frame hands over zeroed,
-    # the torus's closed-form check fails
-    from surfquant import geometry
-
-    frame_of = geometry._frame
+    # negative control: with the chart's third partials zeroed, the torus's
+    # closed-form check fails
+    partials_of = chlib.ParametricChart.partials
 
     def without_third(chart, q1, q2, order):
-        frame, partials = frame_of(chart, q1, q2, order)
-        return frame, partials[:3] + [np.zeros_like(partials[3])]
+        partials = partials_of(chart, q1, q2, order)
+        return partials[:3] + [np.zeros_like(x) for x in partials[3:]]
 
-    monkeypatch.setattr(geometry, "_frame", without_third)
+    monkeypatch.setattr(chlib.ParametricChart, "partials", without_third)
     torus = chlib.torus()
     pts = chart_points(torus, 50)
-    dM, dK = _frame_with_gradients(torus, pts[:, 0], pts[:, 1])[1:]
+    dM, dK = _frame(torus, pts[:, 0], pts[:, 1], 3)[1:]
     exact_dM, exact_dK = _torus_gradients(2.0, 0.5, pts[:, 1])
     assert np.abs(dM - exact_dM).max() > 1e-2 and np.abs(dK - exact_dK).max() > 1e-2
 
@@ -380,7 +379,7 @@ def test_curvature_gradients_vanish_on_a_sphere_near_the_ends_of_the_float_range
     # (8e-3 / radius at 1e-80 on unscaled partials)
     sphere = chlib.sphere(radius)
     pts = chart_points(sphere, 50)
-    dM, dK = _frame_with_gradients(sphere, pts[:, 0], pts[:, 1])[1:]
+    dM, dK = _frame(sphere, pts[:, 0], pts[:, 1], 3)[1:]
     assert np.isfinite(dM).all() and np.isfinite(dK).all()
     assert np.abs(dM).max() * radius < 1e-14
     assert np.abs(dK).max() * radius * radius < 1e-14
@@ -404,35 +403,68 @@ def test_the_frame_of_a_sphere_near_the_ends_of_the_float_range_keeps_its_digits
     assert np.abs(frame.sqrt_g / (radius * radius) - unit.sqrt_g).max() < 1e-15
 
 
+def _twisted_torus_map(u, v, a=2.0, b=0.5):
+    # the default torus at (u + v, v)
+    w = a + b * np.cos(v)
+    return [w * np.cos(u + v), w * np.sin(u + v), b * np.sin(v)]
+
+
 def test_curvature_gradients_on_a_twisted_torus():
     # r(u + v, v) has g_12 = (a + b cos v)^2, up to 6.25 here, so the
     # off-diagonal terms of g and its partials enter; by the chain rule its gradients
     # are the torus's (d_u + d_v, d_v), that is (0, d_v M) and (0, d_v K)
     torus = chlib.torus()
     a, b = torus.params["major_radius"], torus.params["minor_radius"]
-
-    def twisted_map(u, v):
-        w = a + b * np.cos(v)
-        return [w * np.cos(u + v), w * np.sin(u + v), b * np.sin(v)]
-
-    twisted = chlib.from_map(twisted_map, torus.domain, torus.periodic, name="twisted")
+    twisted = chlib.from_map(_twisted_torus_map, torus.domain, torus.periodic, name="twisted")
     pts = chart_points(torus, 50)
-    frame, dM, dK = _frame_with_gradients(twisted, pts[:, 0], pts[:, 1])
+    frame, dM, dK = _frame(twisted, pts[:, 0], pts[:, 1], 3)
     assert np.abs(frame.metric[0, 1]).max() > 6.0
     exact_dM, exact_dK = _torus_gradients(a, b, pts[:, 1])
     assert np.abs(dM - exact_dM).max() < 1e-13
     assert np.abs(dK - exact_dK).max() < 1e-13
 
 
+def _frame_charts():
+    torus, sphere = chlib.torus(), chlib.sphere()
+    return [chlib.sphere(), chlib.cylinder(), torus, chlib.plane(),
+            chlib.from_map(_twisted_torus_map, torus.domain, torus.periodic, name="twisted"),
+            chlib.from_map(_ellipsoid_map, sphere.domain, sphere.periodic, name="ellipsoid")]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("chart", _frame_charts(), ids=lambda chart: chart.name)
+def test_the_jet_frame_has_the_bits_of_the_array_frame(chart):
+    # one body runs on arrays at order 2 and on order-1 jets at order 3; the
+    # jets' values are the arrays' own, field by field and bit for bit
+    pts = chart_points(chart, 12)
+    points = [(q1, q2) for q1, q2 in pts[:3]] + [
+        (pts[:, 0], pts[:, 1]), (pts[:4, 0, None], pts[None, :3, 1])]
+    for q1, q2 in points:
+        (array_frame,) = _frame(chart, q1, q2, 2)
+        jet_frame, dM, dK = _frame(chart, q1, q2, 3)
+        assert dM.shape == dK.shape == (2,) + np.broadcast_shapes(np.shape(q1), np.shape(q2))
+        for field in dataclasses.fields(array_frame):
+            a, b = getattr(array_frame, field.name), getattr(jet_frame, field.name)
+            assert type(a) is type(b), field.name
+            if field.name == "point":
+                assert all(_same_bits(x, y) for x, y in zip(a, b))
+            else:
+                assert _same_bits(a, b), field.name
+
+
 def test_curvature_gradients_on_array_points():
     torus = chlib.torus()
     q1 = np.linspace(0.1, 6.0, 4)[:, None]
     q2 = np.linspace(0.2, 5.0, 3)[None, :]
-    dM, dK = _frame_with_gradients(torus, q1, q2)[1:]
+    dM, dK = _frame(torus, q1, q2, 3)[1:]
     assert dM.shape == dK.shape == (2, 4, 3)
     for i in range(4):
         for j in range(3):
-            one_dM, one_dK = _frame_with_gradients(torus, q1[i, 0], q2[0, j])[1:]
+            one_dM, one_dK = _frame(torus, q1[i, 0], q2[0, j], 3)[1:]
             assert np.allclose(dM[:, i, j], one_dM, rtol=1e-14, atol=1e-15)
             assert np.allclose(dK[:, i, j], one_dK, rtol=1e-14, atol=1e-15)
 

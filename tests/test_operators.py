@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -368,10 +370,45 @@ def test_thin_shell_needs_a_1d_array_of_offsets(q3):
                          oplib.gaussian_profile(), 1.0, 0.5, q3)
 
 
+def _counting_sphere(calls):
+    sphere = chlib.sphere()
+
+    def counted(th, ph):
+        calls.append((th, ph))
+        return sphere._map(th, ph)
+
+    return chlib.from_map(counted, sphere.domain, sphere.periodic, name="sphere")
+
+
+@pytest.mark.parametrize("entry", ["thin_shell", "confinement_slope"])
+@pytest.mark.parametrize("q1, q2, shapes", [
+    ([0.8, 0.9], 0.5, "(2,) and ()"),
+    (1.0, np.array([[0.5]]), "() and (1, 1)"),
+])
+def test_the_thin_shell_refuses_array_points_before_the_map_runs(entry, q1, q2, shapes):
+    # array points used to reach the frame and fail in numpy's matmul
+    calls = []
+    chi, profile = flib.spherical_harmonic(1, 0), oplib.gaussian_profile()
+    with pytest.raises(ValueError, match=re.escape(
+            f"the thin shell takes one surface point (got shapes {shapes})")):
+        getattr(oplib, entry)(_counting_sphere(calls), chi, profile, q1, q2, [0.01, 0.02])
+    assert calls == []
+
+
+def test_the_thin_shell_takes_a_0d_array_point():
+    chi, profile = flib.spherical_harmonic(1, 0), oplib.gaussian_profile()
+    q3s = [0.01, 0.02]
+    expected = oplib.confinement_slope(chlib.sphere(), chi, profile, 1.0, 0.5, q3s)
+    assert oplib.confinement_slope(chlib.sphere(), chi, profile, np.array(1.0),
+                                   np.array(0.5), q3s) == expected
+    parts = oplib.thin_shell(chlib.sphere(), chi, profile, np.array(1.0), 0.5, q3s)[0]
+    assert parts.total().shape == (3, 2)
+
+
 @pytest.mark.parametrize("q3s", [[0.01, np.inf], [np.nan, 0.01], [-np.inf, 0.01, 0.02]])
 def test_confinement_slope_checks_finiteness_before_any_row(q3s, monkeypatch):
     built = []
-    monkeypatch.setattr(oplib, "_frame_with_gradients", lambda *a: built.append(a))
+    monkeypatch.setattr(oplib, "_frame", lambda *a: built.append(a))
     with pytest.raises(ValueError, match="at least two distinct, finite, positive q3"):
         oplib.confinement_slope(chlib.sphere(), flib.spherical_harmonic(1, 0),
                                 oplib.gaussian_profile(), 1.0, 0.5, q3s)
@@ -387,8 +424,8 @@ def test_confinement_slope_builds_the_surface_frame_once(name, builtin_charts, m
     expected = [(q3, float(oplib.thin_shell(chart, chi, profile, q1, q2, [q3])[2][0]))
                 for q3 in q3s]
     frames, chis = [], []
-    build = oplib._frame_with_gradients
-    monkeypatch.setattr(oplib, "_frame_with_gradients",
+    build = oplib._frame
+    monkeypatch.setattr(oplib, "_frame",
                         lambda *a: frames.append(a) or build(*a))
     counted = flib.ScalarField(
         chi.label, lambda *a: chis.append(a) or chi.partials(*a), chi.order

@@ -109,14 +109,16 @@ def without_normal_term(jet):
 
 
 def with_frame_fault(monkeypatch, change):
-    """Every frame geometry builds, with the entries change(frame) gives."""
+    """Every frame geometry builds, the thin shell's included, with the
+    entries change(frame) gives; dM and dK stay healthy."""
     healthy = geolib._frame
 
     def faulty(*args):
-        frame, partials = healthy(*args)
-        return dataclasses.replace(frame, **change(frame)), partials
+        frame, *gradients = healthy(*args)
+        return (dataclasses.replace(frame, **change(frame)), *gradients)
 
     monkeypatch.setattr(geolib, "_frame", faulty)
+    monkeypatch.setattr(oplib, "_frame", faulty)
 
 
 def with_field_fault(monkeypatch, lm, fault):
